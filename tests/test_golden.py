@@ -1,0 +1,118 @@
+"""Byte-exact CLI output for a fixed set of small seeded runs.
+
+Each case runs ``obsrep.cli.main(argv)`` in-process and compares the run's
+stdout with ``tests/golden/<name>.txt`` and its exit code with the table
+below.  A run that must fail prints nothing to stdout and exactly one
+``error:`` line to stderr; for those cases the golden file holds that stderr.
+Refactors keep these files unchanged; a deliberate change of output rewrites
+them with ``PYTHONPATH=src python tests/test_golden.py`` and says so.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from obsrep.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+HEXAGON = str(Path(__file__).parents[1] / "demos" / "data" / "hexagon.json")
+
+# Seven points with four crossings among eight drawn edges.
+DRAWING = {
+    "points": [[0, 0], [10, 1], [20, -2], [5, 12], [15, 14], [8, -9], [18, 7]],
+    "graph": {
+        "n": 7,
+        "edges": [[1, 5], [2, 4], [3, 6], [1, 3], [4, 7], [6, 7], [2, 5], [1, 6]],
+    },
+}
+# Six points split by x into two groups of three; the box sits inside the
+# hull of the first group only.
+PARTITION = {
+    "points": [[0, 0], [4, 10], [8, -1], [12, 5], [16, -6], [20, 9]],
+    "obstacles": [[[3, 2], [5, 2], [5, 4], [3, 4]]],
+}
+C6 = {"n": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]}
+C5 = {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}
+# The second vertex lies inside the hexagon.
+INSIDE = {
+    "points": [[-2, 0], [3, 0]],
+    "obstacles": [[[0, 0], [2, -2], [5, -2], [7, 0], [5, 2], [2, 2]]],
+}
+# The second vertex lies on the square's boundary.
+ON_BOUNDARY = {
+    "points": [[-5, 0], [0, 0]],
+    "obstacles": [[[0, -1], [2, -1], [2, 1], [0, 1]]],
+}
+DOCS = {
+    "drawing": DRAWING,
+    "partition": PARTITION,
+    "c6": C6,
+    "c5": C5,
+    "inside": INSIDE,
+    "on-boundary": ON_BOUNDARY,
+}
+
+# name -> (argv, exit code); "{doc}" names a document above, written to disk.
+CASES = {
+    "visibility-hexagon": (["visibility", HEXAGON], 0),
+    "encode-hexagon": (["encode", HEXAGON], 0),
+    "signature-hexagon": (["signature", HEXAGON], 0),
+    "faces-drawing": (["faces", "{drawing}"], 0),
+    "incidence-drawing": (["incidence", "{drawing}"], 0),
+    "cover-drawing": (["cover", "{drawing}"], 0),
+    "obs-search-c6": (["obs-search", "{c6}", "--seed", "7", "--placements", "6"], 0),
+    "chain-c5": (["chain", "{c5}", "--seed", "3", "--placements", "4"], 0),
+    "random-exp-n4": (
+        ["random-exp", "--n", "4", "--seed", "11", "--trials", "6", "--placements", "4"],
+        0,
+    ),
+    "derive-table": (["derive-table", "--seed", "5", "--budget", "50"], 0),
+    "partition-check": (["partition-check", "{partition}", "--k", "3"], 0),
+    "visibility-inside": (["visibility", "{inside}"], 1),
+    "validate-inside": (["validate", "{inside}"], 1),
+    "encode-on-boundary": (["encode", "{on-boundary}"], 1),
+}
+
+
+def _argv(argv, directory):
+    paths = {}
+    for name, doc in DOCS.items():
+        path = Path(directory) / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path, capsys):
+    argv, want_rc = CASES[name]
+    rc = main(_argv(argv, tmp_path))
+    out, err = capsys.readouterr()
+    want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert rc == want_rc
+    if want_rc == 0:
+        assert err == ""
+        assert out == want
+    else:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err == want
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as directory:
+        for name, (argv, want_rc) in sorted(CASES.items()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(_argv(argv, directory))
+            if rc != want_rc:
+                sys.exit(f"{name}: exit {rc}, expected {want_rc}: {err.getvalue()}")
+            text = out.getvalue() if rc == 0 else err.getvalue()
+            (GOLDEN / f"{name}.txt").write_text(text, encoding="utf-8")
