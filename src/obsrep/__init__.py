@@ -21,7 +21,7 @@ from .arrangement import (
     obstacle_face_check,
 )
 from .bounds import BoundsQuery, bounds_threshold
-from .cover import solve_cover, solve_cover_first_hit
+from .cover import solve_cover
 from .errors import (
     ContradictionError,
     CoverError,
@@ -33,7 +33,7 @@ from .errors import (
     SearchError,
     UnknownPatternError,
 )
-from .geom import Point, Polygon, Segment, convex_hull, is_general_position, orient
+from .geom import Point, Polygon, convex_hull, is_general_position, orient
 from .graphs import Graph, GraphError, complete_graph, cycle_graph, empty_graph
 from .ordertype import (
     OrderType,
@@ -111,7 +111,6 @@ __all__ = [
     "SceneFormatError",
     "SceneSignature",
     "SearchError",
-    "Segment",
     "TangentSequence",
     "UnknownPatternError",
     "Witness",
@@ -149,7 +148,6 @@ __all__ = [
     "scene_signature",
     "scene_violations",
     "solve_cover",
-    "solve_cover_first_hit",
     "suggested_group_size",
     "validate_representation",
     "visibility_details",

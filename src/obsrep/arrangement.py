@@ -24,13 +24,9 @@ from .geom import (
     is_general_position,
     on_closed_segment,
     open_segment_intersects_closed,
-    orient_xy,
+    orient,
     point_in_polygon,
 )
-
-
-def _orient(a, b, c):
-    return orient_xy(a[0], a[1], b[0], b[1], c[0], c[1])
 from .graphs import Graph
 from .scene import Scene, require_valid_scene
 from .visibility import visibility_graph
@@ -89,8 +85,6 @@ class Face:
 
 
 def _frac_point(p):
-    if hasattr(p, "x"):
-        return (Fraction(p.x), Fraction(p.y))
     x, y = p
     return (Fraction(x), Fraction(y))
 
@@ -110,15 +104,15 @@ def _ccw_direction_cmp(d1, d2) -> int:
 
 
 def _winding(q, cycle, nodes) -> int:
-    qx, qy = q
+    qy = q[1]
     w = 0
     k = len(cycle)
     for idx in range(k):
-        ax, ay = nodes[cycle[idx]]
-        bx, by = nodes[cycle[(idx + 1) % k]]
-        if ay <= qy < by and _orient((ax, ay), (bx, by), q) > 0:
+        a = nodes[cycle[idx]]
+        b = nodes[cycle[(idx + 1) % k]]
+        if a[1] <= qy < b[1] and orient(a, b, q) > 0:
             w += 1
-        elif by <= qy < ay and _orient((ax, ay), (bx, by), q) < 0:
+        elif b[1] <= qy < a[1] and orient(a, b, q) < 0:
             w -= 1
     return w
 
@@ -458,7 +452,7 @@ def face_nonedge_incidence(fs: FaceSet, g: Graph) -> CoverInstance:
             ca, cb = fs.nodes[a], fs.nodes[b]
             touched = False
             for c in (ca, cb):
-                if _orient(p, q, c) == 0 and min(p[0], q[0]) <= c[0] <= max(p[0], q[0]) and min(
+                if orient(p, q, c) == 0 and min(p[0], q[0]) <= c[0] <= max(p[0], q[0]) and min(
                     p[1], q[1]
                 ) <= c[1] <= max(p[1], q[1]):
                     num = (
@@ -524,7 +518,7 @@ def obstacle_face_check(scene: Scene, graph: Graph | None = None) -> FacePlaceme
                 contained = False
                 break
             if any(
-                open_segment_intersects_closed(ca, cb, (u.x, u.y), (v.x, v.y))
+                open_segment_intersects_closed(ca, cb, u, v)
                 for u, v in poly.edges()
             ):
                 contained = False

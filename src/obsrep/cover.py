@@ -1,14 +1,11 @@
-"""Exact minimum set cover, solved twice over.
+"""Exact minimum set cover by branch and bound.
 
-``solve_cover`` is the branch-and-bound solver used everywhere; the
-brute-force ``solve_cover_first_hit`` exists so tests can confirm the two
-agree on both the optimum size and the tie-broken witness.  Both return the
-lexicographically smallest sorted id tuple among all minimum covers.
+``solve_cover`` returns the lexicographically smallest sorted id tuple among
+all minimum covers, so the witness it reports does not depend on search
+order.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .errors import CoverError
 
@@ -77,20 +74,3 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
 
     descend(0, 0, [])
     return best[1]
-
-
-def solve_cover_first_hit(n_elements: int, sets: dict) -> tuple:
-    """The first cover met when enumerating id subsets by (size, lex) order."""
-    if n_elements == 0:
-        return ()
-    candidates, universe = _masks(n_elements, sets)
-    ids = [sid for sid, _ in candidates]
-    mask_of = dict(candidates)
-    for size in range(len(ids) + 1):
-        for combo in combinations(ids, size):
-            got = 0
-            for sid in combo:
-                got |= mask_of[sid]
-            if got == universe:
-                return combo
-    raise CoverError("exhausted all subsets without covering")  # pragma: no cover

@@ -6,7 +6,7 @@ class ObsrepError(Exception):
 
 
 class GeometryError(ObsrepError):
-    """Invalid geometric input (degenerate polygon, endpoint inside an obstacle, ...)."""
+    """Invalid geometric input (non-integer point coordinate, degenerate polygon, ...)."""
 
 
 class GeneralPositionError(GeometryError):

@@ -1,51 +1,44 @@
 """Exact planar primitives on integer coordinates.
 
-Every predicate here is decided with arbitrary-precision integer (or
-``fractions.Fraction``) arithmetic; no floating point is used anywhere, so
-results are exact for any input size.
+A point is an ``(x, y)`` pair of ints; :class:`Point` is the validated form
+of one, and every function here accepts either, since a ``Point`` is a tuple.
+Predicates that also meet derived points (crossings, interior samples) take
+``fractions.Fraction`` coordinates too.  Every predicate is decided with
+arbitrary-precision integer or ``Fraction`` arithmetic; no floating point is
+used anywhere, so results are exact for any input size.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GeometryError
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point with exact integer coordinates."""
+class Point(namedtuple("Point", "x y")):
+    """A point with exact integer coordinates: ``p.x``, ``p[0]`` and ``x, y = p`` all work."""
 
-    x: int
-    y: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.x) is not int or type(self.y) is not int:
-            raise GeometryError(f"point coordinates must be plain ints, got {self!r}")
+    def __new__(cls, x, y):
+        if type(x) is not int or type(y) is not int:
+            raise GeometryError(f"point coordinates must be plain ints, got Point({x}, {y})")
+        return super().__new__(cls, x, y)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make (and _replace, which calls it) skips __new__.
+        return cls(*iterable)
 
     def __repr__(self):
         return f"Point({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A segment between two distinct points; ``open`` excludes the endpoints."""
-
-    a: Point
-    b: Point
-    open: bool = True
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise GeometryError(f"degenerate segment at {self.a!r}")
-
-
 def orient(a, b, c) -> int:
     """Sign of the cross product (b-a) x (c-a): +1 left turn, -1 right, 0 collinear."""
-    ax, ay = _coords(a)
-    bx, by = _coords(b)
-    cx, cy = _coords(c)
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
     return orient_xy(ax, ay, bx, by, cx, cy)
 
 
@@ -55,18 +48,9 @@ def orient_xy(ax, ay, bx, by, cx, cy) -> int:
     return (d > 0) - (d < 0)
 
 
-def _coords(p):
-    """Accept a Point or a raw (x, y) pair."""
-    if isinstance(p, Point):
-        return p.x, p.y
-    return p[0], p[1]
-
-
 def on_closed_segment(a, b, p) -> bool:
     """True iff p lies on the closed segment [a, b] (endpoints included)."""
-    ax, ay = _coords(a)
-    bx, by = _coords(b)
-    px, py = _coords(p)
+    (ax, ay), (bx, by), (px, py) = a, b, p
     if orient_xy(ax, ay, bx, by, px, py) != 0:
         return False
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
@@ -74,9 +58,7 @@ def on_closed_segment(a, b, p) -> bool:
 
 def on_open_segment(a, b, p) -> bool:
     """True iff p lies strictly between a and b on their segment."""
-    ax, ay = _coords(a)
-    bx, by = _coords(b)
-    px, py = _coords(p)
+    (ax, ay), (bx, by), (px, py) = a, b, p
     if orient_xy(ax, ay, bx, by, px, py) != 0:
         return False
     if ax != bx:
@@ -89,10 +71,7 @@ def open_segment_intersects_closed(a, b, c, d) -> bool:
 
     Contact that happens only at a or b does not count; contact at c or d does.
     """
-    ax, ay = _coords(a)
-    bx, by = _coords(b)
-    cx, cy = _coords(c)
-    dx, dy = _coords(d)
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
     d1 = orient_xy(cx, cy, dx, dy, ax, ay)
     d2 = orient_xy(cx, cy, dx, dy, bx, by)
     d3 = orient_xy(ax, ay, bx, by, cx, cy)
@@ -117,10 +96,7 @@ def open_segment_intersects_closed(a, b, c, d) -> bool:
 
 def closed_segments_intersect(a, b, c, d) -> bool:
     """Do the closed segments [a, b] and [c, d] share at least one point?"""
-    ax, ay = _coords(a)
-    bx, by = _coords(b)
-    cx, cy = _coords(c)
-    dx, dy = _coords(d)
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
     d1 = orient_xy(cx, cy, dx, dy, ax, ay)
     d2 = orient_xy(cx, cy, dx, dy, bx, by)
     d3 = orient_xy(ax, ay, bx, by, cx, cy)
@@ -140,8 +116,8 @@ def polygon_area2(vertices) -> int:
     total = 0
     k = len(vertices)
     for i in range(k):
-        x1, y1 = _coords(vertices[i])
-        x2, y2 = _coords(vertices[(i + 1) % k])
+        x1, y1 = vertices[i]
+        x2, y2 = vertices[(i + 1) % k]
         total += x1 * y2 - x2 * y1
     return total
 
@@ -196,16 +172,16 @@ def point_in_polygon(q, polygon) -> int:
 
     Exact crossing-number test; q may have Fraction coordinates.
     """
-    vertices = polygon.vertices if isinstance(polygon, Polygon) else tuple(polygon)
-    qx, qy = _coords(q)
+    vertices = polygon.vertices
+    qx, qy = q
     k = len(vertices)
     for i in range(k):
-        if on_closed_segment(vertices[i], vertices[(i + 1) % k], (qx, qy)):
+        if on_closed_segment(vertices[i], vertices[(i + 1) % k], q):
             return 0
     inside = False
     for i in range(k):
-        ux, uy = _coords(vertices[i])
-        vx, vy = _coords(vertices[(i + 1) % k])
+        ux, uy = vertices[i]
+        vx, vy = vertices[(i + 1) % k]
         if (uy > qy) != (vy > qy):
             o = orient_xy(ux, uy, vx, vy, qx, qy)
             # For an upward edge the crossing lies right of q iff q is left of u->v;
@@ -215,24 +191,22 @@ def point_in_polygon(q, polygon) -> int:
     return 1 if inside else -1
 
 
-def segment_intersects_polygon(segment: Segment, polygon: Polygon) -> bool:
-    """Does the segment meet the closed polygonal region?
+def segment_intersects_polygon(a, b, polygon: Polygon) -> bool:
+    """Does the open segment between the distinct points a and b meet the closed region?
 
-    Requires both endpoints strictly outside the region; an endpoint inside or
-    on the boundary raises :class:`GeometryError` (the scene is invalid).
-    Boundary contact counts as intersection.
+    Both endpoints must lie strictly outside the region, which
+    :func:`obsrep.scene.require_valid_scene` establishes for every scene
+    vertex; this function does not check it again.  Boundary contact counts
+    as intersection.
     """
-    for endpoint in (segment.a, segment.b):
-        if point_in_polygon(endpoint, polygon) >= 0:
-            raise GeometryError(f"segment endpoint {endpoint!r} is inside or on an obstacle")
+    (ax, ay), (bx, by) = a, b
     xs = [v.x for v in polygon.vertices]
     ys = [v.y for v in polygon.vertices]
-    if max(segment.a.x, segment.b.x) < min(xs) or min(segment.a.x, segment.b.x) > max(xs):
+    if max(ax, bx) < min(xs) or min(ax, bx) > max(xs):
         return False
-    if max(segment.a.y, segment.b.y) < min(ys) or min(segment.a.y, segment.b.y) > max(ys):
+    if max(ay, by) < min(ys) or min(ay, by) > max(ys):
         return False
-    test = open_segment_intersects_closed if segment.open else closed_segments_intersect
-    return any(test(segment.a, segment.b, c, d) for c, d in polygon.edges())
+    return any(open_segment_intersects_closed(a, b, c, d) for c, d in polygon.edges())
 
 
 def is_general_position(points):
@@ -241,16 +215,15 @@ def is_general_position(points):
     Returns ``(ok, violations)`` where violations lists index 2-tuples for
     duplicates and index 3-tuples for collinear triples.
     """
-    pts = [(_coords(p)) for p in points]
     violations = []
     seen = {}
-    for i, p in enumerate(pts):
+    for i, p in enumerate(points):
         if p in seen:
             violations.append((seen[p], i))
         else:
             seen[p] = i
-    for i, j, k in combinations(range(len(pts)), 3):
-        (ax, ay), (bx, by), (cx, cy) = pts[i], pts[j], pts[k]
+    for i, j, k in combinations(range(len(points)), 3):
+        (ax, ay), (bx, by), (cx, cy) = points[i], points[j], points[k]
         if orient_xy(ax, ay, bx, by, cx, cy) == 0:
             violations.append((i, j, k))
     return (not violations), violations
@@ -258,7 +231,7 @@ def is_general_position(points):
 
 def convex_hull(points):
     """Convex hull in counterclockwise order (strict: collinear points dropped)."""
-    pts = sorted(set((_coords(p)) for p in points))
+    pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
     def chain(seq):

@@ -26,10 +26,10 @@ def random_convex_polygon(rng, max_vertices=6, span=300, max_tries=200) -> Polyg
     """A strictly convex lattice polygon: hull of a few random points in a box."""
     for _ in range(max_tries):
         k = rng.randint(4, max(4, max_vertices + 1))
-        raw = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(k)]
+        raw = [Point(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(k)]
         hull = convex_hull(raw)
         if len(hull) >= 3:
-            return Polygon(tuple(Point(x, y) for x, y in hull))
+            return Polygon(hull)
     raise SearchError("could not sample a convex polygon")
 
 
@@ -42,18 +42,18 @@ def random_single_obstacle_scene(rng, n_points, coord_bound=1000, max_tries=4000
     """
     span = max(4, coord_bound // 3)
     poly = random_convex_polygon(rng, span=span)
-    taken = [(v.x, v.y) for v in poly.vertices]
+    taken = list(poly.vertices)
     pts = []
     tries = 0
     while len(pts) < n_points:
         tries += 1
         if tries > max_tries:
             raise SearchError("could not place scene points in general position")
-        q = (rng.randint(-coord_bound, coord_bound), rng.randint(-coord_bound, coord_bound))
+        q = Point(rng.randint(-coord_bound, coord_bound), rng.randint(-coord_bound, coord_bound))
         if q in taken or point_in_polygon(q, poly) >= 0 or _collinear_with_any_pair(taken, q):
             continue
         taken.append(q)
-        pts.append(Point(*q))
+        pts.append(q)
     return Scene(tuple(pts), (poly,))
 
 
@@ -76,9 +76,9 @@ def random_placement(rng, n, grid, max_tries=20000):
         tries += 1
         if tries > max_tries:
             raise SearchError(f"no general-position placement on a {grid}x{grid} grid")
-        q = (rng.randrange(grid), rng.randrange(grid))
-        if q[0] in xs or _collinear_with_any_pair(pts, q):
+        q = Point(rng.randrange(grid), rng.randrange(grid))
+        if q.x in xs or _collinear_with_any_pair(pts, q):
             continue
-        xs.add(q[0])
+        xs.add(q.x)
         pts.append(q)
-    return tuple(Point(x, y) for x, y in pts)
+    return tuple(pts)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .arrangement import Drawing, build_arrangement, face_nonedge_incidence
 from .cover import solve_cover
 from .errors import ObsrepError
-from .geom import convex_hull, is_general_position, on_closed_segment, orient
+from .geom import convex_hull, on_closed_segment, orient
 from .graphs import Graph, all_graphs, complete_graph, gnp_half
 from .sampling import random_placement
 from .scene import Scene
@@ -40,17 +40,26 @@ def min_obstacles_for_placement(points, g: Graph) -> PlacementCover:
     solves the resulting cover exactly.  The face-id tuple is the
     lexicographically smallest among all minimum covers.
     """
+    return _placement_cover(points, g)[0]
+
+
+def _placement_cover(points, g: Graph):
+    """The placement's minimum cover and the incidence it was solved on.
+
+    The incidence is ``None`` when g has no non-edges: nothing needs
+    covering, so no arrangement is built.
+    """
     points = tuple(points)
     if len(points) != g.n:
         raise ObsrepError(f"{len(points)} points for a {g.n}-vertex graph")
     drawing = Drawing.of(points, g.edges)
     if not g.non_edges():
-        return PlacementCover(0, ())
+        return PlacementCover(0, ()), None
     fs = build_arrangement(drawing)
     instance = face_nonedge_incidence(fs, g)
     sets = {fid: items for fid, items in enumerate(instance.membership)}
     chosen = solve_cover(len(instance.nonedges), sets)
-    return PlacementCover(len(chosen), tuple(chosen))
+    return PlacementCover(len(chosen), tuple(chosen)), instance
 
 
 @dataclass(frozen=True)
@@ -70,13 +79,11 @@ class ObsResult:
 
 def replay_witness(g: Graph, result: ObsResult) -> bool:
     """Re-derive the witness cover from scratch and compare against the result."""
-    cover = min_obstacles_for_placement(result.witness.points, g)
+    cover, instance = _placement_cover(result.witness.points, g)
     if cover.size != result.upper_bound:
         return False
-    if not g.non_edges():
+    if instance is None:
         return result.witness.faces == ()
-    fs = build_arrangement(Drawing.of(result.witness.points, g.edges))
-    instance = face_nonedge_incidence(fs, g)
     covered = set()
     for fid in result.witness.faces:
         covered.update(instance.membership[fid])
@@ -90,19 +97,13 @@ def _floor_bound(g: Graph) -> int:
 
 
 def obs_upper_bound(
-    g: Graph,
-    placements: int,
-    grid: int | None = None,
-    seed: int = 0,
-    exhaustive_grid: int | None = None,
+    g: Graph, placements: int, grid: int | None = None, seed: int = 0
 ) -> ObsResult:
     """Best (smallest) placement cover over seeded random placements.
 
     The placement stream depends only on (n, grid, seed), and sampling stops
     as soon as the bound hits the certifiable floor — 0 for complete graphs,
-    1 otherwise — which can only lower the reported value.  With
-    ``exhaustive_grid`` set and n ≤ 5, every labeled general-position
-    placement on that tiny grid is also swept.
+    1 otherwise — which can only lower the reported value.
     """
     if placements < 1:
         raise ObsrepError("placements must be >= 1")
@@ -120,33 +121,10 @@ def obs_upper_bound(
             best = (cover.size, Witness(points=pts, faces=cover.faces))
         if best[0] <= floor:
             break
-    if exhaustive_grid is not None:
-        if g.n > 5:
-            raise ObsrepError("exhaustive placement sweep is limited to n <= 5")
-        for pts in _grid_placements(g.n, exhaustive_grid):
-            if best is not None and best[0] <= floor:
-                break
-            cover = min_obstacles_for_placement(pts, g)
-            if best is None or cover.size < best[0]:
-                best = (cover.size, Witness(points=pts, faces=cover.faces))
     bound, witness = best
     return ObsResult(
         upper_bound=bound, witness=witness, certified_exact=bound == floor
     )
-
-
-def _grid_placements(n, grid):
-    from itertools import combinations, permutations
-
-    from .geom import Point
-
-    cells = [(x, y) for x in range(grid) for y in range(grid)]
-    for combo in combinations(cells, n):
-        ok, _ = is_general_position(combo)
-        if not ok:
-            continue
-        for perm in permutations(combo):
-            yield tuple(Point(x, y) for x, y in perm)
 
 
 @dataclass(frozen=True)
@@ -245,7 +223,7 @@ def _hull_contains_all(group_points, vertices) -> bool:
     """Is every query vertex inside or on the hull of the group's points?"""
     hull = convex_hull(group_points)
     if len(hull) == 1:
-        return all(tuple(v) == hull[0] for v in vertices)
+        return all(v == hull[0] for v in vertices)
     if len(hull) == 2:
         return all(on_closed_segment(hull[0], hull[1], v) for v in vertices)
     k = len(hull)
@@ -267,7 +245,7 @@ def _partition_report(points, k, obstacle_vertex_sets) -> PartitionReport:
     groups = tuple(tuple(order[i * k : (i + 1) * k]) for i in range(full))
     flags = []
     for group in groups:
-        gp = [(points[i].x, points[i].y) for i in group]
+        gp = [points[i] for i in group]
         spoiled = any(
             verts is not None and _hull_contains_all(gp, verts)
             for verts in obstacle_vertex_sets
@@ -293,7 +271,7 @@ def _partition_report(points, k, obstacle_vertex_sets) -> PartitionReport:
 def partition_lemma_check(scene: Scene, k: int) -> PartitionReport:
     """Partition the scene's vertices by x into groups of k and flag the
     groups whose hulls trap no obstacle."""
-    vertex_sets = [tuple((v.x, v.y) for v in poly.vertices) for poly in scene.obstacles]
+    vertex_sets = [poly.vertices for poly in scene.obstacles]
     return _partition_report(scene.points, k, vertex_sets)
 
 

@@ -6,15 +6,15 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ObsrepError
-from .geom import Segment, segment_intersects_polygon
+from .geom import segment_intersects_polygon
 from .graphs import Graph
 from .scene import Scene, require_valid_scene
 
 
 def _blockers(scene: Scene, i: int, j: int):
     """Indices of obstacles whose closed region meets the open segment i-j."""
-    seg = Segment(scene.points[i], scene.points[j], open=True)
-    return [k for k, poly in enumerate(scene.obstacles) if segment_intersects_polygon(seg, poly)]
+    a, b = scene.points[i], scene.points[j]
+    return [k for k, poly in enumerate(scene.obstacles) if segment_intersects_polygon(a, b, poly)]
 
 
 def visibility_details(scene: Scene):

@@ -2,9 +2,10 @@
 
 Nothing here calls the package's own predicates: intersections are found by
 solving 2x2 linear systems over ``fractions.Fraction`` (Cramer's rule),
-point-in-polygon is parity ray casting, and drawing faces come from a
+point-in-polygon is parity ray casting, drawing faces come from a
 vertical-slab decomposition flooded across slab boundaries instead of
-half-edge tracing.  Slower and dumber on purpose.
+half-edge tracing, and minimum set cover is plain subset enumeration.
+Slower and dumber on purpose.
 """
 
 from bisect import bisect_left
@@ -13,9 +14,8 @@ from itertools import combinations
 
 
 def xy(p):
-    if hasattr(p, "x"):
-        return (Fraction(p.x), Fraction(p.y))
-    return (Fraction(p[0]), Fraction(p[1]))
+    x, y = p
+    return (Fraction(x), Fraction(y))
 
 
 def cross_params(a, b, c, d):
@@ -277,3 +277,28 @@ class SlabOracle:
             tm = (t1 + t2) / 2
             roots.add(self.locate((px + tm * (qx - px), py + tm * (qy - py))))
         return roots
+
+
+def solve_cover_first_hit(n_elements, sets):
+    """The first cover met when enumerating id subsets by (size, lex) order.
+
+    That is the lexicographically smallest sorted id tuple among all minimum
+    covers of ``range(n_elements)``, the witness ``solve_cover`` must return.
+    """
+    universe = (1 << n_elements) - 1
+    masks = {}
+    for sid, items in sets.items():
+        mask = 0
+        for element in items:
+            mask |= 1 << element
+        if mask:
+            masks[sid] = mask
+    ids = sorted(masks)
+    for size in range(len(ids) + 1):
+        for combo in combinations(ids, size):
+            got = 0
+            for sid in combo:
+                got |= masks[sid]
+            if got & universe == universe:
+                return combo
+    raise ValueError("some element appears in no set")

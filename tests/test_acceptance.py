@@ -16,7 +16,7 @@ import pytest
 from obsrep.arrangement import Drawing, build_arrangement
 from obsrep.bounds import BoundsQuery, bounds_threshold
 from obsrep.cli import main
-from obsrep.cover import solve_cover, solve_cover_first_hit
+from obsrep.cover import solve_cover
 from obsrep.geom import Point, Polygon
 from obsrep.graphs import Graph, all_graphs, complete_graph, cycle_graph, empty_graph
 from obsrep.ordertype import perturb_scene, scene_signature
@@ -41,6 +41,8 @@ from obsrep.tangent import (
     encode_tangent,
 )
 from obsrep.visibility import visibility_details, visibility_graph
+
+from oracles import solve_cover_first_hit
 
 
 def _verdict(capsys, num, label, ok):

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from obsrep.cover import solve_cover, solve_cover_first_hit
+from obsrep.cover import solve_cover
 from obsrep.errors import CoverError
+
+from oracles import solve_cover_first_hit
 
 
 def test_single_set_cover():

@@ -9,7 +9,6 @@ from obsrep.errors import GeometryError
 from obsrep.geom import (
     Point,
     Polygon,
-    Segment,
     closed_segments_intersect,
     convex_hull,
     is_general_position,
@@ -56,11 +55,23 @@ def test_point_constructor_rejects_non_ints():
         Point(1.5, 0)
     with pytest.raises(GeometryError):
         Point(Fraction(1, 2), 0)
-
-
-def test_segment_rejects_degenerate():
     with pytest.raises(GeometryError):
-        Segment(Point(1, 2), Point(1, 2))
+        Point(True, 0)
+    with pytest.raises(GeometryError):
+        Point(0, False)
+    with pytest.raises(GeometryError):
+        Point._make((1.5, 0))
+    with pytest.raises(GeometryError):
+        Point(1, 2)._replace(y=0.5)
+
+
+def test_point_is_an_int_pair():
+    p = Point(1, 2)
+    assert p == (1, 2)
+    assert hash(p) == hash((1, 2))
+    x, y = p
+    assert (x, y) == (p.x, p.y) == (p[0], p[1]) == (1, 2)
+    assert repr(p) == "Point(1, 2)"
 
 
 def test_on_segment_predicates():
@@ -183,18 +194,9 @@ def _random_polygon(rng, span=9):
 def test_segment_intersects_polygon_known_cases(hexagon_scene):
     hexagon = hexagon_scene.obstacles[0]
     p1, p2, p3 = hexagon_scene.points
-    assert not segment_intersects_polygon(Segment(p1, p2), hexagon)
-    assert segment_intersects_polygon(Segment(p2, p3), hexagon)
-    far = Segment(Point(100, 100), Point(101, 100))
-    assert not segment_intersects_polygon(far, hexagon)
-
-
-def test_segment_intersects_polygon_endpoint_inside_raises():
-    square = Polygon((Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)))
-    with pytest.raises(GeometryError):
-        segment_intersects_polygon(Segment(Point(2, 2), Point(9, 9)), square)
-    with pytest.raises(GeometryError):
-        segment_intersects_polygon(Segment(Point(2, 0), Point(9, 9)), square)
+    assert not segment_intersects_polygon(p1, p2, hexagon)
+    assert segment_intersects_polygon(p2, p3, hexagon)
+    assert not segment_intersects_polygon(Point(100, 100), Point(101, 100), hexagon)
 
 
 def test_segment_intersects_polygon_matches_oracle():
@@ -209,7 +211,7 @@ def test_segment_intersects_polygon_matches_oracle():
             continue
         if point_in_polygon(a, poly) >= 0 or point_in_polygon(b, poly) >= 0:
             continue
-        got = segment_intersects_polygon(Segment(a, b), poly)
+        got = segment_intersects_polygon(a, b, poly)
         want = oracles.segment_meets_polygon(a, b, poly.vertices)
         assert got == want, (a, b, poly.vertices)
         done += 1

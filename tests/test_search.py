@@ -112,21 +112,6 @@ def test_obs_upper_bound_validation():
         obs_upper_bound(cycle_graph(4), placements=0, seed=1)
     with pytest.raises(ObsrepError):
         obs_upper_bound(cycle_graph(4), placements=1, grid=15, seed=1)  # < n*n
-    with pytest.raises(ObsrepError):
-        obs_upper_bound(cycle_graph(6), placements=1, seed=1, exhaustive_grid=2)
-
-
-def test_exhaustive_grid_sweep_improves_a_bad_run():
-    g = cycle_graph(4)
-    # this single placement happens to need two faces ...
-    sloppy = obs_upper_bound(g, placements=1, grid=50, seed=3)
-    assert sloppy.upper_bound == 2
-    assert not sloppy.certified_exact
-    # ... but sweeping a 3x3 grid finds a one-face placement and certifies it
-    swept = obs_upper_bound(g, placements=1, grid=50, seed=3, exhaustive_grid=3)
-    assert swept.upper_bound == 1
-    assert swept.certified_exact
-    assert replay_witness(g, swept)
 
 
 # --- deletion chains ---

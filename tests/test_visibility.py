@@ -45,10 +45,18 @@ def test_no_obstacles_means_complete():
 
 
 def test_invalid_scene_is_rejected():
-    # second vertex sits on the obstacle boundary
-    scene = Scene(pts((-5, 0), (0, 0)), (poly((0, -1), (2, -1), (2, 1), (0, 1)),))
-    with pytest.raises(SceneError):
-        visibility_graph(scene)
+    square = poly((0, 0), (4, 0), (4, 4), (0, 4))
+    invalid = [
+        # second vertex sits on the obstacle boundary
+        Scene(pts((-5, 0), (0, 0)), (poly((0, -1), (2, -1), (2, 1), (0, 1)),)),
+        # first vertex sits inside the obstacle
+        Scene(pts((2, 2), (9, 9)), (square,)),
+        # first vertex sits on the obstacle boundary
+        Scene(pts((2, 0), (9, 9)), (square,)),
+    ]
+    for scene in invalid:
+        with pytest.raises(SceneError):
+            visibility_graph(scene)
 
 
 def test_validate_representation_match(hexagon_scene):
