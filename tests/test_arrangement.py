@@ -240,6 +240,15 @@ def test_vertical_edges_against_the_oracle():
     )
 
 
+def test_nonedge_through_a_crossing_node_against_the_oracle():
+    # the absent edge 4-5 runs exactly through (5, 5), where the drawn
+    # diagonals 0-1 and 2-3 cross, from one bounded face into another
+    _check_against_oracle(
+        [(0, 10), (10, 0), (2, 0), (8, 10), (1, 3), (9, 7)],
+        [(2, 1), (1, 5), (5, 3), (3, 0), (0, 4), (4, 2), (0, 1), (2, 3)],
+    )
+
+
 def test_random_drawings_match_the_oracle():
     rng = random.Random(90125)
     for _ in range(60):

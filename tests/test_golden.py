@@ -27,6 +27,15 @@ DRAWING = {
         "edges": [[1, 5], [2, 4], [3, 6], [1, 3], [4, 7], [6, 7], [2, 5], [1, 6]],
     },
 }
+# Six points whose non-edge 5-6 passes exactly through the crossing (5, 5)
+# of the drawn edges 1-2 and 3-4, between two bounded faces.
+CONCURRENT = {
+    "points": [[0, 10], [10, 0], [2, 0], [8, 10], [1, 3], [9, 7]],
+    "graph": {
+        "n": 6,
+        "edges": [[3, 2], [2, 6], [6, 4], [4, 1], [1, 5], [5, 3], [1, 2], [3, 4]],
+    },
+}
 # Six points split by x into two groups of three; the box sits inside the
 # hull of the first group only.
 PARTITION = {
@@ -47,6 +56,7 @@ ON_BOUNDARY = {
 }
 DOCS = {
     "drawing": DRAWING,
+    "concurrent": CONCURRENT,
     "partition": PARTITION,
     "c6": C6,
     "c5": C5,
@@ -62,6 +72,9 @@ CASES = {
     "faces-drawing": (["faces", "{drawing}"], 0),
     "incidence-drawing": (["incidence", "{drawing}"], 0),
     "cover-drawing": (["cover", "{drawing}"], 0),
+    "faces-concurrent": (["faces", "{concurrent}"], 0),
+    "incidence-concurrent": (["incidence", "{concurrent}"], 0),
+    "cover-concurrent": (["cover", "{concurrent}"], 0),
     "obs-search-c6": (["obs-search", "{c6}", "--seed", "7", "--placements", "6"], 0),
     "chain-c5": (["chain", "{c5}", "--seed", "3", "--placements", "4"], 0),
     "random-exp-n4": (
