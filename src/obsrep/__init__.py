@@ -13,12 +13,9 @@ from .arrangement import (
     CoverInstance,
     Drawing,
     Face,
-    FacePlacementReport,
     FaceSet,
     build_arrangement,
-    face_complexity,
     face_nonedge_incidence,
-    obstacle_face_check,
 )
 from .bounds import BoundsQuery, bounds_threshold
 from .cover import solve_cover
@@ -38,13 +35,10 @@ from .graphs import Graph, GraphError, complete_graph, cycle_graph, empty_graph
 from .ordertype import (
     OrderType,
     SceneSignature,
-    canonical_unlabeled,
     chirotope,
-    perturb_scene,
-    same_labeled_order_type,
     scene_signature,
 )
-from .scene import Scene, require_valid_scene, scene_violations
+from .scene import Scene, require_valid_scene
 from .sceneio import load_graph, load_scene, save_scene
 from .search import (
     ChainRecord,
@@ -91,7 +85,6 @@ __all__ = [
     "Drawing",
     "ExperimentReport",
     "Face",
-    "FacePlacementReport",
     "FaceSet",
     "GeneralPositionError",
     "GeometryError",
@@ -117,7 +110,6 @@ __all__ = [
     "bounds_threshold",
     "build_arrangement",
     "builtin_pattern_table",
-    "canonical_unlabeled",
     "chirotope",
     "complete_graph",
     "convex_hull",
@@ -127,26 +119,21 @@ __all__ = [
     "edge_deletion_chain",
     "empty_graph",
     "encode_tangent",
-    "face_complexity",
     "face_nonedge_incidence",
     "is_general_position",
     "load_graph",
     "load_scene",
     "min_obstacles_for_placement",
     "obs_upper_bound",
-    "obstacle_face_check",
     "orient",
     "pair_pattern",
     "partition_faces_check",
     "partition_lemma_check",
-    "perturb_scene",
     "random_graph_experiment",
     "replay_witness",
     "require_valid_scene",
-    "same_labeled_order_type",
     "save_scene",
     "scene_signature",
-    "scene_violations",
     "solve_cover",
     "suggested_group_size",
     "validate_representation",

@@ -19,51 +19,29 @@ from functools import cmp_to_key
 from itertools import combinations
 
 from .errors import GeneralPositionError, GeometryError, ObsrepError
-from .geom import (
-    closed_segments_intersect,
-    is_general_position,
-    on_closed_segment,
-    open_segment_intersects_closed,
-    orient,
-    point_in_polygon,
-)
+from .geom import closed_segments_intersect, is_general_position, on_closed_segment, orient
 from .graphs import Graph
-from .scene import Scene, require_valid_scene
-from .visibility import visibility_graph
 
 
 @dataclass(frozen=True)
 class Drawing:
-    """Labeled points in general position plus the open segments joining some of them."""
+    """A graph's vertices placed at labeled points in general position.
+
+    Vertex i sits at ``points[i]``, and every edge of ``graph`` is drawn as
+    the open straight segment joining its two points.
+    """
 
     points: tuple
-    edges: frozenset
+    graph: Graph
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        n = len(self.points)
-        norm = set()
-        for e in self.edges:
-            i, j = e
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ObsrepError(f"edge {e} does not join two distinct points")
-            norm.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        if len(self.points) != self.graph.n:
+            raise ObsrepError(f"{len(self.points)} points for a {self.graph.n}-vertex graph")
         ok, violations = is_general_position(self.points)
         if not ok:
             parts = ", ".join(str(v) for v in violations)
             raise GeneralPositionError(f"degenerate drawing: {parts}", violations)
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    def graph(self) -> Graph:
-        return Graph.of(self.n, self.edges)
-
-    @staticmethod
-    def of(points, edges) -> "Drawing":
-        return Drawing(tuple(points), frozenset(tuple(e) for e in edges))
 
 
 @dataclass(frozen=True)
@@ -87,6 +65,29 @@ class Face:
 def _frac_point(p):
     x, y = p
     return (Fraction(x), Fraction(y))
+
+
+def _crossing(p, q, r, s):
+    """Where the open segments (p, q) and (r, s) cross at a single point.
+
+    Returns ``(t, u)`` with ``p + t(q - p) = r + u(s - r)`` and both
+    parameters strictly between 0 and 1, or ``None`` when the segments are
+    parallel or do not meet at interior points of both.
+    """
+    (px, py), (qx, qy), (rx, ry), (sx, sy) = p, q, r, s
+    dx, dy = qx - px, qy - py
+    ex, ey = sx - rx, sy - ry
+    denom = dx * ey - dy * ex
+    if denom == 0:
+        return None
+    wx, wy = rx - px, ry - py
+    tn = wx * ey - wy * ex
+    un = wx * dy - wy * dx
+    if denom < 0:
+        denom, tn, un = -denom, -tn, -un
+    if 0 < tn < denom and 0 < un < denom:
+        return Fraction(tn, denom), Fraction(un, denom)
+    return None
 
 
 def _ccw_direction_cmp(d1, d2) -> int:
@@ -188,9 +189,7 @@ class FaceSet:
         if face_id not in self._rep_cache:
             f = self.faces[face_id]
             if f.bounded:
-                rep = _interior_point_of_cycle(
-                    [self.nodes[i] for i in f.cycles[0]], self._clearance_test(f.cycles[0])
-                )
+                rep = _interior_point_of_cycle(self.nodes, self.pieces, f.cycles[0])
             else:
                 if self.nodes:
                     rep = (
@@ -202,27 +201,15 @@ class FaceSet:
             self._rep_cache[face_id] = rep
         return self._rep_cache[face_id]
 
-    def _clearance_test(self, cycle):
-        def clear(v_coord, p_coord, corner_index):
-            v_id = cycle[corner_index]
-            for u, w in self.pieces:
-                if u == v_id or w == v_id:
-                    continue
-                if closed_segments_intersect(v_coord, p_coord, self.nodes[u], self.nodes[w]):
-                    return False
-            return True
 
-        return clear
-
-
-def _interior_point_of_cycle(coords, clearance):
+def _interior_point_of_cycle(nodes, pieces, cycle):
     """A rational point just inside a positively oriented boundary cycle.
 
     Works from the bottommost (then leftmost) corner of the cycle, aiming a
     rational direction into the corner's wedge and halving the step until the
-    probe segment crosses nothing else.  ``clearance(v, p, corner_index)``
-    reports whether the probe from corner ``v`` to ``p`` is unobstructed.
+    probe segment from the corner meets no piece that avoids the corner.
     """
+    coords = [nodes[i] for i in cycle]
     k = len(coords)
     best = None
     for idx in range(k):
@@ -238,13 +225,14 @@ def _interior_point_of_cycle(coords, clearance):
     if best is None:
         raise ObsrepError("boundary cycle has no convex corner")
     idx, v, du, dw = best
+    others = [(nodes[a], nodes[b]) for a, b in pieces if cycle[idx] not in (a, b)]
     nu = abs(du[0]) + abs(du[1])
     nw = abs(dw[0]) + abs(dw[1])
     m = (dw[0] * nu + du[0] * nw, dw[1] * nu + du[1] * nw)
     t = Fraction(1, 1)
     for _ in range(256):
         p = (v[0] + m[0] * t, v[1] + m[1] * t)
-        if clearance(v, p, idx):
+        if not any(closed_segments_intersect(v, p, a, b) for a, b in others):
             return p
         t /= 2
     raise ObsrepError("could not place an interior point after 256 halvings")
@@ -261,26 +249,20 @@ def build_arrangement(drawing: Drawing) -> FaceSet:
             nodes.append(coord)
         return node_index[coord]
 
-    for p in drawing.points:
+    points = drawing.points
+    for p in points:
         intern(_frac_point(p))
 
-    edges = sorted(drawing.edges)
+    edges = drawing.graph.sorted_edges()
     cuts = {e: [] for e in edges}
     for e, f in combinations(edges, 2):
         if set(e) & set(f):
             continue
-        p, q = _frac_point(drawing.points[e[0]]), _frac_point(drawing.points[e[1]])
-        r, s = _frac_point(drawing.points[f[0]]), _frac_point(drawing.points[f[1]])
-        dpq = (q[0] - p[0], q[1] - p[1])
-        drs = (s[0] - r[0], s[1] - r[1])
-        denom = dpq[0] * drs[1] - dpq[1] * drs[0]
-        if denom == 0:
-            continue
-        rp = (r[0] - p[0], r[1] - p[1])
-        t = (rp[0] * drs[1] - rp[1] * drs[0]) / denom
-        u = (rp[0] * dpq[1] - rp[1] * dpq[0]) / denom
-        if 0 < t < 1 and 0 < u < 1:
-            x = intern((p[0] + dpq[0] * t, p[1] + dpq[1] * t))
+        p, q = points[e[0]], points[e[1]]
+        hit = _crossing(p, q, points[f[0]], points[f[1]])
+        if hit is not None:
+            t, u = hit
+            x = intern((p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t))
             cuts[e].append((t, x))
             cuts[f].append((u, x))
 
@@ -414,12 +396,6 @@ def build_arrangement(drawing: Drawing) -> FaceSet:
     return fs
 
 
-def face_complexity(fs: FaceSet):
-    """Per-face bordering side counts (in face-id order) and their maximum."""
-    counts = tuple(f.complexity for f in fs.faces)
-    return counts, max(counts)
-
-
 @dataclass(frozen=True)
 class CoverInstance:
     """Which faces could block which absent edges.
@@ -436,116 +412,34 @@ class CoverInstance:
         return {fid: frozenset(items) for fid, items in enumerate(self.membership)}
 
 
-def face_nonedge_incidence(fs: FaceSet, g: Graph) -> CoverInstance:
-    """Cut every non-edge at its crossings and locate each open interval."""
-    if g.n != fs.drawing.n or g.edges != fs.drawing.edges:
-        raise ObsrepError("face set was not built from this graph's drawing")
-    nonedges = tuple(g.non_edges())
+def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
+    """Cut every non-edge where it crosses drawn edges and locate each open interval.
+
+    The drawing's points are in general position, so a non-edge never meets
+    an edge that shares one of its endpoints, and meets any other edge only
+    by crossing it at one interior point of both.  A crossing node of the
+    drawing that lies on the non-edge is found once per edge through it.
+    """
+    points = fs.drawing.points
+    graph = fs.drawing.graph
+    edges = graph.sorted_edges()
+    nonedges = tuple(graph.non_edges())
     hit = [set() for _ in fs.faces]
     for index, (i, j) in enumerate(nonedges):
-        p, q = fs.nodes[i], fs.nodes[j]
-        dpq = (q[0] - p[0], q[1] - p[1])
+        p, q = points[i], points[j]
         ts = {Fraction(0), Fraction(1)}
-        for a, b in fs.pieces:
-            if i in (a, b) or j in (a, b):
+        for a, b in edges:
+            if a in (i, j) or b in (i, j):
                 continue
-            ca, cb = fs.nodes[a], fs.nodes[b]
-            touched = False
-            for c in (ca, cb):
-                if orient(p, q, c) == 0 and min(p[0], q[0]) <= c[0] <= max(p[0], q[0]) and min(
-                    p[1], q[1]
-                ) <= c[1] <= max(p[1], q[1]):
-                    num = (
-                        (c[0] - p[0]) * dpq[0] + (c[1] - p[1]) * dpq[1]
-                    )
-                    den = dpq[0] * dpq[0] + dpq[1] * dpq[1]
-                    ts.add(num / den)
-                    touched = True
-            if touched:
-                continue
-            dab = (cb[0] - ca[0], cb[1] - ca[1])
-            denom = dpq[0] * dab[1] - dpq[1] * dab[0]
-            if denom == 0:
-                continue
-            rp = (ca[0] - p[0], ca[1] - p[1])
-            t = (rp[0] * dab[1] - rp[1] * dab[0]) / denom
-            u = (rp[0] * dpq[1] - rp[1] * dpq[0]) / denom
-            if 0 < t < 1 and 0 < u < 1:
-                ts.add(t)
+            cut = _crossing(p, q, points[a], points[b])
+            if cut is not None:
+                ts.add(cut[0])
         cuts = sorted(ts)
+        (px, py), (qx, qy) = p, q
         for lo, hi in zip(cuts, cuts[1:]):
             mid = (lo + hi) / 2
-            point = (p[0] + dpq[0] * mid, p[1] + dpq[1] * mid)
-            hit[fs.locate(point)].add(index)
-    for index in range(len(nonedges)):
-        if not any(index in h for h in hit):
-            raise ObsrepError(f"non-edge {nonedges[index]} touched no face")
+            hit[fs.locate((px + (qx - px) * mid, py + (qy - py) * mid))].add(index)
     return CoverInstance(
         nonedges=nonedges,
         membership=tuple(tuple(sorted(h)) for h in hit),
     )
-
-
-@dataclass(frozen=True)
-class FacePlacementReport:
-    """Outcome of checking that each obstacle sits inside a single face."""
-
-    ok: bool
-    assignments: tuple  # face id per obstacle; None where the check failed
-
-
-def obstacle_face_check(scene: Scene, graph: Graph | None = None) -> FacePlacementReport:
-    """Assign every obstacle of the scene to the face of the drawing holding it.
-
-    The drawing joins the scene's points by the edges of ``graph`` (the
-    scene's own visibility graph when omitted).  An obstacle that meets any
-    drawn segment, or that contains a subdivision node, belongs to no single
-    face; it gets assignment ``None`` and the overall flag turns false.
-    """
-    require_valid_scene(scene)
-    if graph is None:
-        graph = visibility_graph(scene)
-    drawing = Drawing.of(scene.points, graph.edges)
-    fs = build_arrangement(drawing)
-    assignments = []
-    ok = True
-    for poly in scene.obstacles:
-        contained = True
-        for a, b in fs.pieces:
-            ca, cb = fs.nodes[a], fs.nodes[b]
-            mid = ((ca[0] + cb[0]) / 2, (ca[1] + cb[1]) / 2)
-            if point_in_polygon(mid, poly) >= 0:
-                contained = False
-                break
-            if any(
-                open_segment_intersects_closed(ca, cb, u, v)
-                for u, v in poly.edges()
-            ):
-                contained = False
-                break
-        if contained and any(
-            point_in_polygon(node, poly) >= 0 for node in fs.nodes
-        ):
-            contained = False
-        if not contained:
-            ok = False
-            assignments.append(None)
-            continue
-        inside = _interior_point_of_cycle(
-            [_frac_point(v) for v in poly.vertices],
-            lambda v, p, idx, poly=poly: _polygon_probe_clear(poly, v, p, idx),
-        )
-        assignments.append(fs.locate(inside))
-    return FacePlacementReport(ok=ok, assignments=tuple(assignments))
-
-
-def _polygon_probe_clear(poly, v, p, corner_index) -> bool:
-    k = len(poly.vertices)
-    for t in range(k):
-        if t == corner_index or (t + 1) % k == corner_index:
-            continue
-        a = _frac_point(poly.vertices[t])
-        b = _frac_point(poly.vertices[(t + 1) % k])
-        if closed_segments_intersect(v, p, a, b):
-            return False
-    return True

@@ -175,7 +175,7 @@ def cmd_signature(args):
 
 def cmd_faces(args):
     points, graph = _load_drawing(args.scene)
-    fs = build_arrangement(Drawing.of(points, graph.edges))
+    fs = build_arrangement(Drawing(points, graph))
     v, e, f = fs.vertex_count, fs.edge_count, fs.face_count
     print(f"nodes {v}")
     print(f"pieces {e}")
@@ -192,8 +192,8 @@ def cmd_faces(args):
 
 def cmd_incidence(args):
     points, graph = _load_drawing(args.scene)
-    fs = build_arrangement(Drawing.of(points, graph.edges))
-    instance = face_nonedge_incidence(fs, graph)
+    fs = build_arrangement(Drawing(points, graph))
+    instance = face_nonedge_incidence(fs)
     print(f"faces {fs.face_count}")
     print(f"nonedges {len(instance.nonedges)}")
     hits = {idx: [] for idx in range(len(instance.nonedges))}
@@ -292,11 +292,10 @@ def cmd_random_exp(args):
 
 
 def cmd_bounds(args):
-    if args.h is not None:
-        query = BoundsQuery(h=args.h)
+    query = BoundsQuery(h=args.h, s=args.s, c=args.c)
+    if query.h is not None:
         print(bounds_threshold(query))
     else:
-        query = BoundsQuery(s=args.s, c=args.c)
         print(f"threshold {bounds_threshold(query)} (for the supplied constant c = {query.c})")
     return 0
 

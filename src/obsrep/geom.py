@@ -48,12 +48,16 @@ def orient_xy(ax, ay, bx, by, cx, cy) -> int:
     return (d > 0) - (d < 0)
 
 
+def _in_box(a, b, p) -> bool:
+    """Is p inside the closed axis-parallel box spanned by a and b?"""
+    (ax, ay), (bx, by), (px, py) = a, b, p
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+
+
 def on_closed_segment(a, b, p) -> bool:
     """True iff p lies on the closed segment [a, b] (endpoints included)."""
     (ax, ay), (bx, by), (px, py) = a, b, p
-    if orient_xy(ax, ay, bx, by, px, py) != 0:
-        return False
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+    return orient_xy(ax, ay, bx, by, px, py) == 0 and _in_box(a, b, p)
 
 
 def on_open_segment(a, b, p) -> bool:
@@ -103,11 +107,12 @@ def closed_segments_intersect(a, b, c, d) -> bool:
     d4 = orient_xy(ax, ay, bx, by, dx, dy)
     if d1 * d2 < 0 and d3 * d4 < 0:
         return True
+    # Otherwise they meet only where an endpoint lies on the other segment.
     return (
-        on_closed_segment(c, d, a)
-        or on_closed_segment(c, d, b)
-        or on_closed_segment(a, b, c)
-        or on_closed_segment(a, b, d)
+        (d1 == 0 and _in_box(c, d, a))
+        or (d2 == 0 and _in_box(c, d, b))
+        or (d3 == 0 and _in_box(a, b, c))
+        or (d4 == 0 and _in_box(a, b, d))
     )
 
 
@@ -194,10 +199,10 @@ def point_in_polygon(q, polygon) -> int:
 def segment_intersects_polygon(a, b, polygon: Polygon) -> bool:
     """Does the open segment between the distinct points a and b meet the closed region?
 
-    Both endpoints must lie strictly outside the region, which
-    :func:`obsrep.scene.require_valid_scene` establishes for every scene
-    vertex; this function does not check it again.  Boundary contact counts
-    as intersection.
+    Both endpoints must lie strictly outside the region.  Every vertex of a
+    :class:`~obsrep.scene.Scene` does, since a scene validates itself when it
+    is built, so this function does not check it again.  Boundary contact
+    counts as intersection.
     """
     (ax, ay), (bx, by) = a, b
     xs = [v.x for v in polygon.vertices]

@@ -3,19 +3,17 @@
 The signature of a scene lists the orientation of every triple drawn from the
 graph vertices followed by the obstacle corners (in boundary order), together
 with which index range belongs to which obstacle.  Two scenes with equal
-signatures have the same visibility graph; ``perturb_scene`` produces such
-pairs for testing that claim.
+signatures have the same visibility graph.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .errors import GeneralPositionError, ObsrepError, SearchError
-from .geom import Point, Polygon, is_general_position, orient
-from .scene import Scene, require_valid_scene
+from .errors import GeneralPositionError, ObsrepError
+from .geom import is_general_position, orient
+from .scene import Scene
 
 
 @dataclass(frozen=True)
@@ -34,12 +32,6 @@ class OrderType:
             )
         if any(e == 0 for e in self.entries):
             raise GeneralPositionError("order type of a degenerate configuration")
-
-    def orientation(self, i: int, j: int, k: int) -> int:
-        """Stored orientation of the triple; requires i < j < k."""
-        if not 0 <= i < j < k < self.n:
-            raise ObsrepError(f"triple ({i},{j},{k}) is not increasing within range")
-        return self.as_dict()[(i, j, k)]
 
     def as_dict(self) -> dict:
         return dict(zip(combinations(range(self.n), 3), self.entries))
@@ -63,14 +55,6 @@ def chirotope(points) -> OrderType:
         parts = ", ".join(str(v) for v in violations)
         raise GeneralPositionError(f"degenerate configuration: {parts}", violations)
     return OrderType(len(pts), _triple_signs(pts))
-
-
-def same_labeled_order_type(p1, p2) -> bool:
-    """True iff the two equally sized configurations agree on every triple."""
-    a, b = list(p1), list(p2)
-    if len(a) != len(b):
-        raise ObsrepError(f"configuration sizes differ: {len(a)} vs {len(b)}")
-    return chirotope(a) == chirotope(b)
 
 
 @dataclass(frozen=True)
@@ -99,8 +83,7 @@ class SceneSignature:
 
 
 def scene_signature(scene: Scene) -> SceneSignature:
-    """Signature of a valid scene (invalid scenes raise ``SceneError``)."""
-    require_valid_scene(scene)
+    """Signature of the scene: every triple's orientation and the obstacle ranges."""
     pts = scene.all_points()
     ranges = []
     at = scene.n
@@ -108,93 +91,3 @@ def scene_signature(scene: Scene) -> SceneSignature:
         ranges.append((at, at + len(poly.vertices)))
         at += len(poly.vertices)
     return SceneSignature(scene.n, len(pts), _triple_signs(pts), tuple(ranges))
-
-
-def scaled_scene(scene: Scene, factor: int) -> Scene:
-    """The same scene with every coordinate multiplied by ``factor`` > 0."""
-    if factor <= 0:
-        raise ObsrepError("scale factor must be positive")
-    return Scene(
-        tuple(Point(p.x * factor, p.y * factor) for p in scene.points),
-        tuple(
-            Polygon(tuple(Point(v.x * factor, v.y * factor) for v in poly.vertices))
-            for poly in scene.obstacles
-        ),
-    )
-
-
-def _with_jitter(scene, index, axis, delta):
-    """Copy of the scene with one coordinate of one sequence point changed."""
-    pts = list(scene.points)
-    polys = [list(p.vertices) for p in scene.obstacles]
-    if index < len(pts):
-        p = pts[index]
-        pts[index] = Point(p.x + delta, p.y) if axis == 0 else Point(p.x, p.y + delta)
-    else:
-        index -= len(pts)
-        for verts in polys:
-            if index < len(verts):
-                w = verts[index]
-                verts[index] = (
-                    Point(w.x + delta, w.y) if axis == 0 else Point(w.x, w.y + delta)
-                )
-                break
-            index -= len(verts)
-    return Scene(tuple(pts), tuple(Polygon(tuple(v)) for v in polys))
-
-
-def perturb_scene(
-    scene: Scene, rng: random.Random, jitters: int = 8, scale: int = 1000
-) -> tuple[Scene, Scene]:
-    """A signature-equal pair: the scene scaled up, and a jittered copy of it.
-
-    Single ±1 coordinate jitters are applied to the scaled copy and kept only
-    when no triple orientation changes; at least one must stick.  Both scenes
-    are re-validated, so a perturbation that somehow broke scene validity
-    would fail loudly here rather than slip into a test corpus.
-    """
-    base = scaled_scene(scene, scale)
-    entries = _triple_signs(base.all_points())
-    total = len(base.all_points())
-    moved = base
-    accepted = 0
-    for _ in range(max(jitters, 1) * 40):
-        if accepted >= jitters:
-            break
-        candidate = _with_jitter(
-            moved, rng.randrange(total), rng.randrange(2), rng.choice((-1, 1))
-        )
-        if _triple_signs(candidate.all_points()) == entries:
-            moved = candidate
-            accepted += 1
-    if accepted == 0:
-        raise SearchError("no orientation-preserving jitter was accepted")
-    require_valid_scene(base)
-    require_valid_scene(moved)
-    return base, moved
-
-
-def canonical_unlabeled(ot: OrderType) -> OrderType:
-    """Lexicographically least relabeling of the order type (n ≤ 8 only)."""
-    if ot.n > 8:
-        raise ObsrepError("unlabeled canonical form is limited to n <= 8")
-    best = None
-    triples = list(combinations(range(ot.n), 3))
-    lookup = ot.as_dict()
-    for perm in permutations(range(ot.n)):
-        out = []
-        for i, j, k in triples:
-            a, b, c = perm[i], perm[j], perm[k]
-            sign = 1
-            # Sort (a, b, c) with an explicit bubble, tracking the swap parity.
-            if a > b:
-                a, b, sign = b, a, -sign
-            if b > c:
-                b, c, sign = c, b, -sign
-            if a > b:
-                a, b, sign = b, a, -sign
-            out.append(sign * lookup[(a, b, c)])
-        tup = tuple(out)
-        if best is None or tup < best:
-            best = tup
-    return OrderType(ot.n, best)

@@ -1,4 +1,4 @@
-"""Scenes: labeled points plus polygonal obstacles, with validity diagnostics."""
+"""Scenes: labeled points plus polygonal obstacles, validated when built."""
 
 from __future__ import annotations
 
@@ -11,7 +11,12 @@ from .geom import Point, Polygon, is_general_position, on_open_segment, point_in
 
 @dataclass(frozen=True)
 class Scene:
-    """Graph vertices (``points``) together with obstacle polygons."""
+    """Graph vertices (``points``) together with obstacle polygons.
+
+    A scene validates itself when it is built: one that breaks an invariant
+    raises :class:`SceneError` (see :func:`require_valid_scene`), so every
+    ``Scene`` in hand is valid and nothing downstream checks it again.
+    """
 
     points: tuple[Point, ...]
     obstacles: tuple[Polygon, ...] = ()
@@ -19,6 +24,7 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        require_valid_scene(self)
 
     @property
     def n(self) -> int:
@@ -32,8 +38,8 @@ class Scene:
         return out
 
 
-def scene_violations(scene: Scene) -> list:
-    """Every way the scene breaks its invariants, one message per violation.
+def require_valid_scene(scene: Scene) -> None:
+    """Raise :class:`SceneError` with one message per broken invariant, if any.
 
     A usable scene has distinct labeled vertices with no three on a common
     line, no vertex inside or on an obstacle, and no obstacle corner in the
@@ -64,11 +70,5 @@ def scene_violations(scene: Scene) -> list:
                         f"obstacles[{k}] vertex {t} lies between"
                         f" points[{i}] and points[{j}]"
                     )
-    return out
-
-
-def require_valid_scene(scene: Scene) -> None:
-    """Raise :class:`SceneError` listing every violation, if any."""
-    violations = scene_violations(scene)
-    if violations:
-        raise SceneError(violations)
+    if out:
+        raise SceneError(out)

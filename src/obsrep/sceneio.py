@@ -16,7 +16,7 @@ counterclockwise.  A graph may also live in a file of its own (just the
 
 Structural problems raise :class:`SceneFormatError` naming every offending
 index; a well-formed document whose scene breaks a geometric invariant
-raises :class:`SceneError` from validation.
+raises :class:`SceneError` when the :class:`Scene` is built.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import json
 from .errors import GeometryError, SceneFormatError
 from .geom import Point, Polygon, polygon_area2
 from .graphs import Graph, GraphError
-from .scene import Scene, require_valid_scene
+from .scene import Scene
 
 
 def _int_pair(value, where, problems):
@@ -123,7 +123,7 @@ def _parse_graph(data, n_points, problems):
 
 
 def scene_from_dict(data) -> tuple:
-    """Parse a document into ``(Scene, Graph | None)``, validating the scene."""
+    """Parse a document into ``(Scene, Graph | None)``; building the scene validates it."""
     if not isinstance(data, dict):
         raise SceneFormatError("a scene document must be a JSON object")
     unknown = sorted(set(data) - {"points", "obstacles", "graph"})
@@ -135,9 +135,7 @@ def scene_from_dict(data) -> tuple:
     graph = _parse_graph(data, len(points) if points_ok else None, problems)
     if problems:
         raise SceneFormatError("; ".join(problems))
-    scene = Scene(points, obstacles)
-    require_valid_scene(scene)
-    return scene, graph
+    return Scene(points, obstacles), graph
 
 
 def graph_from_dict(data) -> Graph:

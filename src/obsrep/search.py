@@ -49,14 +49,11 @@ def _placement_cover(points, g: Graph):
     The incidence is ``None`` when g has no non-edges: nothing needs
     covering, so no arrangement is built.
     """
-    points = tuple(points)
-    if len(points) != g.n:
-        raise ObsrepError(f"{len(points)} points for a {g.n}-vertex graph")
-    drawing = Drawing.of(points, g.edges)
+    drawing = Drawing(points, g)
     if not g.non_edges():
         return PlacementCover(0, ()), None
     fs = build_arrangement(drawing)
-    instance = face_nonedge_incidence(fs, g)
+    instance = face_nonedge_incidence(fs)
     sets = {fid: items for fid, items in enumerate(instance.membership)}
     chosen = solve_cover(len(instance.nonedges), sets)
     return PlacementCover(len(chosen), tuple(chosen)), instance
@@ -282,7 +279,7 @@ def partition_faces_check(points, g: Graph, faces, k: int) -> PartitionReport:
     treated as contained in a hull when all of its boundary nodes are; the
     unbounded face is never containable.
     """
-    fs = build_arrangement(Drawing.of(points, g.edges))
+    fs = build_arrangement(Drawing(points, g))
     vertex_sets = []
     for fid in faces:
         f = fs.face(fid)

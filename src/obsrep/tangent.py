@@ -159,15 +159,6 @@ def pair_pattern(seq: TangentSequence, i: int, j: int) -> str:
     return "".join(("p" if label == p else "q") + _SIGN_CHAR[sign] for label, sign in sub)
 
 
-def swap_roles(pattern: str) -> str:
-    """The same pattern with the two vertex roles exchanged, re-canonicalized."""
-    flipped = [("q" if c == "p" else "p") if c in "pq" else c for c in pattern]
-    pairs = [(flipped[i], flipped[i + 1]) for i in range(0, len(flipped), 2)]
-    start = pairs.index(("q", "-"))
-    pairs = pairs[start:] + pairs[:start]
-    return "".join(a + b for a, b in pairs)
-
-
 VISIBLE = "visible"
 BLOCKED = "blocked"
 

@@ -8,7 +8,7 @@ from itertools import combinations
 from .errors import ObsrepError
 from .geom import segment_intersects_polygon
 from .graphs import Graph
-from .scene import Scene, require_valid_scene
+from .scene import Scene
 
 
 def _blockers(scene: Scene, i: int, j: int):
@@ -21,9 +21,9 @@ def visibility_details(scene: Scene):
     """The visibility graph plus, for each blocked pair, its blocking obstacles.
 
     Returns ``(graph, witnesses)`` where witnesses maps every non-edge to the
-    non-empty list of obstacle indices that intersect its open segment.
+    non-empty list of obstacle indices that intersect its open segment.  The
+    scene validated itself when it was built, so it is not checked again.
     """
-    require_valid_scene(scene)
     edges = []
     witnesses = {}
     for i, j in combinations(range(scene.n), 2):
@@ -47,13 +47,6 @@ class RepresentationReport:
     matches: bool
     blocked_but_required: tuple  # pairs in the graph whose segment is blocked
     visible_but_excluded: tuple  # visible pairs absent from the graph
-
-    def diagnostics(self):
-        out = [f"pair {i}-{j} is in the graph but blocked in the scene"
-               for i, j in self.blocked_but_required]
-        out += [f"pair {i}-{j} is visible in the scene but not in the graph"
-                for i, j in self.visible_but_excluded]
-        return out
 
 
 def validate_representation(scene: Scene, g: Graph) -> RepresentationReport:

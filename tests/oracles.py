@@ -92,7 +92,7 @@ class SlabOracle:
 
     def __init__(self, drawing):
         points = [xy(p) for p in drawing.points]
-        segs = [(points[i], points[j]) for i, j in sorted(drawing.edges)]
+        segs = [(points[i], points[j]) for i, j in sorted(drawing.graph.edges)]
         nodes = set(points)
         cuts = [{Fraction(0), Fraction(1)} for _ in segs]
         for (i, (a, b)), (j, (c, d)) in combinations(enumerate(segs), 2):

@@ -1,0 +1,171 @@
+"""Helpers that only the tests use, built on the package's public API.
+
+Unlike ``oracles.py``, which re-derives answers without the package's own
+predicates, these functions call the package freely: they relabel order
+types, transform scenes into signature-equal copies, and check where a
+scene's obstacles sit among the faces of its drawing.
+"""
+
+from dataclasses import dataclass
+from itertools import combinations, permutations
+
+from obsrep.arrangement import Drawing, build_arrangement
+from obsrep.errors import ObsrepError, SearchError
+from obsrep.geom import Point, Polygon, open_segment_intersects_closed, orient, point_in_polygon
+from obsrep.ordertype import OrderType, chirotope
+from obsrep.scene import Scene
+from obsrep.visibility import visibility_graph
+
+# --- order types ---
+
+
+def orientation(ot: OrderType, i: int, j: int, k: int) -> int:
+    """Stored orientation of the triple; requires i < j < k."""
+    if not 0 <= i < j < k < ot.n:
+        raise ObsrepError(f"triple ({i},{j},{k}) is not increasing within range")
+    return ot.as_dict()[(i, j, k)]
+
+
+def same_labeled_order_type(p1, p2) -> bool:
+    """True iff the two equally sized configurations agree on every triple."""
+    a, b = list(p1), list(p2)
+    if len(a) != len(b):
+        raise ObsrepError(f"configuration sizes differ: {len(a)} vs {len(b)}")
+    return chirotope(a) == chirotope(b)
+
+
+def canonical_unlabeled(ot: OrderType) -> OrderType:
+    """Lexicographically least relabeling of the order type (n ≤ 8 only)."""
+    if ot.n > 8:
+        raise ObsrepError("unlabeled canonical form is limited to n <= 8")
+    best = None
+    triples = list(combinations(range(ot.n), 3))
+    lookup = ot.as_dict()
+    for perm in permutations(range(ot.n)):
+        out = []
+        for i, j, k in triples:
+            a, b, c = perm[i], perm[j], perm[k]
+            sign = 1
+            # Sort (a, b, c) with an explicit bubble, tracking the swap parity.
+            if a > b:
+                a, b, sign = b, a, -sign
+            if b > c:
+                b, c, sign = c, b, -sign
+            if a > b:
+                a, b, sign = b, a, -sign
+            out.append(sign * lookup[(a, b, c)])
+        tup = tuple(out)
+        if best is None or tup < best:
+            best = tup
+    return OrderType(ot.n, best)
+
+
+# --- tangent patterns ---
+
+
+def swap_roles(pattern: str) -> str:
+    """The same pair pattern with the two vertex roles exchanged, re-canonicalized."""
+    flipped = [("q" if c == "p" else "p") if c in "pq" else c for c in pattern]
+    pairs = [(flipped[i], flipped[i + 1]) for i in range(0, len(flipped), 2)]
+    start = pairs.index(("q", "-"))
+    pairs = pairs[start:] + pairs[:start]
+    return "".join(a + b for a, b in pairs)
+
+
+# --- signature-equal scenes ---
+
+
+def _triple_signs(points):
+    return tuple(orient(a, b, c) for a, b, c in combinations(points, 3))
+
+
+def scaled_scene(scene: Scene, factor: int) -> Scene:
+    """The same scene with every coordinate multiplied by ``factor`` > 0."""
+    if factor <= 0:
+        raise ObsrepError("scale factor must be positive")
+    return Scene(
+        tuple(Point(p.x * factor, p.y * factor) for p in scene.points),
+        tuple(
+            Polygon(tuple(Point(v.x * factor, v.y * factor) for v in poly.vertices))
+            for poly in scene.obstacles
+        ),
+    )
+
+
+def perturb_scene(scene: Scene, rng, jitters: int = 8, scale: int = 1000):
+    """A signature-equal pair: the scene scaled up, and a jittered copy of it.
+
+    Single ±1 coordinate jitters move one point of the scaled copy's
+    sequence (vertices, then obstacle corners) and are kept only when no
+    triple orientation changes; at least one must stick.  The signs are
+    checked on the bare sequence, and only the final one becomes a
+    ``Scene``, which validates itself.
+    """
+    base = scaled_scene(scene, scale)
+    seq = base.all_points()
+    entries = _triple_signs(seq)
+    accepted = 0
+    for _ in range(max(jitters, 1) * 40):
+        if accepted >= jitters:
+            break
+        index, axis, delta = rng.randrange(len(seq)), rng.randrange(2), rng.choice((-1, 1))
+        x, y = seq[index]
+        candidate = list(seq)
+        candidate[index] = Point(x + delta, y) if axis == 0 else Point(x, y + delta)
+        if _triple_signs(candidate) == entries:
+            seq = candidate
+            accepted += 1
+    if accepted == 0:
+        raise SearchError("no orientation-preserving jitter was accepted")
+    obstacles = []
+    at = base.n
+    for poly in base.obstacles:
+        obstacles.append(Polygon(tuple(seq[at : at + len(poly.vertices)])))
+        at += len(poly.vertices)
+    return base, Scene(tuple(seq[: base.n]), tuple(obstacles))
+
+
+# --- obstacles inside faces ---
+
+
+def face_complexity(fs):
+    """Per-face bordering side counts (in face-id order) and their maximum."""
+    counts = tuple(f.complexity for f in fs.faces)
+    return counts, max(counts)
+
+
+@dataclass(frozen=True)
+class FacePlacementReport:
+    """Outcome of checking that each obstacle sits inside a single face."""
+
+    ok: bool
+    assignments: tuple  # face id per obstacle; None where the check failed
+
+
+def obstacle_face_check(scene: Scene, graph=None) -> FacePlacementReport:
+    """Assign every obstacle of the scene to the face of the drawing holding it.
+
+    The drawing joins the scene's points by the edges of ``graph`` (the
+    scene's own visibility graph when omitted).  An obstacle that meets any
+    drawn segment, or that contains a subdivision node, belongs to no single
+    face; it gets assignment ``None`` and the overall flag turns false.  An
+    obstacle that passes lies, boundary included, inside one face, so its
+    first corner locates that face.
+    """
+    if graph is None:
+        graph = visibility_graph(scene)
+    fs = build_arrangement(Drawing(scene.points, graph))
+    assignments = []
+    for poly in scene.obstacles:
+        stabbed = any(
+            open_segment_intersects_closed(fs.nodes[a], fs.nodes[b], u, v)
+            for a, b in fs.pieces
+            for u, v in poly.edges()
+        )
+        if stabbed or any(point_in_polygon(node, poly) >= 0 for node in fs.nodes):
+            assignments.append(None)
+        else:
+            assignments.append(fs.locate(poly.vertices[0]))
+    return FacePlacementReport(
+        ok=None not in assignments, assignments=tuple(assignments)
+    )

@@ -19,7 +19,7 @@ from obsrep.cli import main
 from obsrep.cover import solve_cover
 from obsrep.geom import Point, Polygon
 from obsrep.graphs import Graph, all_graphs, complete_graph, cycle_graph, empty_graph
-from obsrep.ordertype import perturb_scene, scene_signature
+from obsrep.ordertype import scene_signature
 from obsrep.sampling import (
     iter_single_obstacle_scenes,
     random_placement,
@@ -43,6 +43,7 @@ from obsrep.tangent import (
 from obsrep.visibility import visibility_details, visibility_graph
 
 from oracles import solve_cover_first_hit
+from support import perturb_scene
 
 
 def _verdict(capsys, num, label, ok):
@@ -138,10 +139,10 @@ def test_criterion_03_equal_signatures_give_equal_visibility(capsys):
 def test_criterion_04_face_counts_and_euler_relation(capsys):
     # forced counts first
     triangle = random_placement(random.Random(1), 3, 20)
-    k3 = build_arrangement(Drawing.of(triangle, complete_graph(3).edges))
-    bare = build_arrangement(Drawing.of(triangle, ()))
+    k3 = build_arrangement(Drawing(triangle, complete_graph(3)))
+    bare = build_arrangement(Drawing(triangle, empty_graph(3)))
     square = (Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10))
-    k4 = build_arrangement(Drawing.of(square, complete_graph(4).edges))
+    k4 = build_arrangement(Drawing(square, complete_graph(4)))
     forced = (k3.face_count, bare.face_count, k4.face_count) == (2, 1, 5)
 
     # Euler on random connected drawings: spanning tree plus extra edges,
@@ -158,7 +159,7 @@ def test_criterion_04_face_counts_and_euler_relation(capsys):
             a, b = rng.randrange(n), rng.randrange(n)
             if a != b:
                 edges.append((a, b))
-        fs = build_arrangement(Drawing.of(pts, Graph.of(n, edges).edges))
+        fs = build_arrangement(Drawing(pts, Graph.of(n, edges)))
         if fs.vertex_count - fs.edge_count + fs.face_count != 2:
             euler_failures += 1
     ok = forced and euler_failures == 0

@@ -3,14 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from obsrep.arrangement import (
-    Drawing,
-    FacePlacementReport,
-    build_arrangement,
-    face_complexity,
-    face_nonedge_incidence,
-    obstacle_face_check,
-)
+from obsrep.arrangement import Drawing, build_arrangement, face_nonedge_incidence
 from obsrep.errors import GeneralPositionError, GeometryError, ObsrepError
 from obsrep.graphs import Graph, complete_graph, gnp_half
 from obsrep.sampling import random_placement
@@ -18,10 +11,11 @@ from obsrep.scene import Scene
 
 from conftest import poly, pts
 from oracles import SlabOracle
+from support import FacePlacementReport, face_complexity, obstacle_face_check
 
 
 def build(points, edges):
-    return build_arrangement(Drawing.of(points, edges))
+    return build_arrangement(Drawing(points, Graph.of(len(points), edges)))
 
 
 # --- hand-built drawings with known face structure ---
@@ -101,15 +95,18 @@ def test_bowtie_visits_the_shared_vertex_twice():
 
 def test_drawing_rejects_degenerate_points():
     with pytest.raises(GeneralPositionError) as err:
-        Drawing.of([(0, 0), (5, 5), (10, 10)], [])
+        Drawing([(0, 0), (5, 5), (10, 10)], Graph(3))
     assert err.value.violations == ((0, 1, 2),)
 
 
 def test_drawing_rejects_bad_edges():
+    # edges are checked once, by the graph; the drawing checks its size
     with pytest.raises(ObsrepError):
-        Drawing.of([(0, 0), (10, 0), (4, 7)], [(0, 3)])
+        Graph.of(3, [(0, 3)])
     with pytest.raises(ObsrepError):
-        Drawing.of([(0, 0), (10, 0), (4, 7)], [(1, 1)])
+        Graph.of(3, [(1, 1)])
+    with pytest.raises(ObsrepError, match="3 points for a 4-vertex graph"):
+        Drawing([(0, 0), (10, 0), (4, 7)], Graph.of(4, [(0, 3)]))
 
 
 # --- point location and representatives ---
@@ -145,20 +142,11 @@ def test_representatives_locate_back_to_their_face():
 def test_square_cycle_incidence():
     g = Graph.of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     fs = build([(0, 0), (10, 0), (10, 10), (0, 10)], g.edges)
-    inc = face_nonedge_incidence(fs, g)
+    inc = face_nonedge_incidence(fs)
     assert inc.nonedges == ((0, 2), (1, 3))
     # both missing diagonals run inside the square face and nowhere else
     assert inc.membership == ((0, 1), ())
     assert inc.face_sets() == {0: frozenset({0, 1}), 1: frozenset()}
-
-
-def test_incidence_requires_matching_graph():
-    g = Graph.of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    fs = build([(0, 0), (10, 0), (10, 10), (0, 10)], g.edges)
-    with pytest.raises(ObsrepError):
-        face_nonedge_incidence(fs, complete_graph(4))
-    with pytest.raises(ObsrepError):
-        face_nonedge_incidence(fs, Graph.of(5, g.edges))
 
 
 def test_crossed_nonedge_is_cut_at_the_crossing():
@@ -166,7 +154,7 @@ def test_crossed_nonedge_is_cut_at_the_crossing():
     # drawn one and must be charged to the two triangles it traverses
     g = complete_graph(4).without_edge(0, 2)
     fs = build([(0, 0), (10, 1), (11, 9), (1, 8)], g.edges)
-    inc = face_nonedge_incidence(fs, g)
+    inc = face_nonedge_incidence(fs)
     assert inc.nonedges == ((0, 2),)
     touched = [fid for fid, items in enumerate(inc.membership) if items]
     assert len(touched) == 2
@@ -178,7 +166,7 @@ def test_crossed_nonedge_is_cut_at_the_crossing():
 
 def test_hexagon_scene_obstacle_sits_in_the_unbounded_face(hexagon_scene):
     report = obstacle_face_check(hexagon_scene)
-    fs = build_arrangement(Drawing.of(hexagon_scene.points, {(0, 1), (0, 2)}))
+    fs = build(hexagon_scene.points, [(0, 1), (0, 2)])
     assert isinstance(report, FacePlacementReport)
     assert report.ok
     assert report.assignments == (fs.unbounded_id,)
@@ -214,7 +202,7 @@ def _oracle_face_map(fs, oracle):
 
 
 def _check_against_oracle(points, edges):
-    drawing = Drawing.of(points, edges)
+    drawing = Drawing(points, Graph.of(len(points), edges))
     fs = build_arrangement(drawing)
     oracle = SlabOracle(drawing)
     assert fs.face_count == oracle.face_count
@@ -224,7 +212,7 @@ def _check_against_oracle(points, edges):
     oracle_complexity = oracle.complexities()
     for f in fs.faces:
         assert f.complexity == oracle_complexity[mapping[f.id]], f
-    inc = face_nonedge_incidence(fs, drawing.graph())
+    inc = face_nonedge_incidence(fs)
     for k, (i, j) in enumerate(inc.nonedges):
         ours = {mapping[fid] for fid, items in enumerate(inc.membership) if k in items}
         assert ours == oracle.nonedge_faces(points[i], points[j]), (i, j)
@@ -263,6 +251,6 @@ def test_euler_relation_on_random_drawings():
     for _ in range(80):
         n = rng.randint(2, 9)
         points = random_placement(rng, n, 40)
-        fs = build_arrangement(Drawing.of(points, gnp_half(n, rng).edges))
+        fs = build_arrangement(Drawing(points, gnp_half(n, rng)))
         v, e, f = fs.vertex_count, fs.edge_count, fs.face_count
         assert v - e + f == 1 + fs.component_count

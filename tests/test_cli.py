@@ -274,6 +274,13 @@ def test_bounds_s_mode(capsys):
     assert (rc, out) == (0, "threshold 11 (for the supplied constant c = 1)\n")
 
 
+def test_bounds_h_mode_refuses_the_constant(capsys):
+    # c belongs to the side-count bound; with --h it is an input error
+    rc, out, err = run(capsys, ["bounds", "--h", "3", "--c", "-1"])
+    assert (rc, out) == (1, "")
+    assert err == "error: the constant c applies only to side-count (s) queries\n"
+
+
 # --- exit statuses and determinism ---
 
 

@@ -2,18 +2,24 @@ import pytest
 
 from obsrep.errors import SceneError
 from obsrep.geom import Point, Polygon
-from obsrep.scene import Scene, require_valid_scene, scene_violations
+from obsrep.scene import Scene, require_valid_scene
 
 from conftest import poly, pts
 
 
+def diagnostics(points, obstacles=()):
+    """The messages a scene's constructor reports for these parts."""
+    with pytest.raises(SceneError) as err:
+        Scene(points, obstacles)
+    return err.value.diagnostics
+
+
 def test_hexagon_scene_is_valid(hexagon_scene):
-    assert scene_violations(hexagon_scene) == []
     require_valid_scene(hexagon_scene)
 
 
 def test_square_scene_is_valid(square_scene):
-    assert scene_violations(square_scene) == []
+    require_valid_scene(square_scene)
 
 
 def test_all_points_order(hexagon_scene):
@@ -24,53 +30,48 @@ def test_all_points_order(hexagon_scene):
 
 
 def test_duplicate_vertices_reported():
-    scene = Scene(pts((0, 0), (5, 1), (0, 0)))
-    msgs = scene_violations(scene)
+    msgs = diagnostics(pts((0, 0), (5, 1), (0, 0)))
     assert any("duplicate points" in m and "points[0]" in m and "points[2]" in m for m in msgs)
 
 
 def test_collinear_vertices_reported():
-    scene = Scene(pts((0, 0), (2, 2), (4, 4)))
-    msgs = scene_violations(scene)
-    assert msgs == ["collinear triple: points[0], points[1], points[2]"]
+    msgs = diagnostics(pts((0, 0), (2, 2), (4, 4)))
+    assert msgs == ("collinear triple: points[0], points[1], points[2]",)
 
 
 def test_vertex_inside_obstacle_reported():
-    scene = Scene(pts((2, 2), (9, 9)), (poly((0, 0), (4, 0), (4, 4), (0, 4)),))
-    msgs = scene_violations(scene)
+    msgs = diagnostics(pts((2, 2), (9, 9)), (poly((0, 0), (4, 0), (4, 4), (0, 4)),))
     assert any("points[0] is inside obstacles[0]" in m for m in msgs)
 
 
 def test_vertex_on_obstacle_boundary_reported():
-    scene = Scene(pts((4, 2), (9, 9)), (poly((0, 0), (4, 0), (4, 4), (0, 4)),))
-    msgs = scene_violations(scene)
+    msgs = diagnostics(pts((4, 2), (9, 9)), (poly((0, 0), (4, 0), (4, 4), (0, 4)),))
     assert any("points[0] is on the boundary of obstacles[0]" in m for m in msgs)
 
 
 def test_obstacle_corner_between_vertices_reported():
     # corner (4, 4) sits exactly in the middle of the vertex pair
-    scene = Scene(pts((0, 0), (8, 8)), (poly((4, 4), (9, 1), (9, 4)),))
-    msgs = scene_violations(scene)
-    assert msgs == ["obstacles[0] vertex 0 lies between points[0] and points[1]"]
+    msgs = diagnostics(pts((0, 0), (8, 8)), (poly((4, 4), (9, 1), (9, 4)),))
+    assert msgs == ("obstacles[0] vertex 0 lies between points[0] and points[1]",)
 
 
 def test_obstacle_only_collinearity_is_allowed():
     # two rectangle corners line up with a labeled vertex; only triples of
     # labeled vertices must avoid a common line
     scene = Scene(pts((0, 10), (20, 11)), (poly((0, 0), (8, 0), (8, 2), (0, 2)),))
-    assert scene_violations(scene) == []
+    require_valid_scene(scene)
 
 
 def test_require_valid_scene_lists_every_violation():
-    scene = Scene(
-        pts((0, 0), (2, 2), (4, 4), (12, 2)),
-        (poly((10, 0), (14, 0), (14, 4), (10, 4)),),
-    )
     with pytest.raises(SceneError) as err:
-        require_valid_scene(scene)
+        Scene(
+            pts((0, 0), (2, 2), (4, 4), (12, 2)),
+            (poly((10, 0), (14, 0), (14, 4), (10, 4)),),
+        )
     text = str(err.value)
     assert "collinear triple" in text
     assert "points[3] is inside obstacles[0]" in text
+    assert len(err.value.diagnostics) == 2
 
 
 def test_scene_accepts_lists_and_freezes_them():

@@ -23,11 +23,11 @@ from obsrep.tangent import (
     encode_tangent,
     observe_scene,
     pair_pattern,
-    swap_roles,
 )
 from obsrep.visibility import visibility_graph
 
 from conftest import poly, pts
+from support import swap_roles
 
 
 # --- the circular sequence type ---

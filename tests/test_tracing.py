@@ -1,0 +1,51 @@
+"""The benchmark's tracer still finds every library function it wraps.
+
+``perfbench/spans.py`` replaces named functions and methods of the package
+with recording wrappers.  Renaming or deleting one of them breaks the traced
+benchmark run; this test catches that in the fast suite instead.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import obsrep
+import obsrep.cli
+import obsrep.scene
+from obsrep.arrangement import FaceSet
+
+SPANS = Path(__file__).parents[1] / "perfbench" / "spans.py"
+
+DRAWING = {
+    "points": [[0, 0], [10, 1], [11, 9], [1, 8]],
+    "graph": {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]]},
+}
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_records_and_restores(tmp_path, capsys):
+    spans = _spans_module()
+    validate = obsrep.scene.require_valid_scene
+    locate = FaceSet.__dict__["locate"]
+    path = tmp_path / "drawing.json"
+    path.write_text(json.dumps(DRAWING))
+
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert obsrep.scene.require_valid_scene is not validate
+        assert obsrep.cli.main(["cover", str(path)]) == 0
+    capsys.readouterr()
+
+    calls = tracer.calls()
+    for name in ("sceneio.load", "scene.validate", "arrangement.build",
+                 "arrangement.incidence", "cover.solve"):
+        assert calls.get(name, 0) >= 1, name
+    assert tracer.counts["arrangement.locate.calls"] >= 1
+    assert obsrep.scene.require_valid_scene is validate
+    assert FaceSet.__dict__["locate"] is locate

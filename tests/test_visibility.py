@@ -4,12 +4,12 @@ import pytest
 
 from obsrep.errors import ObsrepError, SceneError
 from obsrep.graphs import Graph
-from obsrep.ordertype import scaled_scene
 from obsrep.sampling import random_single_obstacle_scene
 from obsrep.scene import Scene
 from obsrep.visibility import validate_representation, visibility_details, visibility_graph
 
 from conftest import poly, pts
+from support import scaled_scene
 
 
 def test_hexagon_scene_visibility(hexagon_scene):
@@ -45,24 +45,28 @@ def test_no_obstacles_means_complete():
 
 
 def test_invalid_scene_is_rejected():
+    # an invalid scene cannot be built, so visibility never meets one
     square = poly((0, 0), (4, 0), (4, 4), (0, 4))
     invalid = [
         # second vertex sits on the obstacle boundary
-        Scene(pts((-5, 0), (0, 0)), (poly((0, -1), (2, -1), (2, 1), (0, 1)),)),
+        (pts((-5, 0), (0, 0)), poly((0, -1), (2, -1), (2, 1), (0, 1)),
+         "points[1] is on the boundary of obstacles[0]"),
         # first vertex sits inside the obstacle
-        Scene(pts((2, 2), (9, 9)), (square,)),
+        (pts((2, 2), (9, 9)), square, "points[0] is inside obstacles[0]"),
         # first vertex sits on the obstacle boundary
-        Scene(pts((2, 0), (9, 9)), (square,)),
+        (pts((2, 0), (9, 9)), square, "points[0] is on the boundary of obstacles[0]"),
     ]
-    for scene in invalid:
-        with pytest.raises(SceneError):
-            visibility_graph(scene)
+    for points, obstacle, diagnostic in invalid:
+        with pytest.raises(SceneError) as err:
+            Scene(points, (obstacle,))
+        assert diagnostic in err.value.diagnostics
 
 
 def test_validate_representation_match(hexagon_scene):
     report = validate_representation(hexagon_scene, Graph.of(3, [(0, 1), (0, 2)]))
     assert report.matches
-    assert report.diagnostics() == []
+    assert report.blocked_but_required == ()
+    assert report.visible_but_excluded == ()
 
 
 def test_validate_representation_mismatch(hexagon_scene):
@@ -70,10 +74,6 @@ def test_validate_representation_mismatch(hexagon_scene):
     assert not report.matches
     assert report.blocked_but_required == ((1, 2),)
     assert report.visible_but_excluded == ((0, 2),)
-    assert report.diagnostics() == [
-        "pair 1-2 is in the graph but blocked in the scene",
-        "pair 0-2 is visible in the scene but not in the graph",
-    ]
 
 
 def test_validate_representation_size_mismatch(hexagon_scene):
