@@ -36,6 +36,29 @@ CONCURRENT = {
         "edges": [[3, 2], [2, 6], [6, 4], [4, 1], [1, 5], [5, 3], [1, 2], [3, 4]],
     },
 }
+# A triangle inside the bounded face of a larger triangle, with the
+# isolated vertex 7 in the ring between them: the inner triangle's outer
+# boundary is a hole of the outer triangle's face.
+NESTED = {
+    "points": [[0, 0], [30, 1], [14, 28], [10, 6], [19, 7], [13, 15], [6, 2]],
+    "graph": {"n": 7, "edges": [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]},
+}
+# G(10, 1/2) placed on the obs-search default grid: with rng =
+# random.Random(10), the graph is gnp_half(10, rng) and the points are then
+# random_placement(rng, 10, 10000).
+G10 = {
+    "points": [
+        [7486, 3922], [7203, 6147], [725, 9550], [66, 3860], [2195, 3194],
+        [4962, 8787], [5998, 3935], [5150, 8994], [7383, 7143], [7700, 1064],
+    ],
+    "graph": {
+        "n": 10,
+        "edges": [
+            [1, 2], [1, 6], [1, 10], [2, 4], [2, 6], [2, 7], [2, 10], [3, 8], [3, 9],
+            [3, 10], [4, 5], [4, 9], [5, 6], [6, 7], [6, 8], [7, 9], [8, 9],
+        ],
+    },
+}
 # Six points split by x into two groups of three; the box sits inside the
 # hull of the first group only.
 PARTITION = {
@@ -57,6 +80,8 @@ ON_BOUNDARY = {
 DOCS = {
     "drawing": DRAWING,
     "concurrent": CONCURRENT,
+    "nested": NESTED,
+    "g10": G10,
     "partition": PARTITION,
     "c6": C6,
     "c5": C5,
@@ -75,6 +100,12 @@ CASES = {
     "faces-concurrent": (["faces", "{concurrent}"], 0),
     "incidence-concurrent": (["incidence", "{concurrent}"], 0),
     "cover-concurrent": (["cover", "{concurrent}"], 0),
+    "faces-nested": (["faces", "{nested}"], 0),
+    "incidence-nested": (["incidence", "{nested}"], 0),
+    "cover-nested": (["cover", "{nested}"], 0),
+    "faces-g10": (["faces", "{g10}"], 0),
+    "incidence-g10": (["incidence", "{g10}"], 0),
+    "cover-g10": (["cover", "{g10}"], 0),
     "obs-search-c6": (["obs-search", "{c6}", "--seed", "7", "--placements", "6"], 0),
     "chain-c5": (["chain", "{c5}", "--seed", "3", "--placements", "4"], 0),
     "random-exp-n4": (
