@@ -32,7 +32,7 @@ def main():
     # Walking the obstacle boundary once and writing down, in order, which
     # point each tangent line touches (+ for one tangent side, - for the
     # other) compresses the whole scene into a short circular word.
-    word = encode_tangent(scene.points, scene.obstacles[0])
+    word = encode_tangent(scene)
     print(f"\ntangent word: {word.serialize()}")
 
     decoded = decode_visibility(word, builtin_pattern_table())

@@ -13,13 +13,20 @@ segment travels through; those are exactly the places a blocker could sit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
 from .errors import GeneralPositionError, GeometryError, ObsrepError
-from .geom import closed_segments_intersect, is_general_position, on_closed_segment, orient
+from .geom import (
+    closed_segments_intersect,
+    direction_cmp,
+    is_general_position,
+    on_closed_segment,
+    orient,
+    polygon_area2,
+)
 from .graphs import Graph
 
 
@@ -59,12 +66,7 @@ class Face:
     bounded: bool
     cycles: tuple
     complexity: int
-    area2: Fraction | None
-
-
-def _frac_point(p):
-    x, y = p
-    return (Fraction(x), Fraction(y))
+    area2: int | Fraction | None
 
 
 def _crossing(p, q, r, s):
@@ -90,20 +92,6 @@ def _crossing(p, q, r, s):
     return None
 
 
-def _ccw_direction_cmp(d1, d2) -> int:
-    """Counterclockwise angular order from the +x axis; ties are impossible."""
-    upper1 = 0 if d1[1] > 0 or (d1[1] == 0 and d1[0] > 0) else 1
-    upper2 = 0 if d2[1] > 0 or (d2[1] == 0 and d2[0] > 0) else 1
-    if upper1 != upper2:
-        return upper1 - upper2
-    c = d1[0] * d2[1] - d1[1] * d2[0]
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    raise ObsrepError("two boundary pieces leave a node in the same direction")
-
-
 def _winding(q, cycle, nodes) -> int:
     qy = q[1]
     w = 0
@@ -116,6 +104,19 @@ def _winding(q, cycle, nodes) -> int:
         elif b[1] <= qy < a[1] and orient(a, b, q) < 0:
             w -= 1
     return w
+
+
+def _enclosing_cycle(q, nodes, cycles):
+    """Key of the smallest-area cycle that winds around q, or None if none does.
+
+    ``cycles`` yields ``(key, cycle, area2)`` for positively oriented cycles;
+    of two with equal area the first wins.
+    """
+    best = None
+    for key, cycle, area2 in cycles:
+        if (best is None or area2 < best[1]) and _winding(q, cycle, nodes) != 0:
+            best = (key, area2)
+    return None if best is None else best[0]
 
 
 class _DisjointSet:
@@ -134,72 +135,45 @@ class _DisjointSet:
             self.parent[ra] = rb
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FaceSet:
-    """All faces of a drawing, plus the exact subdivision they came from."""
+    """All faces of a drawing, plus the exact subdivision they came from.
+
+    ``nodes`` holds the drawing's points as given, then the crossings with
+    ``Fraction`` coordinates; ``pieces`` pairs node ids; ``components``
+    counts the connected pieces of the drawing, isolated points included.
+    """
 
     drawing: Drawing
     nodes: tuple
     pieces: tuple
     faces: tuple
     unbounded_id: int
-    _rep_cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.pieces)
-
-    @property
-    def face_count(self) -> int:
-        return len(self.faces)
-
-    @property
-    def component_count(self) -> int:
-        ds = _DisjointSet(len(self.nodes))
-        for u, v in self.pieces:
-            ds.union(u, v)
-        return len({ds.find(i) for i in range(len(self.nodes))})
-
-    def face(self, face_id: int) -> Face:
-        return self.faces[face_id]
+    components: int
 
     def locate(self, point) -> int:
         """Face id containing the query point, which must avoid the drawing."""
-        q = _frac_point(point)
-        if q in set(self.nodes):
+        if point in self.nodes:
             raise GeometryError(f"point {point} is a vertex of the subdivision")
         for u, v in self.pieces:
-            if on_closed_segment(self.nodes[u], self.nodes[v], q):
+            if on_closed_segment(self.nodes[u], self.nodes[v], point):
                 raise GeometryError(f"point {point} lies on a drawn segment")
-        best = None
-        for f in self.faces:
-            if not f.bounded:
-                continue
-            if _winding(q, f.cycles[0], self.nodes) != 0:
-                if best is None or f.area2 < best.area2:
-                    best = f
-        return self.unbounded_id if best is None else best.id
+        found = _enclosing_cycle(
+            point, self.nodes, ((f.id, f.cycles[0], f.area2) for f in self.faces if f.bounded)
+        )
+        return self.unbounded_id if found is None else found
 
     def representative(self, face_id: int):
-        """An exact rational point interior to the face (computed lazily)."""
-        if face_id not in self._rep_cache:
-            f = self.faces[face_id]
-            if f.bounded:
-                rep = _interior_point_of_cycle(self.nodes, self.pieces, f.cycles[0])
-            else:
-                if self.nodes:
-                    rep = (
-                        Fraction(math.floor(min(x for x, _ in self.nodes)) - 1),
-                        Fraction(math.floor(min(y for _, y in self.nodes)) - 1),
-                    )
-                else:
-                    rep = (Fraction(0), Fraction(0))
-            self._rep_cache[face_id] = rep
-        return self._rep_cache[face_id]
+        """An exact rational point interior to the face."""
+        f = self.faces[face_id]
+        if f.bounded:
+            return _interior_point_of_cycle(self.nodes, self.pieces, f.cycles[0])
+        if not self.nodes:
+            return (Fraction(0), Fraction(0))
+        return (
+            Fraction(math.floor(min(x for x, _ in self.nodes)) - 1),
+            Fraction(math.floor(min(y for _, y in self.nodes)) - 1),
+        )
 
 
 def _interior_point_of_cycle(nodes, pieces, cycle):
@@ -229,13 +203,19 @@ def _interior_point_of_cycle(nodes, pieces, cycle):
     nu = abs(du[0]) + abs(du[1])
     nw = abs(dw[0]) + abs(dw[1])
     m = (dw[0] * nu + du[0] * nw, dw[1] * nu + du[1] * nw)
+    # A probe that misses a piece still misses it when shortened, so each
+    # piece only ever shortens the probe that the pieces before it allowed.
     t = Fraction(1, 1)
-    for _ in range(256):
-        p = (v[0] + m[0] * t, v[1] + m[1] * t)
-        if not any(closed_segments_intersect(v, p, a, b) for a, b in others):
-            return p
-        t /= 2
-    raise ObsrepError("could not place an interior point after 256 halvings")
+    p = (v[0] + m[0] * t, v[1] + m[1] * t)
+    halvings = 0
+    for a, b in others:
+        while closed_segments_intersect(v, p, a, b):
+            halvings += 1
+            if halvings == 256:
+                raise ObsrepError("could not place an interior point after 256 halvings")
+            t /= 2
+            p = (v[0] + m[0] * t, v[1] + m[1] * t)
+    return p
 
 
 def build_arrangement(drawing: Drawing) -> FaceSet:
@@ -251,7 +231,7 @@ def build_arrangement(drawing: Drawing) -> FaceSet:
 
     points = drawing.points
     for p in points:
-        intern(_frac_point(p))
+        intern(p)
 
     edges = drawing.graph.sorted_edges()
     cuts = {e: [] for e in edges}
@@ -285,14 +265,17 @@ def build_arrangement(drawing: Drawing) -> FaceSet:
     outgoing = {}
     for d in tail:
         outgoing.setdefault(tail[d], []).append(d)
+    def direction(d):
+        hx, hy = nodes[head[d]]
+        tx, ty = nodes[tail[d]]
+        return (hx - tx, hy - ty)
+
     position = {}
     for v, darts in outgoing.items():
-        def direction(d):
-            hx, hy = nodes[head[d]]
-            tx, ty = nodes[tail[d]]
-            return (hx - tx, hy - ty)
-
-        darts.sort(key=cmp_to_key(lambda a, b: _ccw_direction_cmp(direction(a), direction(b))))
+        darts.sort(key=cmp_to_key(lambda a, b: direction_cmp(direction(a), direction(b))))
+        for a, b in zip(darts, darts[1:]):
+            if direction_cmp(direction(a), direction(b)) == 0:
+                raise ObsrepError("two boundary pieces leave a node in the same direction")
         for i, d in enumerate(darts):
             position[d] = i
 
@@ -313,14 +296,6 @@ def build_arrangement(drawing: Drawing) -> FaceSet:
             d = next_dart(d)
         orbits.append(tuple(cycle))
 
-    def orbit_area2(orbit):
-        total = Fraction(0)
-        for d in orbit:
-            tx, ty = nodes[tail[d]]
-            hx, hy = nodes[head[d]]
-            total += tx * hy - ty * hx
-        return total
-
     ds = _DisjointSet(len(nodes))
     for a, b in pieces:
         ds.union(a, b)
@@ -329,7 +304,7 @@ def build_arrangement(drawing: Drawing) -> FaceSet:
     outer_by_component = {}
     for orbit in orbits:
         cycle = tuple(tail[d] for d in orbit)
-        area2 = orbit_area2(orbit)
+        area2 = polygon_area2([nodes[i] for i in cycle])
         comp = ds.find(cycle[0])
         if area2 > 0:
             bounded.append((cycle, area2, comp))
@@ -340,60 +315,39 @@ def build_arrangement(drawing: Drawing) -> FaceSet:
 
     # Attach each component's outer boundary to the face that surrounds it:
     # the smallest bounded cycle of any *other* component that winds around it,
-    # or the unbounded face when nothing does.
-    extra_cycles = {i: [] for i in range(len(bounded))}
-    unbounded_cycles = []
+    # or, when nothing does, the unbounded face (the last entry of face_cycles).
+    face_cycles = [[cycle] for cycle, _, _ in bounded] + [[]]
     for comp, cycle in outer_by_component.items():
-        ref = nodes[cycle[0]]
-        choice = None
-        for i, (bcycle, area2, bcomp) in enumerate(bounded):
-            if bcomp == comp:
-                continue
-            if _winding(ref, bcycle, nodes) != 0 and (
-                choice is None or area2 < bounded[choice][1]
-            ):
-                choice = i
-        if choice is None:
-            unbounded_cycles.append(cycle)
-        else:
-            extra_cycles[choice].append(cycle)
-
-    faces = []
-    for i, (cycle, area2, _) in enumerate(bounded):
-        cycles = (cycle, *extra_cycles[i])
-        faces.append(
-            Face(
-                id=i,
-                bounded=True,
-                cycles=cycles,
-                complexity=sum(len(c) for c in cycles),
-                area2=area2,
-            )
+        choice = _enclosing_cycle(
+            nodes[cycle[0]],
+            nodes,
+            ((i, bc, area2) for i, (bc, area2, bcomp) in enumerate(bounded) if bcomp != comp),
         )
-    outer = tuple(unbounded_cycles)
-    faces.append(
+        face_cycles[len(bounded) if choice is None else choice].append(cycle)
+    areas = [area2 for _, area2, _ in bounded] + [None]
+    faces = [
         Face(
-            id=len(bounded),
-            bounded=False,
-            cycles=outer,
-            complexity=sum(len(c) for c in outer),
-            area2=None,
+            id=i,
+            bounded=area2 is not None,
+            cycles=tuple(cycles),
+            complexity=sum(len(c) for c in cycles),
+            area2=area2,
         )
-    )
+        for i, (cycles, area2) in enumerate(zip(face_cycles, areas))
+    ]
 
-    fs = FaceSet(
+    v, e, f = len(nodes), len(pieces), len(faces)
+    components = len({ds.find(i) for i in range(v)})
+    if v - e + f != 1 + components:
+        raise ObsrepError(f"face tracing is inconsistent: V={v} E={e} F={f} C={components}")
+    return FaceSet(
         drawing=drawing,
         nodes=tuple(nodes),
         pieces=tuple(pieces),
         faces=tuple(faces),
         unbounded_id=len(bounded),
+        components=components,
     )
-    v, e, f = fs.vertex_count, fs.edge_count, fs.face_count
-    if v - e + f != 1 + fs.component_count:
-        raise ObsrepError(
-            f"face tracing is inconsistent: V={v} E={e} F={f} C={fs.component_count}"
-        )
-    return fs
 
 
 @dataclass(frozen=True)
@@ -407,9 +361,6 @@ class CoverInstance:
 
     nonedges: tuple
     membership: tuple
-
-    def face_sets(self) -> dict:
-        return {fid: frozenset(items) for fid, items in enumerate(self.membership)}
 
 
 def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:

@@ -125,7 +125,7 @@ def cmd_encode(args):
         raise ObsrepError(
             f"no obstacle {args.obstacle}; the scene has {len(scene.obstacles)}"
         )
-    seq = encode_tangent(scene.points, scene.obstacles[args.obstacle - 1])
+    seq = encode_tangent(scene, args.obstacle - 1)
     print(seq.serialize())
     return 0
 
@@ -176,11 +176,11 @@ def cmd_signature(args):
 def cmd_faces(args):
     points, graph = _load_drawing(args.scene)
     fs = build_arrangement(Drawing(points, graph))
-    v, e, f = fs.vertex_count, fs.edge_count, fs.face_count
+    v, e, f = len(fs.nodes), len(fs.pieces), len(fs.faces)
     print(f"nodes {v}")
     print(f"pieces {e}")
     print(f"faces {f}")
-    print(f"components {fs.component_count}")
+    print(f"components {fs.components}")
     print(f"euler {v - e + f}")
     for face in fs.faces:
         rx, ry = fs.representative(face.id)
@@ -194,7 +194,7 @@ def cmd_incidence(args):
     points, graph = _load_drawing(args.scene)
     fs = build_arrangement(Drawing(points, graph))
     instance = face_nonedge_incidence(fs)
-    print(f"faces {fs.face_count}")
+    print(f"faces {len(fs.faces)}")
     print(f"nonedges {len(instance.nonedges)}")
     hits = {idx: [] for idx in range(len(instance.nonedges))}
     for fid, members in enumerate(instance.membership):

@@ -57,7 +57,17 @@ def _in_box(a, b, p) -> bool:
 def on_closed_segment(a, b, p) -> bool:
     """True iff p lies on the closed segment [a, b] (endpoints included)."""
     (ax, ay), (bx, by), (px, py) = a, b, p
-    return orient_xy(ax, ay, bx, by, px, py) == 0 and _in_box(a, b, p)
+    return _in_box(a, b, p) and orient_xy(ax, ay, bx, by, px, py) == 0
+
+
+def direction_cmp(d1, d2) -> int:
+    """Order two nonzero directions counterclockwise from +x: -1, 1, or 0 if they agree."""
+    lower1 = d1[1] < 0 or (d1[1] == 0 and d1[0] < 0)
+    lower2 = d2[1] < 0 or (d2[1] == 0 and d2[0] < 0)
+    if lower1 != lower2:
+        return lower1 - lower2
+    c = d1[0] * d2[1] - d1[1] * d2[0]
+    return (c < 0) - (c > 0)
 
 
 def on_open_segment(a, b, p) -> bool:

@@ -282,7 +282,7 @@ def partition_faces_check(points, g: Graph, faces, k: int) -> PartitionReport:
     fs = build_arrangement(Drawing(points, g))
     vertex_sets = []
     for fid in faces:
-        f = fs.face(fid)
+        f = fs.faces[fid]
         if not f.bounded:
             vertex_sets.append(None)
         else:

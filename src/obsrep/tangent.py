@@ -24,7 +24,7 @@ from .errors import (
     ObsrepError,
     UnknownPatternError,
 )
-from .geom import Point, Polygon, point_in_polygon
+from .geom import direction_cmp
 from .graphs import Graph
 from .sampling import iter_single_obstacle_scenes
 from .scene import Scene
@@ -36,18 +36,22 @@ _EVENT_RE = re.compile(r"(\d+)([+-])")
 
 @dataclass(frozen=True, eq=False)
 class TangentSequence:
-    """A circular sequence of (label, sign) events; equality is up to rotation."""
+    """A circular sequence of (label, sign) events; equality is up to rotation.
+
+    A word on n labels holds each label 0..n-1 exactly once with sign +1 and
+    once with -1; any other event list raises :class:`ObsrepError`.
+    """
 
     events: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple((int(l), int(s)) for l, s in self.events))
-        for label, sign in self.events:
-            if sign not in (1, -1) or label < 0:
-                raise ObsrepError(f"bad event ({label}, {sign})")
-
-    def labels(self):
-        return sorted({label for label, _ in self.events})
+        events = tuple((int(l), int(s)) for l, s in self.events)
+        object.__setattr__(self, "events", events)
+        n = len(events) // 2
+        if sorted(events) != [(label, sign) for label in range(n) for sign in (-1, 1)]:
+            raise ObsrepError(
+                "a tangent word must hold each of its labels 1..n once with + and once with -"
+            )
 
     def _rotations(self):
         e = self.events
@@ -73,45 +77,24 @@ class TangentSequence:
         for m in _EVENT_RE.finditer(text):
             if m.start() != pos:
                 raise ObsrepError(f"cannot parse tangent sequence at {text[pos:]!r}")
-            label = int(m.group(1)) - 1
-            if label < 0:
-                raise ObsrepError("sequence labels are 1-based and positive")
-            events.append((label, 1 if m.group(2) == "+" else -1))
+            events.append((int(m.group(1)) - 1, 1 if m.group(2) == "+" else -1))
             pos = m.end()
         if pos != len(text) or not events:
             raise ObsrepError(f"cannot parse tangent sequence {text!r}")
         return TangentSequence(tuple(events))
 
 
-def _cw_from_north_bucket(d):
-    dx, dy = d
-    if dx == 0:
-        return 0 if dy > 0 else 4
-    if dx > 0:
-        return 1 if dy > 0 else (2 if dy == 0 else 3)
-    return 5 if dy < 0 else (6 if dy == 0 else 7)
+def encode_tangent(scene: Scene, index: int = 0) -> TangentSequence:
+    """Sweep a tangent line clockwise around the scene's obstacle ``index`` and log events.
 
-
-def _cw_cmp(e1, e2):
-    b1, b2 = _cw_from_north_bucket(e1[2]), _cw_from_north_bucket(e2[2])
-    if b1 != b2:
-        return b1 - b2
-    c = e1[2][0] * e2[2][1] - e1[2][1] * e2[2][0]
-    return -1 if c < 0 else (1 if c > 0 else 0)
-
-
-def encode_tangent(points, obstacle: Polygon) -> TangentSequence:
-    """Sweep a tangent line clockwise around a convex obstacle and log events.
-
-    ``points`` must all lie strictly outside the obstacle and in joint general
-    position with its vertices (violations raise).
+    The obstacle must be strictly convex, and no scene point may share a
+    tangent line with another or lie on a line through two obstacle
+    vertices (violations raise).
     """
+    obstacle = scene.obstacles[index]
     if not obstacle.is_convex():
         raise GeometryError("tangent encoding needs a strictly convex obstacle")
-    pts = tuple(points)
-    for p in pts:
-        if point_in_polygon(p, obstacle) >= 0:
-            raise GeometryError(f"point {p!r} is not strictly outside the obstacle")
+    pts = scene.points
     verts = obstacle.vertices
     k = len(verts)
     events = []
@@ -125,15 +108,16 @@ def encode_tangent(points, obstacle: Polygon) -> TangentSequence:
                     d[0] * (prev.y - w.y) - d[1] * (prev.x - w.x) < 0
                     and d[0] * (nxt.y - w.y) - d[1] * (nxt.x - w.x) < 0
                 ):
-                    found.append((label, sign, d))
+                    # Clockwise from +y is counterclockwise from +x once x and y swap.
+                    found.append((label, sign, (d[1], d[0])))
         if len(found) != 2 or {s for _, s, _ in found} != {1, -1}:
             raise GeneralPositionError(
                 f"point {v!r} does not have two clean tangents (collinear with obstacle vertices?)"
             )
         events.extend(found)
-    events.sort(key=cmp_to_key(_cw_cmp))
+    events.sort(key=cmp_to_key(lambda e1, e2: direction_cmp(e1[2], e2[2])))
     for e1, e2 in zip(events, events[1:]):
-        if _cw_cmp(e1, e2) == 0:
+        if direction_cmp(e1[2], e2[2]) == 0:
             raise GeneralPositionError(
                 f"points {pts[e1[0]]!r} and {pts[e2[0]]!r} share a tangent direction"
             )
@@ -151,10 +135,7 @@ def pair_pattern(seq: TangentSequence, i: int, j: int) -> str:
     sub = [(label, sign) for label, sign in seq.events if label in (p, q)]
     if len(sub) != 4:
         raise ObsrepError(f"labels {i} and {j} do not both appear twice in the sequence")
-    try:
-        start = sub.index((q, -1))
-    except ValueError:
-        raise ObsrepError(f"label {q} has no negative event") from None
+    start = sub.index((q, -1))
     sub = sub[start:] + sub[:start]
     return "".join(("p" if label == p else "q") + _SIGN_CHAR[sign] for label, sign in sub)
 
@@ -214,7 +195,7 @@ class PatternTable:
 
 def observe_scene(table: PatternTable, scene: Scene, obstacle_index: int = 0) -> TangentSequence:
     """Record every pair of the scene in the table; returns the scene's sequence."""
-    seq = encode_tangent(scene.points, scene.obstacles[obstacle_index])
+    seq = encode_tangent(scene, obstacle_index)
     actual = visibility_graph(scene)
     for i, j in combinations(range(scene.n), 2):
         outcome = VISIBLE if actual.has_edge(i, j) else BLOCKED
@@ -261,15 +242,7 @@ def builtin_pattern_table() -> PatternTable:
 
 def decode_visibility(seq: TangentSequence, table: PatternTable) -> Graph:
     """Reconstruct the visibility graph of a sequence via the pattern table."""
-    labels = seq.labels()
-    n = len(labels)
-    if labels != list(range(n)):
-        raise ObsrepError(f"sequence labels must be 1..n without gaps, got {[l + 1 for l in labels]}")
-    counts = {}
-    for label, _ in seq.events:
-        counts[label] = counts.get(label, 0) + 1
-    if any(c != 2 for c in counts.values()):
-        raise ObsrepError("every label must occur exactly twice")
+    n = len(seq.events) // 2
     edges = [
         (i, j)
         for i, j in combinations(range(n), 2)

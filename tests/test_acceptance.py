@@ -91,7 +91,7 @@ def obstacle_witnesses():
 def test_criterion_01_hexagon_scene_reproduction(capsys):
     scene = _hexagon_scene()
     started = time.perf_counter()
-    word = encode_tangent(scene.points, scene.obstacles[0])
+    word = encode_tangent(scene)
     graph, witnesses = visibility_details(scene)
     elapsed = time.perf_counter() - started
     ok = (
@@ -113,7 +113,7 @@ def test_criterion_02_codec_agrees_with_geometry_on_10k_scenes(capsys):
     mismatches = 0
     examined = 0
     for scene in iter_single_obstacle_scenes(rng, 10000, max_points=10, coord_bound=1000):
-        word = encode_tangent(scene.points, scene.obstacles[0])
+        word = encode_tangent(scene)
         if decode_visibility(word, table) != visibility_graph(scene):
             mismatches += 1
         examined += 1
@@ -143,7 +143,7 @@ def test_criterion_04_face_counts_and_euler_relation(capsys):
     bare = build_arrangement(Drawing(triangle, empty_graph(3)))
     square = (Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10))
     k4 = build_arrangement(Drawing(square, complete_graph(4)))
-    forced = (k3.face_count, bare.face_count, k4.face_count) == (2, 1, 5)
+    forced = (len(k3.faces), len(bare.faces), len(k4.faces)) == (2, 1, 5)
 
     # Euler on random connected drawings: spanning tree plus extra edges,
     # crossings already enter the counts as subdivision nodes
@@ -160,7 +160,7 @@ def test_criterion_04_face_counts_and_euler_relation(capsys):
             if a != b:
                 edges.append((a, b))
         fs = build_arrangement(Drawing(pts, Graph.of(n, edges)))
-        if fs.vertex_count - fs.edge_count + fs.face_count != 2:
+        if len(fs.nodes) - len(fs.pieces) + len(fs.faces) != 2:
             euler_failures += 1
     ok = forced and euler_failures == 0
     _verdict(capsys, 4, "face counts 2/1/5 forced, Euler V-E+F=2 on 40 drawings", ok)

@@ -127,6 +127,13 @@ def test_decode_garbage(capsys):
     assert rc == 1 and "error:" in err
 
 
+def test_decode_rejects_a_word_without_both_signs(capsys):
+    for word in ("1+1+", "1-1-"):
+        rc, out, err = run(capsys, ["decode", word])
+        assert (rc, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_contradictory_table_exits_two(tmp_path, capsys):
     table = tmp_path / "table.txt"
     table.write_text("pattern q-p+p-q+ blocked\npattern q-p+p-q+ visible\n")

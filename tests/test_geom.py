@@ -11,6 +11,7 @@ from obsrep.geom import (
     Polygon,
     closed_segments_intersect,
     convex_hull,
+    direction_cmp,
     is_general_position,
     on_closed_segment,
     on_open_segment,
@@ -48,6 +49,15 @@ def test_orient_known_values():
     big = 10**30
     assert orient((0, 0), (big, 1), (2 * big, 2)) == 0
     assert orient((0, 0), (big, 1), (2 * big, 3)) == 1
+
+
+def test_direction_cmp_orders_counterclockwise_from_east():
+    ring = [(1, 0), (2, 1), (0, 3), (-1, 1), (-5, 0), (-1, -4), (0, -1), (3, -1)]
+    for i, a in enumerate(ring):
+        for j, b in enumerate(ring):
+            assert direction_cmp(a, b) == (i > j) - (i < j)
+    assert direction_cmp((2, 4), (1, 2)) == 0
+    assert direction_cmp((Fraction(1, 3), 0), (7, 0)) == 0
 
 
 def test_point_constructor_rejects_non_ints():
