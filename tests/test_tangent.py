@@ -184,6 +184,15 @@ def test_decode_unrealizable_word_fails():
         decode_visibility(TangentSequence.parse("2-2+1-1+"), builtin_pattern_table())
 
 
+def test_decode_validates_labels():
+    # a malformed word is refused before decode can see it
+    table = builtin_pattern_table()
+    with pytest.raises(ObsrepError):
+        decode_visibility(TangentSequence.parse("1+1-3+3-"), table)  # gap: no label 2
+    with pytest.raises(ObsrepError):
+        decode_visibility(TangentSequence.parse("1+1-1+2-"), table)  # 1 thrice, 2 once
+
+
 def test_observe_scene_collects_all_pairs(hexagon_scene):
     table = PatternTable()
     seq = observe_scene(table, hexagon_scene)
