@@ -51,7 +51,6 @@ from .search import (
     edge_deletion_chain,
     min_obstacles_for_placement,
     obs_upper_bound,
-    partition_faces_check,
     partition_lemma_check,
     random_graph_experiment,
     replay_witness,
@@ -127,7 +126,6 @@ __all__ = [
     "obs_upper_bound",
     "orient",
     "pair_pattern",
-    "partition_faces_check",
     "partition_lemma_check",
     "random_graph_experiment",
     "replay_witness",

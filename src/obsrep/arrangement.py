@@ -181,7 +181,8 @@ def _interior_point_of_cycle(nodes, pieces, cycle):
 
     Works from the bottommost (then leftmost) corner of the cycle, aiming a
     rational direction into the corner's wedge and halving the step until the
-    probe segment from the corner meets no piece that avoids the corner.
+    probe segment from the corner meets no piece that avoids the corner and
+    no node that lies on no piece.
     """
     coords = [nodes[i] for i in cycle]
     k = len(coords)
@@ -200,6 +201,8 @@ def _interior_point_of_cycle(nodes, pieces, cycle):
         raise ObsrepError("boundary cycle has no convex corner")
     idx, v, du, dw = best
     others = [(nodes[a], nodes[b]) for a, b in pieces if cycle[idx] not in (a, b)]
+    on_pieces = {i for piece in pieces for i in piece}
+    others += [(q, q) for i, q in enumerate(nodes) if i not in on_pieces]
     nu = abs(du[0]) + abs(du[1])
     nw = abs(dw[0]) + abs(dw[1])
     m = (dw[0] * nu + du[0] * nw, dw[1] * nu + du[1] * nw)

@@ -1,33 +1,15 @@
-"""Exact minimum set cover by branch and bound.
+"""Exact minimum set cover by branching on elements.
 
 ``solve_cover`` returns the lexicographically smallest sorted id tuple among
 all minimum covers, so the witness it reports does not depend on search
-order.
+order.  It branches on the uncovered element with the fewest covering sets
+(Knuth's rule for Algorithm X) and bounds by a packing of elements that share
+no set.  One pass finds the minimum size; a second fixes ids in increasing order.
 """
 
 from __future__ import annotations
 
 from .errors import CoverError
-
-
-def _masks(n_elements, sets):
-    candidates = []
-    for sid in sorted(sets):
-        mask = 0
-        for element in sets[sid]:
-            if not 0 <= element < n_elements:
-                raise CoverError(f"set {sid} names unknown element {element}")
-            mask |= 1 << element
-        if mask:
-            candidates.append((sid, mask))
-    universe = (1 << n_elements) - 1
-    reachable = 0
-    for _, mask in candidates:
-        reachable |= mask
-    if reachable != universe:
-        missing = [e for e in range(n_elements) if not reachable >> e & 1]
-        raise CoverError(f"elements {missing} appear in no set")
-    return candidates, universe
 
 
 def solve_cover(n_elements: int, sets: dict) -> tuple:
@@ -39,38 +21,55 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
     """
     if n_elements == 0:
         return ()
-    candidates, universe = _masks(n_elements, sets)
-    # Sentinel is strictly worse than any real cover, so the first comparison
-    # below never reaches the None.
-    best: list = [len(candidates) + 1, None]
+    ids, masks = [], []
+    for sid in sorted(sets):
+        mask = 0
+        for element in sets[sid]:
+            if not 0 <= element < n_elements:
+                raise CoverError(f"set {sid} names unknown element {element}")
+            mask |= 1 << element
+        # A set inside an earlier one is never needed: swapping it for the
+        # earlier id keeps the cover and gives a smaller sorted tuple.
+        if mask and all(mask & ~kept for kept in masks):
+            ids.append(sid)
+            masks.append(mask)
+    holders = [[i for i, mask in enumerate(masks) if mask >> e & 1] for e in range(n_elements)]
+    missing = [e for e in range(n_elements) if not holders[e]]
+    if missing:
+        raise CoverError(f"elements {missing} appear in no set")
+    failed = {}
 
-    suffix_union = [0] * (len(candidates) + 1)
-    for i in range(len(candidates) - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | candidates[i][1]
+    def coverable(uncovered, k, start):
+        """Can k sets with index >= start cover the elements of ``uncovered``?"""
+        if not uncovered:
+            return True
+        if failed.get((uncovered, start), -1) >= k:
+            return False
+        rest, blocked, packed, branch = uncovered, 0, 0, None
+        while rest and packed <= k:
+            low = rest & -rest
+            rest ^= low
+            if low & blocked:
+                continue
+            # Each packed element needs a set of its own; one with no
+            # choices leaves ``branch`` empty, so nothing below succeeds.
+            choices = [i for i in holders[low.bit_length() - 1] if i >= start]
+            packed += 1
+            for i in choices:
+                blocked |= masks[i]
+            if branch is None or len(choices) < len(branch):
+                branch = choices
+        if packed <= k and any(coverable(uncovered & ~masks[i], k - 1, start) for i in branch):
+            return True
+        failed[uncovered, start] = k
+        return False
 
-    def descend(idx, covered, chosen):
-        if covered == universe:
-            key = (len(chosen), tuple(chosen))
-            if key < (best[0], best[1]):
-                best[0], best[1] = key
-            return
-        if idx == len(candidates):
-            return
-        uncovered = universe & ~covered
-        if uncovered & ~suffix_union[idx]:
-            return
-        widest = max(
-            bin(mask & uncovered).count("1") for _, mask in candidates[idx:]
-        )
-        need = -(-bin(uncovered).count("1") // widest)
-        if len(chosen) + need > best[0]:
-            return
-        sid, mask = candidates[idx]
-        if mask & uncovered:
-            chosen.append(sid)
-            descend(idx + 1, covered | mask, chosen)
-            chosen.pop()
-        descend(idx + 1, covered, chosen)
-
-    descend(0, 0, [])
-    return best[1]
+    universe = (1 << n_elements) - 1
+    k = next(k for k in range(len(masks) + 1) if coverable(universe, k, 0))
+    chosen, uncovered = [], universe
+    for i, mask in enumerate(masks):
+        if mask & uncovered and coverable(uncovered & ~mask, k - 1, i + 1):
+            chosen.append(ids[i])
+            uncovered &= ~mask
+            k -= 1
+    return tuple(chosen)

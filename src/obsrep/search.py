@@ -272,25 +272,6 @@ def partition_lemma_check(scene: Scene, k: int) -> PartitionReport:
     return _partition_report(scene.points, k, vertex_sets)
 
 
-def partition_faces_check(points, g: Graph, faces, k: int) -> PartitionReport:
-    """Partition check where the obstacles are faces of the drawing.
-
-    The face ids usually come from an :class:`ObsResult` witness.  A face is
-    treated as contained in a hull when all of its boundary nodes are; the
-    unbounded face is never containable.
-    """
-    fs = build_arrangement(Drawing(points, g))
-    vertex_sets = []
-    for fid in faces:
-        f = fs.faces[fid]
-        if not f.bounded:
-            vertex_sets.append(None)
-        else:
-            nodes = {i for cycle in f.cycles for i in cycle}
-            vertex_sets.append(tuple(fs.nodes[i] for i in sorted(nodes)))
-    return _partition_report(tuple(points), k, vertex_sets)
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
     """Outcome summary of an obstacle-number run over many graphs."""

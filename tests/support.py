@@ -1,9 +1,10 @@
-"""Helpers that only the tests use, built on the package's public API.
+"""Helpers that only the tests use, built on the package.
 
 Unlike ``oracles.py``, which re-derives answers without the package's own
 predicates, these functions call the package freely: they relabel order
-types, transform scenes into signature-equal copies, and check where a
-scene's obstacles sit among the faces of its drawing.
+types, transform scenes into signature-equal copies, check where a scene's
+obstacles sit among the faces of its drawing, and run the partition check
+with a drawing's faces as the obstacles.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from obsrep.errors import ObsrepError, SearchError
 from obsrep.geom import Point, Polygon, open_segment_intersects_closed, orient, point_in_polygon
 from obsrep.ordertype import OrderType, chirotope
 from obsrep.scene import Scene
+from obsrep.search import PartitionReport, _partition_report
 from obsrep.visibility import visibility_graph
 
 # --- order types ---
@@ -169,3 +171,25 @@ def obstacle_face_check(scene: Scene, graph=None) -> FacePlacementReport:
     return FacePlacementReport(
         ok=None not in assignments, assignments=tuple(assignments)
     )
+
+
+# --- faces as obstacles in the partition check ---
+
+
+def partition_faces_check(points, g, faces, k: int) -> PartitionReport:
+    """Partition check where the obstacles are faces of the drawing.
+
+    The face ids usually come from an ``ObsResult`` witness.  A face is
+    treated as contained in a hull when all of its boundary nodes are; the
+    unbounded face is never containable.
+    """
+    fs = build_arrangement(Drawing(points, g))
+    vertex_sets = []
+    for fid in faces:
+        f = fs.faces[fid]
+        if not f.bounded:
+            vertex_sets.append(None)
+        else:
+            nodes = {i for cycle in f.cycles for i in cycle}
+            vertex_sets.append(tuple(fs.nodes[i] for i in sorted(nodes)))
+    return _partition_report(tuple(points), k, vertex_sets)

@@ -29,7 +29,6 @@ from obsrep.scene import Scene
 from obsrep.search import (
     edge_deletion_chain,
     obs_upper_bound,
-    partition_faces_check,
     random_graph_experiment,
     replay_witness,
 )
@@ -43,7 +42,7 @@ from obsrep.tangent import (
 from obsrep.visibility import visibility_details, visibility_graph
 
 from oracles import solve_cover_first_hit
-from support import perturb_scene
+from support import partition_faces_check, perturb_scene
 
 
 def _verdict(capsys, num, label, ok):

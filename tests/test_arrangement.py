@@ -129,6 +129,8 @@ def test_representatives_locate_back_to_their_face():
         ([(0, 0), (10, 1), (11, 9), (1, 8)], complete_graph(4).edges),
         ([(0, 0), (30, 0), (16, 20), (10, 5), (18, 5), (14, 13)],
          [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        # the isolated vertex sits where the first probe of the bounded face lands
+        ([(0, 0), (64, 0), (0, 64), (16, 16)], [(0, 1), (1, 2), (0, 2)]),
     ]
     for points, edges in cases:
         fs = build(points, edges)

@@ -68,3 +68,11 @@ def test_branch_and_bound_matches_first_hit_enumeration():
         want = solve_cover_first_hit(n, sets)
         assert got == want, sets
         assert len(got) == len(want)
+
+
+def test_fifteen_hundred_candidates_stay_off_the_recursion_limit():
+    # Recursion follows the cover size, not the number of candidate sets.
+    rng = random.Random(7)
+    sets = {sid: rng.sample(range(10), rng.randint(1, 2)) for sid in range(1497)}
+    sets.update({1497: [0, 1, 2, 3], 1498: [4, 5, 6], 1499: [7, 8, 9]})
+    assert solve_cover(10, sets) == (1497, 1498, 1499)

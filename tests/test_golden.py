@@ -59,6 +59,24 @@ G10 = {
         ],
     },
 }
+# G(12, 1/2) on the 14,400 grid: with rng = random.Random(11), the graph is
+# gnp_half(12, rng) and the points are then random_placement(rng, 12, 14400).
+G12 = {
+    "points": [
+        [10853, 1392], [7492, 10728], [4557, 6664], [9031, 13766], [1363, 11596],
+        [4161, 5165], [12418, 3762], [8403, 4735], [487, 1150], [9226, 12554],
+        [1768, 6560], [1766, 13870],
+    ],
+    "graph": {
+        "n": 12,
+        "edges": [
+            [1, 3], [1, 4], [1, 5], [1, 6], [1, 7], [1, 10], [1, 11], [1, 12], [2, 5],
+            [2, 6], [2, 8], [2, 9], [2, 10], [3, 8], [3, 9], [3, 10], [3, 11], [3, 12],
+            [4, 6], [4, 7], [4, 9], [4, 11], [4, 12], [5, 6], [5, 7], [5, 9], [5, 11],
+            [5, 12], [6, 11], [7, 8], [7, 10], [8, 10], [8, 11], [9, 10], [9, 12],
+        ],
+    },
+}
 # Six points split by x into two groups of three; the box sits inside the
 # hull of the first group only.
 PARTITION = {
@@ -82,6 +100,7 @@ DOCS = {
     "concurrent": CONCURRENT,
     "nested": NESTED,
     "g10": G10,
+    "g12": G12,
     "partition": PARTITION,
     "c6": C6,
     "c5": C5,
@@ -106,6 +125,9 @@ CASES = {
     "faces-g10": (["faces", "{g10}"], 0),
     "incidence-g10": (["incidence", "{g10}"], 0),
     "cover-g10": (["cover", "{g10}"], 0),
+    "faces-g12": (["faces", "{g12}"], 0),
+    "incidence-g12": (["incidence", "{g12}"], 0),
+    "cover-g12": (["cover", "{g12}"], 0),
     "obs-search-c6": (["obs-search", "{c6}", "--seed", "7", "--placements", "6"], 0),
     "chain-c5": (["chain", "{c5}", "--seed", "3", "--placements", "4"], 0),
     "random-exp-n4": (

@@ -13,7 +13,6 @@ from obsrep.search import (
     edge_deletion_chain,
     min_obstacles_for_placement,
     obs_upper_bound,
-    partition_faces_check,
     partition_lemma_check,
     random_graph_experiment,
     replay_witness,
@@ -21,6 +20,7 @@ from obsrep.search import (
 )
 
 from conftest import poly, pts
+from support import partition_faces_check
 
 QUAD = pts((0, 0), (10, 1), (11, 9), (1, 8))  # convex, distinct x
 
