@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import obsrep
+import obsrep.geom
 from obsrep.cli import main
 from obsrep.tangent import builtin_pattern_table
 
@@ -192,6 +193,25 @@ def test_drawing_subcommands_need_a_graph(tmp_path, capsys):
     doc = {"points": [[0, 0], [10, 0], [4, 7]]}
     rc, out, err = run(capsys, ["faces", write(tmp_path, "p.json", doc)])
     assert rc == 1 and 'needs a "graph" field' in err
+
+
+@pytest.mark.parametrize("sub", ["faces", "incidence", "cover"])
+def test_drawing_subcommands_check_general_position_once(sub, tmp_path, capsys, monkeypatch):
+    original = obsrep.geom.is_general_position
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return original(points)
+
+    for name, module in list(sys.modules.items()):
+        if name == "obsrep" or name.startswith("obsrep."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    rc, out, err = run(capsys, [sub, write(tmp_path, "d.json", SQUARE_DRAWING)])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 # --- search subcommands ---

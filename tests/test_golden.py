@@ -77,6 +77,11 @@ G12 = {
         ],
     },
 }
+# Points 1, 2 and 3 lie on one line, so the drawing is not in general position.
+COLLINEAR = {
+    "points": [[0, 0], [4, 1], [8, 2], [3, 9]],
+    "graph": {"n": 4, "edges": [[1, 4], [2, 4], [3, 4]]},
+}
 # Six points split by x into two groups of three; the box sits inside the
 # hull of the first group only.
 PARTITION = {
@@ -101,6 +106,7 @@ DOCS = {
     "nested": NESTED,
     "g10": G10,
     "g12": G12,
+    "collinear": COLLINEAR,
     "partition": PARTITION,
     "c6": C6,
     "c5": C5,
@@ -128,6 +134,7 @@ CASES = {
     "faces-g12": (["faces", "{g12}"], 0),
     "incidence-g12": (["incidence", "{g12}"], 0),
     "cover-g12": (["cover", "{g12}"], 0),
+    "cover-collinear": (["cover", "{collinear}"], 1),
     "obs-search-c6": (["obs-search", "{c6}", "--seed", "7", "--placements", "6"], 0),
     "chain-c5": (["chain", "{c5}", "--seed", "3", "--placements", "4"], 0),
     "random-exp-n4": (
