@@ -11,7 +11,6 @@ obstacles.
 
 from .arrangement import (
     CoverInstance,
-    Drawing,
     Face,
     FaceSet,
     build_arrangement,
@@ -81,7 +80,6 @@ __all__ = [
     "ContradictionError",
     "CoverError",
     "CoverInstance",
-    "Drawing",
     "ExperimentReport",
     "Face",
     "FaceSet",

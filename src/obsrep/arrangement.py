@@ -18,37 +18,16 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
-from .errors import GeneralPositionError, GeometryError, ObsrepError
+from .errors import GeometryError, ObsrepError
 from .geom import (
     closed_segments_intersect,
     direction_cmp,
-    is_general_position,
     on_closed_segment,
     orient,
     polygon_area2,
 )
 from .graphs import Graph
-
-
-@dataclass(frozen=True)
-class Drawing:
-    """A graph's vertices placed at labeled points in general position.
-
-    Vertex i sits at ``points[i]``, and every edge of ``graph`` is drawn as
-    the open straight segment joining its two points.
-    """
-
-    points: tuple
-    graph: Graph
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if len(self.points) != self.graph.n:
-            raise ObsrepError(f"{len(self.points)} points for a {self.graph.n}-vertex graph")
-        ok, violations = is_general_position(self.points)
-        if not ok:
-            parts = ", ".join(str(v) for v in violations)
-            raise GeneralPositionError(f"degenerate drawing: {parts}", violations)
+from .scene import Scene
 
 
 @dataclass(frozen=True)
@@ -139,12 +118,12 @@ class _DisjointSet:
 class FaceSet:
     """All faces of a drawing, plus the exact subdivision they came from.
 
-    ``nodes`` holds the drawing's points as given, then the crossings with
-    ``Fraction`` coordinates; ``pieces`` pairs node ids; ``components``
-    counts the connected pieces of the drawing, isolated points included.
+    ``nodes`` holds the point of vertex i of ``graph`` at index i, then the
+    crossings with ``Fraction`` coordinates; ``pieces`` pairs node ids;
+    ``components`` counts the connected pieces, isolated points included.
     """
 
-    drawing: Drawing
+    graph: Graph
     nodes: tuple
     pieces: tuple
     faces: tuple
@@ -221,8 +200,12 @@ def _interior_point_of_cycle(nodes, pieces, cycle):
     return p
 
 
-def build_arrangement(drawing: Drawing) -> FaceSet:
-    """Faces of the drawing, with crossings as exact subdivision vertices."""
+def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
+    """Faces of ``graph`` drawn straight on the scene's points, with crossings
+    as exact subdivision vertices; the scene's obstacles play no part."""
+    points = scene.points
+    if len(points) != graph.n:
+        raise ObsrepError(f"{len(points)} points for a {graph.n}-vertex graph")
     node_index = {}
     nodes = []
 
@@ -232,11 +215,10 @@ def build_arrangement(drawing: Drawing) -> FaceSet:
             nodes.append(coord)
         return node_index[coord]
 
-    points = drawing.points
     for p in points:
         intern(p)
 
-    edges = drawing.graph.sorted_edges()
+    edges = graph.sorted_edges()
     cuts = {e: [] for e in edges}
     for e, f in combinations(edges, 2):
         if set(e) & set(f):
@@ -344,7 +326,7 @@ def build_arrangement(drawing: Drawing) -> FaceSet:
     if v - e + f != 1 + components:
         raise ObsrepError(f"face tracing is inconsistent: V={v} E={e} F={f} C={components}")
     return FaceSet(
-        drawing=drawing,
+        graph=graph,
         nodes=tuple(nodes),
         pieces=tuple(pieces),
         faces=tuple(faces),
@@ -367,17 +349,19 @@ class CoverInstance:
 
 
 def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
-    """Cut every non-edge where it crosses drawn edges and locate each open interval.
+    """Cut every non-edge where it crosses drawn edges and find each open interval's face.
 
     The drawing's points are in general position, so a non-edge never meets
     an edge that shares one of its endpoints, and meets any other edge only
     by crossing it at one interior point of both.  A crossing node of the
-    drawing that lies on the non-edge is found once per edge through it.
+    drawing that lies on the non-edge is found once per edge through it, so
+    no interval midpoint lies on the drawing.
     """
-    points = fs.drawing.points
-    graph = fs.drawing.graph
+    graph = fs.graph
+    points = fs.nodes[: graph.n]
     edges = graph.sorted_edges()
     nonedges = tuple(graph.non_edges())
+    outer = [(f.id, f.cycles[0], f.area2) for f in fs.faces if f.bounded]
     hit = [set() for _ in fs.faces]
     for index, (i, j) in enumerate(nonedges):
         p, q = points[i], points[j]
@@ -392,7 +376,8 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
         (px, py), (qx, qy) = p, q
         for lo, hi in zip(cuts, cuts[1:]):
             mid = (lo + hi) / 2
-            hit[fs.locate((px + (qx - px) * mid, py + (qy - py) * mid))].add(index)
+            found = _enclosing_cycle((px + (qx - px) * mid, py + (qy - py) * mid), fs.nodes, outer)
+            hit[fs.unbounded_id if found is None else found].add(index)
     return CoverInstance(
         nonedges=nonedges,
         membership=tuple(tuple(sorted(h)) for h in hit),

@@ -18,7 +18,7 @@ from itertools import combinations
 from .bounds import BoundsQuery, bounds_threshold
 from .errors import ContradictionError, ObsrepError
 from .ordertype import chirotope, scene_signature
-from .arrangement import Drawing, build_arrangement, face_nonedge_incidence
+from .arrangement import build_arrangement, face_nonedge_incidence
 from .cover import solve_cover
 from .search import (
     edge_deletion_chain,
@@ -73,7 +73,7 @@ def _positive(text):
 
 
 def _load_drawing(path):
-    """A scene document used as a drawing: points plus graph, no obstacles."""
+    """A scene document used as a drawing: ``(scene, graph)``, no obstacles."""
     scene, graph = load_scene(path)
     if graph is None:
         raise ObsrepError('this subcommand needs a "graph" field in the document')
@@ -81,7 +81,7 @@ def _load_drawing(path):
         raise ObsrepError(
             "this subcommand works on a drawing (points + graph); remove the obstacles"
         )
-    return scene.points, graph
+    return scene, graph
 
 
 def _pair(i, j):
@@ -174,8 +174,8 @@ def cmd_signature(args):
 
 
 def cmd_faces(args):
-    points, graph = _load_drawing(args.scene)
-    fs = build_arrangement(Drawing(points, graph))
+    scene, graph = _load_drawing(args.scene)
+    fs = build_arrangement(scene, graph)
     v, e, f = len(fs.nodes), len(fs.pieces), len(fs.faces)
     print(f"nodes {v}")
     print(f"pieces {e}")
@@ -191,8 +191,8 @@ def cmd_faces(args):
 
 
 def cmd_incidence(args):
-    points, graph = _load_drawing(args.scene)
-    fs = build_arrangement(Drawing(points, graph))
+    scene, graph = _load_drawing(args.scene)
+    fs = build_arrangement(scene, graph)
     instance = face_nonedge_incidence(fs)
     print(f"faces {len(fs.faces)}")
     print(f"nonedges {len(instance.nonedges)}")
@@ -207,8 +207,8 @@ def cmd_incidence(args):
 
 
 def cmd_cover(args):
-    points, graph = _load_drawing(args.scene)
-    cover = min_obstacles_for_placement(points, graph)
+    scene, graph = _load_drawing(args.scene)
+    cover = min_obstacles_for_placement(scene, graph)
     print(f"nonedges {len(graph.non_edges())}")
     print(f"minimum {cover.size}")
     line = "faces"

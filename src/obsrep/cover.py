@@ -5,6 +5,8 @@ all minimum covers, so the witness it reports does not depend on search
 order.  It branches on the uncovered element with the fewest covering sets
 (Knuth's rule for Algorithm X) and bounds by a packing of elements that share
 no set.  One pass finds the minimum size; a second fixes ids in increasing order.
+Both share one memo keyed by the uncovered elements alone: an id below the one
+the second pass tries lies in no minimum cover that extends the ids it fixed.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
         raise CoverError(f"elements {missing} appear in no set")
     failed = {}
 
-    def coverable(uncovered, k, start):
-        """Can k sets with index >= start cover the elements of ``uncovered``?"""
+    def coverable(uncovered, k):
+        """Can k sets cover the elements of ``uncovered``?"""
         if not uncovered:
             return True
-        if failed.get((uncovered, start), -1) >= k:
+        if failed.get(uncovered, -1) >= k:
             return False
         rest, blocked, packed, branch = uncovered, 0, 0, None
         while rest and packed <= k:
@@ -51,24 +53,23 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
             rest ^= low
             if low & blocked:
                 continue
-            # Each packed element needs a set of its own; one with no
-            # choices leaves ``branch`` empty, so nothing below succeeds.
-            choices = [i for i in holders[low.bit_length() - 1] if i >= start]
+            # Each packed element needs a set of its own.
+            choices = holders[low.bit_length() - 1]
             packed += 1
             for i in choices:
                 blocked |= masks[i]
             if branch is None or len(choices) < len(branch):
                 branch = choices
-        if packed <= k and any(coverable(uncovered & ~masks[i], k - 1, start) for i in branch):
+        if packed <= k and any(coverable(uncovered & ~masks[i], k - 1) for i in branch):
             return True
-        failed[uncovered, start] = k
+        failed[uncovered] = k
         return False
 
     universe = (1 << n_elements) - 1
-    k = next(k for k in range(len(masks) + 1) if coverable(universe, k, 0))
+    k = next(k for k in range(len(masks) + 1) if coverable(universe, k))
     chosen, uncovered = [], universe
     for i, mask in enumerate(masks):
-        if mask & uncovered and coverable(uncovered & ~mask, k - 1, i + 1):
+        if mask & uncovered and coverable(uncovered & ~mask, k - 1):
             chosen.append(ids[i])
             uncovered &= ~mask
             k -= 1

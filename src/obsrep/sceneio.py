@@ -25,7 +25,7 @@ import json
 
 from .errors import GeometryError, SceneFormatError
 from .geom import Point, Polygon, polygon_area2
-from .graphs import Graph, GraphError
+from .graphs import Graph
 from .scene import Scene
 
 
@@ -113,13 +113,7 @@ def _parse_graph(data, n_points, problems):
             problems.append(f"graph edges[{i}] joins vertex {a} to itself")
             continue
         pairs.append((a - 1, b - 1))
-    if problems:
-        return None
-    try:
-        return Graph.of(n, pairs)
-    except GraphError as e:  # pragma: no cover - guarded by the checks above
-        problems.append(str(e))
-        return None
+    return Graph.of(n, pairs)
 
 
 def scene_from_dict(data) -> tuple:
@@ -168,18 +162,21 @@ def dumps_scene(scene: Scene, graph: Graph | None = None) -> str:
     return json.dumps(scene_to_dict(scene, graph), indent=2) + "\n"
 
 
-def loads_scene(text: str) -> tuple:
+def _decode(source):
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
+        return json.loads(source) if isinstance(source, str) else json.load(source)
+    except (ValueError, RecursionError) as e:
         raise SceneFormatError(f"not valid JSON: {e}") from None
-    return scene_from_dict(data)
+
+
+def loads_scene(text: str) -> tuple:
+    return scene_from_dict(_decode(text))
 
 
 def load_scene(path) -> tuple:
     """Read a scene document from ``path``; returns ``(Scene, Graph | None)``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_scene(fh.read())
+        return scene_from_dict(_decode(fh))
 
 
 def save_scene(path, scene: Scene, graph: Graph | None = None) -> None:
@@ -190,11 +187,7 @@ def save_scene(path, scene: Scene, graph: Graph | None = None) -> None:
 def load_graph(path) -> Graph:
     """Read a graph: either a bare graph document or a scene document's graph."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SceneFormatError(f"not valid JSON: {e}") from None
+        data = _decode(fh)
     if isinstance(data, dict) and "points" in data:
         _, graph = scene_from_dict(data)
         if graph is None:

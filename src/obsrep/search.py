@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Drawing, build_arrangement, face_nonedge_incidence
+from .arrangement import build_arrangement, face_nonedge_incidence
 from .cover import solve_cover
 from .errors import ObsrepError
 from .geom import convex_hull, on_closed_segment, orient
@@ -33,26 +33,19 @@ class PlacementCover:
     faces: tuple
 
 
-def min_obstacles_for_placement(points, g: Graph) -> PlacementCover:
+def min_obstacles_for_placement(scene: Scene, g: Graph) -> PlacementCover:
     """Exact minimum obstacle count achievable on this placement of g's vertices.
 
-    Builds the drawing, intersects every absent edge with the faces, and
-    solves the resulting cover exactly.  The face-id tuple is the
-    lexicographically smallest among all minimum covers.
+    Builds the drawing of g on the scene's points, intersects every absent
+    edge with the faces, and solves the resulting cover exactly.  The
+    face-id tuple is the lexicographically smallest among all minimum covers.
     """
-    return _placement_cover(points, g)[0]
+    return _placement_cover(scene, g)[0]
 
 
-def _placement_cover(points, g: Graph):
-    """The placement's minimum cover and the incidence it was solved on.
-
-    The incidence is ``None`` when g has no non-edges: nothing needs
-    covering, so no arrangement is built.
-    """
-    drawing = Drawing(points, g)
-    if not g.non_edges():
-        return PlacementCover(0, ()), None
-    fs = build_arrangement(drawing)
+def _placement_cover(scene: Scene, g: Graph):
+    """The placement's minimum cover and the incidence it was solved on."""
+    fs = build_arrangement(scene, g)
     instance = face_nonedge_incidence(fs)
     sets = {fid: items for fid, items in enumerate(instance.membership)}
     chosen = solve_cover(len(instance.nonedges), sets)
@@ -76,11 +69,9 @@ class ObsResult:
 
 def replay_witness(g: Graph, result: ObsResult) -> bool:
     """Re-derive the witness cover from scratch and compare against the result."""
-    cover, instance = _placement_cover(result.witness.points, g)
+    cover, instance = _placement_cover(Scene(result.witness.points), g)
     if cover.size != result.upper_bound:
         return False
-    if instance is None:
-        return result.witness.faces == ()
     covered = set()
     for fid in result.witness.faces:
         covered.update(instance.membership[fid])
@@ -113,7 +104,7 @@ def obs_upper_bound(
     best: tuple[int, Witness] | None = None
     for _ in range(placements):
         pts = random_placement(rng, g.n, grid)
-        cover = min_obstacles_for_placement(pts, g)
+        cover = min_obstacles_for_placement(Scene(pts), g)
         if best is None or cover.size < best[0]:
             best = (cover.size, Witness(points=pts, faces=cover.faces))
         if best[0] <= floor:

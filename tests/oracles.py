@@ -90,9 +90,9 @@ class SlabOracle:
     face when an unblocked stretch of a slab boundary joins them.
     """
 
-    def __init__(self, drawing):
-        points = [xy(p) for p in drawing.points]
-        segs = [(points[i], points[j]) for i, j in sorted(drawing.graph.edges)]
+    def __init__(self, points, graph):
+        points = [xy(p) for p in points]
+        segs = [(points[i], points[j]) for i, j in sorted(graph.edges)]
         nodes = set(points)
         cuts = [{Fraction(0), Fraction(1)} for _ in segs]
         for (i, (a, b)), (j, (c, d)) in combinations(enumerate(segs), 2):

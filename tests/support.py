@@ -10,7 +10,7 @@ with a drawing's faces as the obstacles.
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from obsrep.arrangement import Drawing, build_arrangement
+from obsrep.arrangement import build_arrangement
 from obsrep.errors import ObsrepError, SearchError
 from obsrep.geom import Point, Polygon, open_segment_intersects_closed, orient, point_in_polygon
 from obsrep.ordertype import OrderType, chirotope
@@ -156,7 +156,7 @@ def obstacle_face_check(scene: Scene, graph=None) -> FacePlacementReport:
     """
     if graph is None:
         graph = visibility_graph(scene)
-    fs = build_arrangement(Drawing(scene.points, graph))
+    fs = build_arrangement(scene, graph)
     assignments = []
     for poly in scene.obstacles:
         stabbed = any(
@@ -183,7 +183,7 @@ def partition_faces_check(points, g, faces, k: int) -> PartitionReport:
     treated as contained in a hull when all of its boundary nodes are; the
     unbounded face is never containable.
     """
-    fs = build_arrangement(Drawing(points, g))
+    fs = build_arrangement(Scene(points), g)
     vertex_sets = []
     for fid in faces:
         f = fs.faces[fid]

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from obsrep.arrangement import Drawing, build_arrangement
+from obsrep.arrangement import build_arrangement
 from obsrep.bounds import BoundsQuery, bounds_threshold
 from obsrep.cli import main
 from obsrep.cover import solve_cover
@@ -138,10 +138,10 @@ def test_criterion_03_equal_signatures_give_equal_visibility(capsys):
 def test_criterion_04_face_counts_and_euler_relation(capsys):
     # forced counts first
     triangle = random_placement(random.Random(1), 3, 20)
-    k3 = build_arrangement(Drawing(triangle, complete_graph(3)))
-    bare = build_arrangement(Drawing(triangle, empty_graph(3)))
+    k3 = build_arrangement(Scene(triangle), complete_graph(3))
+    bare = build_arrangement(Scene(triangle), empty_graph(3))
     square = (Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10))
-    k4 = build_arrangement(Drawing(square, complete_graph(4)))
+    k4 = build_arrangement(Scene(square), complete_graph(4))
     forced = (len(k3.faces), len(bare.faces), len(k4.faces)) == (2, 1, 5)
 
     # Euler on random connected drawings: spanning tree plus extra edges,
@@ -158,7 +158,7 @@ def test_criterion_04_face_counts_and_euler_relation(capsys):
             a, b = rng.randrange(n), rng.randrange(n)
             if a != b:
                 edges.append((a, b))
-        fs = build_arrangement(Drawing(pts, Graph.of(n, edges)))
+        fs = build_arrangement(Scene(pts), Graph.of(n, edges))
         if len(fs.nodes) - len(fs.pieces) + len(fs.faces) != 2:
             euler_failures += 1
     ok = forced and euler_failures == 0

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from obsrep.arrangement import Drawing, build_arrangement, face_nonedge_incidence
-from obsrep.errors import GeneralPositionError, GeometryError, ObsrepError
+from obsrep.arrangement import build_arrangement, face_nonedge_incidence
+from obsrep.errors import GeometryError, ObsrepError, SceneError
 from obsrep.graphs import Graph, complete_graph, gnp_half
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
@@ -15,7 +15,7 @@ from support import FacePlacementReport, face_complexity, obstacle_face_check
 
 
 def build(points, edges):
-    return build_arrangement(Drawing(points, Graph.of(len(points), edges)))
+    return build_arrangement(Scene(points), Graph.of(len(points), edges))
 
 
 # --- hand-built drawings with known face structure ---
@@ -94,19 +94,20 @@ def test_bowtie_visits_the_shared_vertex_twice():
 
 
 def test_drawing_rejects_degenerate_points():
-    with pytest.raises(GeneralPositionError) as err:
-        Drawing([(0, 0), (5, 5), (10, 10)], Graph(3))
-    assert err.value.violations == ((0, 1, 2),)
+    # a drawing's points come as a Scene, which refuses them when built
+    with pytest.raises(SceneError) as err:
+        build([(0, 0), (5, 5), (10, 10)], [])
+    assert err.value.diagnostics == ("collinear triple: points[0], points[1], points[2]",)
 
 
 def test_drawing_rejects_bad_edges():
-    # edges are checked once, by the graph; the drawing checks its size
+    # edges are checked once, by the graph; build_arrangement checks the size
     with pytest.raises(ObsrepError):
         Graph.of(3, [(0, 3)])
     with pytest.raises(ObsrepError):
         Graph.of(3, [(1, 1)])
     with pytest.raises(ObsrepError, match="3 points for a 4-vertex graph"):
-        Drawing([(0, 0), (10, 0), (4, 7)], Graph.of(4, [(0, 3)]))
+        build_arrangement(Scene([(0, 0), (10, 0), (4, 7)]), Graph.of(4, [(0, 3)]))
 
 
 # --- point location and representatives ---
@@ -203,9 +204,9 @@ def _oracle_face_map(fs, oracle):
 
 
 def _check_against_oracle(points, edges):
-    drawing = Drawing(points, Graph.of(len(points), edges))
-    fs = build_arrangement(drawing)
-    oracle = SlabOracle(drawing)
+    graph = Graph.of(len(points), edges)
+    fs = build_arrangement(Scene(points), graph)
+    oracle = SlabOracle(points, graph)
     assert len(fs.faces) == oracle.face_count
     assert sum(1 for f in fs.faces if f.bounded) == oracle.bounded_face_count
     mapping = _oracle_face_map(fs, oracle)
@@ -252,6 +253,6 @@ def test_euler_relation_on_random_drawings():
     for _ in range(80):
         n = rng.randint(2, 9)
         points = random_placement(rng, n, 40)
-        fs = build_arrangement(Drawing(points, gnp_half(n, rng)))
+        fs = build_arrangement(Scene(points), gnp_half(n, rng))
         v, e, f = len(fs.nodes), len(fs.pieces), len(fs.faces)
         assert v - e + f == 1 + fs.components

@@ -104,6 +104,24 @@ def test_not_json():
         loads_scene("{points: oops")
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"\xff\xfe{}",  # not UTF-8
+        b'{"points": [[' + b"9" * 5000 + b", 0]]}",  # an integer too long to convert
+        b"[" * 100_000,  # nested deeper than the decoder recurses
+    ],
+    ids=["not-utf8", "long-integer", "deep-nesting"],
+)
+def test_undecodable_files_are_format_errors(raw, tmp_path):
+    target = tmp_path / "doc.json"
+    target.write_bytes(raw)
+    with pytest.raises(SceneFormatError, match="not valid JSON"):
+        load_scene(target)
+    with pytest.raises(SceneFormatError, match="not valid JSON"):
+        load_graph(target)
+
+
 def test_document_must_be_an_object():
     with pytest.raises(SceneFormatError):
         scene_from_dict([1, 2, 3])

@@ -29,25 +29,27 @@ QUAD = pts((0, 0), (10, 1), (11, 9), (1, 8))  # convex, distinct x
 
 
 def test_complete_graph_needs_no_obstacles():
-    cover = min_obstacles_for_placement(QUAD, complete_graph(4))
+    cover = min_obstacles_for_placement(Scene(QUAD), complete_graph(4))
     assert cover == PlacementCover(0, ())
 
 
 def test_square_cycle_needs_one_face():
-    cover = min_obstacles_for_placement(QUAD, cycle_graph(4))
+    cover = min_obstacles_for_placement(Scene(QUAD), cycle_graph(4))
     # the inner quadrilateral face covers both missing diagonals
     assert cover.size == 1
     assert len(cover.faces) == 1
 
 
 def test_path_is_covered_by_the_unbounded_face():
-    cover = min_obstacles_for_placement(pts((0, 0), (5, 1), (10, 0)), Graph.of(3, [(0, 1), (1, 2)]))
+    cover = min_obstacles_for_placement(
+        Scene(pts((0, 0), (5, 1), (10, 0))), Graph.of(3, [(0, 1), (1, 2)])
+    )
     assert cover.size == 1
 
 
 def test_placement_size_mismatch():
     with pytest.raises(ObsrepError):
-        min_obstacles_for_placement(QUAD, complete_graph(3))
+        min_obstacles_for_placement(Scene(QUAD), complete_graph(3))
 
 
 # --- upper bounds with witnesses ---

@@ -12,7 +12,9 @@ from pathlib import Path
 import obsrep
 import obsrep.cli
 import obsrep.scene
-from obsrep.arrangement import FaceSet
+from obsrep.arrangement import FaceSet, build_arrangement
+from obsrep.graphs import Graph
+from obsrep.scene import Scene
 
 SPANS = Path(__file__).parents[1] / "perfbench" / "spans.py"
 
@@ -40,6 +42,11 @@ def test_tracer_installs_records_and_restores(tmp_path, capsys):
     with spans.installed(tracer):
         assert obsrep.scene.require_valid_scene is not validate
         assert obsrep.cli.main(["cover", str(path)]) == 0
+        # cover finds faces without point location, so query one directly
+        triangle = build_arrangement(
+            Scene(((0, 0), (10, 0), (4, 7))), Graph.of(3, [(0, 1), (1, 2), (0, 2)])
+        )
+        assert triangle.locate((4, 2)) == 0
     capsys.readouterr()
 
     calls = tracer.calls()
