@@ -54,6 +54,29 @@ def open_segment_hits_closed(a, b, c, d) -> bool:
     return hi > 0 and lo < 1
 
 
+def closed_segments_meet(a, b, c, d) -> bool:
+    """Closed [a, b] versus closed [c, d], decided by parameters.
+
+    Either segment may have zero length, that is, be a single point.
+    """
+    if xy(a) == xy(b):
+        a, b, c, d = c, d, a, b
+    if xy(c) == xy(d):
+        if xy(a) == xy(b):
+            return xy(a) == xy(c)
+        t = _param_on_line(a, b, c)
+        return t is not None and 0 <= t <= 1
+    params = cross_params(a, b, c, d)
+    if params is not None:
+        t, u = params
+        return 0 <= t <= 1 and 0 <= u <= 1
+    tc = _param_on_line(a, b, c)
+    if tc is None:
+        return False
+    td = _param_on_line(a, b, d)
+    return max(tc, td) >= 0 and min(tc, td) <= 1
+
+
 def segment_meets_polygon(a, b, vertices) -> bool:
     """Does the open segment meet the closed polygon?  Assumes a, b outside."""
     k = len(vertices)

@@ -264,3 +264,33 @@ def test_convex_hull_is_convex_and_contains_input():
 def test_closed_segments_intersect_endpoint_contact():
     assert closed_segments_intersect((0, 0), (4, 0), (4, 0), (8, 3))
     assert not closed_segments_intersect((0, 0), (4, 0), (5, 1), (8, 3))
+
+
+def test_closed_segments_intersect_matches_oracle():
+    """Segments on a small grid, a third of them on one line, agree with the
+    Cramer-rule oracle; collinear overlaps, shared endpoints and zero-length
+    segments are all common."""
+    rng = random.Random(20261018)
+    seen = {"collinear overlap": 0, "shared endpoint": 0, "zero length": 0}
+    for trial in range(6000):
+        if trial % 3:
+            a, b, c, d = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(4)]
+        else:
+            # four points on one line through (2, 2)
+            dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 2)])
+            a, b, c, d = [(2 + t * dx, 2 + t * dy) for t in (rng.randint(-2, 2) for _ in range(4))]
+        got = closed_segments_intersect(a, b, c, d)
+        assert got == oracles.closed_segments_meet(a, b, c, d), (a, b, c, d)
+        assert got == closed_segments_intersect(d, c, b, a)
+        if a == b or c == d:
+            seen["zero length"] += 1
+        elif {a, b} & {c, d}:
+            seen["shared endpoint"] += 1
+        elif got and orient(a, b, c) == orient(a, b, d) == 0:
+            seen["collinear overlap"] += 1
+    assert min(seen.values()) >= 50, seen
+    # a point on a segment's interior, at its end, and off it
+    assert closed_segments_intersect((2, 2), (2, 2), (0, 0), (4, 4))
+    assert closed_segments_intersect((0, 0), (4, 4), (4, 4), (4, 4))
+    assert not closed_segments_intersect((2, 3), (2, 3), (0, 0), (4, 4))
+    assert not closed_segments_intersect((1, 1), (1, 1), (2, 2), (2, 2))

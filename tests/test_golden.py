@@ -143,6 +143,7 @@ CASES = {
     ),
     "derive-table": (["derive-table", "--seed", "5", "--budget", "50"], 0),
     "partition-check": (["partition-check", "{partition}", "--k", "3"], 0),
+    "ordertype-partition": (["ordertype", "{partition}"], 0),
     "visibility-inside": (["visibility", "{inside}"], 1),
     "validate-inside": (["validate", "{inside}"], 1),
     "encode-on-boundary": (["encode", "{on-boundary}"], 1),
