@@ -7,7 +7,7 @@ watches the obstacle bound climb one step at a time.
 Run:  python3 demos/search_walkthrough.py
 """
 
-from obsrep.graphs import cycle_graph, empty_graph
+from obsrep.graphs import Graph, cycle_graph
 from obsrep.search import edge_deletion_chain, obs_upper_bound, replay_witness
 
 
@@ -28,7 +28,7 @@ def main():
     # witness for the smaller graph reuses the previous placement with one
     # extra face, so the bound never jumps.
     print("\ndeleting the complete graph on 4 vertices down to nothing:")
-    record = edge_deletion_chain(4, empty_graph(4), seed=5, order="lex",
+    record = edge_deletion_chain(4, Graph(4), seed=5, order="lex",
                                  placements=40, grid=None)
     for t, step in enumerate(record.steps):
         what = ("complete graph" if step.deleted is None

@@ -30,7 +30,7 @@ from .errors import (
     UnknownPatternError,
 )
 from .geom import Point, Polygon, convex_hull, is_general_position, orient
-from .graphs import Graph, GraphError, complete_graph, cycle_graph, empty_graph
+from .graphs import Graph, GraphError, complete_graph, cycle_graph
 from .ordertype import (
     OrderType,
     SceneSignature,
@@ -114,7 +114,6 @@ __all__ = [
     "decode_visibility",
     "derive_pattern_table",
     "edge_deletion_chain",
-    "empty_graph",
     "encode_tangent",
     "face_nonedge_incidence",
     "is_general_position",

@@ -161,7 +161,9 @@ def _interior_point_of_cycle(nodes, pieces, cycle):
     Works from the bottommost (then leftmost) corner of the cycle, aiming a
     rational direction into the corner's wedge and halving the step until the
     probe segment from the corner meets no piece that avoids the corner and
-    no node that lies on no piece.
+    no node that lies on no piece.  The probe aims strictly inside the wedge
+    and all of those lie at positive distance from the corner, so the halving
+    ends, after about as many steps as the coordinates have bits.
     """
     coords = [nodes[i] for i in cycle]
     k = len(coords)
@@ -189,12 +191,8 @@ def _interior_point_of_cycle(nodes, pieces, cycle):
     # piece only ever shortens the probe that the pieces before it allowed.
     t = Fraction(1, 1)
     p = (v[0] + m[0] * t, v[1] + m[1] * t)
-    halvings = 0
     for a, b in others:
         while closed_segments_intersect(v, p, a, b):
-            halvings += 1
-            if halvings == 256:
-                raise ObsrepError("could not place an interior point after 256 halvings")
             t /= 2
             p = (v[0] + m[0] * t, v[1] + m[1] * t)
     return p

@@ -152,7 +152,7 @@ def cmd_derive_table(args):
 
 def cmd_ordertype(args):
     scene, _ = load_scene(args.scene)
-    ot = chirotope(scene.points)
+    ot = chirotope(scene)
     print(f"points {ot.n}")
     for (i, j, k), sign in zip(combinations(range(ot.n), 3), ot.entries):
         print(f"triple {i + 1} {j + 1} {k + 1} {_SIGN[sign]}")
@@ -176,14 +176,14 @@ def cmd_signature(args):
 def cmd_faces(args):
     scene, graph = _load_drawing(args.scene)
     fs = build_arrangement(scene, graph)
+    reps = [fs.representative(face.id) for face in fs.faces]
     v, e, f = len(fs.nodes), len(fs.pieces), len(fs.faces)
     print(f"nodes {v}")
     print(f"pieces {e}")
     print(f"faces {f}")
     print(f"components {fs.components}")
     print(f"euler {v - e + f}")
-    for face in fs.faces:
-        rx, ry = fs.representative(face.id)
+    for face, (rx, ry) in zip(fs.faces, reps):
         kind = "bounded" if face.bounded else "unbounded"
         tail = f" area2 {face.area2}" if face.bounded else ""
         print(f"face {face.id + 1} {kind} sides {face.complexity}{tail} representative {rx} {ry}")

@@ -10,15 +10,7 @@ class GeometryError(ObsrepError):
 
 
 class GeneralPositionError(GeometryError):
-    """Points violate general position: a duplicate pair or a collinear triple.
-
-    ``violations`` holds index tuples: 2-tuples for duplicates, 3-tuples for
-    collinear triples.
-    """
-
-    def __init__(self, message, violations=()):
-        super().__init__(message)
-        self.violations = tuple(violations)
+    """Points violate general position: a duplicate pair or a collinear triple."""
 
 
 class SceneError(ObsrepError):

@@ -80,34 +80,6 @@ def on_open_segment(a, b, p) -> bool:
     return min(ay, by) < py < max(ay, by)
 
 
-def open_segment_intersects_closed(a, b, c, d) -> bool:
-    """Does the open segment (a, b) meet the closed segment [c, d]?
-
-    Contact that happens only at a or b does not count; contact at c or d does.
-    """
-    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
-    d1 = orient_xy(cx, cy, dx, dy, ax, ay)
-    d2 = orient_xy(cx, cy, dx, dy, bx, by)
-    d3 = orient_xy(ax, ay, bx, by, cx, cy)
-    d4 = orient_xy(ax, ay, bx, by, dx, dy)
-    if d1 == 0 and d2 == 0:
-        # All four collinear: 1-D overlap of open (a,b) with closed [c,d].
-        if ax != bx:
-            lo_ab, hi_ab = min(ax, bx), max(ax, bx)
-            lo_cd, hi_cd = min(cx, dx), max(cx, dx)
-        else:
-            lo_ab, hi_ab = min(ay, by), max(ay, by)
-            lo_cd, hi_cd = min(cy, dy), max(cy, dy)
-        return hi_cd > lo_ab and lo_cd < hi_ab
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return True
-    if d3 == 0 and on_open_segment(a, b, c):
-        return True
-    if d4 == 0 and on_open_segment(a, b, d):
-        return True
-    return False
-
-
 def closed_segments_intersect(a, b, c, d) -> bool:
     """Do the closed segments [a, b] and [c, d] share at least one point?"""
     (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
@@ -212,7 +184,9 @@ def segment_intersects_polygon(a, b, polygon: Polygon) -> bool:
     Both endpoints must lie strictly outside the region.  Every vertex of a
     :class:`~obsrep.scene.Scene` does, since a scene validates itself when it
     is built, so this function does not check it again.  Boundary contact
-    counts as intersection.
+    counts as intersection.  Then the closed segment meeting the boundary
+    decides it: contact at a or b is impossible, and a segment that enters
+    the region crosses its boundary.
     """
     (ax, ay), (bx, by) = a, b
     xs = [v.x for v in polygon.vertices]
@@ -221,7 +195,7 @@ def segment_intersects_polygon(a, b, polygon: Polygon) -> bool:
         return False
     if max(ay, by) < min(ys) or min(ay, by) > max(ys):
         return False
-    return any(open_segment_intersects_closed(a, b, c, d) for c, d in polygon.edges())
+    return any(closed_segments_intersect(a, b, c, d) for c, d in polygon.edges())
 
 
 def is_general_position(points):

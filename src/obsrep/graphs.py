@@ -61,10 +61,6 @@ def complete_graph(n) -> Graph:
     return Graph(n, frozenset(combinations(range(n), 2)))
 
 
-def empty_graph(n) -> Graph:
-    return Graph(n)
-
-
 def cycle_graph(n) -> Graph:
     if n < 3:
         raise GraphError("a cycle needs at least 3 vertices")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GeneralPositionError, ObsrepError
-from .geom import is_general_position, orient
+from .geom import orient
 from .scene import Scene
 
 
@@ -42,19 +42,12 @@ def _triple_signs(points) -> tuple[int, ...]:
     return tuple(orient(pts[i], pts[j], pts[k]) for i, j, k in combinations(range(len(pts)), 3))
 
 
-def chirotope(points) -> OrderType:
-    """The labeled order type of the configuration.
+def chirotope(scene: Scene) -> OrderType:
+    """The labeled order type of the scene's vertices.
 
-    Degenerate input (a duplicate point or a collinear triple) raises
-    :class:`GeneralPositionError` whose ``violations`` list the offending
-    index tuples.
+    A scene keeps its vertices in general position, so no entry is zero.
     """
-    pts = list(points)
-    ok, violations = is_general_position(pts)
-    if not ok:
-        parts = ", ".join(str(v) for v in violations)
-        raise GeneralPositionError(f"degenerate configuration: {parts}", violations)
-    return OrderType(len(pts), _triple_signs(pts))
+    return OrderType(scene.n, _triple_signs(scene.points))
 
 
 @dataclass(frozen=True)

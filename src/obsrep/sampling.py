@@ -22,10 +22,10 @@ def _collinear_with_any_pair(pts, q):
     return False
 
 
-def random_convex_polygon(rng, max_vertices=6, span=300, max_tries=200) -> Polygon:
-    """A strictly convex lattice polygon: hull of a few random points in a box."""
-    for _ in range(max_tries):
-        k = rng.randint(4, max(4, max_vertices + 1))
+def random_convex_polygon(rng, span=300) -> Polygon:
+    """A strictly convex lattice polygon: hull of 4 to 7 random points in a box."""
+    for _ in range(200):
+        k = rng.randint(4, 7)
         raw = [Point(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(k)]
         hull = convex_hull(raw)
         if len(hull) >= 3:
@@ -33,7 +33,7 @@ def random_convex_polygon(rng, max_vertices=6, span=300, max_tries=200) -> Polyg
     raise SearchError("could not sample a convex polygon")
 
 
-def random_single_obstacle_scene(rng, n_points, coord_bound=1000, max_tries=4000) -> Scene:
+def random_single_obstacle_scene(rng, n_points, coord_bound=1000) -> Scene:
     """A valid scene: one strictly convex obstacle, n labeled points outside it.
 
     Coordinates stay within ``[-coord_bound, coord_bound]``; the joint point
@@ -47,7 +47,7 @@ def random_single_obstacle_scene(rng, n_points, coord_bound=1000, max_tries=4000
     tries = 0
     while len(pts) < n_points:
         tries += 1
-        if tries > max_tries:
+        if tries > 4000:
             raise SearchError("could not place scene points in general position")
         q = Point(rng.randint(-coord_bound, coord_bound), rng.randint(-coord_bound, coord_bound))
         if q in taken or point_in_polygon(q, poly) >= 0 or _collinear_with_any_pair(taken, q):
@@ -63,7 +63,7 @@ def iter_single_obstacle_scenes(rng, count, max_points=10, coord_bound=1000):
         yield random_single_obstacle_scene(rng, rng.randint(2, max_points), coord_bound)
 
 
-def random_placement(rng, n, grid, max_tries=20000):
+def random_placement(rng, n, grid):
     """n labeled grid points in [0, grid)^2, in general position, distinct x.
 
     Distinct x-coordinates are required so that any placement can later feed
@@ -74,7 +74,7 @@ def random_placement(rng, n, grid, max_tries=20000):
     tries = 0
     while len(pts) < n:
         tries += 1
-        if tries > max_tries:
+        if tries > 20000:
             raise SearchError(f"no general-position placement on a {grid}x{grid} grid")
         q = Point(rng.randrange(grid), rng.randrange(grid))
         if q.x in xs or _collinear_with_any_pair(pts, q):

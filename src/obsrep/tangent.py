@@ -31,7 +31,7 @@ from .scene import Scene
 from .visibility import visibility_graph
 
 _SIGN_CHAR = {1: "+", -1: "-"}
-_EVENT_RE = re.compile(r"(\d+)([+-])")
+_EVENT_RE = re.compile(r"([0-9]+)([+-])")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +193,9 @@ class PatternTable:
         return table
 
 
-def observe_scene(table: PatternTable, scene: Scene, obstacle_index: int = 0) -> TangentSequence:
+def observe_scene(table: PatternTable, scene: Scene) -> TangentSequence:
     """Record every pair of the scene in the table; returns the scene's sequence."""
-    seq = encode_tangent(scene, obstacle_index)
+    seq = encode_tangent(scene)
     actual = visibility_graph(scene)
     for i, j in combinations(range(scene.n), 2):
         outcome = VISIBLE if actual.has_edge(i, j) else BLOCKED

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 from obsrep.arrangement import build_arrangement
 from obsrep.errors import ObsrepError, SearchError
-from obsrep.geom import Point, Polygon, open_segment_intersects_closed, orient, point_in_polygon
+from obsrep.geom import Point, Polygon, closed_segments_intersect, orient, point_in_polygon
 from obsrep.ordertype import OrderType, chirotope
 from obsrep.scene import Scene
 from obsrep.search import PartitionReport, _partition_report
@@ -33,7 +33,7 @@ def same_labeled_order_type(p1, p2) -> bool:
     a, b = list(p1), list(p2)
     if len(a) != len(b):
         raise ObsrepError(f"configuration sizes differ: {len(a)} vs {len(b)}")
-    return chirotope(a) == chirotope(b)
+    return chirotope(Scene(a)) == chirotope(Scene(b))
 
 
 def canonical_unlabeled(ot: OrderType) -> OrderType:
@@ -160,7 +160,7 @@ def obstacle_face_check(scene: Scene, graph=None) -> FacePlacementReport:
     assignments = []
     for poly in scene.obstacles:
         stabbed = any(
-            open_segment_intersects_closed(fs.nodes[a], fs.nodes[b], u, v)
+            closed_segments_intersect(fs.nodes[a], fs.nodes[b], u, v)
             for a, b in fs.pieces
             for u, v in poly.edges()
         )

@@ -18,7 +18,7 @@ from obsrep.bounds import BoundsQuery, bounds_threshold
 from obsrep.cli import main
 from obsrep.cover import solve_cover
 from obsrep.geom import Point, Polygon
-from obsrep.graphs import Graph, all_graphs, complete_graph, cycle_graph, empty_graph
+from obsrep.graphs import Graph, all_graphs, complete_graph, cycle_graph
 from obsrep.ordertype import scene_signature
 from obsrep.sampling import (
     iter_single_obstacle_scenes,
@@ -72,8 +72,8 @@ def obstacle_witnesses():
         runs.append(("complete", complete_graph(n), obs_upper_bound(
             complete_graph(n), placements=2, seed=6)))
     for n in range(2, 7):
-        runs.append(("empty", empty_graph(n), obs_upper_bound(
-            empty_graph(n), placements=4, seed=2)))
+        runs.append(("empty", Graph(n), obs_upper_bound(
+            Graph(n), placements=4, seed=2)))
     runs.append(("cycle", cycle_graph(4), obs_upper_bound(
         cycle_graph(4), placements=64, seed=7)))
     k4_minus_edge = complete_graph(4).without_edge(0, 1)
@@ -139,7 +139,7 @@ def test_criterion_04_face_counts_and_euler_relation(capsys):
     # forced counts first
     triangle = random_placement(random.Random(1), 3, 20)
     k3 = build_arrangement(Scene(triangle), complete_graph(3))
-    bare = build_arrangement(Scene(triangle), empty_graph(3))
+    bare = build_arrangement(Scene(triangle), Graph(3))
     square = (Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10))
     k4 = build_arrangement(Scene(square), complete_graph(4))
     forced = (len(k3.faces), len(bare.faces), len(k4.faces)) == (2, 1, 5)
@@ -208,7 +208,7 @@ def test_criterion_07_deletion_chains_climb_by_at_most_one(capsys):
     for n in (4, 5):
         for order in ("lex", "random"):
             for seed in (0, 1, 2):
-                record = edge_deletion_chain(n, empty_graph(n), seed, order, 40, None)
+                record = edge_deletion_chain(n, Graph(n), seed, order, 40, None)
                 bounds = record.bounds()
                 steps_ok = all(b - a <= 1 for a, b in zip(bounds, bounds[1:]))
                 hits_one = any(

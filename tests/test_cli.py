@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import obsrep
 import obsrep.geom
+from obsrep.arrangement import build_arrangement
 from obsrep.cli import main
+from obsrep.sceneio import load_scene
 from obsrep.tangent import builtin_pattern_table
 
 HEXAGON = {
@@ -126,6 +129,11 @@ def test_decode_unknown_pattern(capsys):
 def test_decode_garbage(capsys):
     rc, out, err = run(capsys, ["decode", "zzz"])
     assert rc == 1 and "error:" in err
+    # labels are ASCII digits only: Arabic-Indic and fullwidth ones are refused
+    for word in ("\u0661+\u0661-", "\uff11+\uff11-"):
+        rc, out, err = run(capsys, ["decode", word])
+        assert (rc, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_decode_rejects_a_word_without_both_signs(capsys):
@@ -159,6 +167,21 @@ def test_faces_output(tmp_path, capsys):
     assert lines[:5] == ["nodes 4", "pieces 4", "faces 2", "components 1", "euler 2"]
     assert lines[5].startswith("face 1 bounded sides 4 area2 200 representative ")
     assert lines[6] == "face 2 unbounded sides 4 representative -1 -1"
+
+
+def test_faces_on_huge_coordinates(tmp_path, capsys):
+    big = 2**260
+    doc = {
+        "points": [[0, 0], [big, 1], [3, big]],
+        "graph": {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]},
+    }
+    path = write(tmp_path, "t.json", doc)
+    rc, out, err = run(capsys, ["faces", path])
+    assert (rc, err) == (0, "")
+    (line,) = [l for l in out.splitlines() if " bounded " in l]
+    rx, ry = line.split()[-2:]
+    fs = build_arrangement(*load_scene(path))
+    assert fs.locate((Fraction(rx), Fraction(ry))) == int(line.split()[1]) - 1
 
 
 def test_incidence_output(tmp_path, capsys):
@@ -195,8 +218,14 @@ def test_drawing_subcommands_need_a_graph(tmp_path, capsys):
     assert rc == 1 and 'needs a "graph" field' in err
 
 
-@pytest.mark.parametrize("sub", ["faces", "incidence", "cover"])
-def test_drawing_subcommands_check_general_position_once(sub, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "sub",
+    [
+        "visibility", "validate", "encode", "ordertype", "signature", "partition-check",
+        "faces", "incidence", "cover",
+    ],
+)
+def test_scene_subcommands_check_general_position_once(sub, tmp_path, capsys, monkeypatch):
     original = obsrep.geom.is_general_position
     calls = []
 
@@ -209,7 +238,8 @@ def test_drawing_subcommands_check_general_position_once(sub, tmp_path, capsys, 
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
-    rc, out, err = run(capsys, [sub, write(tmp_path, "d.json", SQUARE_DRAWING)])
+    doc = SQUARE_DRAWING if sub in ("faces", "incidence", "cover") else HEXAGON
+    rc, out, err = run(capsys, [sub, write(tmp_path, "d.json", doc)])
     assert rc == 0
     assert len(calls) == 1
 

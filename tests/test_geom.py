@@ -15,7 +15,6 @@ from obsrep.geom import (
     is_general_position,
     on_closed_segment,
     on_open_segment,
-    open_segment_intersects_closed,
     orient,
     point_in_polygon,
     polygon_area2,
@@ -97,42 +96,6 @@ def test_on_segment_predicates():
     # vertical segment uses the y-range
     assert on_open_segment((3, 1), (3, 9), (3, 4))
     assert not on_open_segment((3, 1), (3, 9), (3, 9))
-
-
-def test_open_segment_intersects_closed_cases():
-    # proper crossing
-    assert open_segment_intersects_closed((0, 0), (4, 4), (0, 4), (4, 0))
-    # contact only at an open endpoint does not count
-    assert not open_segment_intersects_closed((0, 0), (4, 4), (0, 0), (-3, 5))
-    assert not open_segment_intersects_closed((0, 0), (4, 4), (4, 4), (9, 5))
-    # contact at the closed segment's endpoint does count
-    assert open_segment_intersects_closed((0, 0), (4, 4), (2, 2), (5, 0))
-    # T-contact: closed endpoint in the open interior
-    assert open_segment_intersects_closed((0, 0), (4, 0), (2, 0), (2, 7))
-    # collinear overlap
-    assert open_segment_intersects_closed((0, 0), (10, 0), (4, 0), (6, 0))
-    assert open_segment_intersects_closed((0, 0), (10, 0), (8, 0), (15, 0))
-    # collinear but disjoint / touching only at the open endpoint
-    assert not open_segment_intersects_closed((0, 0), (10, 0), (11, 0), (15, 0))
-    assert not open_segment_intersects_closed((0, 0), (10, 0), (10, 0), (15, 0))
-    # parallel, no contact
-    assert not open_segment_intersects_closed((0, 0), (10, 0), (0, 1), (10, 1))
-
-
-def test_open_segment_intersects_closed_matches_oracle():
-    rng = random.Random(20260814)
-    agree = 0
-    for _ in range(4000):
-        coords_ = [rng.randint(-12, 12) for _ in range(8)]
-        a, b = (coords_[0], coords_[1]), (coords_[2], coords_[3])
-        c, d = (coords_[4], coords_[5]), (coords_[6], coords_[7])
-        if a == b or c == d:
-            continue
-        got = open_segment_intersects_closed(a, b, c, d)
-        want = oracles.open_segment_hits_closed(a, b, c, d)
-        assert got == want, (a, b, c, d)
-        agree += 1
-    assert agree > 3500
 
 
 def test_polygon_constructor_validation():

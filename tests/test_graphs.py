@@ -8,7 +8,6 @@ from obsrep.graphs import (
     all_graphs,
     complete_graph,
     cycle_graph,
-    empty_graph,
     gnp_half,
 )
 
@@ -41,8 +40,8 @@ def test_non_edges_sorted_and_complementary():
 
 def test_is_complete():
     assert complete_graph(5).is_complete
-    assert empty_graph(0).is_complete
-    assert empty_graph(1).is_complete
+    assert Graph(0).is_complete
+    assert Graph(1).is_complete
     assert not cycle_graph(4).is_complete
 
 
@@ -70,7 +69,7 @@ def test_gnp_half_is_seed_deterministic():
 def test_all_graphs_counts_and_order():
     graphs = list(all_graphs(3))
     assert len(graphs) == 8  # 2 ** C(3, 2)
-    assert graphs[0] == empty_graph(3)
+    assert graphs[0] == Graph(3)
     assert graphs[-1] == complete_graph(3)
     assert len(list(all_graphs(4))) == 64
     assert len({g.edges for g in all_graphs(4)}) == 64

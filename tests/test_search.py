@@ -3,7 +3,7 @@ import random
 import pytest
 
 from obsrep.errors import ObsrepError
-from obsrep.graphs import Graph, complete_graph, cycle_graph, empty_graph
+from obsrep.graphs import Graph, complete_graph, cycle_graph
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
 from obsrep.search import (
@@ -65,7 +65,7 @@ def test_complete_graphs_are_certified_at_zero():
 
 
 def test_simple_incomplete_graphs_are_certified_at_one():
-    for g in (empty_graph(4), cycle_graph(4), complete_graph(4).without_edge(0, 1)):
+    for g in (Graph(4), cycle_graph(4), complete_graph(4).without_edge(0, 1)):
         result = obs_upper_bound(g, placements=30, seed=7)
         assert result.upper_bound == 1
         assert result.certified_exact
@@ -73,7 +73,7 @@ def test_simple_incomplete_graphs_are_certified_at_one():
 
 
 def test_incomplete_graphs_never_certify_below_one():
-    result = obs_upper_bound(empty_graph(3), placements=2, seed=0)
+    result = obs_upper_bound(Graph(3), placements=2, seed=0)
     assert result.upper_bound >= 1
 
 
@@ -120,7 +120,7 @@ def test_obs_upper_bound_validation():
 
 
 def test_chain_from_complete_to_empty():
-    record = edge_deletion_chain(4, empty_graph(4), seed=11)
+    record = edge_deletion_chain(4, Graph(4), seed=11)
     assert len(record.steps) == 7  # K4 plus six deletions
     assert record.steps[0].deleted is None
     assert record.steps[0].result.upper_bound == 0
@@ -143,9 +143,9 @@ def test_chain_deletion_orders():
 
 def test_chain_validation():
     with pytest.raises(ObsrepError):
-        edge_deletion_chain(4, empty_graph(5), seed=1)
+        edge_deletion_chain(4, Graph(5), seed=1)
     with pytest.raises(ObsrepError):
-        edge_deletion_chain(4, empty_graph(4), seed=1, order="sorted")
+        edge_deletion_chain(4, Graph(4), seed=1, order="sorted")
 
 
 # --- x-sorted group partition ---
@@ -218,7 +218,7 @@ def test_partition_over_witness_faces():
 
 
 def test_unbounded_witness_face_spoils_nothing():
-    g = empty_graph(4)
+    g = Graph(4)
     result = obs_upper_bound(g, placements=5, seed=2)
     report = partition_faces_check(result.witness.points, g, result.witness.faces, k=2)
     assert report.obstacle_count == 1
@@ -227,7 +227,7 @@ def test_unbounded_witness_face_spoils_nothing():
 
 def test_partition_identity_on_search_witnesses():
     rng = random.Random(314)
-    for g in (empty_graph(5), cycle_graph(5), complete_graph(5).without_edge(1, 3)):
+    for g in (Graph(5), cycle_graph(5), complete_graph(5).without_edge(1, 3)):
         result = obs_upper_bound(g, placements=25, seed=rng.randrange(2**32))
         for k in (1, 2, 3):
             report = partition_faces_check(
