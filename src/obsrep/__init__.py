@@ -45,8 +45,6 @@ from .search import (
     ExperimentReport,
     ObsResult,
     PartitionReport,
-    PlacementCover,
-    Witness,
     edge_deletion_chain,
     min_obstacles_for_placement,
     obs_upper_bound,
@@ -92,7 +90,6 @@ __all__ = [
     "OrderType",
     "PartitionReport",
     "PatternTable",
-    "PlacementCover",
     "Point",
     "Polygon",
     "RepresentationReport",
@@ -103,7 +100,6 @@ __all__ = [
     "SearchError",
     "TangentSequence",
     "UnknownPatternError",
-    "Witness",
     "bounds_threshold",
     "build_arrangement",
     "builtin_pattern_table",

@@ -133,7 +133,10 @@ def cmd_encode(args):
 def cmd_decode(args):
     if args.table is not None:
         with open(args.table, "r", encoding="utf-8") as fh:
-            table = PatternTable.parse(fh.read())
+            try:
+                table = PatternTable.parse(fh.read())
+            except UnicodeDecodeError as e:
+                raise ObsrepError(f"pattern table is not UTF-8 text: {e}") from None
     else:
         table = builtin_pattern_table()
     seq = TangentSequence.parse(args.sequence)
@@ -208,24 +211,24 @@ def cmd_incidence(args):
 
 def cmd_cover(args):
     scene, graph = _load_drawing(args.scene)
-    cover = min_obstacles_for_placement(scene, graph)
+    faces = min_obstacles_for_placement(scene, graph)
     print(f"nonedges {len(graph.non_edges())}")
-    print(f"minimum {cover.size}")
+    print(f"minimum {len(faces)}")
     line = "faces"
-    if cover.faces:
-        line += " " + " ".join(str(fid + 1) for fid in cover.faces)
+    if faces:
+        line += " " + " ".join(str(fid + 1) for fid in faces)
     print(line)
     return 0
 
 
-def _print_result(g, result):
+def _print_result(result):
     print(f"upper-bound {result.upper_bound}")
     print(f"certified {'yes' if result.certified_exact else 'no'}")
-    for i, p in enumerate(result.witness.points):
+    for i, p in enumerate(result.points):
         print(f"point {i + 1} {p.x} {p.y}")
     line = "faces"
-    if result.witness.faces:
-        line += " " + " ".join(str(fid + 1) for fid in result.witness.faces)
+    if result.faces:
+        line += " " + " ".join(str(fid + 1) for fid in result.faces)
     print(line)
 
 
@@ -234,7 +237,7 @@ def cmd_obs_search(args):
     result = obs_upper_bound(g, args.placements, args.grid, args.seed)
     print(f"n {g.n}")
     print(f"edges {len(g.edges)}")
-    _print_result(g, result)
+    _print_result(result)
     if not replay_witness(g, result):
         print("witness failed to replay", file=sys.stderr)
         return 2
@@ -245,7 +248,7 @@ def cmd_obs_search(args):
 def cmd_chain(args):
     target = load_graph(args.graph)
     record = edge_deletion_chain(
-        target.n, target, args.seed, args.order, args.placements, args.grid
+        target, args.seed, args.order, args.placements, args.grid
     )
     print(f"n {target.n}")
     print(f"steps {len(record.steps)}")
@@ -286,7 +289,7 @@ def cmd_random_exp(args):
     print(f"mode {report.mode}")
     print(f"examined {report.examined}")
     print(f"certified {report.certified}")
-    print(f"unresolved {report.unresolved}")
+    print(f"unresolved {report.examined - report.certified}")
     print(f"fraction {report.fraction_certified}")
     return 0
 

@@ -25,20 +25,13 @@ from .sampling import random_placement
 from .scene import Scene
 
 
-@dataclass(frozen=True)
-class PlacementCover:
-    """Minimum face cover of one placement: size plus the tie-broken face ids."""
-
-    size: int
-    faces: tuple
-
-
-def min_obstacles_for_placement(scene: Scene, g: Graph) -> PlacementCover:
-    """Exact minimum obstacle count achievable on this placement of g's vertices.
+def min_obstacles_for_placement(scene: Scene, g: Graph) -> tuple:
+    """Minimum face cover of this placement of g's vertices, as face ids.
 
     Builds the drawing of g on the scene's points, intersects every absent
-    edge with the faces, and solves the resulting cover exactly.  The
-    face-id tuple is the lexicographically smallest among all minimum covers.
+    edge with the faces, and solves the resulting cover exactly.  The tuple
+    is the lexicographically smallest among all minimum covers, so its
+    length is the fewest obstacles this placement allows.
     """
     return _placement_cover(scene, g)[0]
 
@@ -49,39 +42,31 @@ def _placement_cover(scene: Scene, g: Graph):
     instance = face_nonedge_incidence(fs)
     sets = {fid: items for fid, items in enumerate(instance.membership)}
     chosen = solve_cover(len(instance.nonedges), sets)
-    return PlacementCover(len(chosen), tuple(chosen)), instance
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A placement plus the face ids standing in for obstacles."""
-
-    points: tuple
-    faces: tuple
+    return tuple(chosen), instance
 
 
 @dataclass(frozen=True)
 class ObsResult:
-    upper_bound: int
-    witness: Witness
+    """A placement plus the face ids standing in for obstacles."""
+
+    points: tuple
+    faces: tuple
     certified_exact: bool
+
+    @property
+    def upper_bound(self) -> int:
+        return len(self.faces)
 
 
 def replay_witness(g: Graph, result: ObsResult) -> bool:
     """Re-derive the witness cover from scratch and compare against the result."""
-    cover, instance = _placement_cover(Scene(result.witness.points), g)
-    if cover.size != result.upper_bound:
+    cover, instance = _placement_cover(Scene(result.points), g)
+    if len(cover) != len(result.faces):
         return False
     covered = set()
-    for fid in result.witness.faces:
+    for fid in result.faces:
         covered.update(instance.membership[fid])
-    return len(result.witness.faces) == result.upper_bound and covered == set(
-        range(len(instance.nonedges))
-    )
-
-
-def _floor_bound(g: Graph) -> int:
-    return 0 if g.is_complete else 1
+    return covered == set(range(len(instance.nonedges)))
 
 
 def obs_upper_bound(
@@ -99,26 +84,25 @@ def obs_upper_bound(
         grid = 100 * g.n * g.n
     if grid < g.n * g.n:
         raise ObsrepError(f"grid {grid} is too small for {g.n} points")
-    floor = _floor_bound(g)
+    floor = 0 if g.is_complete else 1
     rng = random.Random(seed)
-    best: tuple[int, Witness] | None = None
+    best: tuple | None = None
     for _ in range(placements):
         pts = random_placement(rng, g.n, grid)
-        cover = min_obstacles_for_placement(Scene(pts), g)
-        if best is None or cover.size < best[0]:
-            best = (cover.size, Witness(points=pts, faces=cover.faces))
-        if best[0] <= floor:
+        faces = min_obstacles_for_placement(Scene(pts), g)
+        if best is None or len(faces) < len(best[1]):
+            best = (pts, faces)
+        if len(best[1]) <= floor:
             break
-    bound, witness = best
+    pts, faces = best
     return ObsResult(
-        upper_bound=bound, witness=witness, certified_exact=bound == floor
+        points=pts, faces=faces, certified_exact=len(faces) == floor
     )
 
 
 @dataclass(frozen=True)
 class ChainStep:
     deleted: tuple | None
-    graph: Graph
     result: ObsResult
 
 
@@ -129,41 +113,35 @@ class ChainRecord:
     steps: tuple
     first_reached: tuple  # (bound value, index of the first step reaching it)
 
-    def bounds(self):
-        return [s.result.upper_bound for s in self.steps]
-
 
 def edge_deletion_chain(
-    n: int,
     target: Graph,
     seed: int,
     order: str = "lex",
     placements: int = 40,
     grid: int | None = None,
 ) -> ChainRecord:
-    """Delete the edges missing from ``target`` out of K_n, bounding each stage.
+    """Delete ``target``'s non-edges from its complete graph, bounding each stage.
 
     Every stage reuses the same placement seed, so consecutive stages examine
     identical placements (until an early exit) and the recorded bounds can
     climb by at most one per deletion.  ``order`` is "lex" or "random" (the
     deletion order is then shuffled with the same seed).
     """
-    if target.n != n:
-        raise ObsrepError(f"target has {target.n} vertices, expected {n}")
     if order not in ("lex", "random"):
         raise ObsrepError(f"unknown deletion order {order!r}")
-    missing = sorted(set(complete_graph(n).edges) - target.edges)
+    missing = sorted(set(complete_graph(target.n).edges) - target.edges)
     if order == "random":
         random.Random(seed).shuffle(missing)
     steps = []
-    current = complete_graph(n)
+    current = complete_graph(target.n)
     steps.append(
-        ChainStep(None, current, obs_upper_bound(current, placements, grid, seed))
+        ChainStep(None, obs_upper_bound(current, placements, grid, seed))
     )
     for edge in missing:
         current = current.without_edge(*edge)
         steps.append(
-            ChainStep(edge, current, obs_upper_bound(current, placements, grid, seed))
+            ChainStep(edge, obs_upper_bound(current, placements, grid, seed))
         )
     seen = {}
     for i, s in enumerate(steps):
@@ -271,15 +249,10 @@ class ExperimentReport:
     mode: str
     examined: int
     certified: int
-    unresolved: int
 
     @property
     def fraction_certified(self) -> Fraction:
         return Fraction(self.certified, self.examined)
-
-    @property
-    def fraction_unresolved(self) -> Fraction:
-        return Fraction(self.unresolved, self.examined)
 
 
 def random_graph_experiment(
@@ -309,12 +282,11 @@ def random_graph_experiment(
     for g in graphs:
         sub_seed = master.getrandbits(64)
         result = obs_upper_bound(g, placements, grid, sub_seed)
-        if result.certified_exact and result.upper_bound <= 1:
+        if result.certified_exact:
             certified += 1
     return ExperimentReport(
         n=n,
         mode=mode,
         examined=len(graphs),
         certified=certified,
-        unresolved=len(graphs) - certified,
     )

@@ -208,8 +208,8 @@ def test_criterion_07_deletion_chains_climb_by_at_most_one(capsys):
     for n in (4, 5):
         for order in ("lex", "random"):
             for seed in (0, 1, 2):
-                record = edge_deletion_chain(n, Graph(n), seed, order, 40, None)
-                bounds = record.bounds()
+                record = edge_deletion_chain(Graph(n), seed, order, 40, None)
+                bounds = [s.result.upper_bound for s in record.steps]
                 steps_ok = all(b - a <= 1 for a, b in zip(bounds, bounds[1:]))
                 hits_one = any(
                     s.result.certified_exact and s.result.upper_bound == 1
@@ -228,8 +228,8 @@ def test_criterion_08_partition_count_on_every_witness(capsys, obstacle_witnesse
     for _, g, result in obstacle_witnesses:
         for k in (1, 2, 3):
             report = partition_faces_check(
-                result.witness.points, g, result.witness.faces, k)
-            if report.flagged < g.n // k - len(result.witness.faces):
+                result.points, g, result.faces, k)
+            if report.flagged < g.n // k - len(result.faces):
                 violations += 1
             if not report.identity_holds:
                 violations += 1

@@ -1,15 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from obsrep.arrangement import build_arrangement, face_nonedge_incidence
 from obsrep.errors import ObsrepError
 from obsrep.graphs import Graph, complete_graph, cycle_graph
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
 from obsrep.search import (
     ObsResult,
-    PlacementCover,
-    Witness,
     edge_deletion_chain,
     min_obstacles_for_placement,
     obs_upper_bound,
@@ -29,22 +29,21 @@ QUAD = pts((0, 0), (10, 1), (11, 9), (1, 8))  # convex, distinct x
 
 
 def test_complete_graph_needs_no_obstacles():
-    cover = min_obstacles_for_placement(Scene(QUAD), complete_graph(4))
-    assert cover == PlacementCover(0, ())
+    assert min_obstacles_for_placement(Scene(QUAD), complete_graph(4)) == ()
 
 
 def test_square_cycle_needs_one_face():
-    cover = min_obstacles_for_placement(Scene(QUAD), cycle_graph(4))
+    faces = min_obstacles_for_placement(Scene(QUAD), cycle_graph(4))
     # the inner quadrilateral face covers both missing diagonals
-    assert cover.size == 1
-    assert len(cover.faces) == 1
+    assert isinstance(faces, tuple)
+    assert len(faces) == 1
 
 
 def test_path_is_covered_by_the_unbounded_face():
-    cover = min_obstacles_for_placement(
+    faces = min_obstacles_for_placement(
         Scene(pts((0, 0), (5, 1), (10, 0))), Graph.of(3, [(0, 1), (1, 2)])
     )
-    assert cover.size == 1
+    assert len(faces) == 1
 
 
 def test_placement_size_mismatch():
@@ -60,7 +59,7 @@ def test_complete_graphs_are_certified_at_zero():
         result = obs_upper_bound(complete_graph(n), placements=3, seed=1)
         assert result.upper_bound == 0
         assert result.certified_exact
-        assert result.witness.faces == ()
+        assert result.faces == ()
         assert replay_witness(complete_graph(n), result)
 
 
@@ -83,30 +82,32 @@ def test_result_is_reproducible():
     b = obs_upper_bound(g, placements=12, seed=42)
     c = obs_upper_bound(g, placements=12, seed=43)
     assert a == b
-    assert a.witness.points == b.witness.points
+    assert a.points == b.points
     # a different seed explores different placements
-    assert a.witness.points != c.witness.points
+    assert a.points != c.points
 
 
 def test_replay_rejects_tampered_results():
     g = cycle_graph(4)
     result = obs_upper_bound(g, placements=30, seed=7)
     assert replay_witness(g, result)
-    # claim a better bound than the witness placement achieves
-    cheat = ObsResult(0, result.witness, True)
+    # claim fewer faces than the witness placement needs
+    cheat = ObsResult(result.points, (), True)
+    assert cheat.upper_bound == 0
     assert not replay_witness(g, cheat)
-    # swap in a face set that covers nothing
-    rigged = ObsResult(
-        result.upper_bound,
-        Witness(result.witness.points, ()),
-        result.certified_exact,
+    # keep the bound but swap in a face that misses a non-edge
+    instance = face_nonedge_incidence(build_arrangement(Scene(result.points), g))
+    short = next(
+        fid
+        for fid, members in enumerate(instance.membership)
+        if len(members) < len(instance.nonedges)
     )
+    rigged = ObsResult(result.points, (short,), True)
+    assert rigged.upper_bound == result.upper_bound
     assert not replay_witness(g, rigged)
     # a complete graph's witness must carry no faces at all
     full = obs_upper_bound(complete_graph(3), placements=1, seed=0)
-    assert not replay_witness(
-        complete_graph(3), ObsResult(0, Witness(full.witness.points, (0,)), True)
-    )
+    assert not replay_witness(complete_graph(3), ObsResult(full.points, (0,), True))
 
 
 def test_obs_upper_bound_validation():
@@ -120,11 +121,11 @@ def test_obs_upper_bound_validation():
 
 
 def test_chain_from_complete_to_empty():
-    record = edge_deletion_chain(4, Graph(4), seed=11)
+    record = edge_deletion_chain(Graph(4), seed=11)
     assert len(record.steps) == 7  # K4 plus six deletions
     assert record.steps[0].deleted is None
     assert record.steps[0].result.upper_bound == 0
-    bounds = record.bounds()
+    bounds = [s.result.upper_bound for s in record.steps]
     assert all(b2 - b1 <= 1 for b1, b2 in zip(bounds, bounds[1:]))
     assert bounds[-1] == 1  # the empty graph ends certified at one
     assert record.steps[-1].result.certified_exact
@@ -133,19 +134,17 @@ def test_chain_from_complete_to_empty():
 
 
 def test_chain_deletion_orders():
-    lex = edge_deletion_chain(4, cycle_graph(4), seed=5, order="lex")
+    lex = edge_deletion_chain(cycle_graph(4), seed=5, order="lex")
     assert [s.deleted for s in lex.steps] == [None, (0, 2), (1, 3)]
-    rnd1 = edge_deletion_chain(4, cycle_graph(4), seed=5, order="random")
-    rnd2 = edge_deletion_chain(4, cycle_graph(4), seed=5, order="random")
+    rnd1 = edge_deletion_chain(cycle_graph(4), seed=5, order="random")
+    rnd2 = edge_deletion_chain(cycle_graph(4), seed=5, order="random")
     assert rnd1 == rnd2
     assert {s.deleted for s in rnd1.steps} == {None, (0, 2), (1, 3)}
 
 
 def test_chain_validation():
     with pytest.raises(ObsrepError):
-        edge_deletion_chain(4, Graph(5), seed=1)
-    with pytest.raises(ObsrepError):
-        edge_deletion_chain(4, Graph(4), seed=1, order="sorted")
+        edge_deletion_chain(Graph(4), seed=1, order="sorted")
 
 
 # --- x-sorted group partition ---
@@ -220,7 +219,7 @@ def test_partition_over_witness_faces():
 def test_unbounded_witness_face_spoils_nothing():
     g = Graph(4)
     result = obs_upper_bound(g, placements=5, seed=2)
-    report = partition_faces_check(result.witness.points, g, result.witness.faces, k=2)
+    report = partition_faces_check(result.points, g, result.faces, k=2)
     assert report.obstacle_count == 1
     assert report.flagged == report.full_groups
 
@@ -230,9 +229,7 @@ def test_partition_identity_on_search_witnesses():
     for g in (Graph(5), cycle_graph(5), complete_graph(5).without_edge(1, 3)):
         result = obs_upper_bound(g, placements=25, seed=rng.randrange(2**32))
         for k in (1, 2, 3):
-            report = partition_faces_check(
-                result.witness.points, g, result.witness.faces, k
-            )
+            report = partition_faces_check(result.points, g, result.faces, k)
             assert report.identity_holds
             assert report.flagged >= report.full_groups - report.obstacle_count
 
@@ -246,8 +243,8 @@ def test_experiment_is_deterministic():
     assert a == b
     assert a.mode == "sampled"
     assert a.examined == 6
-    assert a.certified + a.unresolved == 6
-    assert a.fraction_certified + a.fraction_unresolved == 1
+    assert 0 <= a.certified <= 6
+    assert a.fraction_certified == Fraction(a.certified, 6)
 
 
 def test_exhaustive_experiment_covers_all_graphs():
