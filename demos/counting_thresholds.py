@@ -19,7 +19,7 @@ def main():
         print(f"  {h:2d}  {bounds_threshold(BoundsQuery(h=h)):5d}")
 
     print("\nsame game against obstacles with s total sides,")
-    print("allowing (n+s)^(p(n+s)) placements vs 2^(c*C(n,2)) graphs:")
+    print("allowing (n+s)^(c(n+s)) placements vs 2^C(n,2) graphs:")
     for s, c in ((3, Fraction(1)), (3, Fraction(1, 2)), (10, Fraction(2))):
         n = bounds_threshold(BoundsQuery(s=s, c=c))
         print(f"  s={s:2d}, c={c}: threshold {n}")

@@ -35,16 +35,14 @@ class Face:
     """One connected region of the complement, described by its boundary cycles.
 
     ``cycles`` lists node ids in traversal order; consecutive entries (wrapping
-    around) are the endpoints of one bordering segment piece.  A bounded face's
-    first cycle is its outer boundary; the rest enclose material floating
-    inside it.  ``complexity`` counts bordering piece sides, so a segment
-    touching the face from both sides contributes twice.
+    around) are the endpoints of one bordering segment piece, so the face has
+    as many bordering piece sides as its cycles have entries, and a segment
+    touching it from both sides counts twice.  A bounded face's first cycle is
+    its outer boundary, enclosing ``area2``/2; the rest enclose material
+    floating inside it.  ``area2`` is ``None`` for the unbounded face.
     """
 
-    id: int
-    bounded: bool
     cycles: tuple
-    complexity: int
     area2: int | Fraction | None
 
 
@@ -86,32 +84,21 @@ def _winding(q, cycle, nodes) -> int:
 
 
 def _enclosing_cycle(q, nodes, cycles):
-    """Key of the smallest-area cycle that winds around q, or None if none does.
+    """Key of the first cycle that winds around q, or None if none does.
 
-    ``cycles`` yields ``(key, cycle, area2)`` for positively oriented cycles;
-    of two with equal area the first wins.
+    ``cycles`` yields ``(key, cycle)`` for positively oriented cycles in the
+    order of ``_smallest_first``, so the answer is the smallest enclosing one.
     """
-    best = None
-    for key, cycle, area2 in cycles:
-        if (best is None or area2 < best[1]) and _winding(q, cycle, nodes) != 0:
-            best = (key, area2)
-    return None if best is None else best[0]
+    return next((key for key, cycle in cycles if _winding(q, cycle, nodes) != 0), None)
 
 
-class _DisjointSet:
-    def __init__(self, size):
-        self.parent = list(range(size))
+def _smallest_first(faces):
+    """``(face id, outer cycle)`` of each bounded face, smallest area first.
 
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+    The sort is stable, so of two faces with equal area the lower id wins.
+    """
+    bounded = [(i, f) for i, f in enumerate(faces) if f.area2 is not None]
+    return [(i, f.cycles[0]) for i, f in sorted(bounded, key=lambda item: item[1].area2)]
 
 
 @dataclass(frozen=True)
@@ -121,13 +108,13 @@ class FaceSet:
     ``nodes`` holds the point of vertex i of ``graph`` at index i, then the
     crossings with ``Fraction`` coordinates; ``pieces`` pairs node ids;
     ``components`` counts the connected pieces, isolated points included.
+    A face's id is its index in ``faces``; the unbounded face is the last.
     """
 
     graph: Graph
     nodes: tuple
     pieces: tuple
     faces: tuple
-    unbounded_id: int
     components: int
 
     def locate(self, point) -> int:
@@ -137,15 +124,13 @@ class FaceSet:
         for u, v in self.pieces:
             if on_closed_segment(self.nodes[u], self.nodes[v], point):
                 raise GeometryError(f"point {point} lies on a drawn segment")
-        found = _enclosing_cycle(
-            point, self.nodes, ((f.id, f.cycles[0], f.area2) for f in self.faces if f.bounded)
-        )
-        return self.unbounded_id if found is None else found
+        found = _enclosing_cycle(point, self.nodes, _smallest_first(self.faces))
+        return len(self.faces) - 1 if found is None else found
 
     def representative(self, face_id: int):
         """An exact rational point interior to the face."""
         f = self.faces[face_id]
-        if f.bounded:
+        if f.area2 is not None:
             return _interior_point_of_cycle(self.nodes, self.pieces, f.cycles[0])
         if not self.nodes:
             return (Fraction(0), Fraction(0))
@@ -240,35 +225,31 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
             pieces.append((a, b))
 
     # Darts 2k and 2k+1 are the two directions of piece k; twin = dart ^ 1.
-    tail = {}
-    head = {}
-    for k, (a, b) in enumerate(pieces):
-        tail[2 * k], head[2 * k] = a, b
-        tail[2 * k + 1], head[2 * k + 1] = b, a
-    outgoing = {}
-    for d in tail:
-        outgoing.setdefault(tail[d], []).append(d)
+    darts = [end for a, b in pieces for end in ((a, b), (b, a))]
+    outgoing = [[] for _ in nodes]
+    for d, (a, _) in enumerate(darts):
+        outgoing[a].append(d)
+
     def direction(d):
-        hx, hy = nodes[head[d]]
-        tx, ty = nodes[tail[d]]
+        (tx, ty), (hx, hy) = nodes[darts[d][0]], nodes[darts[d][1]]
         return (hx - tx, hy - ty)
 
-    position = {}
-    for v, darts in outgoing.items():
-        darts.sort(key=cmp_to_key(lambda a, b: direction_cmp(direction(a), direction(b))))
-        for a, b in zip(darts, darts[1:]):
+    position = [0] * len(darts)
+    for ring in outgoing:
+        ring.sort(key=cmp_to_key(lambda a, b: direction_cmp(direction(a), direction(b))))
+        for a, b in zip(ring, ring[1:]):
             if direction_cmp(direction(a), direction(b)) == 0:
                 raise ObsrepError("two boundary pieces leave a node in the same direction")
-        for i, d in enumerate(darts):
+        for i, d in enumerate(ring):
             position[d] = i
 
     def next_dart(d):
-        ring = outgoing[head[d]]
+        ring = outgoing[darts[d][1]]
         return ring[(position[d ^ 1] - 1) % len(ring)]
 
     seen = set()
     orbits = []
-    for d0 in range(2 * len(pieces)):
+    for d0 in range(len(darts)):
         if d0 in seen:
             continue
         cycle = []
@@ -279,56 +260,56 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
             d = next_dart(d)
         orbits.append(tuple(cycle))
 
-    ds = _DisjointSet(len(nodes))
-    for a, b in pieces:
-        ds.union(a, b)
+    # Label each node with its connected component by walking the rings.
+    component = [None] * len(nodes)
+    components = 0
+    for root in range(len(nodes)):
+        if component[root] is None:
+            component[root] = components
+            stack = [root]
+            while stack:
+                for d in outgoing[stack.pop()]:
+                    w = darts[d][1]
+                    if component[w] is None:
+                        component[w] = components
+                        stack.append(w)
+            components += 1
 
-    bounded = []  # (cycle node ids, area2, component)
+    bounded = []
     outer_by_component = {}
     for orbit in orbits:
-        cycle = tuple(tail[d] for d in orbit)
+        cycle = tuple(darts[d][0] for d in orbit)
         area2 = polygon_area2([nodes[i] for i in cycle])
-        comp = ds.find(cycle[0])
+        comp = component[cycle[0]]
         if area2 > 0:
-            bounded.append((cycle, area2, comp))
+            bounded.append(Face((cycle,), area2))
+        elif comp in outer_by_component:
+            raise ObsrepError("component traced two outer boundaries")
         else:
-            if comp in outer_by_component:
-                raise ObsrepError("component traced two outer boundaries")
             outer_by_component[comp] = cycle
 
     # Attach each component's outer boundary to the face that surrounds it:
     # the smallest bounded cycle of any *other* component that winds around it,
-    # or, when nothing does, the unbounded face (the last entry of face_cycles).
-    face_cycles = [[cycle] for cycle, _, _ in bounded] + [[]]
+    # or, when nothing does, the unbounded face (the last entry of holes).
+    holes = [[] for _ in range(len(bounded) + 1)]
+    ordered = _smallest_first(bounded)
     for comp, cycle in outer_by_component.items():
         choice = _enclosing_cycle(
-            nodes[cycle[0]],
-            nodes,
-            ((i, bc, area2) for i, (bc, area2, bcomp) in enumerate(bounded) if bcomp != comp),
+            nodes[cycle[0]], nodes, ((i, c) for i, c in ordered if component[c[0]] != comp)
         )
-        face_cycles[len(bounded) if choice is None else choice].append(cycle)
-    areas = [area2 for _, area2, _ in bounded] + [None]
-    faces = [
-        Face(
-            id=i,
-            bounded=area2 is not None,
-            cycles=tuple(cycles),
-            complexity=sum(len(c) for c in cycles),
-            area2=area2,
-        )
-        for i, (cycles, area2) in enumerate(zip(face_cycles, areas))
-    ]
+        holes[len(bounded) if choice is None else choice].append(cycle)
+    faces = tuple(
+        Face(f.cycles + tuple(h), f.area2) for f, h in zip(bounded + [Face((), None)], holes)
+    )
 
     v, e, f = len(nodes), len(pieces), len(faces)
-    components = len({ds.find(i) for i in range(v)})
     if v - e + f != 1 + components:
         raise ObsrepError(f"face tracing is inconsistent: V={v} E={e} F={f} C={components}")
     return FaceSet(
         graph=graph,
         nodes=tuple(nodes),
         pieces=tuple(pieces),
-        faces=tuple(faces),
-        unbounded_id=len(bounded),
+        faces=faces,
         components=components,
     )
 
@@ -359,7 +340,7 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
     points = fs.nodes[: graph.n]
     edges = graph.sorted_edges()
     nonedges = tuple(graph.non_edges())
-    outer = [(f.id, f.cycles[0], f.area2) for f in fs.faces if f.bounded]
+    outer = _smallest_first(fs.faces)
     hit = [set() for _ in fs.faces]
     for index, (i, j) in enumerate(nonedges):
         p, q = points[i], points[j]
@@ -375,7 +356,7 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
         for lo, hi in zip(cuts, cuts[1:]):
             mid = (lo + hi) / 2
             found = _enclosing_cycle((px + (qx - px) * mid, py + (qy - py) * mid), fs.nodes, outer)
-            hit[fs.unbounded_id if found is None else found].add(index)
+            hit[len(fs.faces) - 1 if found is None else found].add(index)
     return CoverInstance(
         nonedges=nonedges,
         membership=tuple(tuple(sorted(h)) for h in hit),

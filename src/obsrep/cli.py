@@ -108,13 +108,11 @@ def cmd_validate(args):
         report = validate_representation(scene, graph)
         if not report.matches:
             # the report carries 0-based pairs; relabel for the CLI
-            for i, j in report.blocked_but_required:
-                print(f"pair {i + 1}-{j + 1} is in the graph but blocked in the scene",
-                      file=sys.stderr)
-            for i, j in report.visible_but_excluded:
-                print(f"pair {i + 1}-{j + 1} is visible in the scene but not in the graph",
-                      file=sys.stderr)
-            return 1
+            wrong = [f"pair {i + 1}-{j + 1} is in the graph but blocked in the scene"
+                     for i, j in report.blocked_but_required]
+            wrong += [f"pair {i + 1}-{j + 1} is visible in the scene but not in the graph"
+                      for i, j in report.visible_but_excluded]
+            raise ObsrepError("scene does not represent its graph: " + "; ".join(wrong))
         print("graph matches")
     return 0
 
@@ -179,17 +177,18 @@ def cmd_signature(args):
 def cmd_faces(args):
     scene, graph = _load_drawing(args.scene)
     fs = build_arrangement(scene, graph)
-    reps = [fs.representative(face.id) for face in fs.faces]
+    reps = [fs.representative(fid) for fid in range(len(fs.faces))]
     v, e, f = len(fs.nodes), len(fs.pieces), len(fs.faces)
     print(f"nodes {v}")
     print(f"pieces {e}")
     print(f"faces {f}")
     print(f"components {fs.components}")
     print(f"euler {v - e + f}")
-    for face, (rx, ry) in zip(fs.faces, reps):
-        kind = "bounded" if face.bounded else "unbounded"
-        tail = f" area2 {face.area2}" if face.bounded else ""
-        print(f"face {face.id + 1} {kind} sides {face.complexity}{tail} representative {rx} {ry}")
+    for fid, (face, (rx, ry)) in enumerate(zip(fs.faces, reps)):
+        kind = "bounded" if face.area2 is not None else "unbounded"
+        tail = f" area2 {face.area2}" if face.area2 is not None else ""
+        sides = sum(len(c) for c in face.cycles)
+        print(f"face {fid + 1} {kind} sides {sides}{tail} representative {rx} {ry}")
     return 0
 
 

@@ -22,26 +22,24 @@ def _collinear_with_any_pair(pts, q):
     return False
 
 
-def random_convex_polygon(rng, span=300) -> Polygon:
-    """A strictly convex lattice polygon: hull of 4 to 7 random points in a box."""
+def random_convex_polygon(rng) -> Polygon:
+    """A strictly convex lattice polygon: hull of 4 to 7 random points in [-333, 333]^2."""
     for _ in range(200):
         k = rng.randint(4, 7)
-        raw = [Point(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(k)]
+        raw = [Point(rng.randint(-333, 333), rng.randint(-333, 333)) for _ in range(k)]
         hull = convex_hull(raw)
         if len(hull) >= 3:
             return Polygon(hull)
     raise SearchError("could not sample a convex polygon")
 
 
-def random_single_obstacle_scene(rng, n_points, coord_bound=1000) -> Scene:
+def random_single_obstacle_scene(rng, n_points) -> Scene:
     """A valid scene: one strictly convex obstacle, n labeled points outside it.
 
-    Coordinates stay within ``[-coord_bound, coord_bound]``; the joint point
-    set (vertices plus obstacle corners) is kept in general position by
-    rejection.
+    Coordinates stay within ``[-1000, 1000]``; the joint point set (vertices
+    plus obstacle corners) is kept in general position by rejection.
     """
-    span = max(4, coord_bound // 3)
-    poly = random_convex_polygon(rng, span=span)
+    poly = random_convex_polygon(rng)
     taken = list(poly.vertices)
     pts = []
     tries = 0
@@ -49,7 +47,7 @@ def random_single_obstacle_scene(rng, n_points, coord_bound=1000) -> Scene:
         tries += 1
         if tries > 4000:
             raise SearchError("could not place scene points in general position")
-        q = Point(rng.randint(-coord_bound, coord_bound), rng.randint(-coord_bound, coord_bound))
+        q = Point(rng.randint(-1000, 1000), rng.randint(-1000, 1000))
         if q in taken or point_in_polygon(q, poly) >= 0 or _collinear_with_any_pair(taken, q):
             continue
         taken.append(q)
@@ -57,10 +55,10 @@ def random_single_obstacle_scene(rng, n_points, coord_bound=1000) -> Scene:
     return Scene(tuple(pts), (poly,))
 
 
-def iter_single_obstacle_scenes(rng, count, max_points=10, coord_bound=1000):
-    """``count`` random scenes with 2..max_points vertices each."""
+def iter_single_obstacle_scenes(rng, count):
+    """``count`` random scenes with 2..10 vertices each."""
     for _ in range(count):
-        yield random_single_obstacle_scene(rng, rng.randint(2, max_points), coord_bound)
+        yield random_single_obstacle_scene(rng, rng.randint(2, 10))
 
 
 def random_placement(rng, n, grid):

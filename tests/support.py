@@ -132,7 +132,7 @@ def perturb_scene(scene: Scene, rng, jitters: int = 8, scale: int = 1000):
 
 def face_complexity(fs):
     """Per-face bordering side counts (in face-id order) and their maximum."""
-    counts = tuple(f.complexity for f in fs.faces)
+    counts = tuple(sum(len(c) for c in f.cycles) for f in fs.faces)
     return counts, max(counts)
 
 
@@ -187,7 +187,7 @@ def partition_faces_check(points, g, faces, k: int) -> PartitionReport:
     vertex_sets = []
     for fid in faces:
         f = fs.faces[fid]
-        if not f.bounded:
+        if f.area2 is None:
             vertex_sets.append(None)
         else:
             nodes = {i for cycle in f.cycles for i in cycle}

@@ -111,7 +111,7 @@ def test_criterion_02_codec_agrees_with_geometry_on_10k_scenes(capsys):
     rng = random.Random(91)
     mismatches = 0
     examined = 0
-    for scene in iter_single_obstacle_scenes(rng, 10000, max_points=10, coord_bound=1000):
+    for scene in iter_single_obstacle_scenes(rng, 10000):
         word = encode_tangent(scene)
         if decode_visibility(word, table) != visibility_graph(scene):
             mismatches += 1

@@ -26,15 +26,15 @@ def test_triangle_faces():
     assert (len(fs.nodes), len(fs.pieces), len(fs.faces)) == (3, 3, 2)
     assert fs.components == 1
     assert face_complexity(fs) == ((3, 3), 3)
-    assert fs.faces[0].bounded and fs.faces[0].area2 == 70
-    assert not fs.faces[fs.unbounded_id].bounded
+    assert fs.faces[0].area2 == 70
+    assert fs.faces[-1].area2 is None
 
 
 def test_edgeless_drawing_has_one_face():
     fs = build([(0, 0), (10, 0), (4, 7)], [])
     assert len(fs.faces) == 1
     assert fs.components == 3
-    assert fs.unbounded_id == 0
+    assert fs.faces[0].area2 is None
     assert face_complexity(fs) == ((0,), 0)
 
 
@@ -43,14 +43,14 @@ def test_complete_four_in_convex_position():
     # the two diagonals cross, adding one subdivision vertex
     assert (len(fs.nodes), len(fs.pieces), len(fs.faces)) == (5, 8, 5)
     assert face_complexity(fs) == ((3, 3, 3, 3, 4), 4)
-    assert sum(1 for f in fs.faces if f.bounded) == 4
+    assert sum(1 for f in fs.faces if f.area2 is not None) == 4
 
 
 def test_single_edge_is_a_spur_of_the_unbounded_face():
     fs = build([(3, 1), (3, 9)], [(0, 1)])
     assert len(fs.faces) == 1
     # both sides of the spur border the same face, so it counts twice
-    assert fs.faces[0].complexity == 2
+    assert face_complexity(fs) == ((2,), 2)
 
 
 def test_two_far_apart_triangles():
@@ -60,9 +60,8 @@ def test_two_far_apart_triangles():
     )
     assert len(fs.faces) == 3
     assert fs.components == 2
-    outer = fs.faces[fs.unbounded_id]
-    assert [len(c) for c in outer.cycles] == [3, 3]
-    assert outer.complexity == 6
+    assert [len(c) for c in fs.faces[-1].cycles] == [3, 3]
+    assert face_complexity(fs)[0][-1] == 6
 
 
 def test_nested_triangles_attach_the_hole():
@@ -71,12 +70,15 @@ def test_nested_triangles_attach_the_hole():
         [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
     )
     assert len(fs.faces) == 3
-    ring = next(f for f in fs.faces if f.bounded and len(f.cycles) == 2)
-    # the annulus between the triangles: its own boundary plus the inner hole
-    assert ring.complexity == 6
+    # face 0 is the annulus between the triangles: its own boundary plus the
+    # inner hole; face 1 is the inner triangle
+    ring, inner, _ = fs.faces
+    assert [len(c) for c in ring.cycles] == [3, 3]
     assert ring.area2 == 600
-    inner = next(f for f in fs.faces if f.bounded and f is not ring)
-    assert inner.cycles == (inner.cycles[0],) and inner.area2 == 64
+    assert len(inner.cycles) == 1 and inner.area2 == 64
+    # both outer cycles wind around a point of the inner triangle; the
+    # smaller one, tried first, holds it
+    assert fs.locate((14, 8)) == 1
 
 
 def test_bowtie_visits_the_shared_vertex_twice():
@@ -85,9 +87,8 @@ def test_bowtie_visits_the_shared_vertex_twice():
         [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)],
     )
     assert len(fs.faces) == 3
-    outer = fs.faces[fs.unbounded_id]
-    assert [len(c) for c in outer.cycles] == [6]
-    assert sorted(f.area2 for f in fs.faces if f.bounded) == [16, 16]
+    assert [len(c) for c in fs.faces[-1].cycles] == [6]
+    assert sorted(f.area2 for f in fs.faces[:-1]) == [16, 16]
 
 
 # --- drawing validation ---
@@ -115,9 +116,8 @@ def test_drawing_rejects_bad_edges():
 
 def test_locate_triangle_interior_and_errors():
     fs = build([(0, 0), (10, 0), (4, 7)], [(0, 1), (1, 2), (0, 2)])
-    inside = next(f.id for f in fs.faces if f.bounded)
-    assert fs.locate((4, 2)) == inside
-    assert fs.locate((-5, 1)) == fs.unbounded_id
+    assert fs.locate((4, 2)) == 0
+    assert fs.locate((-5, 1)) == len(fs.faces) - 1
     with pytest.raises(GeometryError):
         fs.locate((0, 0))  # a drawing vertex
     with pytest.raises(GeometryError):
@@ -135,8 +135,8 @@ def test_representatives_locate_back_to_their_face():
     ]
     for points, edges in cases:
         fs = build(points, edges)
-        for f in fs.faces:
-            assert fs.locate(fs.representative(f.id)) == f.id
+        for fid in range(len(fs.faces)):
+            assert fs.locate(fs.representative(fid)) == fid
 
 
 # --- non-edge incidence ---
@@ -160,7 +160,7 @@ def test_crossed_nonedge_is_cut_at_the_crossing():
     assert inc.nonedges == ((0, 2),)
     touched = [fid for fid, items in enumerate(inc.membership) if items]
     assert len(touched) == 2
-    assert all(fs.faces[fid].bounded for fid in touched)
+    assert all(fs.faces[fid].area2 is not None for fid in touched)
 
 
 # --- obstacles inside faces ---
@@ -171,7 +171,7 @@ def test_hexagon_scene_obstacle_sits_in_the_unbounded_face(hexagon_scene):
     fs = build(hexagon_scene.points, [(0, 1), (0, 2)])
     assert isinstance(report, FacePlacementReport)
     assert report.ok
-    assert report.assignments == (fs.unbounded_id,)
+    assert report.assignments == (len(fs.faces) - 1,)
 
 
 def test_square_scene_obstacle_sits_in_a_bounded_face(square_scene):
@@ -198,7 +198,7 @@ def test_obstacle_stabbed_by_an_edge_fails_the_check():
 
 def _oracle_face_map(fs, oracle):
     """Map each face id to the oracle's face root via a representative point."""
-    mapping = {f.id: oracle.locate(fs.representative(f.id)) for f in fs.faces}
+    mapping = {fid: oracle.locate(fs.representative(fid)) for fid in range(len(fs.faces))}
     assert len(set(mapping.values())) == len(mapping)
     return mapping
 
@@ -208,12 +208,12 @@ def _check_against_oracle(points, edges):
     fs = build_arrangement(Scene(points), graph)
     oracle = SlabOracle(points, graph)
     assert len(fs.faces) == oracle.face_count
-    assert sum(1 for f in fs.faces if f.bounded) == oracle.bounded_face_count
+    assert sum(1 for f in fs.faces if f.area2 is not None) == oracle.bounded_face_count
     mapping = _oracle_face_map(fs, oracle)
-    assert mapping[fs.unbounded_id] == oracle.outer_root
+    assert mapping[len(fs.faces) - 1] == oracle.outer_root
     oracle_complexity = oracle.complexities()
-    for f in fs.faces:
-        assert f.complexity == oracle_complexity[mapping[f.id]], f
+    for fid, sides in enumerate(face_complexity(fs)[0]):
+        assert sides == oracle_complexity[mapping[fid]], fs.faces[fid]
     inc = face_nonedge_incidence(fs)
     for k, (i, j) in enumerate(inc.nonedges):
         ours = {mapping[fid] for fid, items in enumerate(inc.membership) if k in items}

@@ -63,8 +63,13 @@ def test_validate_mismatch(tmp_path, capsys):
     rc, out, err = run(capsys, ["validate", write(tmp_path, "s.json", doc)])
     assert rc == 1
     assert out == "scene ok\n"
-    assert "pair 2-3 is in the graph but blocked in the scene" in err
-    assert "pair 1-2 is visible in the scene but not in the graph" in err
+    # a "no" verdict is one error line that names every wrong pair
+    assert err.splitlines() == [
+        "error: scene does not represent its graph: "
+        "pair 2-3 is in the graph but blocked in the scene; "
+        "pair 1-2 is visible in the scene but not in the graph; "
+        "pair 1-3 is visible in the scene but not in the graph"
+    ]
 
 
 def test_validate_invalid_scene(tmp_path, capsys):

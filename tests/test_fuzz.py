@@ -6,19 +6,19 @@ Fuzzed documents go to the drawing subcommands ``faces``, ``incidence`` and
 JSON and bytes, huge coordinates, collinear or repeated points, obstacles,
 and graphs whose ``n`` does not match the points.  Short words go to
 ``decode``, and fuzzed bytes and text go to ``decode --table`` as the
-pattern table.  Every run exits 0, 1 or 2; a failing run prints exactly one
-``error:`` or ``contradiction:`` line, except that ``validate`` lists the
-wrong pairs when a valid scene does not represent its graph; no run leaks a
-traceback.
-``bounds``, ``obs-search``, ``chain``, ``random-exp`` and ``derive-table``
-are left out, because a large numeric argument or graph alone makes them
-run for seconds.
+pattern table.  The search subcommands ``obs-search``, ``chain``,
+``random-exp`` and ``derive-table`` get small graphs (``n`` at most 6),
+1 or 2 placements, grids of side 1 to 60 (some below n², which is
+refused), and budgets of 1 to 3 scenes, since their cost grows with each of
+those.  Every run exits 0, 1 or 2; a failing run prints exactly one
+``error:`` or ``contradiction:`` line; no run leaks a traceback.
+``bounds`` is left out, because a large numeric argument alone makes it run
+for minutes.
 """
 
 import contextlib
 import io
 import json
-import re
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -60,33 +60,19 @@ def drawing_documents(draw):
     return json.dumps(doc).encode()
 
 
-# ``validate`` answers "no" to a valid scene that does not represent its
-# graph with exit 1, ``scene ok`` on stdout and one line per wrong pair.
-MISMATCH = re.compile(
-    r"pair \d+-\d+ is (in the graph but blocked in the scene"
-    r"|visible in the scene but not in the graph)"
-)
-
-
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2)
     lines = err.getvalue().splitlines()
-    mismatch = (
-        argv[0] == "validate"
-        and rc == 1
-        and out.getvalue() == "scene ok\n"
-        and lines
-        and all(MISMATCH.fullmatch(line) for line in lines)
-    )
-    if rc != 0 and not mismatch:
+    if rc != 0:
         assert len(lines) == 1, lines
         assert lines[0].startswith(("error: ", "contradiction: ")), lines
     text = out.getvalue() + err.getvalue()
     for leak in ("Traceback", "RecursionError", "MemoryError"):
         assert leak not in text
+    return rc
 
 
 @FUZZ
@@ -149,3 +135,95 @@ def test_decode_table_keeps_the_exit_code_contract(raw, tmp_path):
     path = tmp_path / "table.txt"
     path.write_bytes(raw)
     _run(["decode", "2+1-2-3+1+3-", "--table", str(path)])
+
+
+# A graph document's ``n`` stays at most 6: the search subcommands place n
+# points per placement and solve a cover per placement.  Top-level junk
+# carries no "n", so it cannot name a larger graph.
+GRAPH_N = st.one_of(
+    st.integers(-1, 6), st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3)
+)
+SEED = st.integers(0, 2**64 - 1)
+PLACEMENTS = st.integers(1, 2)
+GRID = st.none() | st.integers(1, 60)
+
+
+@st.composite
+def graph_documents(draw):
+    """The bytes of a file handed to ``obs-search`` or ``chain``."""
+    kind = draw(st.sampled_from(["graph", "graph", "graph", "scene", "json", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "json":
+        junk = draw(JUNK.filter(lambda v: not isinstance(v, dict) or "n" not in v))
+        return json.dumps(junk).encode()
+    if kind == "scene":
+        # a scene document with no "graph" field names no graph to search
+        return json.dumps({"points": draw(st.lists(POINT, max_size=6))}).encode()
+    n = draw(st.integers(2, 6)) if draw(st.integers(0, 4)) else draw(GRAPH_N)
+    edges = []
+    if type(n) is int and n >= 2:
+        # mostly edges a valid graph can have, so most searches run
+        pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        edges = draw(st.lists(pair, max_size=10))
+    if not edges or draw(st.integers(0, 4)) == 0:
+        edges += draw(st.lists(st.lists(st.integers(0, 7), min_size=2, max_size=2), max_size=3))
+    return json.dumps({"n": n, "edges": edges}).encode()
+
+
+def _search_options(seed, placements, grid):
+    argv = ["--seed", str(seed), "--placements", str(placements)]
+    return argv if grid is None else argv + ["--grid", str(grid)]
+
+
+@FUZZ
+@given(
+    sub=st.sampled_from(["obs-search", "chain"]),
+    raw=graph_documents(),
+    seed=SEED,
+    placements=PLACEMENTS,
+    grid=GRID,
+    order=st.sampled_from(["lex", "random"]),
+)
+@example(sub="obs-search", raw=b'{"n": 6, "edges": [[1, 2]]}', seed=0, placements=1, grid=35,
+         order="lex")
+@example(sub="chain", raw=b'{"points": [[0, 0]]}', seed=0, placements=1, grid=None,
+         order="random")
+def test_graph_subcommands_keep_the_exit_code_contract(
+    sub, raw, seed, placements, grid, order, tmp_path
+):
+    path = tmp_path / "graph.json"
+    path.write_bytes(raw)
+    argv = [sub, str(path)] + _search_options(seed, placements, grid)
+    if sub == "chain":
+        argv += ["--order", order]
+    _run(argv)
+
+
+@FUZZ
+@given(
+    n=st.integers(1, 6),
+    trials=st.integers(1, 2),
+    seed=SEED,
+    placements=PLACEMENTS,
+    grid=GRID,
+    exhaustive=st.booleans(),
+)
+@example(n=6, trials=1, seed=0, placements=1, grid=None, exhaustive=True)
+def test_random_exp_keeps_the_exit_code_contract(n, trials, seed, placements, grid, exhaustive):
+    argv = ["random-exp", "--n", str(n), "--trials", str(trials)]
+    # walking every graph costs 2^C(n,2) searches, so n = 5 is left out
+    exhaustive = exhaustive and n != 5
+    if exhaustive:
+        argv.append("--exhaustive")
+    rc = _run(argv + _search_options(seed, placements, grid))
+    if exhaustive and n == 6:
+        assert rc == 1
+    if grid is not None and grid < n * n:
+        assert rc == 1
+
+
+@FUZZ
+@given(budget=st.integers(1, 3), seed=SEED)
+def test_derive_table_keeps_the_exit_code_contract(budget, seed):
+    _run(["derive-table", "--seed", str(seed), "--budget", str(budget)])

@@ -10,7 +10,7 @@ from obsrep.errors import (
     UnknownPatternError,
 )
 from obsrep.graphs import Graph
-from obsrep.sampling import iter_single_obstacle_scenes
+from obsrep.sampling import random_single_obstacle_scene
 from obsrep.scene import Scene
 from obsrep.tangent import (
     BLOCKED,
@@ -203,6 +203,7 @@ def test_observe_scene_collects_all_pairs(hexagon_scene):
 def test_decode_matches_geometry_on_random_scenes():
     table = builtin_pattern_table()
     rng = random.Random(940)
-    for scene in iter_single_obstacle_scenes(rng, 150, max_points=8):
+    for _ in range(150):
+        scene = random_single_obstacle_scene(rng, rng.randint(2, 8))
         seq = encode_tangent(scene)
         assert decode_visibility(seq, table) == visibility_graph(scene)
