@@ -131,7 +131,10 @@ class FaceSet:
         """An exact rational point interior to the face."""
         f = self.faces[face_id]
         if f.area2 is not None:
-            return _interior_point_of_cycle(self.nodes, self.pieces, f.cycles[0])
+            # Crossings lie on pieces, so the points on none are the edgeless vertices.
+            ends ={i for edge in self.graph.edges for i in edge}
+            isolated = [q for i, q in enumerate(self.nodes[: self.graph.n]) if i not in ends]
+            return _interior_point_of_cycle(self.nodes, f.cycles, isolated)
         if not self.nodes:
             return (Fraction(0), Fraction(0))
         return (
@@ -140,35 +143,29 @@ class FaceSet:
         )
 
 
-def _interior_point_of_cycle(nodes, pieces, cycle):
-    """A rational point just inside a positively oriented boundary cycle.
+def _interior_point_of_cycle(nodes, cycles, isolated):
+    """A rational point just inside a bounded face, given its cycles, outer first.
 
-    Works from the bottommost (then leftmost) corner of the cycle, aiming a
-    rational direction into the corner's wedge and halving the step until the
-    probe segment from the corner meets no piece that avoids the corner and
-    no node that lies on no piece.  The probe aims strictly inside the wedge
-    and all of those lie at positive distance from the corner, so the halving
-    ends, after about as many steps as the coordinates have bits.
+    Works from the first lowest (then leftmost) node v of the outer cycle;
+    the face reaches neither below v nor left of it at its height, so each
+    visit to v is a strictly convex corner.  Aims a rational direction into
+    that wedge and halves the step until the probe segment from v meets no
+    piece of the face's cycles that avoids v and none of the ``isolated``
+    points.  The probe leaves v into the open face, so no other part of the
+    drawing is reached first.  All of those lie at positive distance from v,
+    so the halving ends after about as many steps as the coordinates have bits.
     """
-    coords = [nodes[i] for i in cycle]
-    k = len(coords)
-    best = None
-    for idx in range(k):
-        v = coords[idx]
-        u = coords[(idx - 1) % k]
-        w = coords[(idx + 1) % k]
-        du = (u[0] - v[0], u[1] - v[1])
-        dw = (w[0] - v[0], w[1] - v[1])
-        if dw[0] * du[1] - dw[1] * du[0] <= 0:
-            continue
-        if best is None or (v[1], v[0]) < (best[1][1], best[1][0]):
-            best = (idx, v, du, dw)
-    if best is None:
-        raise ObsrepError("boundary cycle has no convex corner")
-    idx, v, du, dw = best
-    others = [(nodes[a], nodes[b]) for a, b in pieces if cycle[idx] not in (a, b)]
-    on_pieces = {i for piece in pieces for i in piece}
-    others += [(q, q) for i, q in enumerate(nodes) if i not in on_pieces]
+    outer = cycles[0]
+    k = len(outer)
+    idx = min(range(k), key=lambda i: (nodes[outer[i]][1], nodes[outer[i]][0]))
+    corner = outer[idx]
+    v, u, w = nodes[corner], nodes[outer[idx - 1]], nodes[outer[(idx + 1) % k]]
+    du = (u[0] - v[0], u[1] - v[1])
+    dw = (w[0] - v[0], w[1] - v[1])
+    if dw[0] * du[1] - dw[1] * du[0] <= 0:
+        raise ObsrepError("the lowest corner of a bounded face is not convex")
+    border = [(a, b) for c in cycles for a, b in zip(c, c[1:] + c[:1]) if corner not in (a, b)]
+    others = [(nodes[a], nodes[b]) for a, b in border] + [(q, q) for q in isolated]
     nu = abs(du[0]) + abs(du[1])
     nw = abs(dw[0]) + abs(dw[1])
     m = (dw[0] * nu + du[0] * nw, dw[1] * nu + du[1] * nw)

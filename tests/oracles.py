@@ -105,6 +105,42 @@ def point_in_polygon(q, vertices) -> int:
     return 1 if odd else -1
 
 
+def whole_drawing_probe(nodes, pieces, cycle):
+    """Representative of the bounded face with outer boundary ``cycle``,
+    probed against every piece and node of the drawing.
+
+    ``cycle`` is positively oriented.  From its first lowest (then leftmost)
+    strictly convex corner v, the probe runs from v along the sum of the two
+    boundary directions, each scaled by the other's L1 length; its step starts
+    at 1 and halves until the closed probe meets no piece that avoids v and
+    no node that lies on no piece.
+    """
+    coords = [xy(nodes[i]) for i in cycle]
+    k = len(coords)
+    best = None
+    for idx in range(k):
+        v, u, w = coords[idx], coords[idx - 1], coords[(idx + 1) % k]
+        du = (u[0] - v[0], u[1] - v[1])
+        dw = (w[0] - v[0], w[1] - v[1])
+        convex = dw[0] * du[1] - dw[1] * du[0] > 0
+        if convex and (best is None or (v[1], v[0]) < (best[1][1], best[1][0])):
+            best = (idx, v, du, dw)
+    idx, v, du, dw = best
+    others = [(nodes[a], nodes[b]) for a, b in pieces if cycle[idx] not in (a, b)]
+    on_pieces = {i for piece in pieces for i in piece}
+    others += [(q, q) for i, q in enumerate(nodes) if i not in on_pieces]
+    nu = abs(du[0]) + abs(du[1])
+    nw = abs(dw[0]) + abs(dw[1])
+    m = (dw[0] * nu + du[0] * nw, dw[1] * nu + du[1] * nw)
+    t = Fraction(1)
+    p = (v[0] + m[0] * t, v[1] + m[1] * t)
+    for a, b in others:
+        while closed_segments_meet(v, p, a, b):
+            t /= 2
+            p = (v[0] + m[0] * t, v[1] + m[1] * t)
+    return p
+
+
 class SlabOracle:
     """Faces of a straight-line drawing, by slabs and flood fill.
 

@@ -5,13 +5,15 @@ import pytest
 
 from obsrep.arrangement import build_arrangement, face_nonedge_incidence
 from obsrep.errors import GeometryError, ObsrepError, SceneError
+from obsrep.geom import closed_segments_intersect
 from obsrep.graphs import Graph, complete_graph, gnp_half
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
 
 from conftest import poly, pts
-from oracles import SlabOracle
+from oracles import SlabOracle, whole_drawing_probe
 from support import FacePlacementReport, face_complexity, obstacle_face_check
+from test_golden import NESTED
 
 
 def build(points, edges):
@@ -124,19 +126,80 @@ def test_locate_triangle_interior_and_errors():
         fs.locate((5, 0))  # interior of a drawn segment
 
 
+# Once the hypotenuse has shortened it, the probe of the bounded face ends at
+# (16, 16), where the first drawing has an isolated vertex and the second a
+# floating triangle.
+IN_THE_PROBES_WAY = [
+    ([(0, 0), (64, 0), (0, 64), (16, 16)], [(0, 1), (1, 2), (0, 2)]),
+    ([(0, 0), (64, 0), (0, 64), (14, 15), (18, 14), (15, 19)],
+     [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+]
+
+
 def test_representatives_locate_back_to_their_face():
     cases = [
         ([(0, 0), (10, 0), (4, 7)], [(0, 1), (1, 2), (0, 2)]),
         ([(0, 0), (10, 1), (11, 9), (1, 8)], complete_graph(4).edges),
         ([(0, 0), (30, 0), (16, 20), (10, 5), (18, 5), (14, 13)],
          [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
-        # the isolated vertex sits where the first probe of the bounded face lands
-        ([(0, 0), (64, 0), (0, 64), (16, 16)], [(0, 1), (1, 2), (0, 2)]),
-    ]
+    ] + IN_THE_PROBES_WAY
     for points, edges in cases:
         fs = build(points, edges)
         for fid in range(len(fs.faces)):
             assert fs.locate(fs.representative(fid)) == fid
+
+
+def _probe_drawings():
+    """Seeded and hand-built drawings for the probe comparison.
+
+    First 300 seeded drawings on grids n², 4n² and 100n²; every third graph
+    keeps only about a third of its edges, so isolated vertices occur.  Then
+    the golden NESTED, with a triangle and an isolated vertex floating in a
+    bounded face, and IN_THE_PROBES_WAY.
+    """
+    rng = random.Random(2718)
+    for k in range(300):
+        n = rng.randint(3, 7)
+        points = random_placement(rng, n, rng.choice((1, 4, 100)) * n * n)
+        edges = gnp_half(n, rng).sorted_edges()
+        if k % 3 == 0:
+            edges = [e for e in edges if rng.randrange(3) == 0]
+        yield points, edges
+    nested = NESTED["graph"]["edges"]
+    yield [tuple(p) for p in NESTED["points"]], [(i - 1, j - 1) for i, j in nested]
+    yield from IN_THE_PROBES_WAY
+
+
+def test_representatives_match_the_whole_drawing_probe():
+    isolated = holes = 0
+    for points, edges in _probe_drawings():
+        fs = build(points, edges)
+        isolated += len(points) - len({i for e in edges for i in e})
+        for fid, f in enumerate(fs.faces[:-1]):
+            want = whole_drawing_probe(fs.nodes, fs.pieces, f.cycles[0])
+            assert fs.representative(fid) == want, (points, edges, fid)
+            holes += len(f.cycles) - 1
+    assert isolated > 0 and holes > 0
+
+
+def test_representative_reads_only_its_own_face(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return closed_segments_intersect(*args)
+
+    def probe(fs):
+        calls.clear()
+        return fs.representative(0), len(calls)
+
+    monkeypatch.setattr("obsrep.arrangement.closed_segments_intersect", counted)
+    triangle = [(0, 0), (30, 1), (14, 28)]
+    far = [(100, 100), (130, 101), (114, 128)]
+    alone = build(triangle, [(0, 1), (1, 2), (0, 2)])
+    both = build(triangle + far, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert both.faces[0] == alone.faces[0]
+    assert probe(both) == probe(alone)
 
 
 # --- non-edge incidence ---

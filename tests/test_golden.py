@@ -77,6 +77,29 @@ G12 = {
         ],
     },
 }
+# G(16, 1/2) on the 25,600 grid: with rng = random.Random(2), the graph is
+# gnp_half(16, rng) and the points are then random_placement(rng, 16, 25600).
+G16 = {
+    "points": [
+        [23716, 14960], [15945, 21590], [7268, 10638], [22923, 5441], [20196, 8786],
+        [25329, 15720], [10143, 9938], [23140, 16523], [18421, 16965], [16625, 21345],
+        [20178, 19265], [13325, 10218], [23951, 6809], [16020, 16773], [12012, 22420],
+        [20423, 2469],
+    ],
+    "graph": {
+        "n": 16,
+        "edges": [
+            [1, 2], [1, 3], [1, 4], [1, 5], [1, 10], [1, 12], [1, 13], [1, 14], [1, 15],
+            [2, 4], [2, 6], [2, 8], [2, 9], [2, 11], [2, 13], [2, 15], [2, 16], [3, 4],
+            [3, 5], [3, 6], [3, 7], [3, 9], [3, 10], [3, 12], [3, 14], [3, 16], [4, 8],
+            [4, 10], [4, 13], [4, 14], [4, 15], [5, 6], [5, 15], [5, 16], [6, 8], [6, 9],
+            [6, 10], [6, 11], [6, 13], [6, 14], [6, 16], [7, 9], [7, 10], [7, 11], [7, 12],
+            [7, 13], [7, 15], [7, 16], [8, 11], [8, 12], [8, 13], [8, 16], [9, 10], [9, 12],
+            [9, 13], [9, 15], [9, 16], [10, 14], [10, 16], [11, 12], [11, 13], [11, 14],
+            [11, 16], [12, 13], [12, 15], [12, 16], [13, 16], [14, 15], [14, 16], [15, 16],
+        ],
+    },
+}
 # Points 1, 2 and 3 lie on one line, so the drawing is not in general position.
 COLLINEAR = {
     "points": [[0, 0], [4, 1], [8, 2], [3, 9]],
@@ -106,6 +129,7 @@ DOCS = {
     "nested": NESTED,
     "g10": G10,
     "g12": G12,
+    "g16": G16,
     "collinear": COLLINEAR,
     "partition": PARTITION,
     "c6": C6,
@@ -134,6 +158,7 @@ CASES = {
     "faces-g12": (["faces", "{g12}"], 0),
     "incidence-g12": (["incidence", "{g12}"], 0),
     "cover-g12": (["cover", "{g12}"], 0),
+    "faces-g16": (["faces", "{g16}"], 0),
     "cover-collinear": (["cover", "{collinear}"], 1),
     "obs-search-c6": (["obs-search", "{c6}", "--seed", "7", "--placements", "6"], 0),
     "chain-c5": (["chain", "{c5}", "--seed", "3", "--placements", "4"], 0),
