@@ -172,6 +172,8 @@ CASES = {
     "visibility-inside": (["visibility", "{inside}"], 1),
     "validate-inside": (["validate", "{inside}"], 1),
     "encode-on-boundary": (["encode", "{on-boundary}"], 1),
+    "bounds-h15": (["bounds", "--h", "15"], 0),
+    "bounds-s60": (["bounds", "--s", "60", "--c", "35/2"], 0),
 }
 
 
