@@ -9,8 +9,15 @@ sequences: with s obstacle sides in total, the number of distinct
 configurations is at most 2^(c(n+s)·log2(n+s)) for a constant c the caller
 supplies, since no bound pins the constant down.
 
-All comparisons are exact: the inequalities are cleared of logarithms and
-denominators and tested on integers.
+All comparisons are exact.  Both modes ask whether base^exp < 2^x for
+integers, which holds exactly when base^exp has at most x bits.
+:func:`_power_below` decides that from bit-length brackets on base^exp,
+refined by binary powering on truncated mantissas only when the brackets
+straddle x, so it never builds a number larger than base^exp itself and
+almost never builds base^exp.  The threshold is then found by galloping
+over n = 2, 4, 8, ... and bisecting the last step, which is valid because
+the inequality is monotone in n (see :func:`bounds_threshold`).  The search
+stops at n = 200,000: a query whose threshold lies beyond that is refused.
 """
 
 from __future__ import annotations
@@ -53,17 +60,74 @@ class BoundsQuery:
             object.__setattr__(self, "c", c)
 
 
+def _power_bit_lengths(base: int, exp: int, width: int) -> tuple[int, int]:
+    """Bit lengths of a lower and an upper bound on base^exp.
+
+    Left-to-right binary powering keeps each partial power as a mantissa of
+    at most ``width`` bits times a power of two, truncated down for the lower
+    bound and rounded up for the upper one.  A mantissa never exceeds the
+    exact partial power it stands for, so no product here is larger than
+    base^exp; once ``width`` reaches the bit length of base^exp nothing is
+    truncated and both bounds are exact.
+    """
+    low = high = base
+    low_shift = high_shift = 0
+    for bit in bin(exp)[3:]:
+        low, high = low * low, high * high
+        low_shift, high_shift = 2 * low_shift, 2 * high_shift
+        if bit == "1":
+            low, high = low * base, high * base
+        extra = low.bit_length() - width
+        if extra > 0:
+            low >>= extra
+            low_shift += extra
+        extra = high.bit_length() - width
+        if extra > 0:
+            high = -(-high >> extra)
+            high_shift += extra
+    return low.bit_length() + low_shift, high.bit_length() + high_shift
+
+
+def _power_below(base: int, exp: int, x: int) -> bool:
+    """Is base^exp < 2^x?  Exact, for base >= 2 and exp >= 1.
+
+    base^exp < 2^x exactly when base^exp has at most x bits.  With
+    bl = base.bit_length(), the power of two 2^(bl-1) raised to exp has
+    exactly exp·(bl-1) + 1 bits.  Any other base lies strictly between
+    2^(bl-1) and 2^bl, so base^exp has between exp·(bl-1) + 1 and exp·bl
+    bits; that bracket decides every call far from the threshold.
+    Inside it, :func:`_power_bit_lengths` brackets the bit length more
+    tightly, doubling the mantissa width until the bracket lies on one side
+    of x; it is exact by the time the width reaches the size of base^exp.
+    """
+    bl = base.bit_length()
+    if base & (base - 1) == 0:
+        return exp * (bl - 1) < x
+    if exp * bl <= x:
+        return True
+    if exp * (bl - 1) >= x:
+        return False
+    width = exp.bit_length() + 64
+    while True:
+        low, high = _power_bit_lengths(base, exp, width)
+        if high <= x:
+            return True
+        if low > x:
+            return False
+        width *= 2
+
+
 def _beaten(query: BoundsQuery, n: int) -> bool:
     """Does the encoding count fall strictly below the graph count at n?"""
     pairs = n * (n - 1) // 2
     if query.h is not None:
         # (2n)^(2hn) < 2^C(n,2)  <=>  2hn*log2(2n) < C(n,2)
-        return (2 * n) ** (2 * query.h * n) < 1 << pairs
+        return _power_below(2 * n, 2 * query.h * n, pairs)
     # (n+s)^(c(n+s)) < 2^C(n,2), cleared of the denominator of c = p/q:
     # (n+s)^(p(n+s)) < 2^(q*C(n,2))
     m = n + query.s
     p, q = query.c.numerator, query.c.denominator
-    return m ** (p * m) < 1 << (q * pairs)
+    return _power_below(m, p * m, q * pairs)
 
 
 def bounds_threshold(query: BoundsQuery) -> int:
@@ -72,10 +136,34 @@ def bounds_threshold(query: BoundsQuery) -> int:
     From that n on (the left side grows like n·log n against n² on the
     right), at least one n-vertex graph cannot be realized within the
     query's obstacle budget.
+
+    The inequality is monotone in n, so the threshold is found by a gallop
+    over n = 2, 4, 8, ... (capped at 200,000) and a bisection of its last
+    step, with about 2·log2(threshold) evaluations.  Proof of monotonicity,
+    for real n >= 2:
+
+    - h-mode: taking logarithms and dividing by n/2, the inequality reads
+      f(n) = (n - 1)/log2(2n) > 4h.  f'(n) has the sign of
+      log2(2n) - (n - 1)/(n·ln 2), where log2(2n) >= 2 > 1/ln 2 > the
+      subtracted term; so f increases.
+    - s-mode, with m = n + s and c = p/q: the inequality reads
+      g(n) = n(n - 1)/(m·log2 m) > 2p/q.  The derivative of ln g is
+      1/n + 1/(n - 1) - 1/m - 1/(m·ln m), positive because 1/n > 1/m and,
+      since m >= 5 gives ln m > 1, m·ln m > n - 1; so g increases.
+
+    Once beaten at some n, the bound stays beaten at every larger n.
     """
-    for n in range(2, _SCAN_LIMIT + 1):
-        if _beaten(query, n):
-            return n
-    raise ObsrepError(
-        f"no threshold below n = {_SCAN_LIMIT}; the query constant is out of scale"
-    )
+    below, n = 1, 2  # never beaten at ``below``; n = 1 lies outside the range
+    while not _beaten(query, n):
+        if n == _SCAN_LIMIT:
+            raise ObsrepError(
+                f"no threshold below n = {_SCAN_LIMIT}; the query constant is out of scale"
+            )
+        below, n = n, min(2 * n, _SCAN_LIMIT)
+    while n - below > 1:
+        mid = (below + n) // 2
+        if _beaten(query, mid):
+            n = mid
+        else:
+            below = mid
+    return n

@@ -11,6 +11,7 @@ pattern observed with both outcomes, or a witness that fails to replay).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -51,22 +52,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Numbers on the command line are written in ASCII digits only: int() and
+# Fraction() would also take other scripts' digits, underscores and spaces.
+# A rational is p, p/q or a decimal with an exponent of at most four digits,
+# so that parsing it never builds a huge power of ten.
+_INTEGER = re.compile(r"[0-9]+")
+_RATIONAL = re.compile(
+    r"[-+]?(?:[0-9]+(?:/[0-9]+)?|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]{1,4})?)"
+)
+
+
+def _integer(text):
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _seed(text):
-    value = int(text)
-    if not 0 <= value < 1 << 64:
+    value = _integer(text)
+    if value >= 1 << 64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
 
 
 def _fraction(text):
     try:
-        return Fraction(text)
+        if _RATIONAL.fullmatch(text):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
 def _positive(text):
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value

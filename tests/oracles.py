@@ -4,8 +4,9 @@ Nothing here calls the package's own predicates: intersections are found by
 solving 2x2 linear systems over ``fractions.Fraction`` (Cramer's rule),
 point-in-polygon is parity ray casting, drawing faces come from a
 vertical-slab decomposition flooded across slab boundaries instead of
-half-edge tracing, and minimum set cover is plain subset enumeration.
-Slower and dumber on purpose.
+half-edge tracing, minimum set cover is plain subset enumeration, and a
+counting bound is decided by building both of its powers in full.  Slower
+and dumber on purpose.
 """
 
 from bisect import bisect_left
@@ -361,3 +362,16 @@ def solve_cover_first_hit(n_elements, sets):
             if got & universe == universe:
                 return combo
     raise ValueError("some element appears in no set")
+
+
+def full_power_beaten(query, n) -> bool:
+    """Is the counting bound of a ``BoundsQuery`` beaten at n?
+
+    Builds the encoding count and the graph count as integers and compares
+    them: (2n)^(2hn) < 2^C(n,2), or (n+s)^(p(n+s)) < 2^(q*C(n,2)) for c = p/q.
+    """
+    pairs = n * (n - 1) // 2
+    if query.h is not None:
+        return (2 * n) ** (2 * query.h * n) < 2**pairs
+    m = n + query.s
+    return m ** (query.c.numerator * m) < 2 ** (query.c.denominator * pairs)

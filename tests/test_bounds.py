@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from obsrep.bounds import BoundsQuery, bounds_threshold
+from obsrep.bounds import BoundsQuery, _beaten, _power_below, bounds_threshold
 from obsrep.errors import ObsrepError
+
+from oracles import full_power_beaten
 
 mp.dps = 60
 
@@ -95,3 +97,85 @@ def test_query_validation():
 def test_c_defaults_to_one():
     assert BoundsQuery(s=3).c == Fraction(1)
     assert BoundsQuery(s=3, c=Fraction(1)).c == Fraction(1)
+
+
+def _h_margin(h, n):
+    """C(n,2) - 2hn*log2(2n): positive exactly when the h-bound is beaten at n."""
+    return mpf(n * (n - 1)) / 2 - 2 * h * n * mp.log(2 * n, 2)
+
+
+def _s_margin(s, c, n):
+    """q*C(n,2) - p(n+s)*log2(n+s) for c = p/q: positive exactly when beaten."""
+    m = n + s
+    return c.denominator * mpf(n * (n - 1)) / 2 - c.numerator * m * mp.log(m, 2)
+
+
+def _assert_tight(margin, t):
+    # Beaten at t and not below it.  An s-query can tie exactly when n + s is
+    # a power of two; a tie is not beaten, and at 60 digits it reads as a
+    # margin within 1e-40 of zero.
+    assert margin(t) > 0, t
+    assert t == 2 or margin(t - 1) <= mpf(10) ** -40, t
+
+
+def test_h_thresholds_are_tight_against_mpmath():
+    rng = random.Random(2686)
+    for h in sorted(rng.sample(range(11, 2687), 40)) + [2686]:
+        t = bounds_threshold(BoundsQuery(h=h))
+        _assert_tight(lambda n: _h_margin(h, n), t)
+    assert t == 199_939  # the last h below the cap at n = 200,000
+
+
+# At n = 100, 128^(2475·128) = 2^(448·C(100,2)) exactly: a tie, not beaten.
+TIE = BoundsQuery(s=28, c=Fraction(2475, 448))
+
+
+def test_s_thresholds_are_tight_against_mpmath():
+    rng = random.Random(40)
+    queries = [TIE]
+    for _ in range(60):
+        q = rng.randint(1, 12)
+        queries.append(BoundsQuery(s=rng.randint(3, 300), c=Fraction(rng.randint(1, 40 * q), q)))
+    for query in queries:
+        t = bounds_threshold(query)
+        _assert_tight(lambda n: _s_margin(query.s, query.c, n), t)
+    assert bounds_threshold(TIE) == 101
+
+
+def test_threshold_beyond_the_cap_is_refused():
+    with pytest.raises(ObsrepError, match="no threshold below n = 200000"):
+        bounds_threshold(BoundsQuery(h=2687))
+    with pytest.raises(ObsrepError, match="no threshold below n = 200000"):
+        bounds_threshold(BoundsQuery(s=3, c=Fraction(10**5)))
+    with pytest.raises(ObsrepError, match="no threshold below n = 200000"):
+        bounds_threshold(BoundsQuery(h=10**29))
+
+
+def test_power_below_matches_the_full_power():
+    rng = random.Random(1 << 20)
+    for _ in range(3000):
+        base = rng.choice([
+            rng.randint(2, 40),
+            rng.randint(2, 10**6),
+            1 << rng.randint(1, 60),
+            (1 << rng.randint(2, 60)) + rng.choice([-1, 1]),
+            rng.randint(2, 2**90),
+        ])
+        exp = rng.randint(1, rng.choice([8, 200, 2000]))
+        power = base**exp
+        x = max(0, power.bit_length() + rng.randint(-2, 2))
+        assert _power_below(base, exp, x) == (power < 1 << x), (base, exp, x)
+
+
+def test_beaten_matches_the_full_power_up_to_past_the_threshold():
+    queries = [BoundsQuery(h=h) for h in range(1, 7)]
+    queries += [
+        BoundsQuery(s=s, c=Fraction(c))
+        for s, c in ((3, 1), (3, "1/2"), (10, 2), (5, "7/3"), (61, 3))
+    ]
+    for query in queries:
+        t = bounds_threshold(query)
+        for n in range(2, t + 6):
+            assert _beaten(query, n) == full_power_beaten(query, n), (query, n)
+    for n in (99, 100, 101):
+        assert _beaten(TIE, n) == full_power_beaten(TIE, n) == (n == 101)

@@ -343,6 +343,38 @@ def test_bounds_h_mode_refuses_the_constant(capsys):
     assert err == "error: the constant c applies only to side-count (s) queries\n"
 
 
+def test_numbers_take_ascii_digits_only(capsys):
+    # int() and Fraction() also read fullwidth and Arabic-Indic digits and
+    # underscores; the CLI refuses them as it does in decode
+    for argv in (
+        ["bounds", "--s", "\uff13", "--c", "\uff11/\u0662"],
+        ["bounds", "--s", "3", "--c", "\uff11/\u0662"],
+        ["bounds", "--h", "\u0661\u0662"],
+        ["bounds", "--h", "1_0"],
+        ["bounds", "--h", " 12"],
+        ["bounds", "--s", "3", "--c", "1_0"],
+        ["derive-table", "--seed", "\u0665", "--budget", "1"],
+        ["derive-table", "--seed", "5", "--budget", "\u0661"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error: ") == 1 and err.splitlines()[-1].startswith("obsrep "), argv
+
+
+def test_constant_takes_decimals_and_exponents(capsys):
+    for text, want in (("0.5", "1/2"), (".5", "1/2"), ("5e-1", "1/2"), ("1.5E1", "15")):
+        rc, out, err = run(capsys, ["bounds", "--s", "3", "--c", text])
+        assert rc == 0 and out.endswith(f"c = {want})\n"), (text, out)
+    # an exponent of five digits would have Fraction() build a huge power of ten
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--s", "3", "--c", "1e99999"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+
+
 # --- exit statuses and determinism ---
 
 

@@ -10,15 +10,18 @@ pattern table.  The search subcommands ``obs-search``, ``chain``,
 ``random-exp`` and ``derive-table`` get small graphs (``n`` at most 6),
 1 or 2 placements, grids of side 1 to 60 (some below n², which is
 refused), and budgets of 1 to 3 scenes, since their cost grows with each of
-those.  Every run exits 0, 1 or 2; a failing run prints exactly one
-``error:`` or ``contradiction:`` line; no run leaks a traceback.
-``bounds`` is left out, because a large numeric argument alone makes it run
-for minutes.
+those.  ``bounds`` gets decimal numbers of up to 30 digits, zero, negative
+numbers and junk text for ``--h`` and ``--s``, and ``P/Q`` fractions with
+parts up to 10^12, decimals and junk for ``--c``.  Every run exits 0, 1 or 2;
+a failing run prints exactly one ``error:`` or ``contradiction:`` line, or,
+when argparse refuses an option, its usage and one ``obsrep ...: error:``
+line; no run leaks a traceback.
 """
 
 import contextlib
 import io
 import json
+from datetime import timedelta
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -62,11 +65,19 @@ def drawing_documents(draw):
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
+    refused = False
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse refused an option
+            rc, refused = e.code, True
     assert rc in (0, 1, 2)
     lines = err.getvalue().splitlines()
-    if rc != 0:
+    if refused:
+        assert (rc, out.getvalue()) == (1, "")
+        assert [line for line in lines if "error: " in line] == lines[-1:], lines
+        assert lines[-1].startswith("obsrep "), lines
+    elif rc != 0:
         assert len(lines) == 1, lines
         assert lines[0].startswith(("error: ", "contradiction: ")), lines
     text = out.getvalue() + err.getvalue()
@@ -227,3 +238,33 @@ def test_random_exp_keeps_the_exit_code_contract(n, trials, seed, placements, gr
 @given(budget=st.integers(1, 3), seed=SEED)
 def test_derive_table_keeps_the_exit_code_contract(budget, seed):
     _run(["derive-table", "--seed", str(seed), "--budget", str(budget)])
+
+
+COUNT = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=30),
+    st.just("0"),
+    st.integers(-(10**30), -1).map(str),
+    st.text(max_size=8),
+)
+CONSTANT = st.one_of(
+    st.builds("{}/{}".format, st.integers(0, 10**12), st.integers(0, 10**12)),
+    st.integers(1, 10**12).map(str),
+    st.sampled_from(["0", "-1/2", "1/0", "0.5", "1e5", "2.5e-3", "1e99999"]),
+    st.text(max_size=8),
+)
+
+
+@settings(FUZZ, deadline=timedelta(seconds=2))
+@given(mode=st.sampled_from(["h", "s"]), count=COUNT, c=st.none() | CONSTANT)
+@example(mode="h", count="2687", c=None)
+@example(mode="s", count="3", c="1e5")
+@example(mode="s", count="3", c="1000")
+def test_bounds_keeps_the_exit_code_contract(mode, count, c):
+    # "--h=TEXT" hands TEXT over as the value even when it starts with "-"
+    argv = ["bounds", f"--{mode}={count}"]
+    if c is not None:
+        argv.append(f"--c={c}")
+    rc = _run(argv)
+    assert rc in (0, 1)
+    if mode == "h" and count == "2687":
+        assert rc == 1

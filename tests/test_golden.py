@@ -174,6 +174,7 @@ CASES = {
     "encode-on-boundary": (["encode", "{on-boundary}"], 1),
     "bounds-h15": (["bounds", "--h", "15"], 0),
     "bounds-s60": (["bounds", "--s", "60", "--c", "35/2"], 0),
+    "bounds-cap": (["bounds", "--h", "2687"], 1),
 }
 
 
