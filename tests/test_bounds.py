@@ -123,7 +123,7 @@ def test_h_thresholds_are_tight_against_mpmath():
     for h in sorted(rng.sample(range(11, 2687), 40)) + [2686]:
         t = bounds_threshold(BoundsQuery(h=h))
         _assert_tight(lambda n: _h_margin(h, n), t)
-    assert t == 199_939  # the last h below the cap at n = 200,000
+    assert bounds_threshold(BoundsQuery(h=2686)) == 199_939  # the last h under the cap
 
 
 # At n = 100, 128^(2475·128) = 2^(448·C(100,2)) exactly: a tie, not beaten.
@@ -165,6 +165,29 @@ def test_power_below_matches_the_full_power():
         power = base**exp
         x = max(0, power.bit_length() + rng.randint(-2, 2))
         assert _power_below(base, exp, x) == (power < 1 << x), (base, exp, x)
+
+
+def _iroot(v, e):
+    """floor(v^(1/e)) for integers v >= 1, e >= 1."""
+    lo, hi = 1, 1 << (v.bit_length() // e + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**e <= v else (lo, mid)
+    return lo
+
+
+def test_power_below_decides_powers_a_hair_off_a_power_of_two():
+    # base^exp just below or just above 2^j, with j strictly inside the
+    # bit-length bracket: truncated mantissas land on the wrong side of 2^j
+    # unless the bounds keep their rounding directions and the width grows.
+    for exp in (3, 4, 5, 7, 12, 100):
+        for k in (70, 150, 400):
+            j = exp * k + 1
+            below = _iroot(1 << j, exp)
+            for base in (below, below + 1):
+                power = base**exp
+                for x in (j - 1, j, j + 1):
+                    assert _power_below(base, exp, x) == (power < 1 << x), (base, exp, x)
 
 
 def test_beaten_matches_the_full_power_up_to_past_the_threshold():
