@@ -6,13 +6,14 @@ from the plane leaves connected open regions — the faces.  This module builds
 them exactly: edge crossings become subdivision vertices with rational
 coordinates, each face is traced as one or more boundary cycles of directed
 segment pieces, and every bounded face can produce an exact rational interior
-point.  The non-edge incidence map records which faces an absent edge's
-segment travels through; those are exactly the places a blocker could sit.
+point.  Walking each absent edge across the darts it crosses gives the faces
+its segment travels through; those are exactly where a blocker could sit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -109,6 +110,10 @@ class FaceSet:
     crossings with ``Fraction`` coordinates; ``pieces`` pairs node ids;
     ``components`` counts the connected pieces, isolated points included.
     A face's id is its index in ``faces``; the unbounded face is the last.
+    Dart 2k runs along ``pieces[k]`` and 2k+1 against it; ``dart_face[d]`` is
+    the face on d's left, ``outgoing[v]`` the darts leaving node v sorted
+    counterclockwise from +x, and edge k of ``graph.sorted_edges()`` has the
+    pieces from ``edge_cuts[k][0]`` on, cut at its parameters ``edge_cuts[k][1]``.
     """
 
     graph: Graph
@@ -116,6 +121,9 @@ class FaceSet:
     pieces: tuple
     faces: tuple
     components: int
+    dart_face: tuple
+    outgoing: tuple
+    edge_cuts: tuple
 
     def locate(self, point) -> int:
         """Face id containing the query point, which must avoid the drawing."""
@@ -211,15 +219,13 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
             cuts[e].append((t, x))
             cuts[f].append((u, x))
 
-    pieces = []
+    # Where three or more edges cross at one node, each is cut there once.
+    pieces, edge_cuts = [], []
     for e in edges:
-        chain = [e[0]]
-        for _, x in sorted(cuts[e]):
-            if x != chain[-1]:
-                chain.append(x)
-        chain.append(e[1])
-        for a, b in zip(chain, chain[1:]):
-            pieces.append((a, b))
+        marks = sorted(set(cuts[e]))
+        edge_cuts.append((len(pieces), tuple(t for t, _ in marks)))
+        chain = [e[0]] + [x for _, x in marks] + [e[1]]
+        pieces.extend(zip(chain, chain[1:]))
 
     # Darts 2k and 2k+1 are the two directions of piece k; twin = dart ^ 1.
     darts = [end for a, b in pieces for end in ((a, b), (b, a))]
@@ -272,6 +278,7 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
                         stack.append(w)
             components += 1
 
+    dart_face = {}
     bounded = []
     outer_by_component = {}
     for orbit in orbits:
@@ -279,22 +286,25 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
         area2 = polygon_area2([nodes[i] for i in cycle])
         comp = component[cycle[0]]
         if area2 > 0:
+            dart_face.update(dict.fromkeys(orbit, len(bounded)))
             bounded.append(Face((cycle,), area2))
         elif comp in outer_by_component:
             raise ObsrepError("component traced two outer boundaries")
         else:
-            outer_by_component[comp] = cycle
+            outer_by_component[comp] = (orbit, cycle)
 
     # Attach each component's outer boundary to the face that surrounds it:
     # the smallest bounded cycle of any *other* component that winds around it,
     # or, when nothing does, the unbounded face (the last entry of holes).
     holes = [[] for _ in range(len(bounded) + 1)]
     ordered = _smallest_first(bounded)
-    for comp, cycle in outer_by_component.items():
+    for comp, (orbit, cycle) in outer_by_component.items():
         choice = _enclosing_cycle(
             nodes[cycle[0]], nodes, ((i, c) for i, c in ordered if component[c[0]] != comp)
         )
-        holes[len(bounded) if choice is None else choice].append(cycle)
+        fid = len(bounded) if choice is None else choice
+        holes[fid].append(cycle)
+        dart_face.update(dict.fromkeys(orbit, fid))
     faces = tuple(
         Face(f.cycles + tuple(h), f.area2) for f, h in zip(bounded + [Face((), None)], holes)
     )
@@ -308,6 +318,9 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
         pieces=tuple(pieces),
         faces=faces,
         components=components,
+        dart_face=tuple(dart_face[d] for d in range(len(darts))),
+        outgoing=tuple(map(tuple, outgoing)),
+        edge_cuts=tuple(edge_cuts),
     )
 
 
@@ -325,36 +338,53 @@ class CoverInstance:
 
 
 def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
-    """Cut every non-edge where it crosses drawn edges and find each open interval's face.
+    """Walk every non-edge p-q through the arrangement and collect the faces it passes.
 
-    The drawing's points are in general position, so a non-edge never meets
-    an edge that shares one of its endpoints, and meets any other edge only
-    by crossing it at one interior point of both.  A crossing node of the
-    drawing that lies on the non-edge is found once per edge through it, so
-    no interval midpoint lies on the drawing.
+    In general position a non-edge crosses an edge at most once, inside both,
+    and edges crossed at one parameter meet there at a node.  The stretch
+    before each crossing lies on p's side of it: left of the crossed piece's
+    dart with p on its left, or in the node's wedge toward p.  The last one
+    lies in q's wedge toward p or, if q has no edge, past the last crossing.
+    Only a non-edge between edgeless vertices that crosses nothing locates p.
     """
-    graph = fs.graph
-    points = fs.nodes[: graph.n]
-    edges = graph.sorted_edges()
-    nonedges = tuple(graph.non_edges())
-    outer = _smallest_first(fs.faces)
+    nodes, pieces = fs.nodes, fs.pieces
+    points = nodes[: fs.graph.n]
+    edges = fs.graph.sorted_edges()
+    nonedges = tuple(fs.graph.non_edges())
+
+    def wedge(v, d):
+        # The face just off node v in direction d: left of the ring dart just clockwise of d.
+        (vx, vy), ring = nodes[v], fs.outgoing[v]
+        heads = (nodes[pieces[r >> 1][1 - (r & 1)]] for r in ring)
+        before = sum(direction_cmp((x - vx, y - vy), d) < 0 for x, y in heads)
+        return fs.dart_face[ring[before - 1]]
+
+    def beside(crossed, d, r):
+        k, u = crossed[0]
+        piece = fs.edge_cuts[k][0] + bisect_left(fs.edge_cuts[k][1], u)
+        if len(crossed) > 1:
+            return wedge(pieces[piece][1], d)
+        a, b = edges[k]
+        return fs.dart_face[2 * piece + (orient(points[a], points[b], r) < 0)]
+
     hit = [set() for _ in fs.faces]
     for index, (i, j) in enumerate(nonedges):
         p, q = points[i], points[j]
-        ts = {Fraction(0), Fraction(1)}
-        for a, b in edges:
-            if a in (i, j) or b in (i, j):
-                continue
+        back, ahead = (p[0] - q[0], p[1] - q[1]), (q[0] - p[0], q[1] - p[1])
+        crossings = {}
+        for k, (a, b) in enumerate(edges):
             cut = _crossing(p, q, points[a], points[b])
             if cut is not None:
-                ts.add(cut[0])
-        cuts = sorted(ts)
-        (px, py), (qx, qy) = p, q
-        for lo, hi in zip(cuts, cuts[1:]):
-            mid = (lo + hi) / 2
-            found = _enclosing_cycle((px + (qx - px) * mid, py + (qy - py) * mid), fs.nodes, outer)
-            hit[len(fs.faces) - 1 if found is None else found].add(index)
-    return CoverInstance(
-        nonedges=nonedges,
-        membership=tuple(tuple(sorted(h)) for h in hit),
-    )
+                crossings.setdefault(cut[0], []).append((k, cut[1]))
+        for crossed in crossings.values():
+            hit[beside(crossed, back, p)].add(index)
+        if fs.outgoing[j]:
+            last = wedge(j, back)
+        elif crossings:
+            last = beside(crossings[max(crossings)], ahead, q)
+        elif fs.outgoing[i]:
+            last = wedge(i, ahead)
+        else:
+            last = _enclosing_cycle(p, nodes, _smallest_first(fs.faces))
+        hit[-1 if last is None else last].add(index)
+    return CoverInstance(nonedges, tuple(tuple(sorted(h)) for h in hit))

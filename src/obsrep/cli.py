@@ -46,7 +46,13 @@ _SIGN = {1: "+", -1: "-", 0: "0"}
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the package reserves 2 for
-    internal contradictions, so usage problems are remapped to 1."""
+    internal contradictions, so usage problems are remapped to 1.  A value
+    that starts with a minus sign and a digit, such as ``-1/2``, is read as a
+    (negative) value, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?[0-9]")
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -55,7 +61,9 @@ class _Parser(argparse.ArgumentParser):
 # Numbers on the command line are written in ASCII digits only: int() and
 # Fraction() would also take other scripts' digits, underscores and spaces.
 # A rational is p, p/q or a decimal with an exponent of at most four digits,
-# so that parsing it never builds a huge power of ten.
+# so that parsing it never builds a huge power of ten.  No number may be longer
+# than int()'s default limit of 4,300 digits; the error does not echo it.
+_MAX_DIGITS = 4300
 _INTEGER = re.compile(r"[0-9]+")
 _RATIONAL = re.compile(
     r"[-+]?(?:[0-9]+(?:/[0-9]+)?|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]{1,4})?)"
@@ -63,6 +71,8 @@ _RATIONAL = re.compile(
 
 
 def _integer(text):
+    if len(text) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} characters")
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
     return int(text)
@@ -76,6 +86,8 @@ def _seed(text):
 
 
 def _fraction(text):
+    if len(text) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} characters")
     try:
         if _RATIONAL.fullmatch(text):
             return Fraction(text)

@@ -4,9 +4,10 @@ Nothing here calls the package's own predicates: intersections are found by
 solving 2x2 linear systems over ``fractions.Fraction`` (Cramer's rule),
 point-in-polygon is parity ray casting, drawing faces come from a
 vertical-slab decomposition flooded across slab boundaries instead of
-half-edge tracing, minimum set cover is plain subset enumeration, and a
-counting bound is decided by building both of its powers in full.  Slower
-and dumber on purpose.
+half-edge tracing, face/non-edge incidence locates the midpoint of each
+stretch between crossings instead of walking the darts, minimum set cover is
+plain subset enumeration, and a counting bound is decided by building both
+of its powers in full.  Slower and dumber on purpose.
 """
 
 from bisect import bisect_left
@@ -375,3 +376,32 @@ def full_power_beaten(query, n) -> bool:
         return (2 * n) ** (2 * query.h * n) < 2**pairs
     m = n + query.s
     return m ** (query.c.numerator * m) < 2 ** (query.c.denominator * pairs)
+
+
+def midpoint_incidence(fs):
+    """``membership`` of the face/non-edge incidence of a face set, by point location.
+
+    Each non-edge is cut where it crosses drawn edges, and the midpoint of
+    each stretch between cuts goes to the smallest-area bounded face whose
+    outer cycle holds it (equal areas by face id), or else to the unbounded
+    face.  No midpoint lies on the drawing, so every answer is unambiguous.
+    """
+    points = fs.nodes[: fs.graph.n]
+    edges = fs.graph.sorted_edges()
+    order = sorted((f.area2, fid) for fid, f in enumerate(fs.faces) if f.area2 is not None)
+    outlines = {fid: [fs.nodes[v] for v in fs.faces[fid].cycles[0]] for _, fid in order}
+    hit = [set() for _ in fs.faces]
+    for index, (i, j) in enumerate(fs.graph.non_edges()):
+        p, q = xy(points[i]), xy(points[j])
+        ts = {Fraction(0), Fraction(1)}
+        for a, b in edges:
+            params = cross_params(p, q, points[a], points[b])
+            if params is not None and 0 < params[0] < 1 and 0 < params[1] < 1:
+                ts.add(params[0])
+        stops = sorted(ts)
+        for t1, t2 in zip(stops, stops[1:]):
+            tm = (t1 + t2) / 2
+            m = (p[0] + tm * (q[0] - p[0]), p[1] + tm * (q[1] - p[1]))
+            inside = (fid for _, fid in order if point_in_polygon(m, outlines[fid]) == 1)
+            hit[next(inside, len(fs.faces) - 1)].add(index)
+    return tuple(tuple(sorted(h)) for h in hit)

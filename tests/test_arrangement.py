@@ -11,9 +11,9 @@ from obsrep.sampling import random_placement
 from obsrep.scene import Scene
 
 from conftest import poly, pts
-from oracles import SlabOracle, whole_drawing_probe
+from oracles import SlabOracle, midpoint_incidence, whole_drawing_probe
 from support import FacePlacementReport, face_complexity, obstacle_face_check
-from test_golden import NESTED
+from test_golden import G12, NESTED
 
 
 def build(points, edges):
@@ -302,6 +302,38 @@ def test_nonedge_through_a_crossing_node_against_the_oracle():
     )
 
 
+# A triangle with isolated vertices 3 and 4 inside it and 5 and 6 outside:
+# 3-4 and 5-6 join edgeless vertices and cross nothing, 3-5 joins edgeless
+# vertices across the triangle, 0-5 crosses it to an edgeless far end, and
+# 0-3 and 2-6 leave a triangle corner for an edgeless far end, crossing nothing.
+ISOLATED = (
+    [(0, 0), (40, 0), (20, 35), (15, 10), (24, 13), (60, 30), (70, -5)],
+    [(0, 1), (1, 2), (0, 2)],
+)
+
+
+def test_nonedges_at_isolated_vertices_against_the_oracle():
+    points, edges = ISOLATED
+    _check_against_oracle(points, edges)
+    fs = build(points, edges)
+    inc = face_nonedge_incidence(fs)
+    faces_of = {e: [f for f, items in enumerate(inc.membership) if k in items]
+                for k, e in enumerate(inc.nonedges)}
+    assert faces_of[(3, 4)] == faces_of[(0, 3)] == [0]
+    assert faces_of[(5, 6)] == faces_of[(2, 6)] == [1]
+    assert faces_of[(3, 5)] == faces_of[(0, 5)] == [0, 1]
+
+
+def test_floating_drawings_against_the_oracle():
+    # an inner triangle, an inner path and then a single inner edge float in
+    # the outer triangle's face; non-edges from outer vertices cross them
+    outer, inner = [(0, 0), (30, 0), (16, 20)], [(10, 5), (18, 5), (14, 13)]
+    ring = [(0, 1), (1, 2), (0, 2)]
+    _check_against_oracle(outer + inner, ring + [(3, 4), (4, 5), (3, 5)])
+    _check_against_oracle(outer + inner, ring + [(3, 4), (4, 5)])
+    _check_against_oracle(inner + outer, [(3, 4), (4, 5), (3, 5), (0, 1)])
+
+
 def test_random_drawings_match_the_oracle():
     rng = random.Random(90125)
     for _ in range(60):
@@ -319,3 +351,58 @@ def test_euler_relation_on_random_drawings():
         fs = build_arrangement(Scene(points), gnp_half(n, rng))
         v, e, f = len(fs.nodes), len(fs.pieces), len(fs.faces)
         assert v - e + f == 1 + fs.components
+
+
+def _framed(points, edges):
+    """The drawing inside a triangle far around it, so that it floats in the
+    triangle's face, or ``None`` if a frame corner is collinear with two points."""
+    side = 10 * max(max(abs(x), abs(y)) for x, y in points) + 10
+    frame = [(-side, -side + 1), (2 * side, -side), (-side + 3, 2 * side)]
+    n, points = len(points), list(points) + frame
+    try:
+        Scene(points)
+    except SceneError:
+        return None
+    return points, list(edges) + [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
+
+
+def _walk_drawings():
+    """The probe drawings, ISOLATED, and 120 more seeded drawings: every
+    third graph keeps about a quarter of its edges, and every second drawing
+    is framed by a far triangle when that keeps general position."""
+    yield from _probe_drawings()
+    yield ISOLATED
+    rng = random.Random(1618)
+    for k in range(120):
+        n = rng.randint(3, 7)
+        points = random_placement(rng, n, rng.choice((1, 4, 100)) * n * n)
+        edges = gnp_half(n, rng).sorted_edges()
+        if k % 3 == 0:
+            edges = [e for e in edges if rng.randrange(4) == 0]
+        framed = _framed(points, edges) if k % 2 == 0 else None
+        yield framed or (points, edges)
+
+
+def test_walk_matches_midpoint_location():
+    edgeless_pairs = hole_darts = 0
+    for points, edges in _walk_drawings():
+        fs = build(points, edges)
+        assert face_nonedge_incidence(fs).membership == midpoint_incidence(fs), (points, edges)
+        edgeless = set(range(len(points))) - {v for e in edges for v in e}
+        edgeless_pairs += sum(1 for i, j in fs.graph.non_edges() if {i, j} <= edgeless)
+        hole_darts += sum(len(c) for f in fs.faces[:-1] for c in f.cycles[1:])
+    assert edgeless_pairs > 0 and hole_darts > 0
+
+
+def test_incidence_walks_without_point_location(monkeypatch):
+    # every vertex of the G12 drawing has an edge, so no non-edge is located
+    points = [tuple(p) for p in G12["points"]]
+    fs = build(points, [(i - 1, j - 1) for i, j in G12["graph"]["edges"]])
+    assert all(fs.outgoing[v] for v in range(len(points)))
+    want = face_nonedge_incidence(fs)
+
+    def refuse(*args):
+        raise AssertionError("face_nonedge_incidence located a point")
+
+    monkeypatch.setattr("obsrep.arrangement._enclosing_cycle", refuse)
+    assert face_nonedge_incidence(fs) == want

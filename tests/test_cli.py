@@ -343,6 +343,32 @@ def test_bounds_h_mode_refuses_the_constant(capsys):
     assert err == "error: the constant c applies only to side-count (s) queries\n"
 
 
+def test_negative_constant_reaches_the_positivity_check(capsys):
+    # argparse took "-1/2" after "--c" for an option and refused the argv
+    for c in ("-1/2", "-.5", "-1e3"):
+        for argv in (["bounds", "--s", "3", "--c", c], ["bounds", "--s", "3", f"--c={c}"]):
+            rc, out, err = run(capsys, argv)
+            assert (rc, out, err) == (1, "", "error: the constant c must be positive\n"), argv
+
+
+def test_overlong_numbers_are_refused_without_echo(capsys):
+    # int() refuses more than 4,300 digits, and argparse used to echo them all
+    for argv in (
+        ["bounds", "--h", "9" * 5000],
+        ["bounds", "--s", "3", "--c", "9" * 5000],
+        ["derive-table", "--seed", "1" * 4301],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        want = f"obsrep {argv[0]}: error: argument {argv[-2]}: more than 4300 characters\n"
+        assert (out, err) == ("", want)
+    rc, out, err = run(capsys, ["bounds", "--h", "9" * 4300])
+    assert (rc, out) == (1, "")
+    assert err == "error: no threshold below n = 200000; the query constant is out of scale\n"
+
+
 def test_numbers_take_ascii_digits_only(capsys):
     # int() and Fraction() also read fullwidth and Arabic-Indic digits and
     # underscores; the CLI refuses them as it does in decode

@@ -12,7 +12,8 @@ pattern table.  The search subcommands ``obs-search``, ``chain``,
 refused), and budgets of 1 to 3 scenes, since their cost grows with each of
 those.  ``bounds`` gets decimal numbers of up to 30 digits, zero, negative
 numbers and junk text for ``--h`` and ``--s``, and ``P/Q`` fractions with
-parts up to 10^12, decimals and junk for ``--c``.  Every run exits 0, 1 or 2;
+parts up to 10^12, decimals and junk for ``--c``, passed as ``--c=TEXT`` or
+as ``--c TEXT``.  Every run exits 0, 1 or 2;
 a failing run prints exactly one ``error:`` or ``contradiction:`` line, or,
 when argparse refuses an option, its usage and one ``obsrep ...: error:``
 line; no run leaks a traceback.
@@ -255,16 +256,21 @@ CONSTANT = st.one_of(
 
 
 @settings(FUZZ, deadline=timedelta(seconds=2))
-@given(mode=st.sampled_from(["h", "s"]), count=COUNT, c=st.none() | CONSTANT)
-@example(mode="h", count="2687", c=None)
-@example(mode="s", count="3", c="1e5")
-@example(mode="s", count="3", c="1000")
-def test_bounds_keeps_the_exit_code_contract(mode, count, c):
-    # "--h=TEXT" hands TEXT over as the value even when it starts with "-"
+@given(
+    mode=st.sampled_from(["h", "s"]), count=COUNT, c=st.none() | CONSTANT, split=st.booleans()
+)
+@example(mode="h", count="2687", c=None, split=False)
+@example(mode="h", count="9" * 5000, c=None, split=False)
+@example(mode="s", count="3", c="1e5", split=False)
+@example(mode="s", count="3", c="1000", split=False)
+@example(mode="s", count="3", c="-1/2", split=True)
+def test_bounds_keeps_the_exit_code_contract(mode, count, c, split):
+    # "--h=TEXT" hands TEXT over as the value even when it starts with "-";
+    # "--c TEXT" does so when TEXT starts with "-" and a digit
     argv = ["bounds", f"--{mode}={count}"]
     if c is not None:
-        argv.append(f"--c={c}")
+        argv += ["--c", c] if split else [f"--c={c}"]
     rc = _run(argv)
     assert rc in (0, 1)
-    if mode == "h" and count == "2687":
+    if mode == "h" and count in ("2687", "9" * 5000) or c == "-1/2":
         assert rc == 1
