@@ -25,7 +25,6 @@ from .geom import (
     direction_cmp,
     on_closed_segment,
     orient,
-    polygon_area2,
 )
 from .graphs import Graph
 from .scene import Scene
@@ -114,6 +113,8 @@ class FaceSet:
     the face on d's left, ``outgoing[v]`` the darts leaving node v sorted
     counterclockwise from +x, and edge k of ``graph.sorted_edges()`` has the
     pieces from ``edge_cuts[k][0]`` on, cut at its parameters ``edge_cuts[k][1]``.
+    ``directions[d]`` is the integer vector q - p of the edge (p, q) under dart
+    d, negated for odd d; rings are sorted and wedges read on these.
     """
 
     graph: Graph
@@ -124,6 +125,7 @@ class FaceSet:
     dart_face: tuple
     outgoing: tuple
     edge_cuts: tuple
+    directions: tuple
 
     def locate(self, point) -> int:
         """Face id containing the query point, which must avoid the drawing."""
@@ -140,7 +142,7 @@ class FaceSet:
         f = self.faces[face_id]
         if f.area2 is not None:
             # Crossings lie on pieces, so the points on none are the edgeless vertices.
-            ends ={i for edge in self.graph.edges for i in edge}
+            ends = {i for edge in self.graph.edges for i in edge}
             isolated = [q for i, q in enumerate(self.nodes[: self.graph.n]) if i not in ends]
             return _interior_point_of_cycle(self.nodes, f.cycles, isolated)
         if not self.nodes:
@@ -220,12 +222,20 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
             cuts[f].append((u, x))
 
     # Where three or more edges cross at one node, each is cut there once.
-    pieces, edge_cuts = [], []
+    # The piece of edge (p, q) from parameter t0 to t1 adds (t1 - t0)(p x q)
+    # to the shoelace sum of the cycle its dart lies on; its twin, the negation.
+    pieces, edge_cuts, directions, dart_area2 = [], [], [], []
     for e in edges:
         marks = sorted(set(cuts[e]))
         edge_cuts.append((len(pieces), tuple(t for t, _ in marks)))
         chain = [e[0]] + [x for _, x in marks] + [e[1]]
         pieces.extend(zip(chain, chain[1:]))
+        (px, py), (qx, qy) = points[e[0]], points[e[1]]
+        ts, pq = [0] + [t for t, _ in marks] + [1], px * qy - py * qx
+        for t0, t1 in zip(ts, ts[1:]):
+            share = (t1 - t0) * pq
+            directions += [(qx - px, qy - py), (px - qx, py - qy)]
+            dart_area2 += [share, -share]
 
     # Darts 2k and 2k+1 are the two directions of piece k; twin = dart ^ 1.
     darts = [end for a, b in pieces for end in ((a, b), (b, a))]
@@ -233,15 +243,12 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
     for d, (a, _) in enumerate(darts):
         outgoing[a].append(d)
 
-    def direction(d):
-        (tx, ty), (hx, hy) = nodes[darts[d][0]], nodes[darts[d][1]]
-        return (hx - tx, hy - ty)
-
     position = [0] * len(darts)
+    key = cmp_to_key(direction_cmp)
     for ring in outgoing:
-        ring.sort(key=cmp_to_key(lambda a, b: direction_cmp(direction(a), direction(b))))
+        ring.sort(key=lambda d: key(directions[d]))
         for a, b in zip(ring, ring[1:]):
-            if direction_cmp(direction(a), direction(b)) == 0:
+            if direction_cmp(directions[a], directions[b]) == 0:
                 raise ObsrepError("two boundary pieces leave a node in the same direction")
         for i, d in enumerate(ring):
             position[d] = i
@@ -283,7 +290,7 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
     outer_by_component = {}
     for orbit in orbits:
         cycle = tuple(darts[d][0] for d in orbit)
-        area2 = polygon_area2([nodes[i] for i in cycle])
+        area2 = sum(dart_area2[d] for d in orbit)
         comp = component[cycle[0]]
         if area2 > 0:
             dart_face.update(dict.fromkeys(orbit, len(bounded)))
@@ -321,6 +328,7 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
         dart_face=tuple(dart_face[d] for d in range(len(darts))),
         outgoing=tuple(map(tuple, outgoing)),
         edge_cuts=tuple(edge_cuts),
+        directions=tuple(directions),
     )
 
 
@@ -354,9 +362,8 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
 
     def wedge(v, d):
         # The face just off node v in direction d: left of the ring dart just clockwise of d.
-        (vx, vy), ring = nodes[v], fs.outgoing[v]
-        heads = (nodes[pieces[r >> 1][1 - (r & 1)]] for r in ring)
-        before = sum(direction_cmp((x - vx, y - vy), d) < 0 for x, y in heads)
+        ring = fs.outgoing[v]
+        before = sum(direction_cmp(fs.directions[r], d) < 0 for r in ring)
         return fs.dart_face[ring[before - 1]]
 
     def beside(crossed, d, r):

@@ -5,7 +5,8 @@ solving 2x2 linear systems over ``fractions.Fraction`` (Cramer's rule),
 point-in-polygon is parity ray casting, drawing faces come from a
 vertical-slab decomposition flooded across slab boundaries instead of
 half-edge tracing, face/non-edge incidence locates the midpoint of each
-stretch between crossings instead of walking the darts, minimum set cover is
+stretch between crossings instead of walking the darts, face areas and dart
+rings are read off node coordinates instead of edge vectors, minimum set cover is
 plain subset enumeration, and a counting bound is decided by building both
 of its powers in full.  Slower and dumber on purpose.
 """
@@ -105,6 +106,37 @@ def point_in_polygon(q, vertices) -> int:
             if x_hit > qx:
                 odd = not odd
     return 1 if odd else -1
+
+
+def shoelace_area2(nodes, cycle):
+    """Twice the signed area of a node-id cycle, summed over its coordinates.
+
+    The coordinates are used as stored, so a cycle through a crossing gives a
+    ``Fraction`` and a cycle through drawn points only gives an ``int``.
+    """
+    total = 0
+    for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+        (x1, y1), (x2, y2) = nodes[i], nodes[j]
+        total += x1 * y2 - x2 * y1
+    return total
+
+
+def ccw_ring(nodes, pieces, ring):
+    """The darts of ``ring`` sorted counterclockwise from +x by head minus tail.
+
+    Dart 2k runs along ``pieces[k]`` and 2k+1 against it.  A direction's key
+    is its half-plane (angles in [0, pi) first) and then minus its cotangent,
+    which grows with the angle inside each half; the axis directions come
+    first in their halves.
+    """
+    def key(d):
+        a, b = pieces[d >> 1][::-1] if d & 1 else pieces[d >> 1]
+        (ax, ay), (bx, by) = xy(nodes[a]), xy(nodes[b])
+        dx, dy = bx - ax, by - ay
+        half = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+        return (half, 0, 0) if dy == 0 else (half, 1, -dx / dy)
+
+    return tuple(sorted(ring, key=key))
 
 
 def whole_drawing_probe(nodes, pieces, cycle):

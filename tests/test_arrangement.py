@@ -5,13 +5,13 @@ import pytest
 
 from obsrep.arrangement import build_arrangement, face_nonedge_incidence
 from obsrep.errors import GeometryError, ObsrepError, SceneError
-from obsrep.geom import closed_segments_intersect
+from obsrep.geom import closed_segments_intersect, direction_cmp
 from obsrep.graphs import Graph, complete_graph, gnp_half
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
 
 from conftest import poly, pts
-from oracles import SlabOracle, midpoint_incidence, whole_drawing_probe
+from oracles import SlabOracle, ccw_ring, midpoint_incidence, shoelace_area2, whole_drawing_probe
 from support import FacePlacementReport, face_complexity, obstacle_face_check
 from test_golden import G12, NESTED
 
@@ -406,3 +406,43 @@ def test_incidence_walks_without_point_location(monkeypatch):
 
     monkeypatch.setattr("obsrep.arrangement._enclosing_cycle", refuse)
     assert face_nonedge_incidence(fs) == want
+
+
+# Three diagonals of a hexagon through one crossing node at the origin, with
+# the hexagon's sides drawn too.
+THREE_THROUGH_ONE = (
+    [(10, 3), (4, 9), (-7, 8), (-10, -3), (-4, -9), (7, -8)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3), (1, 4), (2, 5)],
+)
+
+
+def test_areas_and_rings_match_the_coordinate_formulas():
+    # Faces' areas and the dart rings come from integer edge vectors; the
+    # oracle reads both off the node coordinates, as stored.
+    kinds, concurrent = set(), 0
+    for points, edges in [*_walk_drawings(), THREE_THROUGH_ONE]:
+        fs = build(points, edges)
+        for f in fs.faces[:-1]:
+            want = shoelace_area2(fs.nodes, f.cycles[0])
+            assert (f.area2, type(f.area2)) == (want, type(want)), (points, edges)
+            kinds.add(type(want))
+        assert fs.outgoing == tuple(ccw_ring(fs.nodes, fs.pieces, r) for r in fs.outgoing)
+        concurrent += any(len(r) == 6 for r in fs.outgoing[len(points):])
+    assert kinds == {int, Fraction} and concurrent > 0
+
+
+def test_rings_and_wedges_compare_integer_directions(monkeypatch):
+    calls = []
+
+    def integers_only(d1, d2):
+        if not all(type(c) is int for c in d1 + d2):
+            raise AssertionError(f"direction_cmp on {d1} and {d2}")
+        calls.append(None)
+        return direction_cmp(d1, d2)
+
+    monkeypatch.setattr("obsrep.arrangement.direction_cmp", integers_only)
+    points = [tuple(p) for p in G12["points"]]
+    fs = build(points, [(i - 1, j - 1) for i, j in G12["graph"]["edges"]])
+    assert len(fs.nodes) > len(points)
+    face_nonedge_incidence(fs)
+    assert calls
