@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from .errors import GeometryError
 
@@ -70,14 +71,20 @@ def direction_cmp(d1, d2) -> int:
     return (c < 0) - (c > 0)
 
 
-def on_open_segment(a, b, p) -> bool:
-    """True iff p lies strictly between a and b on their segment."""
-    (ax, ay), (bx, by), (px, py) = a, b, p
-    if orient_xy(ax, ay, bx, by, px, py) != 0:
-        return False
-    if ax != bx:
-        return min(ax, bx) < px < max(ax, bx)
-    return min(ay, by) < py < max(ay, by)
+def _line_class(dx, dy):
+    """Split the nonzero integer vector (dx, dy) into its line and its side.
+
+    Returns ``((ux, uy), side)``: ``(ux, uy)`` is the primitive direction of
+    the vector up to sign, normalised so that ``ux > 0`` or ``ux == 0 < uy``,
+    and ``side`` is +1 if the vector points that way and -1 if it points the
+    other way.  Two vectors from one point lie on a common line exactly when
+    their lines agree, and point in opposite directions exactly when their
+    sides differ as well.
+    """
+    g = gcd(dx, dy)
+    if dx < 0 or (dx == 0 and dy < 0):
+        return (-dx // g, -dy // g), -1
+    return (dx // g, dy // g), 1
 
 
 def closed_segments_intersect(a, b, c, d) -> bool:
@@ -143,10 +150,6 @@ class Polygon:
         if polygon_area2(v) <= 0:
             raise GeometryError("polygon vertices must be in counterclockwise order")
 
-    def edges(self):
-        v = self.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-
     def is_convex(self) -> bool:
         """Strict convexity: every consecutive turn is a left turn."""
         v = self.vertices
@@ -157,24 +160,24 @@ class Polygon:
 def point_in_polygon(q, polygon) -> int:
     """Locate q relative to the closed polygon region: +1 inside, 0 on boundary, -1 outside.
 
-    Exact crossing-number test; q may have Fraction coordinates.
+    Exact crossing-number test; q may have Fraction coordinates.  One
+    orientation per edge decides both whether q lies on that edge and
+    whether the edge crosses the ray from q towards +x.
     """
-    vertices = polygon.vertices
     qx, qy = q
-    k = len(vertices)
-    for i in range(k):
-        if on_closed_segment(vertices[i], vertices[(i + 1) % k], q):
-            return 0
     inside = False
-    for i in range(k):
-        ux, uy = vertices[i]
-        vx, vy = vertices[(i + 1) % k]
-        if (uy > qy) != (vy > qy):
-            o = orient_xy(ux, uy, vx, vy, qx, qy)
+    ux, uy = polygon.vertices[-1]
+    for vx, vy in polygon.vertices:
+        o = (vx - ux) * (qy - uy) - (vy - uy) * (qx - ux)  # its sign is orient(u, v, q)
+        if o == 0:
+            if min(ux, vx) <= qx <= max(ux, vx) and min(uy, vy) <= qy <= max(uy, vy):
+                return 0
+        elif (uy > qy) != (vy > qy):
             # For an upward edge the crossing lies right of q iff q is left of u->v;
             # for a downward edge the test flips.
-            if (o > 0) if vy > uy else (o < 0):
+            if (o > 0) == (vy > uy):
                 inside = not inside
+        ux, uy = vx, vy
     return 1 if inside else -1
 
 
@@ -186,16 +189,37 @@ def segment_intersects_polygon(a, b, polygon: Polygon) -> bool:
     is built, so this function does not check it again.  Boundary contact
     counts as intersection.  Then the closed segment meeting the boundary
     decides it: contact at a or b is impossible, and a segment that enters
-    the region crosses its boundary.
+    the region crosses its boundary.  Under that precondition the segment
+    meets the boundary in two cases only: a corner lies on it, or it
+    properly crosses an edge (the edge's ends lie strictly on either side of
+    the segment's line, and a and b strictly on either side of the edge's).
+    One walk over the corners, with one orientation each against the line
+    a-b, finds both.
     """
     (ax, ay), (bx, by) = a, b
-    xs = [v.x for v in polygon.vertices]
-    ys = [v.y for v in polygon.vertices]
-    if max(ax, bx) < min(xs) or min(ax, bx) > max(xs):
+    vertices = polygon.vertices
+    lox, hix = (ax, bx) if ax < bx else (bx, ax)
+    loy, hiy = (ay, by) if ay < by else (by, ay)
+    xs = [v.x for v in vertices]
+    if hix < min(xs) or lox > max(xs):
         return False
-    if max(ay, by) < min(ys) or min(ay, by) > max(ys):
+    ys = [v.y for v in vertices]
+    if hiy < min(ys) or loy > max(ys):
         return False
-    return any(closed_segments_intersect(a, b, c, d) for c, d in polygon.edges())
+    dx, dy = bx - ax, by - ay
+    ux, uy = vertices[-1]
+    su = dx * (uy - ay) - dy * (ux - ax)
+    for vx, vy in vertices:
+        sv = dx * (vy - ay) - dy * (vx - ax)  # its sign is orient(a, b, v)
+        if sv == 0:
+            if lox <= vx <= hix and loy <= vy <= hiy:
+                return True
+        elif su * sv < 0:
+            ex, ey = vx - ux, vy - uy
+            if (ex * (ay - uy) - ey * (ax - ux)) * (ex * (by - uy) - ey * (bx - ux)) < 0:
+                return True
+        ux, uy, su = vx, vy, sv
+    return False
 
 
 def is_general_position(points):

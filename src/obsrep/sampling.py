@@ -7,18 +7,19 @@ reproducible from its seed.
 from __future__ import annotations
 
 from .errors import SearchError
-from .geom import Point, Polygon, convex_hull, point_in_polygon
+from .geom import Point, Polygon, _line_class, convex_hull, point_in_polygon
 from .scene import Scene
 
 
 def _collinear_with_any_pair(pts, q):
+    """Does q lie on a line through two of the points?  q must not be one of them."""
     qx, qy = q
-    for i in range(len(pts)):
-        ax, ay = pts[i]
-        for j in range(i + 1, len(pts)):
-            bx, by = pts[j]
-            if (bx - ax) * (qy - ay) == (by - ay) * (qx - ax):
-                return True
+    lines = set()
+    for ax, ay in pts:
+        line, _ = _line_class(ax - qx, ay - qy)
+        if line in lines:
+            return True
+        lines.add(line)
     return False
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import SceneError
-from .geom import Point, Polygon, is_general_position, on_open_segment, point_in_polygon
+from .geom import Point, Polygon, _line_class, is_general_position, point_in_polygon
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,22 @@ def require_valid_scene(scene: Scene) -> None:
             if where >= 0:
                 side = "inside" if where > 0 else "on the boundary of"
                 out.append(f"points[{i}] is {side} obstacles[{k}]")
-    for i, j in combinations(range(scene.n), 2):
-        a, b = scene.points[i], scene.points[j]
-        for k, poly in enumerate(scene.obstacles):
-            for t, w in enumerate(poly.vertices):
-                if on_open_segment(a, b, w):
-                    out.append(
-                        f"obstacles[{k}] vertex {t} lies between"
-                        f" points[{i}] and points[{j}]"
-                    )
+    between = []
+    for k, poly in enumerate(scene.obstacles):
+        for t, (wx, wy) in enumerate(poly.vertices):
+            # Corner t lies strictly inside segment i-j exactly when points i
+            # and j sit on one line through it, on opposite sides of it.
+            on_line = {}
+            for i, (px, py) in enumerate(scene.points):
+                if (px, py) != (wx, wy):
+                    line, side = _line_class(px - wx, py - wy)
+                    on_line.setdefault(line, []).append((i, side))
+            for group in on_line.values():
+                if len(group) > 1:
+                    for (i, si), (j, sj) in combinations(group, 2):
+                        if si != sj:
+                            between.append((i, j, k, t))
+    for i, j, k, t in sorted(between):
+        out.append(f"obstacles[{k}] vertex {t} lies between points[{i}] and points[{j}]")
     if out:
         raise SceneError(out)

@@ -2,7 +2,8 @@
 
 Nothing here calls the package's own predicates: intersections are found by
 solving 2x2 linear systems over ``fractions.Fraction`` (Cramer's rule),
-point-in-polygon is parity ray casting, drawing faces come from a
+point-in-polygon is parity ray casting, scene diagnostics test every
+vertex pair against every obstacle corner, drawing faces come from a
 vertical-slab decomposition flooded across slab boundaries instead of
 half-edge tracing, face/non-edge incidence locates the midpoint of each
 stretch between crossings instead of walking the darts, face areas and dart
@@ -80,6 +81,14 @@ def closed_segments_meet(a, b, c, d) -> bool:
     return max(tc, td) >= 0 and min(tc, td) <= 1
 
 
+def on_open_segment(a, b, p) -> bool:
+    """Does p lie strictly between a and b on their segment?  False when a == b."""
+    if xy(a) == xy(b):
+        return False
+    t = _param_on_line(a, b, p)
+    return t is not None and 0 < t < 1
+
+
 def segment_meets_polygon(a, b, vertices) -> bool:
     """Does the open segment meet the closed polygon?  Assumes a, b outside."""
     k = len(vertices)
@@ -106,6 +115,39 @@ def point_in_polygon(q, vertices) -> int:
             if x_hit > qx:
                 odd = not odd
     return 1 if odd else -1
+
+
+def scene_diagnostics(points, obstacles):
+    """The messages ``require_valid_scene`` reports, in its order, by brute force.
+
+    Each later copy of a point is paired with its first copy, every triple
+    with a zero cross product is collinear, each point is located in each
+    obstacle's vertex list by ray parity, and every vertex pair is tested
+    against every obstacle corner with ``on_open_segment``.
+    """
+    out = []
+    for j, q in enumerate(points):
+        first = next((i for i in range(j) if xy(points[i]) == xy(q)), None)
+        if first is not None:
+            out.append(f"duplicate points: points[{first}], points[{j}]")
+    for i, j, k in combinations(range(len(points)), 3):
+        (ax, ay), (bx, by), (cx, cy) = xy(points[i]), xy(points[j]), xy(points[k])
+        if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
+            out.append(f"collinear triple: points[{i}], points[{j}], points[{k}]")
+    for i, p in enumerate(points):
+        for k, vertices in enumerate(obstacles):
+            where = point_in_polygon(p, vertices)
+            if where >= 0:
+                side = "inside" if where > 0 else "on the boundary of"
+                out.append(f"points[{i}] is {side} obstacles[{k}]")
+    for i, j in combinations(range(len(points)), 2):
+        for k, vertices in enumerate(obstacles):
+            for t, w in enumerate(vertices):
+                if on_open_segment(points[i], points[j], w):
+                    out.append(
+                        f"obstacles[{k}] vertex {t} lies between points[{i}] and points[{j}]"
+                    )
+    return tuple(out)
 
 
 def shoelace_area2(nodes, cycle):

@@ -1,18 +1,27 @@
 """Helpers that only the tests use, built on the package.
 
 Unlike ``oracles.py``, which re-derives answers without the package's own
-predicates, these functions call the package freely: they relabel order
-types, transform scenes into signature-equal copies, check where a scene's
+predicates, these functions call the package freely: they draw random
+simple polygons, relabel order types, transform scenes into signature-equal copies, check where a scene's
 obstacles sit among the faces of its drawing, and run the partition check
 with a drawing's faces as the obstacles.
 """
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import combinations, permutations
 
 from obsrep.arrangement import build_arrangement
-from obsrep.errors import ObsrepError, SearchError
-from obsrep.geom import Point, Polygon, closed_segments_intersect, orient, point_in_polygon
+from obsrep.errors import GeometryError, ObsrepError, SearchError
+from obsrep.geom import (
+    Point,
+    Polygon,
+    closed_segments_intersect,
+    convex_hull,
+    direction_cmp,
+    orient,
+    point_in_polygon,
+)
 from obsrep.ordertype import OrderType, chirotope
 from obsrep.scene import Scene
 from obsrep.search import PartitionReport, _partition_report
@@ -72,6 +81,47 @@ def swap_roles(pattern: str) -> str:
     start = pairs.index(("q", "-"))
     pairs = pairs[start:] + pairs[:start]
     return "".join(a + b for a, b in pairs)
+
+
+# --- polygons ---
+
+
+def polygon_edges(poly):
+    """The polygon's edges as corner pairs, each corner to the next."""
+    v = poly.vertices
+    return list(zip(v, v[1:] + v[:1]))
+
+
+def random_polygon(rng, span=9, at=(0, 0)):
+    """A random simple polygon with corners in the square of radius ``span`` around ``at``.
+
+    Half the draws are convex hulls of 3 to 7 random points.  The other half
+    sort 4 to 7 random points counterclockwise around their rounded centroid:
+    a star-shaped polygon, often not convex.  Draws that the ``Polygon``
+    constructor refuses are drawn again.
+    """
+    cx, cy = at
+    while True:
+        convex = rng.random() < 0.5
+        raw = {
+            (cx + rng.randint(-span, span), cy + rng.randint(-span, span))
+            for _ in range(rng.randint(3, 7) if convex else rng.randint(4, 7))
+        }
+        if convex:
+            ring = convex_hull(raw)
+        else:
+            mx = sum(x for x, _ in raw) // len(raw)
+            my = sum(y for _, y in raw) // len(raw)
+            ring = sorted(
+                (p for p in raw if p != (mx, my)),
+                key=cmp_to_key(lambda p, q: direction_cmp((p[0] - mx, p[1] - my), (q[0] - mx, q[1] - my))),
+            )
+        if len(ring) < 3:
+            continue
+        try:
+            return Polygon(tuple(Point(x, y) for x, y in ring))
+        except GeometryError:
+            continue
 
 
 # --- signature-equal scenes ---
@@ -162,7 +212,7 @@ def obstacle_face_check(scene: Scene, graph=None) -> FacePlacementReport:
         stabbed = any(
             closed_segments_intersect(fs.nodes[a], fs.nodes[b], u, v)
             for a, b in fs.pieces
-            for u, v in poly.edges()
+            for u, v in polygon_edges(poly)
         )
         if stabbed or any(point_in_polygon(node, poly) >= 0 for node in fs.nodes):
             assignments.append(None)

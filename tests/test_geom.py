@@ -14,7 +14,6 @@ from obsrep.geom import (
     direction_cmp,
     is_general_position,
     on_closed_segment,
-    on_open_segment,
     orient,
     point_in_polygon,
     polygon_area2,
@@ -22,6 +21,7 @@ from obsrep.geom import (
 )
 
 import oracles
+from support import polygon_edges, random_polygon
 
 coords = st.integers(min_value=-10**6, max_value=10**6)
 point_st = st.tuples(coords, coords)
@@ -90,12 +90,13 @@ def test_on_segment_predicates():
     assert on_closed_segment(a, b, (7, 0))
     assert not on_closed_segment(a, b, (11, 0))
     assert not on_closed_segment(a, b, (5, 1))
-    assert on_open_segment(a, b, (7, 0))
-    assert not on_open_segment(a, b, (0, 0))
-    assert not on_open_segment(a, b, (10, 0))
+    # the open form is the brute-force corner check behind scene validation
+    assert oracles.on_open_segment(a, b, (7, 0))
+    assert not oracles.on_open_segment(a, b, (0, 0))
+    assert not oracles.on_open_segment(a, b, (10, 0))
     # vertical segment uses the y-range
-    assert on_open_segment((3, 1), (3, 9), (3, 4))
-    assert not on_open_segment((3, 1), (3, 9), (3, 9))
+    assert oracles.on_open_segment((3, 1), (3, 9), (3, 4))
+    assert not oracles.on_open_segment((3, 1), (3, 9), (3, 9))
 
 
 def test_polygon_constructor_validation():
@@ -134,34 +135,36 @@ def test_point_in_polygon_basics():
 
 
 def test_point_in_polygon_matches_parity_oracle():
+    """Random 3- to 7-gons, a third of them not convex, agree with ray parity
+    on grid queries, on corners, on horizontal edges and the lines through
+    them, level with corners, and on rational queries."""
     rng = random.Random(77)
-    checked = 0
-    for _ in range(800):
-        # random triangle or quad, counterclockwise
-        while True:
-            verts = [Point(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(3)]
-            try:
-                poly = Polygon(tuple(verts if polygon_area2(verts) > 0 else reversed(verts)))
-                break
-            except GeometryError:
-                continue
-        q = (rng.randint(-12, 12), rng.randint(-12, 12))
-        assert point_in_polygon(q, poly) == oracles.point_in_polygon(q, poly.vertices)
-        checked += 1
-    assert checked == 800
-
-
-def _random_polygon(rng, span=9):
-    """A random simple polygon (triangle fan around a convex hull subset)."""
-    while True:
-        raw = {(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(rng.randint(3, 7))}
-        hull = convex_hull(raw)
-        if len(hull) < 3:
-            continue
-        try:
-            return Polygon(tuple(Point(x, y) for x, y in hull))
-        except GeometryError:
-            continue
+    seen = {"non-convex": 0, "corner": 0, "horizontal edge": 0, "level with a corner": 0, "fraction": 0}
+    for trial in range(2000):
+        poly = random_polygon(rng)
+        verts = poly.vertices
+        seen["non-convex"] += not poly.is_convex()
+        kind = trial % 4
+        if kind == 0:
+            q = (rng.randint(-12, 12), rng.randint(-12, 12))
+        elif kind == 1:
+            q = rng.choice(verts)
+            seen["corner"] += 1
+        elif kind == 2:
+            # on a horizontal edge or its line, or else level with a corner
+            flat = [(u, v) for u, v in polygon_edges(poly) if u.y == v.y]
+            if flat:
+                u, v = rng.choice(flat)
+                seen["horizontal edge"] += 1
+            else:
+                u = v = rng.choice(verts)
+                seen["level with a corner"] += 1
+            q = (u.x + Fraction(rng.randint(-2, 6), 4) * (v.x - u.x) + rng.randint(-3, 3), u.y)
+        else:
+            q = (Fraction(rng.randint(-40, 40), 3), Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3))))
+            seen["fraction"] += 1
+        assert point_in_polygon(q, poly) == oracles.point_in_polygon(q, verts), (q, verts)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_segment_intersects_polygon_known_cases(hexagon_scene):
@@ -173,13 +176,29 @@ def test_segment_intersects_polygon_known_cases(hexagon_scene):
 
 
 def test_segment_intersects_polygon_matches_oracle():
-    """10k random segment/polygon pairs agree with the Cramer-rule oracle."""
+    """10k random segment/polygon pairs agree with the Cramer-rule oracle.
+
+    A third of the polygons are not convex, and a fifth of the segments lie
+    on a line through a corner, half of them short of it, where the corner's
+    orientation is 0 but it lies outside the segment's box.
+    """
     rng = random.Random(424242)
     done = 0
+    seen = {"non-convex": 0, "corner beyond": 0, "corner on": 0}
     while done < 10000:
-        poly = _random_polygon(rng)
-        a = Point(rng.randint(-14, 14), rng.randint(-14, 14))
-        b = Point(rng.randint(-14, 14), rng.randint(-14, 14))
+        poly = random_polygon(rng)
+        if done % 5:
+            a = Point(rng.randint(-14, 14), rng.randint(-14, 14))
+            b = Point(rng.randint(-14, 14), rng.randint(-14, 14))
+        else:
+            # both ends on one line through corner w
+            w = rng.choice(poly.vertices)
+            dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 3)])
+            s, t = rng.randint(-8, 8), rng.randint(-8, 8)
+            if done % 2:
+                s, t = abs(s) or 1, abs(t) or 2  # the corner lies beyond a and b
+            a = Point(w.x + s * dx, w.y + s * dy)
+            b = Point(w.x + t * dx, w.y + t * dy)
         if a == b:
             continue
         if point_in_polygon(a, poly) >= 0 or point_in_polygon(b, poly) >= 0:
@@ -187,7 +206,12 @@ def test_segment_intersects_polygon_matches_oracle():
         got = segment_intersects_polygon(a, b, poly)
         want = oracles.segment_meets_polygon(a, b, poly.vertices)
         assert got == want, (a, b, poly.vertices)
+        seen["non-convex"] += not poly.is_convex()
+        for w in poly.vertices:
+            if orient(a, b, w) == 0:
+                seen["corner on" if on_closed_segment(a, b, w) else "corner beyond"] += 1
         done += 1
+    assert min(seen.values()) >= 500, seen
 
 
 def test_is_general_position_reporting():

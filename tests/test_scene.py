@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from obsrep.errors import SceneError
 from obsrep.geom import Point, Polygon
 from obsrep.scene import Scene, require_valid_scene
 
+import oracles
 from conftest import poly, pts
+from support import random_polygon
 
 
 def diagnostics(points, obstacles=()):
@@ -78,3 +82,45 @@ def test_scene_accepts_lists_and_freezes_them():
     scene = Scene([Point(0, 0), Point(1, 5)], [Polygon(pts((10, 0), (14, 0), (12, 3)))])
     assert isinstance(scene.points, tuple)
     assert isinstance(scene.obstacles, tuple)
+
+
+def test_two_corners_between_two_vertex_pairs():
+    # corner 0, (6, 4), splits points 2-3 and corner 1, (4, 4), splits points
+    # 0-1: the messages follow the vertex pairs, not the corners
+    msgs = diagnostics(
+        pts((0, 0), (8, 8), (6, 0), (6, 8)),
+        (poly((6, 4), (4, 4), (7, 3)),),
+    )
+    assert msgs == (
+        "obstacles[0] vertex 1 lies between points[0] and points[1]",
+        "obstacles[0] vertex 0 lies between points[2] and points[3]",
+    )
+
+
+def test_diagnostics_match_brute_force_oracle():
+    """Scenes on a small grid, full of duplicates, collinear triples, points
+    in obstacles and corners between vertex pairs, get the oracle's
+    diagnostics in the oracle's order."""
+    rng = random.Random(1515)
+    seen = {"valid": 0, "duplicate": 0, "collinear": 0, "inside": 0, "boundary": 0, "between": 0}
+    for _ in range(400):
+        obstacles = tuple(
+            random_polygon(rng, span=2, at=(rng.randint(2, 6), rng.randint(2, 6)))
+            for _ in range(rng.randint(0, 3))
+        )
+        points = tuple(Point(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(rng.randint(2, 7)))
+        want = oracles.scene_diagnostics(points, [o.vertices for o in obstacles])
+        if want:
+            assert diagnostics(points, obstacles) == want
+        else:
+            Scene(points, obstacles)
+            seen["valid"] += 1
+        for key, words in (
+            ("duplicate", "duplicate"),
+            ("collinear", "collinear"),
+            ("inside", "is inside"),
+            ("boundary", "on the boundary"),
+            ("between", "lies between"),
+        ):
+            seen[key] += sum(words in m for m in want)
+    assert min(seen.values()) >= 40, seen

@@ -1,15 +1,18 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from obsrep.errors import ObsrepError, SceneError
+from obsrep.geom import Point
 from obsrep.graphs import Graph
 from obsrep.sampling import random_single_obstacle_scene
 from obsrep.scene import Scene
 from obsrep.visibility import validate_representation, visibility_details, visibility_graph
 
+import oracles
 from conftest import poly, pts
-from support import scaled_scene
+from support import random_polygon, scaled_scene
 
 
 def test_hexagon_scene_visibility(hexagon_scene):
@@ -98,3 +101,34 @@ def test_sampled_scenes_have_some_blocked_pairs():
         assert len(g.edges) + len(witnesses) == 10
         blocked += len(witnesses)
     assert blocked > 0
+
+
+def test_visibility_details_match_oracle_on_multi_obstacle_scenes():
+    """Every pair of seeded scenes with 1 to 3 obstacles, a third of them not
+    convex, gets the oracle's blockers."""
+    rng = random.Random(4747)
+    seen = {"scenes": 0, "non-convex": 0, "blocked by two": 0, "visible": 0}
+    while seen["scenes"] < 150:
+        obstacles = tuple(
+            random_polygon(rng, span=6, at=(rng.randint(-12, 12), rng.randint(-12, 12)))
+            for _ in range(rng.randint(1, 3))
+        )
+        points = tuple(Point(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(rng.randint(2, 8)))
+        try:
+            scene = Scene(points, obstacles)
+        except SceneError:
+            continue
+        g, witnesses = visibility_details(scene)
+        for i, j in combinations(range(scene.n), 2):
+            want = [
+                k
+                for k, o in enumerate(obstacles)
+                if oracles.segment_meets_polygon(points[i], points[j], o.vertices)
+            ]
+            assert witnesses.get((i, j), []) == want, (points, obstacles, i, j)
+            assert g.has_edge(i, j) == (not want)
+            seen["visible"] += not want
+            seen["blocked by two"] += len(want) >= 2
+        seen["scenes"] += 1
+        seen["non-convex"] += any(not o.is_convex() for o in obstacles)
+    assert min(seen.values()) >= 40, seen
