@@ -1,10 +1,11 @@
 """Helpers that only the tests use, built on the package.
 
 Unlike ``oracles.py``, which re-derives answers without the package's own
-predicates, these functions call the package freely: they draw random
-simple polygons, relabel order types, transform scenes into signature-equal copies, check where a scene's
-obstacles sit among the faces of its drawing, and run the partition check
-with a drawing's faces as the obstacles.
+predicates, these functions call the package freely: they list a polygon's
+edges, draw random simple polygons, relabel order types, transform scenes
+into signature-equal copies, check where a scene's obstacles sit among the
+faces of its drawing, and run the partition check with a drawing's faces
+as the obstacles.
 """
 
 from dataclasses import dataclass
