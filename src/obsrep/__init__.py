@@ -31,12 +31,7 @@ from .errors import (
 )
 from .geom import Point, Polygon, convex_hull, is_general_position, orient
 from .graphs import Graph, GraphError, complete_graph, cycle_graph
-from .ordertype import (
-    OrderType,
-    SceneSignature,
-    chirotope,
-    scene_signature,
-)
+from .ordertype import SceneSignature, chirotope, scene_signature
 from .scene import Scene, require_valid_scene
 from .sceneio import load_graph, load_scene, save_scene
 from .search import (
@@ -87,7 +82,6 @@ __all__ = [
     "GraphError",
     "ObsResult",
     "ObsrepError",
-    "OrderType",
     "PartitionReport",
     "PatternTable",
     "Point",

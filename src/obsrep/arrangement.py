@@ -25,6 +25,7 @@ from .geom import (
     direction_cmp,
     on_closed_segment,
     orient,
+    point_in_polygon,
 )
 from .graphs import Graph
 from .scene import Scene
@@ -69,27 +70,16 @@ def _crossing(p, q, r, s):
     return None
 
 
-def _winding(q, cycle, nodes) -> int:
-    qy = q[1]
-    w = 0
-    k = len(cycle)
-    for idx in range(k):
-        a = nodes[cycle[idx]]
-        b = nodes[cycle[(idx + 1) % k]]
-        if a[1] <= qy < b[1] and orient(a, b, q) > 0:
-            w += 1
-        elif b[1] <= qy < a[1] and orient(a, b, q) < 0:
-            w -= 1
-    return w
-
-
 def _enclosing_cycle(q, nodes, cycles):
-    """Key of the first cycle that winds around q, or None if none does.
+    """Key of the first cycle that encloses q, or None if none does.
 
     ``cycles`` yields ``(key, cycle)`` for positively oriented cycles in the
     order of ``_smallest_first``, so the answer is the smallest enclosing one.
     """
-    return next((key for key, cycle in cycles if _winding(q, cycle, nodes) != 0), None)
+    return next(
+        (key for key, cycle in cycles if point_in_polygon(q, [nodes[i] for i in cycle]) > 0),
+        None,
+    )
 
 
 def _smallest_first(faces):
@@ -141,9 +131,8 @@ class FaceSet:
         """An exact rational point interior to the face."""
         f = self.faces[face_id]
         if f.area2 is not None:
-            # Crossings lie on pieces, so the points on none are the edgeless vertices.
-            ends = {i for edge in self.graph.edges for i in edge}
-            isolated = [q for i, q in enumerate(self.nodes[: self.graph.n]) if i not in ends]
+            # Crossings lie on pieces, so the nodes no dart leaves are the edgeless vertices.
+            isolated = [q for q, ring in zip(self.nodes, self.outgoing) if not ring]
             return _interior_point_of_cycle(self.nodes, f.cycles, isolated)
         if not self.nodes:
             return (Fraction(0), Fraction(0))

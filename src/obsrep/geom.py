@@ -157,17 +157,20 @@ class Polygon:
         return all(orient(v[i - 1], v[i], v[(i + 1) % k]) > 0 for i in range(k))
 
 
-def point_in_polygon(q, polygon) -> int:
-    """Locate q relative to the closed polygon region: +1 inside, 0 on boundary, -1 outside.
+def point_in_polygon(q, vertices) -> int:
+    """Locate q against a closed vertex cycle: +1 inside, 0 on it, -1 outside.
 
-    Exact crossing-number test; q may have Fraction coordinates.  One
-    orientation per edge decides both whether q lies on that edge and
-    whether the edge crosses the ray from q towards +x.
+    Exact crossing-number test: q is inside when an odd number of edges
+    cross the ray from q towards +x.  Any nonempty cycle works: a polygon's
+    corners, a face walk that revisits nodes, or the one or two points of a
+    degenerate hull, which enclose nothing.  q and the corners may have
+    Fraction coordinates.  One orientation per edge decides both whether q
+    lies on that edge and whether the edge crosses the ray.
     """
     qx, qy = q
     inside = False
-    ux, uy = polygon.vertices[-1]
-    for vx, vy in polygon.vertices:
+    ux, uy = vertices[-1]
+    for vx, vy in vertices:
         o = (vx - ux) * (qy - uy) - (vy - uy) * (qx - ux)  # its sign is orient(u, v, q)
         if o == 0:
             if min(ux, vx) <= qx <= max(ux, vx) and min(uy, vy) <= qy <= max(uy, vy):

@@ -3,7 +3,8 @@
 The signature of a scene lists the orientation of every triple drawn from the
 graph vertices followed by the obstacle corners (in boundary order), together
 with which index range belongs to which obstacle.  Two scenes with equal
-signatures have the same visibility graph.
+signatures have the same visibility graph.  The order type of the vertices
+alone is the same record with no obstacles.
 """
 
 from __future__ import annotations
@@ -11,43 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import GeneralPositionError, ObsrepError
 from .geom import orient
 from .scene import Scene
-
-
-@dataclass(frozen=True)
-class OrderType:
-    """Orientations of all triples i < j < k, lexicographic order, no zeros."""
-
-    n: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        want = len(list(combinations(range(self.n), 3)))
-        if len(self.entries) != want:
-            raise ObsrepError(
-                f"expected {want} triple orientations for n={self.n}, got {len(self.entries)}"
-            )
-        if any(e == 0 for e in self.entries):
-            raise GeneralPositionError("order type of a degenerate configuration")
-
-    def as_dict(self) -> dict:
-        return dict(zip(combinations(range(self.n), 3), self.entries))
 
 
 def _triple_signs(points) -> tuple[int, ...]:
     pts = list(points)
     return tuple(orient(pts[i], pts[j], pts[k]) for i, j, k in combinations(range(len(pts)), 3))
-
-
-def chirotope(scene: Scene) -> OrderType:
-    """The labeled order type of the scene's vertices.
-
-    A scene keeps its vertices in general position, so no entry is zero.
-    """
-    return OrderType(scene.n, _triple_signs(scene.points))
 
 
 @dataclass(frozen=True)
@@ -56,10 +27,10 @@ class SceneSignature:
 
     ``entries`` covers every triple of the concatenated sequence (vertices
     first, then each obstacle's corners in boundary order) in lexicographic
-    order.  Unlike :class:`OrderType`, zero entries are permitted as long as
-    the scene itself is valid: a vertex may be collinear with two obstacle
-    corners without affecting any visibility.  ``ranges`` gives one half-open
-    index interval per obstacle.
+    order.  Zero entries are permitted as long as the scene itself is valid:
+    a vertex may be collinear with two obstacle corners without affecting
+    any visibility.  ``ranges`` gives one half-open index interval per
+    obstacle; the order type of the vertices alone has none.
     """
 
     n: int
@@ -71,8 +42,13 @@ class SceneSignature:
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "ranges", tuple(tuple(r) for r in self.ranges))
 
-    def as_dict(self) -> dict:
-        return dict(zip(combinations(range(self.total), 3), self.entries))
+
+def chirotope(scene: Scene) -> SceneSignature:
+    """The labeled order type of the scene's vertices, as a signature without obstacles.
+
+    A scene keeps its vertices in general position, so no entry is zero.
+    """
+    return SceneSignature(scene.n, scene.n, _triple_signs(scene.points), ())
 
 
 def scene_signature(scene: Scene) -> SceneSignature:

@@ -49,7 +49,7 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
         if tries > 4000:
             raise SearchError("could not place scene points in general position")
         q = Point(rng.randint(-1000, 1000), rng.randint(-1000, 1000))
-        if q in taken or point_in_polygon(q, poly) >= 0 or _collinear_with_any_pair(taken, q):
+        if q in taken or point_in_polygon(q, poly.vertices) >= 0 or _collinear_with_any_pair(taken, q):
             continue
         taken.append(q)
         pts.append(q)

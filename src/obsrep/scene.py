@@ -57,7 +57,7 @@ def require_valid_scene(scene: Scene) -> None:
             out.append(f"{kind}: {names}")
     for i, p in enumerate(scene.points):
         for k, poly in enumerate(scene.obstacles):
-            where = point_in_polygon(p, poly)
+            where = point_in_polygon(p, poly.vertices)
             if where >= 0:
                 side = "inside" if where > 0 else "on the boundary of"
                 out.append(f"points[{i}] is {side} obstacles[{k}]")

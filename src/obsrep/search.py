@@ -19,7 +19,7 @@ from fractions import Fraction
 from .arrangement import build_arrangement, face_nonedge_incidence
 from .cover import solve_cover
 from .errors import ObsrepError
-from .geom import convex_hull, on_closed_segment, orient
+from .geom import convex_hull, point_in_polygon
 from .graphs import Graph, all_graphs, complete_graph, gnp_half
 from .sampling import random_placement
 from .scene import Scene
@@ -188,15 +188,7 @@ class PartitionReport:
 def _hull_contains_all(group_points, vertices) -> bool:
     """Is every query vertex inside or on the hull of the group's points?"""
     hull = convex_hull(group_points)
-    if len(hull) == 1:
-        return all(v == hull[0] for v in vertices)
-    if len(hull) == 2:
-        return all(on_closed_segment(hull[0], hull[1], v) for v in vertices)
-    k = len(hull)
-    return all(
-        all(orient(hull[i], hull[(i + 1) % k], v) >= 0 for i in range(k))
-        for v in vertices
-    )
+    return all(point_in_polygon(v, hull) >= 0 for v in vertices)
 
 
 def _partition_report(points, k, obstacle_vertex_sets) -> PartitionReport:

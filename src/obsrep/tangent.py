@@ -77,7 +77,12 @@ class TangentSequence:
         for m in _EVENT_RE.finditer(text):
             if m.start() != pos:
                 raise ObsrepError(f"cannot parse tangent sequence at {text[pos:]!r}")
-            events.append((int(m.group(1)) - 1, 1 if m.group(2) == "+" else -1))
+            digits = m.group(1).lstrip("0")
+            # A word on n labels is at least 4n characters long, so a label with more
+            # digits than the word's length has is never valid; int() never sees one.
+            if len(digits) > len(str(len(text))):
+                raise ObsrepError("a tangent label is larger than the word is long")
+            events.append((int(digits or "0") - 1, 1 if m.group(2) == "+" else -1))
             pos = m.end()
         if pos != len(text) or not events:
             raise ObsrepError(f"cannot parse tangent sequence {text!r}")
@@ -166,15 +171,6 @@ class PatternTable:
             return self._outcomes[pattern]
         except KeyError:
             raise UnknownPatternError(f"pattern {pattern!r} was never observed") from None
-
-    def patterns(self):
-        return sorted(self._outcomes)
-
-    def as_dict(self):
-        return dict(sorted(self._outcomes.items()))
-
-    def __len__(self):
-        return len(self._outcomes)
 
     def serialize(self) -> str:
         return "".join(f"pattern {p} {o}\n" for p, o in sorted(self._outcomes.items()))

@@ -2,8 +2,9 @@
 
 Nothing here calls the package's own predicates: intersections are found by
 solving 2x2 linear systems over ``fractions.Fraction`` (Cramer's rule),
-point-in-polygon is parity ray casting, scene diagnostics test every
-vertex pair against every obstacle corner, drawing faces come from a
+point-in-polygon is parity ray casting, a point is in a hull when it is in
+a triangle, on a segment or at a point of the group, scene diagnostics test
+every vertex pair against every obstacle corner, drawing faces come from a
 vertical-slab decomposition flooded across slab boundaries instead of
 half-edge tracing, face/non-edge incidence locates the midpoint of each
 stretch between crossings instead of walking the darts, face areas and dart
@@ -99,13 +100,15 @@ def segment_meets_polygon(a, b, vertices) -> bool:
 
 
 def point_in_polygon(q, vertices) -> int:
-    """+1 inside, 0 on the boundary, -1 outside; parity of a +x ray."""
+    """+1 inside, 0 on the boundary, -1 outside; parity of a +x ray.
+
+    ``vertices`` is any closed cycle: one point, two, or a walk that repeats
+    a corner, so an edge may have zero length.
+    """
     qx, qy = xy(q)
     k = len(vertices)
     for i in range(k):
-        c, d = vertices[i], vertices[(i + 1) % k]
-        t = _param_on_line(c, d, (qx, qy))
-        if t is not None and 0 <= t <= 1:
+        if closed_segments_meet(vertices[i], vertices[(i + 1) % k], q, q):
             return 0
     odd = False
     for i in range(k):
@@ -115,6 +118,32 @@ def point_in_polygon(q, vertices) -> int:
             if x_hit > qx:
                 odd = not odd
     return 1 if odd else -1
+
+
+def hull_contains_all(group_points, vertices) -> bool:
+    """Is every vertex inside or on the convex hull of the group's points?
+
+    Three cases instead of a hull (Carathéodory): a vertex is in the hull
+    when it is one of the points, lies on the segment between two, or lies
+    in the closed triangle of three that are not collinear.
+    """
+
+    def cross(a, b, c):
+        (ax, ay), (bx, by), (cx, cy) = xy(a), xy(b), xy(c)
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    def inside(v):
+        if any(xy(v) == xy(p) for p in group_points):
+            return True
+        if any(closed_segments_meet(a, b, v, v) for a, b in combinations(group_points, 2)):
+            return True
+        for a, b, c in combinations(group_points, 3):
+            area = cross(a, b, c)
+            if area != 0 and all(area * cross(*e, v) >= 0 for e in ((a, b), (b, c), (c, a))):
+                return True
+        return False
+
+    return all(inside(v) for v in vertices)
 
 
 def scene_diagnostics(points, obstacles):

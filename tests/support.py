@@ -23,7 +23,7 @@ from obsrep.geom import (
     orient,
     point_in_polygon,
 )
-from obsrep.ordertype import OrderType, chirotope
+from obsrep.ordertype import SceneSignature, chirotope
 from obsrep.scene import Scene
 from obsrep.search import PartitionReport, _partition_report
 from obsrep.visibility import visibility_graph
@@ -31,11 +31,16 @@ from obsrep.visibility import visibility_graph
 # --- order types ---
 
 
-def orientation(ot: OrderType, i: int, j: int, k: int) -> int:
+def triples(sig: SceneSignature) -> dict:
+    """The signature's orientations keyed by index triple ``(i, j, k)``, i < j < k."""
+    return dict(zip(combinations(range(sig.total), 3), sig.entries))
+
+
+def orientation(ot: SceneSignature, i: int, j: int, k: int) -> int:
     """Stored orientation of the triple; requires i < j < k."""
-    if not 0 <= i < j < k < ot.n:
+    if not 0 <= i < j < k < ot.total:
         raise ObsrepError(f"triple ({i},{j},{k}) is not increasing within range")
-    return ot.as_dict()[(i, j, k)]
+    return triples(ot)[(i, j, k)]
 
 
 def same_labeled_order_type(p1, p2) -> bool:
@@ -46,16 +51,15 @@ def same_labeled_order_type(p1, p2) -> bool:
     return chirotope(Scene(a)) == chirotope(Scene(b))
 
 
-def canonical_unlabeled(ot: OrderType) -> OrderType:
-    """Lexicographically least relabeling of the order type (n ≤ 8 only)."""
+def canonical_unlabeled(ot: SceneSignature) -> tuple:
+    """Entries of the lexicographically least relabeling of the order type (n ≤ 8 only)."""
     if ot.n > 8:
         raise ObsrepError("unlabeled canonical form is limited to n <= 8")
     best = None
-    triples = list(combinations(range(ot.n), 3))
-    lookup = ot.as_dict()
+    lookup = triples(ot)
     for perm in permutations(range(ot.n)):
         out = []
-        for i, j, k in triples:
+        for i, j, k in lookup:
             a, b, c = perm[i], perm[j], perm[k]
             sign = 1
             # Sort (a, b, c) with an explicit bubble, tracking the swap parity.
@@ -69,10 +73,15 @@ def canonical_unlabeled(ot: OrderType) -> OrderType:
         tup = tuple(out)
         if best is None or tup < best:
             best = tup
-    return OrderType(ot.n, best)
+    return best
 
 
 # --- tangent patterns ---
+
+
+def outcomes(table) -> dict:
+    """The pattern table as ``{pattern: outcome}``, read back from its text form."""
+    return dict(line.split()[1:] for line in table.serialize().splitlines())
 
 
 def swap_roles(pattern: str) -> str:
@@ -215,7 +224,7 @@ def obstacle_face_check(scene: Scene, graph=None) -> FacePlacementReport:
             for a, b in fs.pieces
             for u, v in polygon_edges(poly)
         )
-        if stabbed or any(point_in_polygon(node, poly) >= 0 for node in fs.nodes):
+        if stabbed or any(point_in_polygon(node, poly.vertices) >= 0 for node in fs.nodes):
             assignments.append(None)
         else:
             assignments.append(fs.locate(poly.vertices[0]))

@@ -106,7 +106,7 @@ def test_criterion_02_codec_agrees_with_geometry_on_10k_scenes(capsys):
     # deriving the table from scratch doubles as the single-valuedness
     # check: a pattern seen with both outcomes raises ContradictionError
     table = derive_pattern_table(800, 20260814)
-    single_valued = table.as_dict() == builtin_pattern_table().as_dict()
+    single_valued = table.serialize() == builtin_pattern_table().serialize()
 
     rng = random.Random(91)
     mismatches = 0

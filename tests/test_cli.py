@@ -115,8 +115,10 @@ def test_signature_output(tmp_path, capsys):
 
 
 def test_decode_builtin_table(capsys):
-    rc, out, err = run(capsys, ["decode", "2+1-2-3+1+3-"])
-    assert (rc, out, err) == (0, "n 3\nedge 1 2\nedge 1 3\n", "")
+    # leading zeros are read, however many, and do not count against int()'s limit
+    for word in ("2+1-2-3+1+3-", "0" * 5000 + "2+01-2-3+1+003-"):
+        rc, out, err = run(capsys, ["decode", word])
+        assert (rc, out, err) == (0, "n 3\nedge 1 2\nedge 1 3\n", "")
 
 
 def test_decode_with_table_file(tmp_path, capsys):
@@ -134,11 +136,12 @@ def test_decode_unknown_pattern(capsys):
 def test_decode_garbage(capsys):
     rc, out, err = run(capsys, ["decode", "zzz"])
     assert rc == 1 and "error:" in err
-    # labels are ASCII digits only: Arabic-Indic and fullwidth ones are refused
-    for word in ("\u0661+\u0661-", "\uff11+\uff11-"):
+    # labels are ASCII digits only: Arabic-Indic and fullwidth ones are refused,
+    # and so, without echoing it, is a label longer than int() reads (4,300 digits)
+    for word in ("\u0661+\u0661-", "\uff11+\uff11-", "9" * 5000 + "+"):
         rc, out, err = run(capsys, ["decode", word])
         assert (rc, out) == (1, "")
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 80
 
 
 def test_decode_rejects_a_word_without_both_signs(capsys):

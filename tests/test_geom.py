@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obsrep.arrangement import build_arrangement
 from obsrep.errors import GeometryError
 from obsrep.geom import (
     Point,
@@ -19,6 +20,9 @@ from obsrep.geom import (
     polygon_area2,
     segment_intersects_polygon,
 )
+from obsrep.graphs import gnp_half
+from obsrep.sampling import random_placement
+from obsrep.scene import Scene
 
 import oracles
 from support import polygon_edges, random_polygon
@@ -124,7 +128,7 @@ def test_polygon_convexity_and_area():
 
 
 def test_point_in_polygon_basics():
-    square = Polygon((Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)))
+    square = (Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4))
     assert point_in_polygon((2, 2), square) == 1
     assert point_in_polygon((2, 0), square) == 0
     assert point_in_polygon((4, 4), square) == 0
@@ -132,12 +136,22 @@ def test_point_in_polygon_basics():
     assert point_in_polygon((-1, 4), square) == -1
     # rational query points work too
     assert point_in_polygon((Fraction(1, 2), Fraction(1, 3)), square) == 1
+    # a point and a segment enclose nothing; a spur is boundary, not a wall
+    assert [point_in_polygon(q, [(1, 1)]) for q in ((1, 1), (2, 1))] == [0, -1]
+    segment = [(0, 0), (4, 2)]
+    assert [point_in_polygon(q, segment) for q in ((2, 1), (6, 3), (1, 0))] == [0, -1, -1]
+    spur = square[:2] + ((2, 2),) + square[1:]
+    assert [point_in_polygon(q, spur) for q in ((3, 1), (1, 3), (5, 2))] == [0, 1, -1]
 
 
 def test_point_in_polygon_matches_parity_oracle():
     """Random 3- to 7-gons, a third of them not convex, agree with ray parity
     on grid queries, on corners, on horizontal edges and the lines through
-    them, level with corners, and on rational queries."""
+    them, level with corners, and on rational queries.  So do 1- and 2-vertex
+    cycles and polygons with a spur to an inner point (a repeated corner), on
+    grid queries, their nodes and rational points along their edges' lines,
+    and the face walks of random drawings, which revisit nodes where an edge
+    dangles."""
     rng = random.Random(77)
     seen = {"non-convex": 0, "corner": 0, "horizontal edge": 0, "level with a corner": 0, "fraction": 0}
     for trial in range(2000):
@@ -163,8 +177,50 @@ def test_point_in_polygon_matches_parity_oracle():
         else:
             q = (Fraction(rng.randint(-40, 40), 3), Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3))))
             seen["fraction"] += 1
-        assert point_in_polygon(q, poly) == oracles.point_in_polygon(q, verts), (q, verts)
+        assert point_in_polygon(q, verts) == oracles.point_in_polygon(q, verts), (q, verts)
     assert min(seen.values()) >= 100, seen
+
+    rng = random.Random(78)
+    shapes = [0, 0, 0]  # one point, two points, a polygon with a spur
+    for trial in range(1500):
+        verts = list(random_polygon(rng).vertices)
+        shape = trial % 3
+        if shape == 0:
+            cycle = [rng.choice(verts)]
+        elif shape == 1:
+            cycle = rng.sample(verts, 2)
+        else:
+            tips = ((rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(40))
+            tip = next((t for t in tips if oracles.point_in_polygon(t, verts) == 1), None)
+            if tip is None:
+                continue
+            i = rng.randrange(len(verts))
+            cycle = verts[: i + 1] + [tip] + verts[i:]
+        shapes[shape] += 1
+        kind = trial // 3 % 3
+        if kind == 0:
+            q = (rng.randint(-12, 12), rng.randint(-12, 12))
+        elif kind == 1:
+            q = rng.choice(cycle)
+        else:
+            i = rng.randrange(len(cycle))
+            (ux, uy), (vx, vy) = cycle[i - 1], cycle[i]
+            t = Fraction(rng.randint(-2, 6), 4)
+            q = (ux + t * (vx - ux), uy + t * (vy - uy) + rng.choice((0, 0, Fraction(1, 3))))
+        assert point_in_polygon(q, cycle) == oracles.point_in_polygon(q, cycle), (q, cycle)
+    assert min(shapes) >= 400, shapes
+    walks = 0
+    for _ in range(40):
+        scene = Scene(random_placement(rng, 6, 12))
+        fs = build_arrangement(scene, gnp_half(6, rng))
+        probes = list(fs.nodes) + [(rng.randint(-2, 14), rng.randint(-2, 14)) for _ in range(20)]
+        for face in fs.faces:
+            for cycle in face.cycles:
+                walks += len(set(cycle)) < len(cycle)
+                corners = [fs.nodes[i] for i in cycle]
+                for q in probes:
+                    assert point_in_polygon(q, corners) == oracles.point_in_polygon(q, corners)
+    assert walks >= 20, walks
 
 
 def test_segment_intersects_polygon_known_cases(hexagon_scene):
@@ -201,7 +257,7 @@ def test_segment_intersects_polygon_matches_oracle():
             b = Point(w.x + t * dx, w.y + t * dy)
         if a == b:
             continue
-        if point_in_polygon(a, poly) >= 0 or point_in_polygon(b, poly) >= 0:
+        if point_in_polygon(a, poly.vertices) >= 0 or point_in_polygon(b, poly.vertices) >= 0:
             continue
         got = segment_intersects_polygon(a, b, poly)
         want = oracles.segment_meets_polygon(a, b, poly.vertices)

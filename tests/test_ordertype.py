@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from obsrep.errors import GeneralPositionError, ObsrepError, SceneError
+from obsrep.errors import ObsrepError, SceneError
 from obsrep.geom import orient
-from obsrep.ordertype import OrderType, chirotope, scene_signature
+from obsrep.ordertype import SceneSignature, chirotope, scene_signature
 from obsrep.sampling import random_placement, random_single_obstacle_scene
 from obsrep.scene import Scene
 from obsrep.visibility import visibility_graph
@@ -17,13 +17,13 @@ from support import (
     perturb_scene,
     same_labeled_order_type,
     scaled_scene,
+    triples,
 )
 
 
 def test_chirotope_of_a_triangle():
     ot = chirotope(Scene(pts((0, 0), (4, 0), (0, 4))))
-    assert ot.n == 3
-    assert ot.entries == (1,)
+    assert ot == SceneSignature(3, 3, (1,), ())  # a signature with no obstacles
     assert orientation(ot, 0, 1, 2) == 1
 
 
@@ -38,13 +38,6 @@ def test_chirotope_matches_orient_on_random_config():
     ot = chirotope(Scene(points))
     for i, j, k in combinations(range(7), 3):
         assert orientation(ot, i, j, k) == orient(points[i], points[j], points[k])
-
-
-def test_ordertype_constructor_validation():
-    with pytest.raises(ObsrepError):
-        OrderType(4, (1, 1))  # C(4,3) = 4 entries expected
-    with pytest.raises(GeneralPositionError):
-        OrderType(3, (0,))
 
 
 def test_orientation_requires_increasing_triple():
@@ -74,7 +67,7 @@ def test_hexagon_scene_signature(hexagon_scene):
     assert sig.total == 9
     assert sig.ranges == ((3, 9),)
     assert len(sig.entries) == 84  # C(9,3)
-    zeros = [t for t, s in sig.as_dict().items() if s == 0]
+    zeros = [t for t, s in triples(sig).items() if s == 0]
     assert zeros == [(0, 3, 6)]
 
 

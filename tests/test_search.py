@@ -5,7 +5,8 @@ import pytest
 
 from obsrep.arrangement import build_arrangement, face_nonedge_incidence
 from obsrep.errors import ObsrepError
-from obsrep.graphs import Graph, complete_graph, cycle_graph
+from obsrep.geom import Point, orient
+from obsrep.graphs import Graph, complete_graph, cycle_graph, gnp_half
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
 from obsrep.search import (
@@ -17,9 +18,11 @@ from obsrep.search import (
     random_graph_experiment,
     replay_witness,
     suggested_group_size,
+    _partition_report,
 )
 
 from conftest import poly, pts
+import oracles
 from support import partition_faces_check
 
 QUAD = pts((0, 0), (10, 1), (11, 9), (1, 8))  # convex, distinct x
@@ -203,6 +206,44 @@ def test_partition_validation(hexagon_scene):
     shared_x = Scene(pts((0, 0), (0, 5), (3, 1)))
     with pytest.raises(ObsrepError):
         partition_lemma_check(shared_x, 1)
+
+
+def test_partition_flags_match_the_hull_oracle():
+    """Groups on a small grid, often collinear, against obstacles made of group
+    points, points on or beyond the segments between them, rational points and
+    the corners of real drawing faces (crossings have Fraction coordinates)."""
+    rng = random.Random(5150)
+    seen = {"collinear group": 0, "trapped": 0, "free": 0, "fraction corner": 0}
+    for trial in range(1500):
+        n = rng.randint(3, 9)
+        if trial % 2:
+            slope, level = rng.choice(((0, 3), (1, 0), (2, -5), (-1, 12)))
+            xs = rng.sample(range(16), n)
+            points = [Point(x, slope * x + level + rng.choice((0, 0, 0, 0, 0, 1, -1))) for x in xs]
+            sets = []
+            for _ in range(rng.randint(1, 3)):
+                corners = []
+                for _ in range(rng.randint(1, 4)):
+                    a, b = rng.sample(points, 2)
+                    t = Fraction(rng.randint(-2, 6), 4) + rng.choice((0, 0, Fraction(1, 7)))
+                    corners.append((a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+                sets.append(None if rng.random() < 0.05 else tuple(corners))
+        else:
+            points = random_placement(rng, n, 20)
+            fs = build_arrangement(Scene(points), gnp_half(n, rng))
+            bounded = [f for f in fs.faces if f.area2 is not None]
+            sets = [tuple(fs.nodes[i] for c in f.cycles for i in c) for f in bounded[:3]] + [None]
+        report = _partition_report(tuple(points), rng.randint(1, 4), sets)
+        for group, flag in zip(report.groups, report.flags):
+            gp = [points[i] for i in group]
+            trapped = any(v is not None and oracles.hull_contains_all(gp, v) for v in sets)
+            assert flag == (not trapped), (gp, sets)
+            seen["trapped" if trapped else "free"] += 1
+            seen["collinear group"] += len(gp) > 2 and all(orient(*gp[:2], p) == 0 for p in gp)
+            seen["fraction corner"] += any(
+                type(c) is Fraction for v in sets if v is not None for p in v for c in p
+            )
+    assert min(seen.values()) >= 100, seen
 
 
 def test_partition_over_witness_faces():
