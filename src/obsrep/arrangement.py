@@ -20,13 +20,7 @@ from functools import cmp_to_key
 from itertools import combinations
 
 from .errors import GeometryError, ObsrepError
-from .geom import (
-    closed_segments_intersect,
-    direction_cmp,
-    on_closed_segment,
-    orient,
-    point_in_polygon,
-)
+from .geom import direction_cmp, on_closed_segment, orient, point_in_polygon
 from .graphs import Graph
 from .scene import Scene
 
@@ -131,8 +125,8 @@ class FaceSet:
         """An exact rational point interior to the face."""
         f = self.faces[face_id]
         if f.area2 is not None:
-            # Crossings lie on pieces, so the nodes no dart leaves are the edgeless vertices.
-            isolated = [q for q, ring in zip(self.nodes, self.outgoing) if not ring]
+            # Crossings lie on pieces, so only a vertex of the graph can have no dart.
+            isolated = [q for q, ring in zip(self.nodes, self.outgoing[: self.graph.n]) if not ring]
             return _interior_point_of_cycle(self.nodes, f.cycles, isolated)
         if not self.nodes:
             return (Fraction(0), Fraction(0))
@@ -142,17 +136,39 @@ class FaceSet:
         )
 
 
+def _first_contact(m, a, b):
+    """Least s > 0 with m·s on the closed segment [a, b], or None if there is none.
+
+    ``a`` and ``b`` are taken relative to the ray's start, which the segment
+    avoids; they are equal for a single point.  ``m`` points strictly up, so
+    a point of the ray's line sits at parameter y / m_y.
+    """
+    ca = m[0] * a[1] - m[1] * a[0]
+    cb = m[0] * b[1] - m[1] * b[0]
+    if ca and cb:
+        if (ca > 0) == (cb > 0):
+            return None
+        # The ends lie on either side of the ray's line, which the segment crosses once.
+        s = Fraction(a[0] * b[1] - a[1] * b[0], cb - ca)
+    else:
+        # The ray meets an end on its line first; a segment along the line, its nearer end.
+        s = min(Fraction(p[1], m[1]) for p, c in ((a, ca), (b, cb)) if not c)
+    return s if s > 0 else None
+
+
 def _interior_point_of_cycle(nodes, cycles, isolated):
     """A rational point just inside a bounded face, given its cycles, outer first.
 
     Works from the first lowest (then leftmost) node v of the outer cycle;
     the face reaches neither below v nor left of it at its height, so each
-    visit to v is a strictly convex corner.  Aims a rational direction into
-    that wedge and halves the step until the probe segment from v meets no
-    piece of the face's cycles that avoids v and none of the ``isolated``
-    points.  The probe leaves v into the open face, so no other part of the
-    drawing is reached first.  All of those lie at positive distance from v,
-    so the halving ends after about as many steps as the coordinates have bits.
+    visit to v is a strictly convex corner.  Aims a ray v + m·t into that
+    wedge, so m points strictly up, and finds the least s at which it first
+    touches a piece of the face's cycles that avoids v or one of the
+    ``isolated`` points.  The ray leaves v into the open face, so no other
+    part of the drawing is reached first.  The closed probe [v, v + m·t]
+    meets them exactly when t >= s, so the answer v + m·2^-k, for the least
+    k >= 0 with 2^-k < s (k = 0 when nothing lies on the ray), is the point
+    that halving t from 1 until the probe is clear would reach.
     """
     outer = cycles[0]
     k = len(outer)
@@ -163,20 +179,18 @@ def _interior_point_of_cycle(nodes, cycles, isolated):
     dw = (w[0] - v[0], w[1] - v[1])
     if dw[0] * du[1] - dw[1] * du[0] <= 0:
         raise ObsrepError("the lowest corner of a bounded face is not convex")
-    border = [(a, b) for c in cycles for a, b in zip(c, c[1:] + c[:1]) if corner not in (a, b)]
-    others = [(nodes[a], nodes[b]) for a, b in border] + [(q, q) for q in isolated]
     nu = abs(du[0]) + abs(du[1])
     nw = abs(dw[0]) + abs(dw[1])
     m = (dw[0] * nu + du[0] * nw, dw[1] * nu + du[1] * nw)
-    # A probe that misses a piece still misses it when shortened, so each
-    # piece only ever shortens the probe that the pieces before it allowed.
-    t = Fraction(1, 1)
-    p = (v[0] + m[0] * t, v[1] + m[1] * t)
-    for a, b in others:
-        while closed_segments_intersect(v, p, a, b):
-            t /= 2
-            p = (v[0] + m[0] * t, v[1] + m[1] * t)
-    return p
+    rel = {i: (nodes[i][0] - v[0], nodes[i][1] - v[1]) for c in cycles for i in c}
+    border = [
+        (rel[a], rel[b]) for c in cycles for a, b in zip(c, c[1:] + c[:1]) if corner not in (a, b)
+    ]
+    border += [((x - v[0], y - v[1]),) * 2 for x, y in isolated]
+    s = min(filter(None, (_first_contact(m, a, b) for a, b in border)), default=None)
+    halvings = 0 if s is None else (s.denominator // s.numerator).bit_length()
+    t = Fraction(1, 1 << halvings)
+    return (v[0] + m[0] * t, v[1] + m[1] * t)
 
 
 def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:

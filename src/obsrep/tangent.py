@@ -76,7 +76,7 @@ class TangentSequence:
         pos = 0
         for m in _EVENT_RE.finditer(text):
             if m.start() != pos:
-                raise ObsrepError(f"cannot parse tangent sequence at {text[pos:]!r}")
+                break
             digits = m.group(1).lstrip("0")
             # A word on n labels is at least 4n characters long, so a label with more
             # digits than the word's length has is never valid; int() never sees one.
@@ -85,7 +85,10 @@ class TangentSequence:
             events.append((int(digits or "0") - 1, 1 if m.group(2) == "+" else -1))
             pos = m.end()
         if pos != len(text) or not events:
-            raise ObsrepError(f"cannot parse tangent sequence {text!r}")
+            # Echo 20 characters at most, so that a long word still gives a short error.
+            raise ObsrepError(
+                f"cannot parse tangent sequence at character {pos + 1}: {text[pos:pos + 20]!r}"
+            )
         return TangentSequence(tuple(events))
 
 

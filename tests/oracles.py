@@ -8,9 +8,11 @@ every vertex pair against every obstacle corner, drawing faces come from a
 vertical-slab decomposition flooded across slab boundaries instead of
 half-edge tracing, face/non-edge incidence locates the midpoint of each
 stretch between crossings instead of walking the darts, face areas and dart
-rings are read off node coordinates instead of edge vectors, minimum set cover is
-plain subset enumeration, and a counting bound is decided by building both
-of its powers in full.  Slower and dumber on purpose.
+rings are read off node coordinates instead of edge vectors, a face's
+representative halves a probe until it is clear instead of solving for the
+probe's first contact, minimum set cover is plain subset enumeration, and a
+counting bound is decided by building both of its powers in full.  Slower
+and dumber on purpose.
 """
 
 from bisect import bisect_left
@@ -210,6 +212,21 @@ def ccw_ring(nodes, pieces, ring):
     return tuple(sorted(ring, key=key))
 
 
+def _halving_probe(v, du, dw, others):
+    """v + m·t for m = dw·|du|₁ + du·|dw|₁, with t starting at 1 and halving
+    until the closed probe [v, v + m·t] meets none of the closed ``others``."""
+    nu = abs(du[0]) + abs(du[1])
+    nw = abs(dw[0]) + abs(dw[1])
+    m = (dw[0] * nu + du[0] * nw, dw[1] * nu + du[1] * nw)
+    t = Fraction(1)
+    p = (v[0] + m[0] * t, v[1] + m[1] * t)
+    for a, b in others:
+        while closed_segments_meet(v, p, a, b):
+            t /= 2
+            p = (v[0] + m[0] * t, v[1] + m[1] * t)
+    return p
+
+
 def whole_drawing_probe(nodes, pieces, cycle):
     """Representative of the bounded face with outer boundary ``cycle``,
     probed against every piece and node of the drawing.
@@ -234,16 +251,31 @@ def whole_drawing_probe(nodes, pieces, cycle):
     others = [(nodes[a], nodes[b]) for a, b in pieces if cycle[idx] not in (a, b)]
     on_pieces = {i for piece in pieces for i in piece}
     others += [(q, q) for i, q in enumerate(nodes) if i not in on_pieces]
-    nu = abs(du[0]) + abs(du[1])
-    nw = abs(dw[0]) + abs(dw[1])
-    m = (dw[0] * nu + du[0] * nw, dw[1] * nu + du[1] * nw)
-    t = Fraction(1)
-    p = (v[0] + m[0] * t, v[1] + m[1] * t)
-    for a, b in others:
-        while closed_segments_meet(v, p, a, b):
-            t /= 2
-            p = (v[0] + m[0] * t, v[1] + m[1] * t)
-    return p
+    return _halving_probe(v, du, dw, others)
+
+
+def halving_representative(nodes, cycles, isolated):
+    """Representative of the bounded face with these cycles, outer first,
+    probed against the face's own pieces and the ``isolated`` points.
+
+    From the first lowest (then leftmost) node v of the outer cycle, the
+    probe runs as in ``whole_drawing_probe``; its step halves until the
+    closed probe meets no piece of the cycles that avoids v and none of the
+    isolated points.
+    """
+    outer = [xy(nodes[i]) for i in cycles[0]]
+    k = len(outer)
+    idx = min(range(k), key=lambda i: (outer[i][1], outer[i][0]))
+    v, u, w = outer[idx], outer[idx - 1], outer[(idx + 1) % k]
+    corner = cycles[0][idx]
+    others = [
+        (nodes[a], nodes[b])
+        for c in cycles
+        for a, b in zip(c, c[1:] + c[:1])
+        if corner not in (a, b)
+    ]
+    others += [(q, q) for q in isolated]
+    return _halving_probe(v, (u[0] - v[0], u[1] - v[1]), (w[0] - v[0], w[1] - v[1]), others)
 
 
 class SlabOracle:

@@ -3,15 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from obsrep.arrangement import build_arrangement, face_nonedge_incidence
+from obsrep.arrangement import _first_contact, build_arrangement, face_nonedge_incidence
 from obsrep.errors import GeometryError, ObsrepError, SceneError
-from obsrep.geom import closed_segments_intersect, direction_cmp
+from obsrep.geom import direction_cmp
 from obsrep.graphs import Graph, complete_graph, gnp_half
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
 
 from conftest import poly, pts
-from oracles import SlabOracle, ccw_ring, midpoint_incidence, shoelace_area2, whole_drawing_probe
+from oracles import (
+    SlabOracle,
+    ccw_ring,
+    halving_representative,
+    midpoint_incidence,
+    shoelace_area2,
+    whole_drawing_probe,
+)
 from support import FacePlacementReport, face_complexity, obstacle_face_check
 from test_golden import G12, NESTED
 
@@ -170,16 +177,113 @@ def _probe_drawings():
     yield from IN_THE_PROBES_WAY
 
 
+def _isolated(fs):
+    return [q for q, ring in zip(fs.nodes, fs.outgoing[: fs.graph.n]) if not ring]
+
+
+def _same_point(got, want):
+    return got == want and [type(c) for c in got] == [type(c) for c in want]
+
+
 def test_representatives_match_the_whole_drawing_probe():
     isolated = holes = 0
     for points, edges in _probe_drawings():
         fs = build(points, edges)
         isolated += len(points) - len({i for e in edges for i in e})
         for fid, f in enumerate(fs.faces[:-1]):
-            want = whole_drawing_probe(fs.nodes, fs.pieces, f.cycles[0])
-            assert fs.representative(fid) == want, (points, edges, fid)
+            got = fs.representative(fid)
+            assert got == whole_drawing_probe(fs.nodes, fs.pieces, f.cycles[0]), (points, edges)
+            want = halving_representative(fs.nodes, f.cycles, _isolated(fs))
+            assert _same_point(got, want), (points, edges, fid)
             holes += len(f.cycles) - 1
     assert isolated > 0 and holes > 0
+
+
+def test_representatives_match_the_halving_probe_on_seeded_drawings():
+    # 4,000 drawings, n = 3..10: every third keeps about a third of its edges,
+    # so isolated vertices occur, and every second is framed, so holes occur.
+    # Each drawing checks its faces with holes and one more seeded face.
+    rng = random.Random(4000)
+    isolated = holes = checked = 0
+    for k in range(4000):
+        n = rng.randint(3, 10)
+        points = random_placement(rng, n, rng.choice((1, 4, 100)) * n * n)
+        edges = gnp_half(n, rng).sorted_edges()
+        if k % 3 == 0:
+            edges = [e for e in edges if rng.randrange(3) == 0]
+        framed = _framed(points, edges) if k % 2 == 0 else None
+        points, edges = framed or (points, edges)
+        fs = build(points, edges)
+        bounded = len(fs.faces) - 1
+        if not bounded:
+            continue
+        chosen = {rng.randrange(bounded)}
+        chosen |= {fid for fid, f in enumerate(fs.faces[:-1]) if len(f.cycles) > 1}
+        lonely = _isolated(fs)
+        isolated += len(lonely)
+        for fid in sorted(chosen):
+            cycles = fs.faces[fid].cycles
+            want = halving_representative(fs.nodes, cycles, lonely)
+            assert _same_point(fs.representative(fid), want), (points, edges, fid)
+            holes += len(cycles) - 1
+            checked += 1
+    assert checked >= 4000 and isolated > 100 and holes > 100
+
+
+# Faces whose probe first touches the drawing in a chosen way, with the
+# representative worked out by hand.  The V's two edges cross at the origin,
+# the lowest corner of the triangle they make with y = 4, so its probe runs
+# straight up along m = (0, 96).
+_V = [(-4, -2), (8, 4), (4, -2), (-8, 4)]
+_V_EDGES = [(0, 1), (2, 3), (1, 3)]
+FIRST_CONTACTS = {
+    # corner edges of length 1 give m = (1, 1); the far side is crossed at s = 4
+    "past the first step": (
+        [(0, 0), (1, 0), (5, 3), (3, 5), (0, 1)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+        (1, 1),
+    ),
+    "at a node, s = 1": (
+        [(0, 0), (1, 0), (1, 1), (0, 1)],
+        [(0, 1), (1, 2), (2, 3), (0, 3)],
+        (Fraction(1, 2), Fraction(1, 2)),
+    ),
+    "inside a piece, s = 1": (
+        [(0, 0), (1, 0), (2, 1), (0, 1)],
+        [(0, 1), (1, 2), (2, 3), (0, 3)],
+        (Fraction(1, 2), Fraction(1, 2)),
+    ),
+    # m = (4096, 4096): the hypotenuse at s = 2^-7, then the vertex at 2^-8
+    "isolated vertex, s = 2^-8": (*IN_THE_PROBES_WAY[0], (8, 8)),
+    "isolated vertex on the V's probe": (_V + [(0, 1)], _V_EDGES, (0, Fraction(3, 4))),
+    "piece along the V's probe": (
+        _V + [(0, 1), (0, 3)],
+        _V_EDGES + [(4, 5)],
+        (0, Fraction(3, 4)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_CONTACTS))
+def test_representative_at_a_chosen_first_contact(name):
+    points, edges, want = FIRST_CONTACTS[name]
+    fs = build(points, edges)
+    assert len(fs.faces) == 2
+    got = fs.representative(0)
+    assert _same_point(got, tuple(Fraction(c) for c in want))
+    assert _same_point(got, halving_representative(fs.nodes, fs.faces[0].cycles, _isolated(fs)))
+
+
+def test_first_contact_solves_each_kind_of_contact():
+    m, third = (1, 2), (Fraction(1, 3), Fraction(2, 3))
+    assert _first_contact(m, (3, 1), (-1, 5)) == Fraction(4, 3)  # crosses the ray
+    assert _first_contact(m, (3, 1), (4, 1)) is None  # both ends right of it
+    assert _first_contact(m, (-3, -5), (1, -7)) is None  # crosses its line behind the start
+    assert _first_contact(m, (2, 4), (5, 0)) == 2  # an end on the ray
+    assert _first_contact(m, (-2, -4), (5, 0)) is None  # an end on its line, behind
+    assert _first_contact(m, (3, 6), (1, 2)) == 1  # along the ray: the nearer end
+    assert _first_contact(m, third, third) == Fraction(1, 3)  # a point on the ray
+    assert _first_contact(m, (1, 1), (1, 1)) is None  # a point off it
 
 
 def test_representative_reads_only_its_own_face(monkeypatch):
@@ -187,19 +291,20 @@ def test_representative_reads_only_its_own_face(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return closed_segments_intersect(*args)
+        return _first_contact(*args)
 
     def probe(fs):
         calls.clear()
         return fs.representative(0), len(calls)
 
-    monkeypatch.setattr("obsrep.arrangement.closed_segments_intersect", counted)
+    monkeypatch.setattr("obsrep.arrangement._first_contact", counted)
     triangle = [(0, 0), (30, 1), (14, 28)]
     far = [(100, 100), (130, 101), (114, 128)]
     alone = build(triangle, [(0, 1), (1, 2), (0, 2)])
     both = build(triangle + far, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert both.faces[0] == alone.faces[0]
-    assert probe(both) == probe(alone)
+    # one solve for the one side of the triangle away from its lowest corner
+    assert probe(both) == probe(alone) == (alone.representative(0), 1)
 
 
 # --- non-edge incidence ---

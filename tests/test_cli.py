@@ -142,6 +142,13 @@ def test_decode_garbage(capsys):
         rc, out, err = run(capsys, ["decode", word])
         assert (rc, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 80
+    # an unparsable word is named by position and a short excerpt, not echoed whole
+    long_words = (("1+" + "x" * 5000, "character 3: 'x"), ("x" * 5000 + "1+", "character 1: 'x"))
+    for word, where in long_words:
+        rc, out, err = run(capsys, ["decode", word])
+        assert (rc, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 80
+        assert where in err
 
 
 def test_decode_rejects_a_word_without_both_signs(capsys):

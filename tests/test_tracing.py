@@ -56,3 +56,19 @@ def test_tracer_installs_records_and_restores(tmp_path, capsys):
     assert tracer.counts["arrangement.locate.calls"] >= 1
     assert obsrep.scene.require_valid_scene is validate
     assert FaceSet.__dict__["locate"] is locate
+
+
+def test_traced_faces_run_records_each_representative(tmp_path, capsys):
+    spans = _spans_module()
+    path = tmp_path / "drawing.json"
+    path.write_text(json.dumps(DRAWING))
+
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert obsrep.cli.main(["faces", str(path)]) == 0
+    out = capsys.readouterr().out
+
+    faces = int(out.splitlines()[2].split()[1])
+    assert tracer.calls()["arrangement.representative"] == faces >= 1
+    # each face's point comes from exact first contacts, not closed-segment probes
+    assert tracer.counts["geom.closed_segments_intersect.calls"] == 0
