@@ -159,6 +159,8 @@ CASES = {
     "incidence-g12": (["incidence", "{g12}"], 0),
     "cover-g12": (["cover", "{g12}"], 0),
     "faces-g16": (["faces", "{g16}"], 0),
+    "incidence-g16": (["incidence", "{g16}"], 0),
+    "cover-g16": (["cover", "{g16}"], 0),
     "cover-collinear": (["cover", "{collinear}"], 1),
     "obs-search-c6": (["obs-search", "{c6}", "--seed", "7", "--placements", "6"], 0),
     "chain-c5": (["chain", "{c5}", "--seed", "3", "--placements", "4"], 0),
