@@ -2,9 +2,10 @@
 
 ``solve_cover`` returns the lexicographically smallest sorted id tuple among
 all minimum covers, so the witness it reports does not depend on search
-order.  It branches on the uncovered element with the fewest covering sets
-(Knuth's rule for Algorithm X) and bounds by a packing of elements that share
-no set.  One pass finds the minimum size; a second fixes ids in increasing order.
+order.  Its elements are relabelled once, rarest first (fewest kept sets, then
+index), so the lowest uncovered bit has the fewest covering sets: it branches
+there (Knuth's rule for Algorithm X) and packs rarest first for its bound.
+One pass finds the minimum size; a second fixes ids in increasing order.
 Both share one memo keyed by the uncovered elements alone: an id below the one
 the second pass tries lies in no minimum cover that extends the ids it fixed.
 """
@@ -21,8 +22,6 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
     tuple of set ids.  Raises :class:`CoverError` when some element appears in
     no set.
     """
-    if n_elements == 0:
-        return ()
     ids, masks = [], []
     for sid in sorted(sets):
         mask = 0
@@ -39,6 +38,9 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
     missing = [e for e in range(n_elements) if not holders[e]]
     if missing:
         raise CoverError(f"elements {missing} appear in no set")
+    order = sorted(range(n_elements), key=lambda e: (len(holders[e]), e))
+    holders = [holders[e] for e in order]
+    masks = [sum((mask >> e & 1) << bit for bit, e in enumerate(order)) for mask in masks]
     failed = {}
 
     def coverable(uncovered, k):
@@ -47,19 +49,17 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
             return True
         if failed.get(uncovered, -1) >= k:
             return False
-        rest, blocked, packed, branch = uncovered, 0, 0, None
+        rest, blocked, packed = uncovered, 0, 0
         while rest and packed <= k:
             low = rest & -rest
             rest ^= low
             if low & blocked:
                 continue
             # Each packed element needs a set of its own.
-            choices = holders[low.bit_length() - 1]
             packed += 1
-            for i in choices:
+            for i in holders[low.bit_length() - 1]:
                 blocked |= masks[i]
-            if branch is None or len(choices) < len(branch):
-                branch = choices
+        branch = holders[(uncovered & -uncovered).bit_length() - 1]
         if packed <= k and any(coverable(uncovered & ~masks[i], k - 1) for i in branch):
             return True
         failed[uncovered] = k

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +20,9 @@ def test_empty_universe_needs_nothing():
 
 
 def test_uncoverable_element_raises():
-    with pytest.raises(CoverError):
-        solve_cover(3, {0: [0], 1: [1]})
-    with pytest.raises(CoverError):
-        solve_cover(2, {0: [0, 5]})
+    for n, sets in [(3, {0: [0], 1: [1]}), (2, {0: [0, 5]}), (0, {4: [0]})]:
+        with pytest.raises(CoverError):
+            solve_cover(n, sets)
 
 
 def test_lexicographic_tie_break():
@@ -76,3 +77,15 @@ def test_fifteen_hundred_candidates_stay_off_the_recursion_limit():
     sets = {sid: rng.sample(range(10), rng.randint(1, 2)) for sid in range(1497)}
     sets.update({1497: [0, 1, 2, 3], 1498: [4, 5, 6], 1499: [7, 8, 9]})
     assert solve_cover(10, sets) == (1497, 1498, 1499)
+
+
+def test_seeded_twenty_vertex_drawing_keeps_its_witness():
+    # The faces of G(20, 1/2) with rng = random.Random(1): gnp_half(20, rng),
+    # random_placement(rng, 20, 40000), build_arrangement and
+    # face_nonedge_incidence; membership[k] lists face k's non-edge indices.
+    instance = json.loads((Path(__file__).parent / "data" / "cover-g20.json").read_text())
+    sets = dict(enumerate(instance["membership"]))
+    assert (instance["n_elements"], len(sets)) == (83, 1359)
+    assert solve_cover(instance["n_elements"], sets) == (
+        60, 110, 125, 150, 153, 173, 489, 509, 556, 641, 697, 798, 867, 920, 1045, 1319, 1358,
+    )
