@@ -31,10 +31,12 @@ class Face:
 
     ``cycles`` lists node ids in traversal order; consecutive entries (wrapping
     around) are the endpoints of one bordering segment piece, so the face has
-    as many bordering piece sides as its cycles have entries, and a segment
-    touching it from both sides counts twice.  A bounded face's first cycle is
-    its outer boundary, enclosing ``area2``/2; the rest enclose material
-    floating inside it.  ``area2`` is ``None`` for the unbounded face.
+    as many bordering piece sides as its cycles of two or more nodes have
+    entries, and a segment touching it from both sides counts twice.  A
+    bounded face's first cycle is its outer boundary, enclosing ``area2``/2;
+    the rest enclose material floating inside it, and a one-node cycle is an
+    edgeless vertex, which borders no piece.  ``area2`` is ``None`` for the
+    unbounded face.
     """
 
     cycles: tuple
@@ -125,9 +127,7 @@ class FaceSet:
         """An exact rational point interior to the face."""
         f = self.faces[face_id]
         if f.area2 is not None:
-            # Crossings lie on pieces, so only a vertex of the graph can have no dart.
-            isolated = [q for q, ring in zip(self.nodes, self.outgoing[: self.graph.n]) if not ring]
-            return _interior_point_of_cycle(self.nodes, f.cycles, isolated)
+            return _interior_point_of_cycle(self.nodes, f.cycles)
         if not self.nodes:
             return (Fraction(0), Fraction(0))
         return (
@@ -156,16 +156,16 @@ def _first_contact(m, a, b):
     return s if s > 0 else None
 
 
-def _interior_point_of_cycle(nodes, cycles, isolated):
+def _interior_point_of_cycle(nodes, cycles):
     """A rational point just inside a bounded face, given its cycles, outer first.
 
     Works from the first lowest (then leftmost) node v of the outer cycle;
     the face reaches neither below v nor left of it at its height, so each
     visit to v is a strictly convex corner.  Aims a ray v + m·t into that
     wedge, so m points strictly up, and finds the least s at which it first
-    touches a piece of the face's cycles that avoids v or one of the
-    ``isolated`` points.  The ray leaves v into the open face, so no other
-    part of the drawing is reached first.  The closed probe [v, v + m·t]
+    touches a piece of the face's cycles that avoids v, or the point of a
+    one-node cycle.  The ray leaves v into the open face, so no other part
+    of the drawing is reached first.  The closed probe [v, v + m·t]
     meets them exactly when t >= s, so the answer v + m·2^-k, for the least
     k >= 0 with 2^-k < s (k = 0 when nothing lies on the ray), is the point
     that halving t from 1 until the probe is clear would reach.
@@ -186,7 +186,6 @@ def _interior_point_of_cycle(nodes, cycles, isolated):
     border = [
         (rel[a], rel[b]) for c in cycles for a, b in zip(c, c[1:] + c[:1]) if corner not in (a, b)
     ]
-    border += [((x - v[0], y - v[1]),) * 2 for x, y in isolated]
     s = min(filter(None, (_first_contact(m, a, b) for a, b in border)), default=None)
     halvings = 0 if s is None else (s.denominator // s.numerator).bit_length()
     t = Fraction(1, 1 << halvings)
@@ -302,6 +301,10 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
             raise ObsrepError("component traced two outer boundaries")
         else:
             outer_by_component[comp] = (orbit, cycle)
+    # An edgeless vertex is a component with no darts and the one-node cycle (v,).
+    for v, ring in enumerate(outgoing[: graph.n]):
+        if not ring:
+            outer_by_component[component[v]] = ((), (v,))
 
     # Attach each component's outer boundary to the face that surrounds it:
     # the smallest bounded cycle of any *other* component that winds around it,
@@ -355,13 +358,13 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
     and edges crossed at one parameter meet there at a node.  The stretch
     before each crossing lies on p's side of it: left of the crossed piece's
     dart with p on its left, or in the node's wedge toward p.  The last one
-    lies in q's wedge toward p or, if q has no edge, past the last crossing.
-    Only a non-edge between edgeless vertices that crosses nothing locates p.
+    lies in q's wedge toward p or, if q has no edge, in the face that lists
+    q as a one-node cycle.
     """
-    nodes, pieces = fs.nodes, fs.pieces
-    points = nodes[: fs.graph.n]
+    pieces, points = fs.pieces, fs.nodes[: fs.graph.n]
     edges = fs.graph.sorted_edges()
     nonedges = tuple(fs.graph.non_edges())
+    floating = {c[0]: fid for fid, f in enumerate(fs.faces) for c in f.cycles if len(c) == 1}
 
     def wedge(v, d):
         # The face just off node v in direction d: left of the ring dart just clockwise of d.
@@ -369,32 +372,25 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
         before = sum(direction_cmp(fs.directions[r], d) < 0 for r in ring)
         return fs.dart_face[ring[before - 1]]
 
-    def beside(crossed, d, r):
+    def beside(crossed):
+        # The face on p's side of the crossing.
         k, u = crossed[0]
         piece = fs.edge_cuts[k][0] + bisect_left(fs.edge_cuts[k][1], u)
         if len(crossed) > 1:
-            return wedge(pieces[piece][1], d)
+            return wedge(pieces[piece][1], back)
         a, b = edges[k]
-        return fs.dart_face[2 * piece + (orient(points[a], points[b], r) < 0)]
+        return fs.dart_face[2 * piece + (orient(points[a], points[b], p) < 0)]
 
     hit = [set() for _ in fs.faces]
     for index, (i, j) in enumerate(nonedges):
         p, q = points[i], points[j]
-        back, ahead = (p[0] - q[0], p[1] - q[1]), (q[0] - p[0], q[1] - p[1])
+        back = (p[0] - q[0], p[1] - q[1])
         crossings = {}
         for k, (a, b) in enumerate(edges):
             cut = _crossing(p, q, points[a], points[b])
             if cut is not None:
                 crossings.setdefault(cut[0], []).append((k, cut[1]))
         for crossed in crossings.values():
-            hit[beside(crossed, back, p)].add(index)
-        if fs.outgoing[j]:
-            last = wedge(j, back)
-        elif crossings:
-            last = beside(crossings[max(crossings)], ahead, q)
-        elif fs.outgoing[i]:
-            last = wedge(i, ahead)
-        else:
-            last = _enclosing_cycle(p, nodes, _smallest_first(fs.faces))
-        hit[-1 if last is None else last].add(index)
+            hit[beside(crossed)].add(index)
+        hit[wedge(j, back) if fs.outgoing[j] else floating[j]].add(index)
     return CoverInstance(nonedges, tuple(tuple(sorted(h)) for h in hit))

@@ -218,7 +218,7 @@ def cmd_faces(args):
     for fid, (face, (rx, ry)) in enumerate(zip(fs.faces, reps)):
         kind = "bounded" if face.area2 is not None else "unbounded"
         tail = f" area2 {face.area2}" if face.area2 is not None else ""
-        sides = sum(len(c) for c in face.cycles)
+        sides = sum(len(c) for c in face.cycles if len(c) > 1)
         print(f"face {fid + 1} {kind} sides {sides}{tail} representative {rx} {ry}")
     return 0
 

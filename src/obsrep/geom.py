@@ -120,15 +120,18 @@ def polygon_area2(vertices) -> int:
 class Polygon:
     """A simple polygon, vertices in counterclockwise order, no holes.
 
-    The constructor enforces: at least 3 vertices, all distinct, edges meet
-    only at shared endpoints (simplicity), and signed area > 0.
+    The constructor enforces: each vertex a :class:`Point`, at least 3
+    vertices, all distinct, edges meet only at shared endpoints
+    (simplicity), and signed area > 0.
     """
 
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        v = self.vertices
+        v = tuple(self.vertices)
+        if any(type(p) is not Point for p in v):
+            v = tuple(map(Point._make, v))
+        object.__setattr__(self, "vertices", v)
         k = len(v)
         if k < 3:
             raise GeometryError(f"polygon needs >= 3 vertices, got {k}")

@@ -20,6 +20,8 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise GraphError(f"vertex count must be an int, got {self.n!r}")
         if self.n < 0:
             raise GraphError(f"vertex count must be >= 0, got {self.n}")
         normalized = set()

@@ -13,8 +13,10 @@ from .geom import Point, Polygon, _line_class, is_general_position, point_in_pol
 class Scene:
     """Graph vertices (``points``) together with obstacle polygons.
 
-    A scene validates itself when it is built: one that breaks an invariant
-    raises :class:`SceneError` (see :func:`require_valid_scene`), so every
+    A scene validates itself when it is built: each point becomes a
+    :class:`Point`, which refuses a coordinate that is not a plain int with
+    :class:`GeometryError`, and a scene that breaks an invariant raises
+    :class:`SceneError` (see :func:`require_valid_scene`), so every
     ``Scene`` in hand is valid and nothing downstream checks it again.
     """
 
@@ -22,7 +24,10 @@ class Scene:
     obstacles: tuple[Polygon, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        points = tuple(self.points)
+        if any(type(p) is not Point for p in points):
+            points = tuple(map(Point._make, points))
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         require_valid_scene(self)
 

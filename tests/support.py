@@ -192,7 +192,7 @@ def perturb_scene(scene: Scene, rng, jitters: int = 8, scale: int = 1000):
 
 def face_complexity(fs):
     """Per-face bordering side counts (in face-id order) and their maximum."""
-    counts = tuple(sum(len(c) for c in f.cycles) for f in fs.faces)
+    counts = tuple(sum(len(c) for c in f.cycles if len(c) > 1) for f in fs.faces)
     return counts, max(counts)
 
 

@@ -44,6 +44,8 @@ def test_edgeless_drawing_has_one_face():
     assert len(fs.faces) == 1
     assert fs.components == 3
     assert fs.faces[0].area2 is None
+    # each edgeless vertex floats in it as a one-node cycle, which borders no piece
+    assert fs.faces[0].cycles == ((0,), (1,), (2,))
     assert face_complexity(fs) == ((0,), 0)
 
 
@@ -88,6 +90,16 @@ def test_nested_triangles_attach_the_hole():
     # both outer cycles wind around a point of the inner triangle; the
     # smaller one, tried first, holds it
     assert fs.locate((14, 8)) == 1
+
+
+def test_nested_lists_its_edgeless_vertex_in_the_ring():
+    points = [tuple(p) for p in NESTED["points"]]
+    fs = build(points, [(i - 1, j - 1) for i, j in NESTED["graph"]["edges"]])
+    ring, inner, outside = fs.faces
+    # the outer triangle's boundary, the inner triangle's, then vertex 7 alone
+    assert [len(c) for c in ring.cycles] == [3, 3, 1]
+    assert ring.cycles[-1] == (6,)
+    assert all(len(c) > 1 for f in (inner, outside) for c in f.cycles)
 
 
 def test_bowtie_visits_the_shared_vertex_twice():
@@ -302,9 +314,11 @@ def test_representative_reads_only_its_own_face(monkeypatch):
     far = [(100, 100), (130, 101), (114, 128)]
     alone = build(triangle, [(0, 1), (1, 2), (0, 2)])
     both = build(triangle + far, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert both.faces[0] == alone.faces[0]
-    # one solve for the one side of the triangle away from its lowest corner
-    assert probe(both) == probe(alone) == (alone.representative(0), 1)
+    lonely = build(triangle + [(100, 100)], [(0, 1), (1, 2), (0, 2)])
+    assert both.faces[0] == lonely.faces[0] == alone.faces[0]
+    # one solve for the one side of the triangle away from its lowest corner;
+    # the far edgeless vertex belongs to the unbounded face and is not read
+    assert probe(both) == probe(lonely) == probe(alone) == (alone.representative(0), 1)
 
 
 # --- non-edge incidence ---
@@ -500,17 +514,17 @@ def test_walk_matches_midpoint_location():
 
 
 def test_incidence_walks_without_point_location(monkeypatch):
-    # every vertex of the G12 drawing has an edge, so no non-edge is located
-    points = [tuple(p) for p in G12["points"]]
-    fs = build(points, [(i - 1, j - 1) for i, j in G12["graph"]["edges"]])
-    assert all(fs.outgoing[v] for v in range(len(points)))
-    want = face_nonedge_incidence(fs)
+    # every vertex of the G12 drawing has an edge; ISOLATED's edgeless
+    # vertices were filed in their faces by the build, which the walk reads
+    g12 = [tuple(p) for p in G12["points"]], [(i - 1, j - 1) for i, j in G12["graph"]["edges"]]
+    drawings = [build(*drawing) for drawing in (g12, ISOLATED)]
+    want = [face_nonedge_incidence(fs) for fs in drawings]
 
     def refuse(*args):
         raise AssertionError("face_nonedge_incidence located a point")
 
-    monkeypatch.setattr("obsrep.arrangement._enclosing_cycle", refuse)
-    assert face_nonedge_incidence(fs) == want
+    monkeypatch.setattr("obsrep.arrangement.point_in_polygon", refuse)
+    assert [face_nonedge_incidence(fs) for fs in drawings] == want
 
 
 # Three diagonals of a hexagon through one crossing node at the origin, with

@@ -30,6 +30,12 @@ def test_constructor_rejects_bad_edges():
         Graph(-1)
 
 
+@pytest.mark.parametrize("n", [2.5, True, "3"])
+def test_constructor_rejects_a_vertex_count_that_is_not_an_int(n):
+    with pytest.raises(GraphError):
+        Graph(n)
+
+
 def test_non_edges_sorted_and_complementary():
     g = cycle_graph(4)
     assert g.non_edges() == [(0, 2), (1, 3)]

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from obsrep.errors import SceneError
+from obsrep.errors import GeometryError, SceneError
 from obsrep.geom import Point, Polygon
 from obsrep.scene import Scene, require_valid_scene
 
@@ -31,6 +32,22 @@ def test_all_points_order(hexagon_scene):
     assert got[:3] == list(hexagon_scene.points)
     assert tuple(got[3:]) == hexagon_scene.obstacles[0].vertices
     assert hexagon_scene.n == 3
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [
+        # collinear in the reals, yet float orient calls them a left turn
+        [(0.1, 0.3), (0.2, 0.6), (0.7, 2.1)],
+        [(Fraction(1, 2), 0), (4, 0), (0, 3)],
+        [(True, 0), (4, 0), (0, 3)],
+    ],
+)
+def test_coordinates_that_are_not_ints_are_refused(corners):
+    with pytest.raises(GeometryError):
+        Scene(corners)
+    with pytest.raises(GeometryError):
+        Polygon(corners)
 
 
 def test_duplicate_vertices_reported():
