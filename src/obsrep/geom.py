@@ -11,7 +11,7 @@ used anywhere, so results are exact for any input size.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
@@ -31,7 +31,11 @@ class Point(namedtuple("Point", "x y")):
     @classmethod
     def _make(cls, iterable):
         # namedtuple's own _make (and _replace, which calls it) skips __new__.
-        return cls(*iterable)
+        try:
+            x, y = iterable
+        except (TypeError, ValueError):
+            raise GeometryError(f"a point is an (x, y) pair, got {iterable!r}") from None
+        return cls(x, y)
 
     def __repr__(self):
         return f"Point({self.x}, {self.y})"
@@ -122,10 +126,13 @@ class Polygon:
 
     The constructor enforces: each vertex a :class:`Point`, at least 3
     vertices, all distinct, edges meet only at shared endpoints
-    (simplicity), and signed area > 0.
+    (simplicity), and signed area > 0.  It also keeps the bounding box
+    ``(min x, max x, min y, max y)`` for :func:`segment_intersects_polygon`;
+    the box stays out of equality, hashing and repr.
     """
 
     vertices: tuple[Point, ...]
+    _box: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = tuple(self.vertices)
@@ -152,6 +159,9 @@ class Polygon:
                     raise GeometryError(f"polygon is not simple: edges {i} and {j} intersect")
         if polygon_area2(v) <= 0:
             raise GeometryError("polygon vertices must be in counterclockwise order")
+        xs = [p.x for p in v]
+        ys = [p.y for p in v]
+        object.__setattr__(self, "_box", (min(xs), max(xs), min(ys), max(ys)))
 
     def is_convex(self) -> bool:
         """Strict convexity: every consecutive turn is a left turn."""
@@ -203,15 +213,12 @@ def segment_intersects_polygon(a, b, polygon: Polygon) -> bool:
     a-b, finds both.
     """
     (ax, ay), (bx, by) = a, b
-    vertices = polygon.vertices
     lox, hix = (ax, bx) if ax < bx else (bx, ax)
     loy, hiy = (ay, by) if ay < by else (by, ay)
-    xs = [v.x for v in vertices]
-    if hix < min(xs) or lox > max(xs):
+    min_x, max_x, min_y, max_y = polygon._box
+    if hix < min_x or lox > max_x or hiy < min_y or loy > max_y:
         return False
-    ys = [v.y for v in vertices]
-    if hiy < min(ys) or loy > max(ys):
-        return False
+    vertices = polygon.vertices
     dx, dy = bx - ax, by - ay
     ux, uy = vertices[-1]
     su = dx * (uy - ay) - dy * (ux - ax)

@@ -14,9 +14,10 @@ class Scene:
     """Graph vertices (``points``) together with obstacle polygons.
 
     A scene validates itself when it is built: each point becomes a
-    :class:`Point`, which refuses a coordinate that is not a plain int with
-    :class:`GeometryError`, and a scene that breaks an invariant raises
-    :class:`SceneError` (see :func:`require_valid_scene`), so every
+    :class:`Point`, which refuses anything but an ``(x, y)`` pair of plain
+    ints with :class:`GeometryError`, an obstacle that is not a
+    :class:`Polygon` raises :class:`SceneError`, and so does a scene that
+    breaks an invariant (see :func:`require_valid_scene`), so every
     ``Scene`` in hand is valid and nothing downstream checks it again.
     """
 
@@ -28,7 +29,11 @@ class Scene:
         if any(type(p) is not Point for p in points):
             points = tuple(map(Point._make, points))
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        obstacles = tuple(self.obstacles)
+        for k, poly in enumerate(obstacles):
+            if not isinstance(poly, Polygon):
+                raise SceneError([f"obstacles[{k}] is a {type(poly).__name__}, not a Polygon"])
+        object.__setattr__(self, "obstacles", obstacles)
         require_valid_scene(self)
 
     @property

@@ -8,6 +8,11 @@ in the line's direction and ``-`` if strictly behind.  The resulting circular
 sequence of 2n signed labels determines the visibility graph; the mapping
 from per-pair event patterns to visible/blocked is derived empirically and
 kept in a :class:`PatternTable`.
+
+Encoding a scene takes one orientation per obstacle edge and point, then a
+sort of the 2n events.  Observing or decoding a word indexes each label's two
+events once and reads every pair's pattern from that index in O(1), so one
+word costs O(n^2) for its C(n, 2) pairs.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ from .visibility import visibility_graph
 
 _SIGN_CHAR = {1: "+", -1: "-"}
 _EVENT_RE = re.compile(r"([0-9]+)([+-])")
+
+# encode_tangent's events lead with their direction, so direction_cmp reads it directly.
+_BY_DIRECTION = cmp_to_key(direction_cmp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,38 +106,84 @@ def encode_tangent(scene: Scene, index: int = 0) -> TangentSequence:
     The obstacle must be strictly convex, and no scene point may share a
     tangent line with another or lie on a line through two obstacle
     vertices (violations raise).
+
+    For a point p, ``side[i]`` is the cross product (v[i+1] - v[i]) x (p - v[i])
+    of obstacle edge i.  Corner i touches p's ``+`` tangent when
+    ``side[i-1] < 0 < side[i]`` and its ``-`` tangent when
+    ``side[i] < 0 < side[i-1]``; a point on an edge's line gets a zero side
+    and misses a tangent.  So each point costs one cross product per edge.
     """
     obstacle = scene.obstacles[index]
     if not obstacle.is_convex():
         raise GeometryError("tangent encoding needs a strictly convex obstacle")
     pts = scene.points
     verts = obstacle.vertices
-    k = len(verts)
+    edges = [(w.x, w.y, nxt.x - w.x, nxt.y - w.y) for w, nxt in zip(verts, verts[1:] + verts[:1])]
     events = []
     for label, v in enumerate(pts):
-        found = []
-        for i, w in enumerate(verts):
-            prev, nxt = verts[i - 1], verts[(i + 1) % k]
-            for sign in (1, -1):
-                d = (sign * (v.x - w.x), sign * (v.y - w.y))
-                if (
-                    d[0] * (prev.y - w.y) - d[1] * (prev.x - w.x) < 0
-                    and d[0] * (nxt.y - w.y) - d[1] * (nxt.x - w.x) < 0
-                ):
-                    # Clockwise from +y is counterclockwise from +x once x and y swap.
-                    found.append((label, sign, (d[1], d[0])))
-        if len(found) != 2 or {s for _, s, _ in found} != {1, -1}:
+        px, py = v
+        side = [ex * (py - wy) - ey * (px - wx) for wx, wy, ex, ey in edges]
+        plus = minus = 0
+        before = side[-1]
+        for (wx, wy, _, _), after in zip(edges, side):
+            # Clockwise from +y is counterclockwise from +x once x and y swap.
+            if before < 0 < after:
+                events.append((py - wy, px - wx, label, 1))
+                plus += 1
+            elif after < 0 < before:
+                events.append((wy - py, wx - px, label, -1))
+                minus += 1
+            before = after
+        if plus != 1 or minus != 1:
             raise GeneralPositionError(
                 f"point {v!r} does not have two clean tangents (collinear with obstacle vertices?)"
             )
-        events.extend(found)
-    events.sort(key=cmp_to_key(lambda e1, e2: direction_cmp(e1[2], e2[2])))
+    events.sort(key=_BY_DIRECTION)
     for e1, e2 in zip(events, events[1:]):
-        if direction_cmp(e1[2], e2[2]) == 0:
+        if direction_cmp(e1, e2) == 0:
             raise GeneralPositionError(
-                f"points {pts[e1[0]]!r} and {pts[e2[0]]!r} share a tangent direction"
+                f"points {pts[e1[2]]!r} and {pts[e2[2]]!r} share a tangent direction"
             )
-    return TangentSequence(tuple((label, sign) for label, sign, _ in events))
+    return TangentSequence(tuple((label, sign) for _, _, label, sign in events))
+
+
+# A pair's pattern from the order in which q+, p- and p+ follow q-, keyed by
+# (q+ before p-, q+ before p+, p- before p+); the other two keys cannot occur.
+_PATTERN_BY_ORDER = {
+    (True, True, True): "q-q+p-p+",
+    (True, True, False): "q-q+p+p-",
+    (False, True, True): "q-p-q+p+",
+    (False, False, True): "q-p-p+q+",
+    (True, False, False): "q-p+q+p-",
+    (False, False, False): "q-p+p-q+",
+}
+
+
+def _event_index(seq: TangentSequence):
+    """``index[label] = [position of (label, -), position of (label, +)]``."""
+    index = [[0, 0] for _ in range(len(seq.events) // 2)]
+    for position, (label, sign) in enumerate(seq.events):
+        index[label][sign > 0] = position
+    return index
+
+
+def _indexed_pattern(index, length, p, q) -> str:
+    """Pattern of labels p < q, read off their four event positions."""
+    q_minus, q_plus = index[q]
+    p_minus, p_plus = index[p]
+    # Offsets of q+, p- and p+ in the word rotated to start at q-.
+    q_plus_at = (q_plus - q_minus) % length
+    p_minus_at = (p_minus - q_minus) % length
+    p_plus_at = (p_plus - q_minus) % length
+    return _PATTERN_BY_ORDER[q_plus_at < p_minus_at, q_plus_at < p_plus_at, p_minus_at < p_plus_at]
+
+
+def _pair_patterns(seq: TangentSequence):
+    """``(i, j, pair_pattern(seq, i, j))`` for every pair i < j, in order."""
+    index = _event_index(seq)
+    length = len(seq.events)
+    for i, j in combinations(range(len(index)), 2):
+        yield i, j, _indexed_pattern(index, length, i, j)
 
 
 def pair_pattern(seq: TangentSequence, i: int, j: int) -> str:
@@ -140,12 +194,10 @@ def pair_pattern(seq: TangentSequence, i: int, j: int) -> str:
     if i == j:
         raise ObsrepError("a pair needs two distinct labels")
     p, q = min(i, j), max(i, j)
-    sub = [(label, sign) for label, sign in seq.events if label in (p, q)]
-    if len(sub) != 4:
+    length = len(seq.events)
+    if p < 0 or q >= length // 2:
         raise ObsrepError(f"labels {i} and {j} do not both appear twice in the sequence")
-    start = sub.index((q, -1))
-    sub = sub[start:] + sub[:start]
-    return "".join(("p" if label == p else "q") + _SIGN_CHAR[sign] for label, sign in sub)
+    return _indexed_pattern(_event_index(seq), length, p, q)
 
 
 VISIBLE = "visible"
@@ -196,9 +248,9 @@ def observe_scene(table: PatternTable, scene: Scene) -> TangentSequence:
     """Record every pair of the scene in the table; returns the scene's sequence."""
     seq = encode_tangent(scene)
     actual = visibility_graph(scene)
-    for i, j in combinations(range(scene.n), 2):
+    for i, j, pattern in _pair_patterns(seq):
         outcome = VISIBLE if actual.has_edge(i, j) else BLOCKED
-        table.record(pair_pattern(seq, i, j), outcome, witness=(scene, (i, j)))
+        table.record(pattern, outcome, witness=(scene, (i, j)))
     return seq
 
 
@@ -241,10 +293,5 @@ def builtin_pattern_table() -> PatternTable:
 
 def decode_visibility(seq: TangentSequence, table: PatternTable) -> Graph:
     """Reconstruct the visibility graph of a sequence via the pattern table."""
-    n = len(seq.events) // 2
-    edges = [
-        (i, j)
-        for i, j in combinations(range(n), 2)
-        if table.outcome(pair_pattern(seq, i, j)) == VISIBLE
-    ]
-    return Graph.of(n, edges)
+    edges = [(i, j) for i, j, pattern in _pair_patterns(seq) if table.outcome(pattern) == VISIBLE]
+    return Graph.of(len(seq.events) // 2, edges)

@@ -10,9 +10,11 @@ half-edge tracing, face/non-edge incidence locates the midpoint of each
 stretch between crossings instead of walking the darts, face areas and dart
 rings are read off node coordinates instead of edge vectors, a face's
 representative halves a probe until it is clear instead of solving for the
-probe's first contact, minimum set cover is plain subset enumeration, and a
-counting bound is decided by building both of its powers in full.  Slower
-and dumber on purpose.
+probe's first contact, minimum set cover is plain subset enumeration, a
+counting bound is decided by building both of its powers in full, a tangent
+word tests both signs of every point at every obstacle corner with two
+cross products each instead of reading one side per edge, and a pair's
+pattern rescans the whole word.  Slower and dumber on purpose.
 """
 
 from bisect import bisect_left
@@ -194,6 +196,13 @@ def shoelace_area2(nodes, cycle):
     return total
 
 
+def _ccw_key(d):
+    """Sort key of a nonzero direction counterclockwise from +x; equal for equal directions."""
+    dx, dy = xy(d)
+    half = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+    return (half, 0, 0) if dy == 0 else (half, 1, -dx / dy)
+
+
 def ccw_ring(nodes, pieces, ring):
     """The darts of ``ring`` sorted counterclockwise from +x by head minus tail.
 
@@ -205,9 +214,7 @@ def ccw_ring(nodes, pieces, ring):
     def key(d):
         a, b = pieces[d >> 1][::-1] if d & 1 else pieces[d >> 1]
         (ax, ay), (bx, by) = xy(nodes[a]), xy(nodes[b])
-        dx, dy = bx - ax, by - ay
-        half = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
-        return (half, 0, 0) if dy == 0 else (half, 1, -dx / dy)
+        return _ccw_key((bx - ax, by - ay))
 
     return tuple(sorted(ring, key=key))
 
@@ -540,3 +547,49 @@ def midpoint_incidence(fs):
             inside = (fid for _, fid in order if point_in_polygon(m, outlines[fid]) == 1)
             hit[next(inside, len(fs.faces) - 1)].add(index)
     return tuple(tuple(sorted(h)) for h in hit)
+
+
+def tangent_events(points, vertices):
+    """The tangent word of ``points`` around a strictly convex polygon, as a list.
+
+    At every corner w, with neighbours u before it and x after it, both signs
+    of d = ±(p - w) are tried: d is a tangent direction when d × (u - w) < 0
+    and d × (x - w) < 0.  Each event's direction is d with x and y swapped,
+    and events are sorted counterclockwise from +x by that.  Raises
+    ``ValueError`` with ``encode_tangent``'s message when a point lacks two
+    clean tangents or two events share a direction.
+    """
+    k = len(vertices)
+    events = []
+    for label, v in enumerate(points):
+        found = []
+        for i, w in enumerate(vertices):
+            u, x = vertices[i - 1], vertices[(i + 1) % k]
+            for sign in (1, -1):
+                dx, dy = sign * (v[0] - w[0]), sign * (v[1] - w[1])
+                if (
+                    dx * (u[1] - w[1]) - dy * (u[0] - w[0]) < 0
+                    and dx * (x[1] - w[1]) - dy * (x[0] - w[0]) < 0
+                ):
+                    found.append((label, sign, (dy, dx)))
+        if len(found) != 2 or {s for _, s, _ in found} != {1, -1}:
+            raise ValueError(
+                f"point {v!r} does not have two clean tangents (collinear with obstacle vertices?)"
+            )
+        events.extend(found)
+    events.sort(key=lambda e: _ccw_key(e[2]))
+    for e1, e2 in zip(events, events[1:]):
+        if _ccw_key(e1[2]) == _ccw_key(e2[2]):
+            raise ValueError(
+                f"points {points[e1[0]]!r} and {points[e2[0]]!r} share a tangent direction"
+            )
+    return [(label, sign) for label, sign, _ in events]
+
+
+def rescanned_pair_pattern(events, i, j):
+    """Pattern of labels i != j: their four events, rotated so (q, -) leads, p = min label."""
+    p, q = min(i, j), max(i, j)
+    sub = [(label, sign) for label, sign in events if label in (p, q)]
+    start = sub.index((q, -1))
+    sub = sub[start:] + sub[:start]
+    return "".join(("p" if label == p else "q") + ("+" if sign > 0 else "-") for label, sign in sub)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from obsrep.geom import (
     segment_intersects_polygon,
 )
 from obsrep.graphs import gnp_half
-from obsrep.sampling import random_placement
+from obsrep.sampling import random_convex_polygon, random_placement
 from obsrep.scene import Scene
 
 import oracles
@@ -125,6 +126,45 @@ def test_polygon_convexity_and_area():
     assert polygon_area2(square.vertices) == 32
     dent = Polygon((Point(0, 0), Point(6, 0), Point(6, 6), Point(3, 2), Point(0, 6)))
     assert not dent.is_convex()
+
+
+def test_polygon_box_stays_out_of_equality_hash_and_repr():
+    corners = (Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4))
+    a, b = Polygon(corners), Polygon(corners)
+    assert a._box == (0, 4, 0, 4)
+    object.__setattr__(b, "_box", (9, 9, 9, 9))  # a box that disagrees changes nothing
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert repr(a) == "Polygon(vertices=(Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)))"
+    assert [f.name for f in dataclasses.fields(a) if f.compare or f.hash or f.repr] == ["vertices"]
+    # same box, other corners: still a different polygon
+    assert Polygon(corners[1:] + corners[:1]) != a
+    assert dataclasses.replace(b)._box == (0, 4, 0, 4)
+
+
+def test_segment_intersects_polygon_matches_oracle_around_sampled_obstacles():
+    """Segments with ends in a margin around each sampled convex obstacle's
+    box agree with the Cramer-rule oracle, whether the segment's own box
+    misses the obstacle's, overlaps it without a hit, or hits."""
+    rng = random.Random(3131)
+    seen = {"boxes apart": 0, "boxes overlap, missed": 0, "hit": 0}
+    for _ in range(300):
+        obstacle = random_convex_polygon(rng)
+        xs = [v.x for v in obstacle.vertices]
+        ys = [v.y for v in obstacle.vertices]
+        assert obstacle._box == (min(xs), max(xs), min(ys), max(ys))
+        lo_x, hi_x, lo_y, hi_y = min(xs) - 150, max(xs) + 150, min(ys) - 150, max(ys) + 150
+        for _ in range(20):
+            a, b = (Point(rng.randint(lo_x, hi_x), rng.randint(lo_y, hi_y)) for _ in range(2))
+            if a == b or max(point_in_polygon(q, obstacle.vertices) for q in (a, b)) >= 0:
+                continue
+            got = segment_intersects_polygon(a, b, obstacle)
+            assert got == oracles.segment_meets_polygon(a, b, obstacle.vertices), (a, b, obstacle)
+            apart = (
+                max(a.x, b.x) < min(xs) or min(a.x, b.x) > max(xs)
+                or max(a.y, b.y) < min(ys) or min(a.y, b.y) > max(ys)
+            )
+            seen["boxes apart" if apart else "hit" if got else "boxes overlap, missed"] += 1
+    assert min(seen.values()) >= 500, seen
 
 
 def test_point_in_polygon_basics():

@@ -50,6 +50,22 @@ def test_coordinates_that_are_not_ints_are_refused(corners):
         Polygon(corners)
 
 
+def test_a_point_that_is_not_a_pair_is_refused():
+    with pytest.raises(GeometryError) as err:
+        Scene([(1, 2, 3), (0, 0), (5, 1)])
+    assert str(err.value) == "a point is an (x, y) pair, got (1, 2, 3)"
+    with pytest.raises(GeometryError):
+        Scene([7, (0, 0)])
+    with pytest.raises(GeometryError):
+        Polygon([(0, 0), (4, 0), (2,)])
+
+
+def test_an_obstacle_that_is_not_a_polygon_is_refused():
+    with pytest.raises(SceneError) as err:
+        Scene([(0, 0), (5, 1), (2, 7)], [[(10, 10), (20, 10), (15, 20)]])
+    assert err.value.diagnostics == ("obstacles[0] is a list, not a Polygon",)
+
+
 def test_duplicate_vertices_reported():
     msgs = diagnostics(pts((0, 0), (5, 1), (0, 0)))
     assert any("duplicate points" in m and "points[0]" in m and "points[2]" in m for m in msgs)

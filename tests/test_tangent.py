@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -7,10 +8,12 @@ from obsrep.errors import (
     GeneralPositionError,
     GeometryError,
     ObsrepError,
+    SceneError,
     UnknownPatternError,
 )
+from obsrep.geom import Point, Polygon, convex_hull
 from obsrep.graphs import Graph
-from obsrep.sampling import random_single_obstacle_scene
+from obsrep.sampling import iter_single_obstacle_scenes, random_single_obstacle_scene
 from obsrep.scene import Scene
 from obsrep.tangent import (
     BLOCKED,
@@ -26,6 +29,7 @@ from obsrep.tangent import (
 )
 from obsrep.visibility import visibility_graph
 
+import oracles
 from conftest import poly, pts
 from support import outcomes, swap_roles
 
@@ -94,7 +98,94 @@ def test_encode_rejects_tangent_through_two_corners():
         encode_tangent(Scene(pts((0, 9)), (square,)))
 
 
+def test_encode_rejects_two_points_on_one_tangent():
+    # (5, 2) and (7, -2) lie on the line through corner (4, 4) that grazes the square
+    square = poly((0, 0), (4, 0), (4, 4), (0, 4))
+    with pytest.raises(GeneralPositionError) as err:
+        encode_tangent(Scene(pts((5, 2), (7, -2)), (square,)))
+    assert str(err.value) == "points Point(5, 2) and Point(7, -2) share a tangent direction"
+
+
+def test_encode_matches_the_corner_oracle_on_degenerate_scenes():
+    """Small-grid scenes, where points often sit on an obstacle edge's line,
+    get the oracle's events or its exact message.  The last point of each
+    continues the line from a random corner through another point, so it
+    often shares that point's tangent direction."""
+    rng = random.Random(2626)
+    seen = {"clean": 0, "two clean tangents": 0, "share a tangent direction": 0}
+    while sum(seen.values()) < 600:
+        hull = convex_hull([Point(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(5)])
+        if len(hull) < 3:
+            continue
+        obstacle = Polygon(hull)
+        points = [Point(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(rng.randint(2, 4))]
+        p, w = rng.choice(points), rng.choice(hull)
+        points.append(Point(2 * p.x - w.x, 2 * p.y - w.y))
+        try:
+            scene = Scene(points, (obstacle,))
+        except SceneError:
+            continue
+        try:
+            want = oracles.tangent_events(scene.points, obstacle.vertices)
+        except ValueError as failure:
+            with pytest.raises(GeneralPositionError) as err:
+                encode_tangent(scene)
+            assert str(err.value) == str(failure)
+            seen["two clean tangents" if "two clean" in str(failure) else "share a tangent direction"] += 1
+        else:
+            assert list(encode_tangent(scene).events) == want
+            seen["clean"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+class _RecordingTable(PatternTable):
+    """Logs what observe_scene records and what decode_visibility asks, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def record(self, pattern, outcome, witness=None):
+        self.log.append((witness[1], pattern))
+
+    def outcome(self, pattern):
+        self.log.append(pattern)
+        return VISIBLE
+
+
+def test_events_and_pair_patterns_match_the_oracles_on_sampled_scenes():
+    """2,000 sampled scenes: the events equal the four-cross-product oracle's,
+    and every pair's pattern, from pair_pattern, observe_scene and
+    decode_visibility alike, equals the one a rescan of the word finds."""
+    rng = random.Random(2121)
+    pairs = 0
+    for scene in iter_single_obstacle_scenes(rng, 2000):
+        seq = encode_tangent(scene)
+        assert list(seq.events) == oracles.tangent_events(scene.points, scene.obstacles[0].vertices)
+        want = [
+            ((i, j), oracles.rescanned_pair_pattern(seq.events, i, j))
+            for i, j in combinations(range(scene.n), 2)
+        ]
+        for (i, j), pattern in want:
+            assert pair_pattern(seq, i, j) == pair_pattern(seq, j, i) == pattern
+        observed = _RecordingTable()
+        observe_scene(observed, scene)
+        assert observed.log == want
+        asked = _RecordingTable()
+        decode_visibility(seq, asked)
+        assert asked.log == [pattern for _, pattern in want]
+        pairs += len(want)
+    assert pairs >= 30000, pairs
+
+
 # --- pair patterns ---
+
+
+def test_pair_pattern_matches_a_rescan_on_every_word_of_three_labels():
+    for events in permutations([(label, sign) for label in range(3) for sign in (1, -1)]):
+        seq = TangentSequence(events)
+        for i, j in combinations(range(3), 2):
+            assert pair_pattern(seq, i, j) == oracles.rescanned_pair_pattern(events, i, j)
 
 
 def test_hexagon_pair_patterns(hexagon_scene):
@@ -107,10 +198,13 @@ def test_hexagon_pair_patterns(hexagon_scene):
 
 def test_pair_pattern_errors(hexagon_scene):
     seq = encode_tangent(hexagon_scene)
-    with pytest.raises(ObsrepError):
+    with pytest.raises(ObsrepError) as err:
         pair_pattern(seq, 1, 1)
-    with pytest.raises(ObsrepError):
-        pair_pattern(seq, 0, 7)
+    assert str(err.value) == "a pair needs two distinct labels"
+    for i, j in ((0, 7), (0, 3), (-1, 2), (3, -1)):
+        with pytest.raises(ObsrepError) as err:
+            pair_pattern(seq, i, j)
+        assert str(err.value) == f"labels {i} and {j} do not both appear twice in the sequence"
 
 
 def test_swap_roles_is_an_involution():
