@@ -20,7 +20,7 @@ from functools import cmp_to_key
 from itertools import combinations
 
 from .errors import GeometryError, ObsrepError
-from .geom import direction_cmp, on_closed_segment, orient, point_in_polygon
+from .geom import direction_cmp, on_closed_segment, orient
 from .graphs import Graph
 from .scene import Scene
 
@@ -66,25 +66,23 @@ def _crossing(p, q, r, s):
     return None
 
 
-def _enclosing_cycle(q, nodes, cycles):
-    """Key of the first cycle that encloses q, or None if none does.
-
-    ``cycles`` yields ``(key, cycle)`` for positively oriented cycles in the
-    order of ``_smallest_first``, so the answer is the smallest enclosing one.
-    """
-    return next(
-        (key for key, cycle in cycles if point_in_polygon(q, [nodes[i] for i in cycle]) > 0),
-        None,
-    )
-
-
-def _smallest_first(faces):
-    """``(face id, outer cycle)`` of each bounded face, smallest area first.
-
-    The sort is stable, so of two faces with equal area the lower id wins.
-    """
-    bounded = [(i, f) for i, f in enumerate(faces) if f.area2 is not None]
-    return [(i, f.cycles[0]) for i, f in sorted(bounded, key=lambda item: item[1].area2)]
+def _dart_left_of(q, nodes, pieces, outgoing):
+    """The dart whose left side holds the stretch from q leftward to where the
+    ray q - t·(1, 0), t > 0, first meets the drawing, or None if it meets none.
+    A node w is met in its wedge toward +x, left of ``outgoing[w][-1]``; a piece
+    crossed inside, left of its downward dart.  Edgeless vertices are passed."""
+    qx, qy = q
+    nearest, found = None, None
+    for w, (x, y) in enumerate(nodes):
+        if y == qy and x < qx and outgoing[w] and (nearest is None or x > nearest):
+            nearest, found = x, outgoing[w][-1]
+    for k, (a, b) in enumerate(pieces):
+        (ax, ay), (bx, by) = nodes[a], nodes[b]
+        if (ax < qx or bx < qx) and (ay < qy < by or by < qy < ay):
+            x = ax + Fraction((qy - ay) * (bx - ax), by - ay)
+            if x < qx and (nearest is None or x > nearest):
+                nearest, found = x, 2 * k + (ay < by)
+    return found
 
 
 @dataclass(frozen=True)
@@ -114,14 +112,15 @@ class FaceSet:
     directions: tuple
 
     def locate(self, point) -> int:
-        """Face id containing the query point, which must avoid the drawing."""
+        """Face id containing the query point, which must avoid the drawing, read
+        off the first dart its leftward ray meets (none: the unbounded face)."""
         if point in self.nodes:
             raise GeometryError(f"point {point} is a vertex of the subdivision")
         for u, v in self.pieces:
             if on_closed_segment(self.nodes[u], self.nodes[v], point):
                 raise GeometryError(f"point {point} lies on a drawn segment")
-        found = _enclosing_cycle(point, self.nodes, _smallest_first(self.faces))
-        return len(self.faces) - 1 if found is None else found
+        d = _dart_left_of(point, self.nodes, self.pieces, self.outgoing)
+        return len(self.faces) - 1 if d is None else self.dart_face[d]
 
     def representative(self, face_id: int):
         """An exact rational point interior to the face."""
@@ -306,18 +305,18 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
         if not ring:
             outer_by_component[component[v]] = ((), (v,))
 
-    # Attach each component's outer boundary to the face that surrounds it:
-    # the smallest bounded cycle of any *other* component that winds around it,
-    # or, when nothing does, the unbounded face (the last entry of holes).
+    # Place each component in the face just left of its leftmost (then lowest)
+    # vertex, which is never a crossing, as crossings lie inside two segments.
+    # All a ray meets lies further left, so its dart has a face by then.
+    home = {}
+    for v in sorted(range(graph.n), key=points.__getitem__):
+        if component[v] not in home:
+            d = _dart_left_of(points[v], nodes, pieces, outgoing)
+            home[component[v]] = fid = len(bounded) if d is None else dart_face[d]
+            dart_face.update(dict.fromkeys(outer_by_component[component[v]][0], fid))
     holes = [[] for _ in range(len(bounded) + 1)]
-    ordered = _smallest_first(bounded)
-    for comp, (orbit, cycle) in outer_by_component.items():
-        choice = _enclosing_cycle(
-            nodes[cycle[0]], nodes, ((i, c) for i, c in ordered if component[c[0]] != comp)
-        )
-        fid = len(bounded) if choice is None else choice
-        holes[fid].append(cycle)
-        dart_face.update(dict.fromkeys(orbit, fid))
+    for comp, (_, cycle) in outer_by_component.items():
+        holes[home[comp]].append(cycle)
     faces = tuple(
         Face(f.cycles + tuple(h), f.area2) for f, h in zip(bounded + [Face((), None)], holes)
     )

@@ -11,6 +11,7 @@ used anywhere, so results are exact for any input size.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
@@ -135,6 +136,9 @@ class Polygon:
     _box: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.vertices, Iterable):
+            kind = type(self.vertices).__name__
+            raise GeometryError(f"polygon vertices are a {kind}, not a sequence of (x, y) pairs")
         v = tuple(self.vertices)
         if any(type(p) is not Point for p in v):
             v = tuple(map(Point._make, v))

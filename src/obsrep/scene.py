@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -15,16 +16,27 @@ class Scene:
 
     A scene validates itself when it is built: each point becomes a
     :class:`Point`, which refuses anything but an ``(x, y)`` pair of plain
-    ints with :class:`GeometryError`, an obstacle that is not a
-    :class:`Polygon` raises :class:`SceneError`, and so does a scene that
-    breaks an invariant (see :func:`require_valid_scene`), so every
-    ``Scene`` in hand is valid and nothing downstream checks it again.
+    ints with :class:`GeometryError`, points or obstacles given as anything
+    but a sequence, or an obstacle that is not a :class:`Polygon`, raise
+    :class:`SceneError`, and so does a scene that breaks an invariant (see
+    :func:`require_valid_scene`), so every ``Scene`` in hand is valid and
+    nothing downstream checks it again.
     """
 
     points: tuple[Point, ...]
     obstacles: tuple[Polygon, ...] = ()
 
     def __post_init__(self):
+        wrong = [
+            f"{name} is a {type(v).__name__}, not a sequence of {kind}"
+            for name, kind, v in (
+                ("points", "(x, y) pairs", self.points),
+                ("obstacles", "Polygons", self.obstacles),
+            )
+            if not isinstance(v, Iterable)
+        ]
+        if wrong:
+            raise SceneError(wrong)
         points = tuple(self.points)
         if any(type(p) is not Point for p in points):
             points = tuple(map(Point._make, points))

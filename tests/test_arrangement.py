@@ -5,7 +5,7 @@ import pytest
 
 from obsrep.arrangement import _first_contact, build_arrangement, face_nonedge_incidence
 from obsrep.errors import GeometryError, ObsrepError, SceneError
-from obsrep.geom import direction_cmp
+from obsrep.geom import direction_cmp, on_closed_segment
 from obsrep.graphs import Graph, complete_graph, gnp_half
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
@@ -87,8 +87,7 @@ def test_nested_triangles_attach_the_hole():
     assert [len(c) for c in ring.cycles] == [3, 3]
     assert ring.area2 == 600
     assert len(inner.cycles) == 1 and inner.area2 == 64
-    # both outer cycles wind around a point of the inner triangle; the
-    # smaller one, tried first, holds it
+    # a point of the inner triangle sees the inner triangle's left side first
     assert fs.locate((14, 8)) == 1
 
 
@@ -400,6 +399,7 @@ def _check_against_oracle(points, edges):
     for k, (i, j) in enumerate(inc.nonedges):
         ours = {mapping[fid] for fid, items in enumerate(inc.membership) if k in items}
         assert ours == oracle.nonedge_faces(points[i], points[j]), (i, j)
+    return fs, oracle, mapping
 
 
 def test_vertical_edges_against_the_oracle():
@@ -485,6 +485,46 @@ def _framed(points, edges):
     return points, list(edges) + [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
 
 
+def test_floating_components_and_locate_against_the_oracle():
+    # Sparse drawings, every second one framed by a far triangle, float several
+    # components.  The oracle counts hole sides in its faces' complexities, so
+    # it checks where each component was placed, and it locates lattice points
+    # too: some on node heights, whose leftward ray can meet a node first, and
+    # some on the drawing, which locate refuses.
+    rng = random.Random(5309)
+    floating = node_rows = refused = 0
+    for k in range(40):
+        n = rng.randint(4, 8)
+        points = random_placement(rng, n, rng.choice((4, 100)) * n * n)
+        edges = [e for e in gnp_half(n, rng).sorted_edges() if rng.randrange(3) == 0]
+        box = [min(c) for c in zip(*points)], [max(c) for c in zip(*points)]
+        points, edges = (_framed(points, edges) if k % 2 else None) or (points, edges)
+        fs, oracle, mapping = _check_against_oracle(points, edges)
+        floating += fs.components > 1
+        face_of = {root: fid for fid, root in mapping.items()}
+        left = min(x for x, _ in points) - 1
+        heights = sorted({y for _, y in fs.nodes})
+        assert {fs.locate((left, y)) for y in heights} == {len(fs.faces) - 1}
+        (x0, y0), (x1, y1) = box
+        queries = [(rng.randint(x0 - 1, x1 + 1), rng.randint(y0 - 1, y1 + 1)) for _ in range(20)]
+        queries += [(rng.randint(x0, x1 + 1), rng.choice(heights)) for _ in range(20)]
+        queries += [rng.choice(points)] + [
+            (Fraction(ax + bx, 2), Fraction(ay + by, 2))
+            for (ax, ay), (bx, by) in ((points[i], points[j]) for i, j in edges[:2])
+        ]
+        for q in queries:
+            if q in points or any(on_closed_segment(points[i], points[j], q) for i, j in edges):
+                with pytest.raises(GeometryError):
+                    fs.locate(q)
+                refused += 1
+                continue
+            assert fs.locate(q) == face_of[oracle.locate(q)], (points, edges, q)
+            node_rows += any(
+                y == q[1] and x < q[0] and ring for (x, y), ring in zip(fs.nodes, fs.outgoing)
+            )
+    assert floating >= 30 and node_rows >= 200 and refused >= 60, (floating, node_rows, refused)
+
+
 def _walk_drawings():
     """The probe drawings, ISOLATED, and 120 more seeded drawings: every
     third graph keeps about a quarter of its edges, and every second drawing
@@ -523,8 +563,10 @@ def test_incidence_walks_without_point_location(monkeypatch):
     def refuse(*args):
         raise AssertionError("face_nonedge_incidence located a point")
 
-    monkeypatch.setattr("obsrep.arrangement.point_in_polygon", refuse)
+    monkeypatch.setattr("obsrep.arrangement._dart_left_of", refuse)
     assert [face_nonedge_incidence(fs) for fs in drawings] == want
+    with pytest.raises(AssertionError, match="located a point"):
+        drawings[0].locate(drawings[0].representative(0))
 
 
 # Three diagonals of a hexagon through one crossing node at the origin, with

@@ -58,12 +58,23 @@ def test_a_point_that_is_not_a_pair_is_refused():
         Scene([7, (0, 0)])
     with pytest.raises(GeometryError):
         Polygon([(0, 0), (4, 0), (2,)])
+    with pytest.raises(SceneError) as err:
+        Scene(5)
+    assert err.value.diagnostics == ("points is a int, not a sequence of (x, y) pairs",)
+    with pytest.raises(GeometryError) as err:
+        Polygon(5)
+    assert str(err.value) == "polygon vertices are a int, not a sequence of (x, y) pairs"
 
 
 def test_an_obstacle_that_is_not_a_polygon_is_refused():
     with pytest.raises(SceneError) as err:
         Scene([(0, 0), (5, 1), (2, 7)], [[(10, 10), (20, 10), (15, 20)]])
     assert err.value.diagnostics == ("obstacles[0] is a list, not a Polygon",)
+    for obstacles in (3, None):
+        with pytest.raises(SceneError) as err:
+            Scene([(0, 0), (5, 1), (2, 7)], obstacles)
+        kind = type(obstacles).__name__
+        assert err.value.diagnostics == (f"obstacles is a {kind}, not a sequence of Polygons",)
 
 
 def test_duplicate_vertices_reported():
