@@ -3,24 +3,26 @@
 A drawing is a labeled point set plus a set of open straight segments (the
 edges of a graph on those points).  Removing the drawn points and segments
 from the plane leaves connected open regions — the faces.  This module builds
-them exactly: edge crossings become subdivision vertices with rational
-coordinates, each face is traced as one or more boundary cycles of directed
-segment pieces, and every bounded face can produce an exact rational interior
-point.  Walking each absent edge across the darts it crosses gives the faces
-its segment travels through; those are exactly where a blocker could sit.
+them exactly, in integers: edge crossings become subdivision vertices with
+homogeneous integer coordinates, each face is traced as one or more boundary
+cycles of directed segment pieces, and every bounded face can produce an
+exact rational interior point.  Walking each absent edge across the darts it
+crosses gives the faces its segment travels through; those are exactly where
+a blocker could sit.  Areas and interior points leave the module as
+``Fraction``; nothing inside computes with it.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
+from math import gcd, lcm, prod
 
 from .errors import GeometryError, ObsrepError
-from .geom import direction_cmp, on_closed_segment, orient
+from .geom import direction_cmp, orient
 from .graphs import Graph
 from .scene import Scene
 
@@ -40,63 +42,76 @@ class Face:
     """
 
     cycles: tuple
-    area2: int | Fraction | None
+    area2: Fraction | None
+
+
+def _fraction(num, den):
+    """The output form of an int ratio: areas and representatives leave as ``Fraction``."""
+    return Fraction(num, den)
+
+
+# A ratio is an int pair (n, d) with d > 0, standing for n/d; this key orders them.
+_by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+# Orders homogeneous nodes (X, Y, W), W > 0, lowest first, then leftmost.
+_low_left = cmp_to_key(lambda a, b: (a[1] * b[2] - b[1] * a[2]) or (a[0] * b[2] - b[0] * a[2]))
 
 
 def _crossing(p, q, r, s):
-    """Where the open segments (p, q) and (r, s) cross at a single point.
-
-    Returns ``(t, u)`` with ``p + t(q - p) = r + u(s - r)`` and both
-    parameters strictly between 0 and 1, or ``None`` when the segments are
-    parallel or do not meet at interior points of both.
-    """
+    """Where the open segments (p, q) and (r, s) cross at a single point:
+    ``(tn, un, denom)`` with p + (tn/denom)(q - p) = r + (un/denom)(s - r) and
+    0 < tn, un < denom, or ``None`` when the segments are parallel or do not
+    meet at interior points of both."""
     (px, py), (qx, qy), (rx, ry), (sx, sy) = p, q, r, s
-    dx, dy = qx - px, qy - py
-    ex, ey = sx - rx, sy - ry
-    denom = dx * ey - dy * ex
-    if denom == 0:
-        return None
-    wx, wy = rx - px, ry - py
-    tn = wx * ey - wy * ex
-    un = wx * dy - wy * dx
+    dx, dy, ex, ey, wx, wy = qx - px, qy - py, sx - rx, sy - ry, rx - px, ry - py
+    denom, tn, un = dx * ey - dy * ex, wx * ey - wy * ex, wx * dy - wy * dx
     if denom < 0:
         denom, tn, un = -denom, -tn, -un
-    if 0 < tn < denom and 0 < un < denom:
-        return Fraction(tn, denom), Fraction(un, denom)
-    return None
+    return (tn, un, denom) if 0 < tn < denom and 0 < un < denom else None
+
+
+def _wedge(ring, directions, d):
+    """The dart of a node's ring just clockwise of direction d, left of which d points."""
+    return ring[sum(direction_cmp(directions[r], d) < 0 for r in ring) - 1]
 
 
 def _dart_left_of(q, nodes, pieces, outgoing):
     """The dart whose left side holds the stretch from q leftward to where the
     ray q - t·(1, 0), t > 0, first meets the drawing, or None if it meets none.
     A node w is met in its wedge toward +x, left of ``outgoing[w][-1]``; a piece
-    crossed inside, left of its downward dart.  Edgeless vertices are passed."""
-    qx, qy = q
-    nearest, found = None, None
-    for w, (x, y) in enumerate(nodes):
-        if y == qy and x < qx and outgoing[w] and (nearest is None or x > nearest):
-            nearest, found = x, outgoing[w][-1]
+    crossed inside, left of its downward dart.  Edgeless vertices are passed.
+    ``q`` is homogeneous like the nodes; each hit's x is kept as a ratio."""
+    qx, qy, qw = q
+    hits = [
+        ((x, w), outgoing[v][-1])
+        for v, (x, y, w) in enumerate(nodes)
+        if y * qw == qy * w and outgoing[v]
+    ]
     for k, (a, b) in enumerate(pieces):
-        (ax, ay), (bx, by) = nodes[a], nodes[b]
-        if (ax < qx or bx < qx) and (ay < qy < by or by < qy < ay):
-            x = ax + Fraction((qy - ay) * (bx - ax), by - ay)
-            if x < qx and (nearest is None or x > nearest):
-                nearest, found = x, 2 * k + (ay < by)
-    return found
+        (ax, ay, aw), (bx, by, bw) = nodes[a], nodes[b]
+        # Heights over the ray's line, scaled by aw·qw and bw·qw; a piece from
+        # below to above crosses it at x = (ax·hb - bx·ha) / (hb·aw - ha·bw).
+        ha, hb = ay * qw - qy * aw, by * qw - qy * bw
+        if ha * hb < 0:
+            up = 1 if ha < hb else -1
+            hits.append((((ax * hb - bx * ha) * up, (hb * aw - ha * bw) * up), 2 * k + (up > 0)))
+    left = [(x, d) for x, d in hits if x[0] * qw < qx * x[1]]
+    return max(left, key=lambda hit: _by_value(hit[0]), default=(None, None))[1]
 
 
 @dataclass(frozen=True)
 class FaceSet:
     """All faces of a drawing, plus the exact subdivision they came from.
 
-    ``nodes`` holds the point of vertex i of ``graph`` at index i, then the
-    crossings with ``Fraction`` coordinates; ``pieces`` pairs node ids;
+    ``nodes`` holds homogeneous integer points ``(X, Y, W)`` for (X/W, Y/W),
+    with ``W > 0`` and the three coprime: vertex i of ``graph`` at index i, as
+    ``(x, y, 1)``, then the crossings.  ``pieces`` pairs node ids;
     ``components`` counts the connected pieces, isolated points included.
     A face's id is its index in ``faces``; the unbounded face is the last.
     Dart 2k runs along ``pieces[k]`` and 2k+1 against it; ``dart_face[d]`` is
     the face on d's left, ``outgoing[v]`` the darts leaving node v sorted
     counterclockwise from +x, and edge k of ``graph.sorted_edges()`` has the
-    pieces from ``edge_cuts[k][0]`` on, cut at its parameters ``edge_cuts[k][1]``.
+    pieces from ``edge_cuts[k][0]`` on, cut at the parameters in
+    ``edge_cuts[k][1]``: ratios (n, d), d > 0, in increasing order.
     ``directions[d]`` is the integer vector q - p of the edge (p, q) under dart
     d, negated for odd d; rings are sorted and wedges read on these.
     """
@@ -113,13 +128,21 @@ class FaceSet:
 
     def locate(self, point) -> int:
         """Face id containing the query point, which must avoid the drawing, read
-        off the first dart its leftward ray meets (none: the unbounded face)."""
-        if point in self.nodes:
+        off the first dart its leftward ray meets (none: the unbounded face).
+        The coordinates are ints or ``Fraction``."""
+        x, y = point
+        qw = lcm(x.denominator, y.denominator)
+        qx, qy = x.numerator * (qw // x.denominator), y.numerator * (qw // y.denominator)
+        if (qx, qy, qw) in self.nodes:
             raise GeometryError(f"point {point} is a vertex of the subdivision")
-        for u, v in self.pieces:
-            if on_closed_segment(self.nodes[u], self.nodes[v], point):
+        for a, b in self.pieces:
+            # q is on the piece when a - q and b - q are parallel and not alike.
+            (ax, ay, aw), (bx, by, bw) = self.nodes[a], self.nodes[b]
+            ux, uy = ax * qw - qx * aw, ay * qw - qy * aw
+            vx, vy = bx * qw - qx * bw, by * qw - qy * bw
+            if ux * vy == uy * vx and ux * vx + uy * vy <= 0:
                 raise GeometryError(f"point {point} lies on a drawn segment")
-        d = _dart_left_of(point, self.nodes, self.pieces, self.outgoing)
+        d = _dart_left_of((qx, qy, qw), self.nodes, self.pieces, self.outgoing)
         return len(self.faces) - 1 if d is None else self.dart_face[d]
 
     def representative(self, face_id: int):
@@ -127,32 +150,31 @@ class FaceSet:
         f = self.faces[face_id]
         if f.area2 is not None:
             return _interior_point_of_cycle(self.nodes, f.cycles)
-        if not self.nodes:
-            return (Fraction(0), Fraction(0))
-        return (
-            Fraction(math.floor(min(x for x, _ in self.nodes)) - 1),
-            Fraction(math.floor(min(y for _, y in self.nodes)) - 1),
-        )
+        # A crossing lies inside two segments, never left of or below all drawn points.
+        points = self.nodes[: self.graph.n] or ((1, 1, 1),)
+        return tuple(_fraction(min(p[i] for p in points) - 1, 1) for i in (0, 1))
 
 
 def _first_contact(m, a, b):
-    """Least s > 0 with m·s on the closed segment [a, b], or None if there is none.
-
-    ``a`` and ``b`` are taken relative to the ray's start, which the segment
-    avoids; they are equal for a single point.  ``m`` points strictly up, so
-    a point of the ray's line sits at parameter y / m_y.
-    """
-    ca = m[0] * a[1] - m[1] * a[0]
-    cb = m[0] * b[1] - m[1] * b[0]
+    """Least s > 0 with m·s on the closed segment [a, b], as a ratio (n, d) of
+    positive ints, or None.  ``m`` is an integer vector pointing strictly up,
+    so a point of its line sits at s = y / m_y.  ``a`` and ``b`` are pairs
+    (vector, scale) for vector/scale, relative to the ray's start, which the
+    segment avoids; they are equal for a single point."""
+    (a, wa), (b, wb) = a, b
+    ca, cb = m[0] * a[1] - m[1] * a[0], m[0] * b[1] - m[1] * b[0]
     if ca and cb:
         if (ca > 0) == (cb > 0):
             return None
-        # The ends lie on either side of the ray's line, which the segment crosses once.
-        s = Fraction(a[0] * b[1] - a[1] * b[0], cb - ca)
+        # The ends lie on either side of the ray's line, which the segment
+        # crosses once, at s = (a × b) / (cb/wb - ca/wa) for the true a and b.
+        n, d = a[0] * b[1] - a[1] * b[0], cb * wa - ca * wb
+        n, d = (n, d) if d > 0 else (-n, -d)
     else:
         # The ray meets an end on its line first; a segment along the line, its nearer end.
-        s = min(Fraction(p[1], m[1]) for p, c in ((a, ca), (b, cb)) if not c)
-    return s if s > 0 else None
+        ends = (((a, wa), ca), ((b, wb), cb))
+        n, d = min(((p[1], w * m[1]) for (p, w), c in ends if not c), key=_by_value)
+    return (n, d) if n > 0 else None
 
 
 def _interior_point_of_cycle(nodes, cycles):
@@ -167,28 +189,41 @@ def _interior_point_of_cycle(nodes, cycles):
     of the drawing is reached first.  The closed probe [v, v + m·t]
     meets them exactly when t >= s, so the answer v + m·2^-k, for the least
     k >= 0 with 2^-k < s (k = 0 when nothing lies on the ray), is the point
-    that halving t from 1 until the probe is clear would reach.
+    that halving t from 1 until the probe is clear would reach.  That k is
+    the bit length of floor(1/s).
     """
     outer = cycles[0]
     k = len(outer)
-    idx = min(range(k), key=lambda i: (nodes[outer[i]][1], nodes[outer[i]][0]))
+    idx = min(range(k), key=lambda i: _low_left(nodes[outer[i]]))
     corner = outer[idx]
-    v, u, w = nodes[corner], nodes[outer[idx - 1]], nodes[outer[(idx + 1) % k]]
-    du = (u[0] - v[0], u[1] - v[1])
-    dw = (w[0] - v[0], w[1] - v[1])
+    vx, vy, vw = nodes[corner]
+    rel = {}  # node i relative to v: an integer vector and the scale it is over
+    for i in {i for c in cycles for i in c}:
+        x, y, w = nodes[i]
+        rel[i] = ((x * vw - vx * w, y * vw - vy * w), w * vw)
+    (du, su), (dw, sw) = rel[outer[idx - 1]], rel[outer[(idx + 1) % k]]
     if dw[0] * du[1] - dw[1] * du[0] <= 0:
         raise ObsrepError("the lowest corner of a bounded face is not convex")
-    nu = abs(du[0]) + abs(du[1])
-    nw = abs(dw[0]) + abs(dw[1])
-    m = (dw[0] * nu + du[0] * nw, dw[1] * nu + du[1] * nw)
-    rel = {i: (nodes[i][0] - v[0], nodes[i][1] - v[1]) for c in cycles for i in c}
-    border = [
-        (rel[a], rel[b]) for c in cycles for a, b in zip(c, c[1:] + c[:1]) if corner not in (a, b)
-    ]
-    s = min(filter(None, (_first_contact(m, a, b) for a, b in border)), default=None)
-    halvings = 0 if s is None else (s.denominator // s.numerator).bit_length()
-    t = Fraction(1, 1 << halvings)
-    return (v[0] + m[0] * t, v[1] + m[1] * t)
+    # m = dw·|du|₁ + du·|dw|₁ for the true du and dw is the vector m over the scale ms.
+    nu, nw = abs(du[0]) + abs(du[1]), abs(dw[0]) + abs(dw[1])
+    m, ms = (dw[0] * nu + du[0] * nw, dw[1] * nu + du[1] * nw), su * sw
+    pairs = [(a, b) for c in cycles for a, b in zip(c, c[1:] + c[:1]) if corner not in (a, b)]
+    # Contact at n/d along m is s = n·ms/d along the true m.
+    contacts = filter(None, (_first_contact(m, rel[a], rel[b]) for a, b in pairs))
+    # v + m/(ms·2^k), over the common denominator w = vw·ms·2^k.
+    w = vw * ms << max((d // (n * ms) for n, d in contacts), default=0).bit_length()
+    return _fraction(vx * w // vw + m[0] * vw, w), _fraction(vy * w // vw + m[1] * vw, w)
+
+
+def _area2(nodes, cycle):
+    """Twice the area enclosed by a positively oriented node cycle: the
+    shoelace sum over the product of its nodes' W, which each term divides."""
+    den = prod(nodes[i][2] for i in cycle)
+    num = 0
+    for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+        (ax, ay, aw), (bx, by, bw) = nodes[i], nodes[j]
+        num += (ax * by - bx * ay) * (den // (aw * bw))
+    return _fraction(num, den)
 
 
 def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
@@ -197,46 +232,32 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
     points = scene.points
     if len(points) != graph.n:
         raise ObsrepError(f"{len(points)} points for a {graph.n}-vertex graph")
-    node_index = {}
-    nodes = []
+    node_index = {(x, y, 1): i for i, (x, y) in enumerate(points)}
 
-    def intern(coord):
-        if coord not in node_index:
-            node_index[coord] = len(nodes)
-            nodes.append(coord)
-        return node_index[coord]
-
-    for p in points:
-        intern(p)
-
+    # Concurrent crossings reduce to one node, so each edge through it is cut there once.
     edges = graph.sorted_edges()
-    cuts = {e: [] for e in edges}
+    cuts = {e: {} for e in edges}
     for e, f in combinations(edges, 2):
-        if set(e) & set(f):
+        if e[0] in f or e[1] in f:
             continue
         p, q = points[e[0]], points[e[1]]
         hit = _crossing(p, q, points[f[0]], points[f[1]])
         if hit is not None:
-            t, u = hit
-            x = intern((p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t))
-            cuts[e].append((t, x))
-            cuts[f].append((u, x))
+            tn, un, w = hit
+            x, y = p[0] * w + (q[0] - p[0]) * tn, p[1] * w + (q[1] - p[1]) * tn
+            g = gcd(x, y, w)
+            i = node_index.setdefault((x // g, y // g, w // g), len(node_index))
+            cuts[e][i], cuts[f][i] = (tn, w), (un, w)
+    nodes = list(node_index)
 
-    # Where three or more edges cross at one node, each is cut there once.
-    # The piece of edge (p, q) from parameter t0 to t1 adds (t1 - t0)(p x q)
-    # to the shoelace sum of the cycle its dart lies on; its twin, the negation.
-    pieces, edge_cuts, directions, dart_area2 = [], [], [], []
+    pieces, edge_cuts, directions = [], [], []
     for e in edges:
-        marks = sorted(set(cuts[e]))
-        edge_cuts.append((len(pieces), tuple(t for t, _ in marks)))
-        chain = [e[0]] + [x for _, x in marks] + [e[1]]
+        marks = sorted(cuts[e].items(), key=lambda mark: _by_value(mark[1]))
+        edge_cuts.append((len(pieces), tuple(t for _, t in marks)))
+        chain = [e[0]] + [x for x, _ in marks] + [e[1]]
         pieces.extend(zip(chain, chain[1:]))
         (px, py), (qx, qy) = points[e[0]], points[e[1]]
-        ts, pq = [0] + [t for t, _ in marks] + [1], px * qy - py * qx
-        for t0, t1 in zip(ts, ts[1:]):
-            share = (t1 - t0) * pq
-            directions += [(qx - px, qy - py), (px - qx, py - qy)]
-            dart_area2 += [share, -share]
+        directions += [(qx - px, qy - py), (px - qx, py - qy)] * (len(chain) - 1)
 
     # Darts 2k and 2k+1 are the two directions of piece k; twin = dart ^ 1.
     darts = [end for a, b in pieces for end in ((a, b), (b, a))]
@@ -254,83 +275,66 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
         for i, d in enumerate(ring):
             position[d] = i
 
-    def next_dart(d):
-        ring = outgoing[darts[d][1]]
-        return ring[(position[d ^ 1] - 1) % len(ring)]
-
-    seen = set()
-    orbits = []
+    # A face's next dart leaves d's head just clockwise of d's twin.
+    cycles, orbit_of = [], [None] * len(darts)
     for d0 in range(len(darts)):
-        if d0 in seen:
-            continue
-        cycle = []
-        d = d0
-        while d not in seen:
-            seen.add(d)
-            cycle.append(d)
-            d = next_dart(d)
-        orbits.append(tuple(cycle))
+        d, cycle = d0, []
+        while orbit_of[d] is None:
+            orbit_of[d] = len(cycles)
+            cycle.append(darts[d][0])
+            ring = outgoing[darts[d][1]]
+            d = ring[position[d ^ 1] - 1]
+        if cycle:
+            cycles.append(tuple(cycle))
 
-    # Label each node with its connected component by walking the rings.
-    component = [None] * len(nodes)
-    components = 0
-    for root in range(len(nodes)):
-        if component[root] is None:
-            component[root] = components
+    # Walk each component from its leftmost (then lowest) node, leftmost first.
+    # That node is a vertex, as crossings lie inside two segments, and the
+    # stretch just left of it lies outside the component, left of the orbit of
+    # its outer boundary; every other orbit goes round a bounded face.
+    leftmost, reached = [], set()
+    for root in sorted(range(graph.n), key=points.__getitem__):
+        if root not in reached:
+            leftmost.append(root)
             stack = [root]
             while stack:
-                for d in outgoing[stack.pop()]:
-                    w = darts[d][1]
-                    if component[w] is None:
-                        component[w] = components
-                        stack.append(w)
-            components += 1
+                v = stack.pop()
+                if v not in reached:
+                    reached.add(v)
+                    stack.extend(darts[d][1] for d in outgoing[v])
+    outer = {
+        v: orbit_of[_wedge(outgoing[v], directions, (-1, 0))] for v in leftmost if outgoing[v]
+    }
+    bounded = [o for o in range(len(cycles)) if o not in outer.values()]
+    orbit_face = {o: fid for fid, o in enumerate(bounded)}
 
-    dart_face = {}
-    bounded = []
-    outer_by_component = {}
-    for orbit in orbits:
-        cycle = tuple(darts[d][0] for d in orbit)
-        area2 = sum(dart_area2[d] for d in orbit)
-        comp = component[cycle[0]]
-        if area2 > 0:
-            dart_face.update(dict.fromkeys(orbit, len(bounded)))
-            bounded.append(Face((cycle,), area2))
-        elif comp in outer_by_component:
-            raise ObsrepError("component traced two outer boundaries")
-        else:
-            outer_by_component[comp] = (orbit, cycle)
-    # An edgeless vertex is a component with no darts and the one-node cycle (v,).
-    for v, ring in enumerate(outgoing[: graph.n]):
-        if not ring:
-            outer_by_component[component[v]] = ((), (v,))
-
-    # Place each component in the face just left of its leftmost (then lowest)
-    # vertex, which is never a crossing, as crossings lie inside two segments.
-    # All a ray meets lies further left, so its dart has a face by then.
+    # Place each component in the face just left of its leftmost vertex, leftmost
+    # first: all a ray meets lies further left, so its dart has a face by then.
+    # Its outer boundary, or an edgeless vertex's one-node cycle, is a hole there.
     home = {}
-    for v in sorted(range(graph.n), key=points.__getitem__):
-        if component[v] not in home:
-            d = _dart_left_of(points[v], nodes, pieces, outgoing)
-            home[component[v]] = fid = len(bounded) if d is None else dart_face[d]
-            dart_face.update(dict.fromkeys(outer_by_component[component[v]][0], fid))
+    for v in leftmost:
+        d = _dart_left_of(nodes[v], nodes, pieces, outgoing)
+        home[v] = len(bounded) if d is None else orbit_face[orbit_of[d]]
+        if v in outer:
+            orbit_face[outer[v]] = home[v]
     holes = [[] for _ in range(len(bounded) + 1)]
-    for comp, (_, cycle) in outer_by_component.items():
-        holes[home[comp]].append(cycle)
-    faces = tuple(
-        Face(f.cycles + tuple(h), f.area2) for f, h in zip(bounded + [Face((), None)], holes)
-    )
+    for o in sorted(outer.values()):
+        holes[orbit_face[o]].append(cycles[o])
+    for v in range(graph.n):
+        if not outgoing[v]:
+            holes[home[v]].append((v,))
+    faces = [Face((cycles[o], *holes[i]), _area2(nodes, cycles[o])) for i, o in enumerate(bounded)]
+    faces.append(Face(tuple(holes[-1]), None))
 
-    v, e, f = len(nodes), len(pieces), len(faces)
-    if v - e + f != 1 + components:
-        raise ObsrepError(f"face tracing is inconsistent: V={v} E={e} F={f} C={components}")
+    v, e, f, c = len(nodes), len(pieces), len(faces), len(leftmost)
+    if v - e + f != 1 + c:
+        raise ObsrepError(f"face tracing is inconsistent: V={v} E={e} F={f} C={c}")
     return FaceSet(
         graph=graph,
         nodes=tuple(nodes),
         pieces=tuple(pieces),
-        faces=faces,
-        components=components,
-        dart_face=tuple(dart_face[d] for d in range(len(darts))),
+        faces=tuple(faces),
+        components=c,
+        dart_face=tuple(orbit_face[o] for o in orbit_of),
         outgoing=tuple(map(tuple, outgoing)),
         edge_cuts=tuple(edge_cuts),
         directions=tuple(directions),
@@ -354,42 +358,37 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
     """Walk every non-edge p-q through the arrangement and collect the faces it passes.
 
     In general position a non-edge crosses an edge at most once, inside both,
-    and edges crossed at one parameter meet there at a node.  The stretch
-    before each crossing lies on p's side of it: left of the crossed piece's
-    dart with p on its left, or in the node's wedge toward p.  The last one
-    lies in q's wedge toward p or, if q has no edge, in the face that lists
-    q as a one-node cycle.
+    and where it crosses one at a node it crosses every edge through that
+    node there.  The stretch before each crossing lies on p's side of it:
+    left of the crossed piece's dart with p on its left, or in the node's
+    wedge toward p.  The last one lies in q's wedge toward p or, if q has no
+    edge, in the face that lists q as a one-node cycle.
     """
-    pieces, points = fs.pieces, fs.nodes[: fs.graph.n]
+    points = [(x, y) for x, y, _ in fs.nodes[: fs.graph.n]]
     edges = fs.graph.sorted_edges()
     nonedges = tuple(fs.graph.non_edges())
     floating = {c[0]: fid for fid, f in enumerate(fs.faces) for c in f.cycles if len(c) == 1}
 
     def wedge(v, d):
-        # The face just off node v in direction d: left of the ring dart just clockwise of d.
-        ring = fs.outgoing[v]
-        before = sum(direction_cmp(fs.directions[r], d) < 0 for r in ring)
-        return fs.dart_face[ring[before - 1]]
+        # The face just off node v in direction d.
+        return fs.dart_face[_wedge(fs.outgoing[v], fs.directions, d)]
 
-    def beside(crossed):
-        # The face on p's side of the crossing.
-        k, u = crossed[0]
-        piece = fs.edge_cuts[k][0] + bisect_left(fs.edge_cuts[k][1], u)
-        if len(crossed) > 1:
-            return wedge(pieces[piece][1], back)
+    def beside(k, u):
+        # The face on p's side of where the non-edge crosses edge k, at parameter u on it.
+        first, cuts = fs.edge_cuts[k]
+        i = bisect_left(cuts, _by_value(u), key=_by_value)
+        if i < len(cuts) and cuts[i][0] * u[1] == u[0] * cuts[i][1]:
+            return wedge(fs.pieces[first + i][1], back)
         a, b = edges[k]
-        return fs.dart_face[2 * piece + (orient(points[a], points[b], p) < 0)]
+        return fs.dart_face[2 * (first + i) + (orient(points[a], points[b], p) < 0)]
 
     hit = [set() for _ in fs.faces]
     for index, (i, j) in enumerate(nonedges):
         p, q = points[i], points[j]
         back = (p[0] - q[0], p[1] - q[1])
-        crossings = {}
         for k, (a, b) in enumerate(edges):
             cut = _crossing(p, q, points[a], points[b])
             if cut is not None:
-                crossings.setdefault(cut[0], []).append((k, cut[1]))
-        for crossed in crossings.values():
-            hit[beside(crossed)].add(index)
+                hit[beside(k, cut[1:])].add(index)
         hit[wedge(j, back) if fs.outgoing[j] else floating[j]].add(index)
     return CoverInstance(nonedges, tuple(tuple(sorted(h)) for h in hit))

@@ -23,8 +23,9 @@ from itertools import combinations
 
 
 def xy(p):
-    x, y = p
-    return (Fraction(x), Fraction(y))
+    """A point ``(x, y)``, or a homogeneous node ``(X, Y, W)``, as two Fractions."""
+    x, y, *w = p
+    return (Fraction(x, *w), Fraction(y, *w))
 
 
 def cross_params(a, b, c, d):
@@ -184,14 +185,11 @@ def scene_diagnostics(points, obstacles):
 
 
 def shoelace_area2(nodes, cycle):
-    """Twice the signed area of a node-id cycle, summed over its coordinates.
-
-    The coordinates are used as stored, so a cycle through a crossing gives a
-    ``Fraction`` and a cycle through drawn points only gives an ``int``.
-    """
+    """Twice the signed area of a node-id cycle, summed over its coordinates
+    as Fractions."""
     total = 0
     for i, j in zip(cycle, cycle[1:] + cycle[:1]):
-        (x1, y1), (x2, y2) = nodes[i], nodes[j]
+        (x1, y1), (x2, y2) = xy(nodes[i]), xy(nodes[j])
         total += x1 * y2 - x2 * y1
     return total
 
@@ -528,10 +526,10 @@ def midpoint_incidence(fs):
     outer cycle holds it (equal areas by face id), or else to the unbounded
     face.  No midpoint lies on the drawing, so every answer is unambiguous.
     """
-    points = fs.nodes[: fs.graph.n]
+    points = [xy(node) for node in fs.nodes[: fs.graph.n]]
     edges = fs.graph.sorted_edges()
     order = sorted((f.area2, fid) for fid, f in enumerate(fs.faces) if f.area2 is not None)
-    outlines = {fid: [fs.nodes[v] for v in fs.faces[fid].cycles[0]] for _, fid in order}
+    outlines = {fid: [xy(fs.nodes[v]) for v in fs.faces[fid].cycles[0]] for _, fid in order}
     hit = [set() for _ in fs.faces]
     for index, (i, j) in enumerate(fs.graph.non_edges()):
         p, q = xy(points[i]), xy(points[j])

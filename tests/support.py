@@ -28,6 +28,8 @@ from obsrep.scene import Scene
 from obsrep.search import PartitionReport, _partition_report
 from obsrep.visibility import visibility_graph
 
+from oracles import xy
+
 # --- order types ---
 
 
@@ -217,14 +219,15 @@ def obstacle_face_check(scene: Scene, graph=None) -> FacePlacementReport:
     if graph is None:
         graph = visibility_graph(scene)
     fs = build_arrangement(scene, graph)
+    nodes = [xy(node) for node in fs.nodes]
     assignments = []
     for poly in scene.obstacles:
         stabbed = any(
-            closed_segments_intersect(fs.nodes[a], fs.nodes[b], u, v)
+            closed_segments_intersect(nodes[a], nodes[b], u, v)
             for a, b in fs.pieces
             for u, v in polygon_edges(poly)
         )
-        if stabbed or any(point_in_polygon(node, poly.vertices) >= 0 for node in fs.nodes):
+        if stabbed or any(point_in_polygon(node, poly.vertices) >= 0 for node in nodes):
             assignments.append(None)
         else:
             assignments.append(fs.locate(poly.vertices[0]))
@@ -251,5 +254,5 @@ def partition_faces_check(points, g, faces, k: int) -> PartitionReport:
             vertex_sets.append(None)
         else:
             nodes = {i for cycle in f.cycles for i in cycle}
-            vertex_sets.append(tuple(fs.nodes[i] for i in sorted(nodes)))
+            vertex_sets.append(tuple(xy(fs.nodes[i]) for i in sorted(nodes)))
     return _partition_report(tuple(points), k, vertex_sets)

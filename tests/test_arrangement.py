@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -14,13 +16,15 @@ from conftest import poly, pts
 from oracles import (
     SlabOracle,
     ccw_ring,
+    cross_params,
     halving_representative,
     midpoint_incidence,
     shoelace_area2,
     whole_drawing_probe,
+    xy,
 )
 from support import FacePlacementReport, face_complexity, obstacle_face_check
-from test_golden import G12, NESTED
+from test_golden import CONCURRENT, G12, NESTED
 
 
 def build(points, edges):
@@ -286,15 +290,22 @@ def test_representative_at_a_chosen_first_contact(name):
 
 
 def test_first_contact_solves_each_kind_of_contact():
-    m, third = (1, 2), (Fraction(1, 3), Fraction(2, 3))
-    assert _first_contact(m, (3, 1), (-1, 5)) == Fraction(4, 3)  # crosses the ray
-    assert _first_contact(m, (3, 1), (4, 1)) is None  # both ends right of it
-    assert _first_contact(m, (-3, -5), (1, -7)) is None  # crosses its line behind the start
-    assert _first_contact(m, (2, 4), (5, 0)) == 2  # an end on the ray
-    assert _first_contact(m, (-2, -4), (5, 0)) is None  # an end on its line, behind
-    assert _first_contact(m, (3, 6), (1, 2)) == 1  # along the ray: the nearer end
-    assert _first_contact(m, third, third) == Fraction(1, 3)  # a point on the ray
-    assert _first_contact(m, (1, 1), (1, 1)) is None  # a point off it
+    def contact(a, b, scale=1):
+        # the segment from a/scale to b/scale, against the ray along (1, 2)
+        hit = _first_contact((1, 2), (a, scale), (b, scale))
+        assert hit is None or min(hit) > 0
+        return hit and Fraction(*hit)
+
+    assert contact((3, 1), (-1, 5)) == Fraction(4, 3)  # crosses the ray
+    assert contact((9, 3), (-3, 15), 3) == Fraction(4, 3)  # the same, scaled
+    assert Fraction(*_first_contact((1, 2), ((3, 1), 1), ((-2, 10), 2))) == Fraction(4, 3)
+    assert contact((3, 1), (4, 1)) is None  # both ends right of it
+    assert contact((-3, -5), (1, -7)) is None  # crosses its line behind the start
+    assert contact((2, 4), (5, 0)) == 2  # an end on the ray
+    assert contact((-2, -4), (5, 0)) is None  # an end on its line, behind
+    assert contact((3, 6), (1, 2)) == 1  # along the ray: the nearer end
+    assert contact((1, 2), (1, 2), 3) == Fraction(1, 3)  # a point on the ray
+    assert contact((1, 1), (1, 1)) is None  # a point off it
 
 
 def test_representative_reads_only_its_own_face(monkeypatch):
@@ -503,7 +514,7 @@ def test_floating_components_and_locate_against_the_oracle():
         floating += fs.components > 1
         face_of = {root: fid for fid, root in mapping.items()}
         left = min(x for x, _ in points) - 1
-        heights = sorted({y for _, y in fs.nodes})
+        heights = sorted({y for _, y in map(xy, fs.nodes)})
         assert {fs.locate((left, y)) for y in heights} == {len(fs.faces) - 1}
         (x0, y0), (x1, y1) = box
         queries = [(rng.randint(x0 - 1, x1 + 1), rng.randint(y0 - 1, y1 + 1)) for _ in range(20)]
@@ -520,7 +531,8 @@ def test_floating_components_and_locate_against_the_oracle():
                 continue
             assert fs.locate(q) == face_of[oracle.locate(q)], (points, edges, q)
             node_rows += any(
-                y == q[1] and x < q[0] and ring for (x, y), ring in zip(fs.nodes, fs.outgoing)
+                y == q[1] and x < q[0] and ring
+                for (x, y), ring in zip(map(xy, fs.nodes), fs.outgoing)
             )
     assert floating >= 30 and node_rows >= 200 and refused >= 60, (floating, node_rows, refused)
 
@@ -578,18 +590,20 @@ THREE_THROUGH_ONE = (
 
 
 def test_areas_and_rings_match_the_coordinate_formulas():
-    # Faces' areas and the dart rings come from integer edge vectors; the
-    # oracle reads both off the node coordinates, as stored.
-    kinds, concurrent = set(), 0
+    # Faces' areas come from the homogeneous nodes over one common denominator
+    # and the dart rings from integer edge vectors; the oracle reads both off
+    # the nodes' Fraction coordinates.  Every area is handed out as a Fraction.
+    crossed, fractional, concurrent = 0, 0, 0
     for points, edges in [*_walk_drawings(), THREE_THROUGH_ONE]:
         fs = build(points, edges)
         for f in fs.faces[:-1]:
             want = shoelace_area2(fs.nodes, f.cycles[0])
-            assert (f.area2, type(f.area2)) == (want, type(want)), (points, edges)
-            kinds.add(type(want))
+            assert type(f.area2) is Fraction and f.area2 == want, (points, edges)
+            crossed += any(fs.nodes[i][2] > 1 for i in f.cycles[0])
+            fractional += f.area2.denominator > 1
         assert fs.outgoing == tuple(ccw_ring(fs.nodes, fs.pieces, r) for r in fs.outgoing)
         concurrent += any(len(r) == 6 for r in fs.outgoing[len(points):])
-    assert kinds == {int, Fraction} and concurrent > 0
+    assert crossed > 100 and fractional > 100 and concurrent > 0
 
 
 def test_rings_and_wedges_compare_integer_directions(monkeypatch):
@@ -607,3 +621,87 @@ def test_rings_and_wedges_compare_integer_directions(monkeypatch):
     assert len(fs.nodes) > len(points)
     face_nonedge_incidence(fs)
     assert calls
+    # every node is a reduced homogeneous int triple, the drawn points with W = 1
+    assert fs.nodes[: len(points)] == tuple((x, y, 1) for x, y in points)
+    assert all(type(c) is int for node in fs.nodes for c in node)
+    assert all(w > 1 and gcd(x, y, w) == 1 for x, y, w in fs.nodes[len(points):])
+    assert all(type(c) is int and d > 0 for _, cuts in fs.edge_cuts for c, d in cuts)
+
+
+def _document(doc):
+    return [tuple(p) for p in doc["points"]], [(i - 1, j - 1) for i, j in doc["graph"]["edges"]]
+
+
+def _crossings_by_the_oracle(points, edges):
+    """The drawn points, then every crossing of two edges in the order pairs of
+    edges first meet there, as Fraction pairs; and each edge's cut parameters."""
+    nodes, cuts = [xy(p) for p in points], {e: set() for e in edges}
+    for e, f in combinations(edges, 2):
+        params = cross_params(points[e[0]], points[e[1]], points[f[0]], points[f[1]])
+        if set(e) & set(f) or params is None or not all(0 < c < 1 for c in params):
+            continue
+        (px, py), (qx, qy) = xy(points[e[0]]), xy(points[e[1]])
+        t = params[0]
+        if (px + t * (qx - px), py + t * (qy - py)) not in nodes:
+            nodes.append((px + t * (qx - px), py + t * (qy - py)))
+        cuts[e].add(params[0])
+        cuts[f].add(params[1])
+    return nodes, [sorted(cuts[e]) for e in edges]
+
+
+def _symmetric_drawings(rng, count):
+    """Seeded drawings of k = 3 or 4 small-grid points and their mirror images
+    through the origin, whose k diagonals all cross there, plus about half
+    of the other pairs as edges."""
+    while count:
+        k = rng.randint(3, 4)
+        half = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(k)]
+        points = half + [(-x, -y) for x, y in half]
+        try:
+            Scene(points)
+        except SceneError:
+            continue
+        count -= 1
+        yield points, [(i, i + k) for i in range(k)] + gnp_half(2 * k, rng).sorted_edges()
+
+
+def test_crossing_nodes_match_the_oracle():
+    # The walk's drawings, small-grid drawings with three or four edges through
+    # one point, and the concurrent goldens: each crossing is one reduced node,
+    # with the id its first crossing pair gives it, and cuts each edge once.
+    drawings = [THREE_THROUGH_ONE, _document(CONCURRENT), _document(G12), *_walk_drawings()]
+    drawings += _symmetric_drawings(random.Random(1729), 100)
+    concurrent = 0
+    for points, edges in drawings:
+        fs = build(points, edges)
+        nodes, cuts = _crossings_by_the_oracle(points, fs.graph.sorted_edges())
+        assert [xy(node) for node in fs.nodes] == nodes, (points, edges)
+        assert all(w > 0 and gcd(x, y, w) == 1 for x, y, w in fs.nodes)
+        assert [[Fraction(*t) for t in ts] for _, ts in fs.edge_cuts] == cuts
+        concurrent += sum(map(len, cuts)) > 2 * (len(nodes) - len(points))
+    assert concurrent >= 100, concurrent
+
+
+def test_build_and_incidence_compute_without_fractions(monkeypatch):
+    # Only the output conversion makes a Fraction: the build's areas come out
+    # through it, and nothing else in the build or the walk may make one.
+    import obsrep.arrangement as arrangement
+
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} outside the output conversion")
+
+    def output(num, den):
+        with monkeypatch.context() as m:
+            m.setattr(arrangement, "Fraction", Fraction)
+            return convert(num, den)
+
+    g12 = build(*_document(G12))
+    convert = arrangement._fraction
+    monkeypatch.setattr(arrangement, "Fraction", refuse)
+    monkeypatch.setattr(arrangement, "_fraction", output)
+    fs = build(*_document(G12))
+    assert fs == g12
+    assert face_nonedge_incidence(fs) == face_nonedge_incidence(g12)
+    monkeypatch.setattr(arrangement, "_fraction", convert)
+    with pytest.raises(AssertionError, match="outside the output conversion"):
+        build(*_document(G12))

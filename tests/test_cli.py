@@ -450,6 +450,35 @@ def test_same_argv_same_bytes(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main builds its parser on the first call; no call's options, defaults
+    # or errors may reach the next one
+    import obsrep.cli as cli
+
+    built, placements = [], []
+    build, search = cli.build_parser, cli.obs_upper_bound
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build())
+    monkeypatch.setattr(
+        cli, "obs_upper_bound", lambda g, p, *rest: placements.append(p) or search(g, p, *rest)
+    )
+    assert run(capsys, ["bounds", "--h", "9"]) == (0, "340\n", "")
+    out = "threshold 357 (for the supplied constant c = 35/2)\n"
+    assert run(capsys, ["bounds", "--s", "60", "--c", "35/2"]) == (0, out, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--h", "1", "--s", "3"])
+    assert exc.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    out = "threshold 11 (for the supplied constant c = 1)\n"
+    assert run(capsys, ["bounds", "--s", "3"]) == (0, out, "")
+    graph = write(tmp_path, "c4.json", C4_GRAPH)
+    for argv in (["--placements", "3"], [], ["--placements", "5"]):
+        rc, out, err = run(capsys, ["obs-search", graph, "--seed", "7", *argv])
+        assert (rc, err, out.splitlines()[-1]) == (0, "", "replay ok")
+    assert placements == [3, 64, 5]
+    assert len(built) == 1
+
+
 def console_script_target(name):
     """Return ``(module, attr)`` of the ``[project.scripts]`` entry ``name``."""
     try:

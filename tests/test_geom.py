@@ -253,11 +253,12 @@ def test_point_in_polygon_matches_parity_oracle():
     for _ in range(40):
         scene = Scene(random_placement(rng, 6, 12))
         fs = build_arrangement(scene, gnp_half(6, rng))
-        probes = list(fs.nodes) + [(rng.randint(-2, 14), rng.randint(-2, 14)) for _ in range(20)]
+        nodes = [oracles.xy(node) for node in fs.nodes]
+        probes = nodes + [(rng.randint(-2, 14), rng.randint(-2, 14)) for _ in range(20)]
         for face in fs.faces:
             for cycle in face.cycles:
                 walks += len(set(cycle)) < len(cycle)
-                corners = [fs.nodes[i] for i in cycle]
+                corners = [nodes[i] for i in cycle]
                 for q in probes:
                     assert point_in_polygon(q, corners) == oracles.point_in_polygon(q, corners)
     assert walks >= 20, walks

@@ -232,7 +232,8 @@ def test_partition_flags_match_the_hull_oracle():
             points = random_placement(rng, n, 20)
             fs = build_arrangement(Scene(points), gnp_half(n, rng))
             bounded = [f for f in fs.faces if f.area2 is not None]
-            sets = [tuple(fs.nodes[i] for c in f.cycles for i in c) for f in bounded[:3]] + [None]
+            sets = [tuple(oracles.xy(fs.nodes[i]) for c in f.cycles for i in c) for f in bounded[:3]]
+            sets.append(None)
         report = _partition_report(tuple(points), rng.randint(1, 4), sets)
         for group, flag in zip(report.groups, report.flags):
             gp = [points[i] for i in group]
@@ -241,7 +242,7 @@ def test_partition_flags_match_the_hull_oracle():
             seen["trapped" if trapped else "free"] += 1
             seen["collinear group"] += len(gp) > 2 and all(orient(*gp[:2], p) == 0 for p in gp)
             seen["fraction corner"] += any(
-                type(c) is Fraction for v in sets if v is not None for p in v for c in p
+                c.denominator > 1 for v in sets if v is not None for p in v for c in p
             )
     assert min(seen.values()) >= 100, seen
 
