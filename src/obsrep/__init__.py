@@ -11,7 +11,6 @@ obstacles.
 
 from .arrangement import (
     CoverInstance,
-    Face,
     FaceSet,
     build_arrangement,
     face_nonedge_incidence,
@@ -74,7 +73,6 @@ __all__ = [
     "CoverError",
     "CoverInstance",
     "ExperimentReport",
-    "Face",
     "FaceSet",
     "GeneralPositionError",
     "GeometryError",

@@ -8,8 +8,8 @@ homogeneous integer coordinates, each face is traced as one or more boundary
 cycles of directed segment pieces, and every bounded face can produce an
 exact rational interior point.  Walking each absent edge across the darts it
 crosses gives the faces its segment travels through; those are exactly where
-a blocker could sit.  Areas and interior points leave the module as
-``Fraction``; nothing inside computes with it.
+a blocker could sit.  Areas and interior points are computed on request and
+leave the module as ``Fraction``; nothing inside computes with it.
 """
 
 from __future__ import annotations
@@ -25,24 +25,6 @@ from .errors import GeometryError, ObsrepError
 from .geom import direction_cmp, orient
 from .graphs import Graph
 from .scene import Scene
-
-
-@dataclass(frozen=True)
-class Face:
-    """One connected region of the complement, described by its boundary cycles.
-
-    ``cycles`` lists node ids in traversal order; consecutive entries (wrapping
-    around) are the endpoints of one bordering segment piece, so the face has
-    as many bordering piece sides as its cycles of two or more nodes have
-    entries, and a segment touching it from both sides counts twice.  A
-    bounded face's first cycle is its outer boundary, enclosing ``area2``/2;
-    the rest enclose material floating inside it, and a one-node cycle is an
-    edgeless vertex, which borders no piece.  ``area2`` is ``None`` for the
-    unbounded face.
-    """
-
-    cycles: tuple
-    area2: Fraction | None
 
 
 def _fraction(num, den):
@@ -106,14 +88,16 @@ class FaceSet:
     with ``W > 0`` and the three coprime: vertex i of ``graph`` at index i, as
     ``(x, y, 1)``, then the crossings.  ``pieces`` pairs node ids;
     ``components`` counts the connected pieces, isolated points included.
-    A face's id is its index in ``faces``; the unbounded face is the last.
-    Dart 2k runs along ``pieces[k]`` and 2k+1 against it; ``dart_face[d]`` is
-    the face on d's left, ``outgoing[v]`` the darts leaving node v sorted
-    counterclockwise from +x, and edge k of ``graph.sorted_edges()`` has the
-    pieces from ``edge_cuts[k][0]`` on, cut at the parameters in
-    ``edge_cuts[k][1]``: ratios (n, d), d > 0, in increasing order.
-    ``directions[d]`` is the integer vector q - p of the edge (p, q) under dart
-    d, negated for odd d; rings are sorted and wedges read on these.
+    A face is a tuple of node-id cycles in traversal order, and its id is its
+    index in ``faces``, the unbounded face last.  A bounded face's outer
+    boundary comes first; the other cycles float inside it, an edgeless vertex
+    as a one-node cycle.  Dart 2k runs along ``pieces[k]`` and 2k+1 against
+    it; ``dart_face[d]`` is the face on d's left, ``outgoing[v]`` the darts
+    leaving node v sorted counterclockwise from +x, and edge k of
+    ``graph.sorted_edges()`` has the pieces from ``edge_cuts[k][0]`` on, cut at
+    the parameters in ``edge_cuts[k][1]``: ratios (n, d), d > 0, in increasing
+    order.  ``directions[d]`` is the integer vector q - p of the edge (p, q)
+    under dart d, negated for odd d; rings are sorted and wedges read on these.
     """
 
     graph: Graph
@@ -130,6 +114,8 @@ class FaceSet:
         """Face id containing the query point, which must avoid the drawing, read
         off the first dart its leftward ray meets (none: the unbounded face).
         The coordinates are ints or ``Fraction``."""
+        if len(point) != 2 or not all(type(c) in (int, Fraction) for c in point):
+            raise GeometryError(f"a query point is a pair of ints or Fractions, not {point!r}")
         x, y = point
         qw = lcm(x.denominator, y.denominator)
         qx, qy = x.numerator * (qw // x.denominator), y.numerator * (qw // y.denominator)
@@ -145,11 +131,18 @@ class FaceSet:
         d = _dart_left_of((qx, qy, qw), self.nodes, self.pieces, self.outgoing)
         return len(self.faces) - 1 if d is None else self.dart_face[d]
 
+    def area2(self, face_id: int):
+        """Twice the face's area, or ``None`` for the unbounded face; computed on each call."""
+        cycles = self.faces[face_id]
+        if face_id % len(self.faces) == len(self.faces) - 1:
+            return None
+        return _area2(self.nodes, cycles[0])
+
     def representative(self, face_id: int):
-        """An exact rational point interior to the face."""
-        f = self.faces[face_id]
-        if f.area2 is not None:
-            return _interior_point_of_cycle(self.nodes, f.cycles)
+        """An exact rational point interior to the face; computed on each call."""
+        cycles = self.faces[face_id]
+        if face_id % len(self.faces) < len(self.faces) - 1:
+            return _interior_point_of_cycle(self.nodes, cycles)
         # A crossing lies inside two segments, never left of or below all drawn points.
         points = self.nodes[: self.graph.n] or ((1, 1, 1),)
         return tuple(_fraction(min(p[i] for p in points) - 1, 1) for i in (0, 1))
@@ -322,8 +315,8 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
     for v in range(graph.n):
         if not outgoing[v]:
             holes[home[v]].append((v,))
-    faces = [Face((cycles[o], *holes[i]), _area2(nodes, cycles[o])) for i, o in enumerate(bounded)]
-    faces.append(Face(tuple(holes[-1]), None))
+    faces = [(cycles[o], *holes[i]) for i, o in enumerate(bounded)]
+    faces.append(tuple(holes[-1]))
 
     v, e, f, c = len(nodes), len(pieces), len(faces), len(leftmost)
     if v - e + f != 1 + c:
@@ -367,7 +360,7 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
     points = [(x, y) for x, y, _ in fs.nodes[: fs.graph.n]]
     edges = fs.graph.sorted_edges()
     nonedges = tuple(fs.graph.non_edges())
-    floating = {c[0]: fid for fid, f in enumerate(fs.faces) for c in f.cycles if len(c) == 1}
+    floating = {c[0]: fid for fid, f in enumerate(fs.faces) for c in f if len(c) == 1}
 
     def wedge(v, d):
         # The face just off node v in direction d.

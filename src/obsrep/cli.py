@@ -208,17 +208,18 @@ def cmd_signature(args):
 def cmd_faces(args):
     scene, graph = _load_drawing(args.scene)
     fs = build_arrangement(scene, graph)
-    reps = [fs.representative(fid) for fid in range(len(fs.faces))]
     v, e, f = len(fs.nodes), len(fs.pieces), len(fs.faces)
+    areas = [fs.area2(fid) for fid in range(f)]
+    reps = [fs.representative(fid) for fid in range(f)]
     print(f"nodes {v}")
     print(f"pieces {e}")
     print(f"faces {f}")
     print(f"components {fs.components}")
     print(f"euler {v - e + f}")
-    for fid, (face, (rx, ry)) in enumerate(zip(fs.faces, reps)):
-        kind = "bounded" if face.area2 is not None else "unbounded"
-        tail = f" area2 {face.area2}" if face.area2 is not None else ""
-        sides = sum(len(c) for c in face.cycles if len(c) > 1)
+    for fid, (cycles, area2, (rx, ry)) in enumerate(zip(fs.faces, areas, reps)):
+        kind = "bounded" if area2 is not None else "unbounded"
+        tail = f" area2 {area2}" if area2 is not None else ""
+        sides = sum(len(c) for c in cycles if len(c) > 1)
         print(f"face {fid + 1} {kind} sides {sides}{tail} representative {rx} {ry}")
     return 0
 

@@ -60,12 +60,6 @@ def _in_box(a, b, p) -> bool:
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
-def on_closed_segment(a, b, p) -> bool:
-    """True iff p lies on the closed segment [a, b] (endpoints included)."""
-    (ax, ay), (bx, by), (px, py) = a, b, p
-    return _in_box(a, b, p) and orient_xy(ax, ay, bx, by, px, py) == 0
-
-
 def direction_cmp(d1, d2) -> int:
     """Order two nonzero directions counterclockwise from +x: -1, 1, or 0 if they agree."""
     lower1 = d1[1] < 0 or (d1[1] == 0 and d1[0] < 0)

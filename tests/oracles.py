@@ -528,8 +528,8 @@ def midpoint_incidence(fs):
     """
     points = [xy(node) for node in fs.nodes[: fs.graph.n]]
     edges = fs.graph.sorted_edges()
-    order = sorted((f.area2, fid) for fid, f in enumerate(fs.faces) if f.area2 is not None)
-    outlines = {fid: [xy(fs.nodes[v]) for v in fs.faces[fid].cycles[0]] for _, fid in order}
+    order = sorted((fs.area2(fid), fid) for fid in range(len(fs.faces) - 1))
+    outlines = {fid: [xy(fs.nodes[v]) for v in fs.faces[fid][0]] for _, fid in order}
     hit = [set() for _ in fs.faces]
     for index, (i, j) in enumerate(fs.graph.non_edges()):
         p, q = xy(points[i]), xy(points[j])

@@ -194,7 +194,7 @@ def perturb_scene(scene: Scene, rng, jitters: int = 8, scale: int = 1000):
 
 def face_complexity(fs):
     """Per-face bordering side counts (in face-id order) and their maximum."""
-    counts = tuple(sum(len(c) for c in f.cycles if len(c) > 1) for f in fs.faces)
+    counts = tuple(sum(len(c) for c in f if len(c) > 1) for f in fs.faces)
     return counts, max(counts)
 
 
@@ -249,10 +249,9 @@ def partition_faces_check(points, g, faces, k: int) -> PartitionReport:
     fs = build_arrangement(Scene(points), g)
     vertex_sets = []
     for fid in faces:
-        f = fs.faces[fid]
-        if f.area2 is None:
+        if fs.area2(fid) is None:
             vertex_sets.append(None)
         else:
-            nodes = {i for cycle in f.cycles for i in cycle}
+            nodes = {i for cycle in fs.faces[fid] for i in cycle}
             vertex_sets.append(tuple(xy(fs.nodes[i]) for i in sorted(nodes)))
     return _partition_report(tuple(points), k, vertex_sets)

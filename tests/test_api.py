@@ -4,7 +4,7 @@ import obsrep
 
 PUBLIC = [
     "BoundsQuery", "ChainRecord", "ChainStep", "ContradictionError", "CoverError",
-    "CoverInstance", "ExperimentReport", "Face", "FaceSet", "GeneralPositionError",
+    "CoverInstance", "ExperimentReport", "FaceSet", "GeneralPositionError",
     "GeometryError", "Graph", "GraphError", "ObsResult", "ObsrepError",
     "PartitionReport", "PatternTable", "Point", "Polygon", "RepresentationReport",
     "Scene", "SceneError", "SceneFormatError", "SceneSignature", "SearchError",
@@ -21,7 +21,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    assert sorted(obsrep.__all__) == PUBLIC  # 57 names
+    assert sorted(obsrep.__all__) == PUBLIC  # 56 names
 
 
 def test_every_public_name_resolves():

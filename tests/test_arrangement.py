@@ -7,7 +7,7 @@ import pytest
 
 from obsrep.arrangement import _first_contact, build_arrangement, face_nonedge_incidence
 from obsrep.errors import GeometryError, ObsrepError, SceneError
-from obsrep.geom import direction_cmp, on_closed_segment
+from obsrep.geom import direction_cmp
 from obsrep.graphs import Graph, complete_graph, gnp_half
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
@@ -16,6 +16,7 @@ from conftest import poly, pts
 from oracles import (
     SlabOracle,
     ccw_ring,
+    closed_segments_meet,
     cross_params,
     halving_representative,
     midpoint_incidence,
@@ -39,17 +40,17 @@ def test_triangle_faces():
     assert (len(fs.nodes), len(fs.pieces), len(fs.faces)) == (3, 3, 2)
     assert fs.components == 1
     assert face_complexity(fs) == ((3, 3), 3)
-    assert fs.faces[0].area2 == 70
-    assert fs.faces[-1].area2 is None
+    assert fs.area2(0) == 70
+    assert fs.area2(-1) is None
 
 
 def test_edgeless_drawing_has_one_face():
     fs = build([(0, 0), (10, 0), (4, 7)], [])
     assert len(fs.faces) == 1
     assert fs.components == 3
-    assert fs.faces[0].area2 is None
+    assert fs.area2(0) is None
     # each edgeless vertex floats in it as a one-node cycle, which borders no piece
-    assert fs.faces[0].cycles == ((0,), (1,), (2,))
+    assert fs.faces[0] == ((0,), (1,), (2,))
     assert face_complexity(fs) == ((0,), 0)
 
 
@@ -58,7 +59,7 @@ def test_complete_four_in_convex_position():
     # the two diagonals cross, adding one subdivision vertex
     assert (len(fs.nodes), len(fs.pieces), len(fs.faces)) == (5, 8, 5)
     assert face_complexity(fs) == ((3, 3, 3, 3, 4), 4)
-    assert sum(1 for f in fs.faces if f.area2 is not None) == 4
+    assert sum(1 for fid in range(len(fs.faces)) if fs.area2(fid) is not None) == 4
 
 
 def test_single_edge_is_a_spur_of_the_unbounded_face():
@@ -75,7 +76,7 @@ def test_two_far_apart_triangles():
     )
     assert len(fs.faces) == 3
     assert fs.components == 2
-    assert [len(c) for c in fs.faces[-1].cycles] == [3, 3]
+    assert [len(c) for c in fs.faces[-1]] == [3, 3]
     assert face_complexity(fs)[0][-1] == 6
 
 
@@ -88,9 +89,9 @@ def test_nested_triangles_attach_the_hole():
     # face 0 is the annulus between the triangles: its own boundary plus the
     # inner hole; face 1 is the inner triangle
     ring, inner, _ = fs.faces
-    assert [len(c) for c in ring.cycles] == [3, 3]
-    assert ring.area2 == 600
-    assert len(inner.cycles) == 1 and inner.area2 == 64
+    assert [len(c) for c in ring] == [3, 3]
+    assert fs.area2(0) == 600
+    assert len(inner) == 1 and fs.area2(1) == 64
     # a point of the inner triangle sees the inner triangle's left side first
     assert fs.locate((14, 8)) == 1
 
@@ -100,9 +101,9 @@ def test_nested_lists_its_edgeless_vertex_in_the_ring():
     fs = build(points, [(i - 1, j - 1) for i, j in NESTED["graph"]["edges"]])
     ring, inner, outside = fs.faces
     # the outer triangle's boundary, the inner triangle's, then vertex 7 alone
-    assert [len(c) for c in ring.cycles] == [3, 3, 1]
-    assert ring.cycles[-1] == (6,)
-    assert all(len(c) > 1 for f in (inner, outside) for c in f.cycles)
+    assert [len(c) for c in ring] == [3, 3, 1]
+    assert ring[-1] == (6,)
+    assert all(len(c) > 1 for f in (inner, outside) for c in f)
 
 
 def test_bowtie_visits_the_shared_vertex_twice():
@@ -111,8 +112,8 @@ def test_bowtie_visits_the_shared_vertex_twice():
         [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)],
     )
     assert len(fs.faces) == 3
-    assert [len(c) for c in fs.faces[-1].cycles] == [6]
-    assert sorted(f.area2 for f in fs.faces[:-1]) == [16, 16]
+    assert [len(c) for c in fs.faces[-1]] == [6]
+    assert sorted(map(fs.area2, range(len(fs.faces) - 1))) == [16, 16]
 
 
 # --- drawing validation ---
@@ -146,6 +147,24 @@ def test_locate_triangle_interior_and_errors():
         fs.locate((0, 0))  # a drawing vertex
     with pytest.raises(GeometryError):
         fs.locate((5, 0))  # interior of a drawn segment
+
+
+def test_locate_refuses_inexact_and_malformed_points():
+    fs = build([(0, 0), (10, 0), (4, 7)], [(0, 1), (1, 2), (0, 2)])
+    for q in [(0.5, 0.5), ("1", "1"), (1,), (True, 1)]:
+        with pytest.raises(GeometryError, match="pair of ints or Fractions"):
+            fs.locate(q)
+
+
+def test_face_readouts_index_like_faces():
+    fs = build([(0, 0), (10, 0), (4, 7)], [(0, 1), (1, 2), (0, 2)])
+    assert [fs.area2(fid) for fid in (0, 1, -2, -1)] == [70, None, 70, None]
+    assert fs.representative(-2) == fs.representative(0)
+    assert fs.representative(-1) == fs.representative(1)
+    for readout in (fs.area2, fs.representative):
+        for fid in (2, -3):
+            with pytest.raises(IndexError):
+                readout(fid)
 
 
 # Once the hypotenuse has shortened it, the probe of the bounded face ends at
@@ -207,10 +226,10 @@ def test_representatives_match_the_whole_drawing_probe():
         isolated += len(points) - len({i for e in edges for i in e})
         for fid, f in enumerate(fs.faces[:-1]):
             got = fs.representative(fid)
-            assert got == whole_drawing_probe(fs.nodes, fs.pieces, f.cycles[0]), (points, edges)
-            want = halving_representative(fs.nodes, f.cycles, _isolated(fs))
+            assert got == whole_drawing_probe(fs.nodes, fs.pieces, f[0]), (points, edges)
+            want = halving_representative(fs.nodes, f, _isolated(fs))
             assert _same_point(got, want), (points, edges, fid)
-            holes += len(f.cycles) - 1
+            holes += len(f) - 1
     assert isolated > 0 and holes > 0
 
 
@@ -233,11 +252,11 @@ def test_representatives_match_the_halving_probe_on_seeded_drawings():
         if not bounded:
             continue
         chosen = {rng.randrange(bounded)}
-        chosen |= {fid for fid, f in enumerate(fs.faces[:-1]) if len(f.cycles) > 1}
+        chosen |= {fid for fid, f in enumerate(fs.faces[:-1]) if len(f) > 1}
         lonely = _isolated(fs)
         isolated += len(lonely)
         for fid in sorted(chosen):
-            cycles = fs.faces[fid].cycles
+            cycles = fs.faces[fid]
             want = halving_representative(fs.nodes, cycles, lonely)
             assert _same_point(fs.representative(fid), want), (points, edges, fid)
             holes += len(cycles) - 1
@@ -286,7 +305,7 @@ def test_representative_at_a_chosen_first_contact(name):
     assert len(fs.faces) == 2
     got = fs.representative(0)
     assert _same_point(got, tuple(Fraction(c) for c in want))
-    assert _same_point(got, halving_representative(fs.nodes, fs.faces[0].cycles, _isolated(fs)))
+    assert _same_point(got, halving_representative(fs.nodes, fs.faces[0], _isolated(fs)))
 
 
 def test_first_contact_solves_each_kind_of_contact():
@@ -352,7 +371,7 @@ def test_crossed_nonedge_is_cut_at_the_crossing():
     assert inc.nonedges == ((0, 2),)
     touched = [fid for fid, items in enumerate(inc.membership) if items]
     assert len(touched) == 2
-    assert all(fs.faces[fid].area2 is not None for fid in touched)
+    assert all(fs.area2(fid) is not None for fid in touched)
 
 
 # --- obstacles inside faces ---
@@ -400,7 +419,8 @@ def _check_against_oracle(points, edges):
     fs = build_arrangement(Scene(points), graph)
     oracle = SlabOracle(points, graph)
     assert len(fs.faces) == oracle.face_count
-    assert sum(1 for f in fs.faces if f.area2 is not None) == oracle.bounded_face_count
+    bounded = sum(fs.area2(fid) is not None for fid in range(len(fs.faces)))
+    assert bounded == oracle.bounded_face_count
     mapping = _oracle_face_map(fs, oracle)
     assert mapping[len(fs.faces) - 1] == oracle.outer_root
     oracle_complexity = oracle.complexities()
@@ -524,7 +544,7 @@ def test_floating_components_and_locate_against_the_oracle():
             for (ax, ay), (bx, by) in ((points[i], points[j]) for i, j in edges[:2])
         ]
         for q in queries:
-            if q in points or any(on_closed_segment(points[i], points[j], q) for i, j in edges):
+            if q in points or any(closed_segments_meet(points[i], points[j], q, q) for i, j in edges):
                 with pytest.raises(GeometryError):
                     fs.locate(q)
                 refused += 1
@@ -561,7 +581,7 @@ def test_walk_matches_midpoint_location():
         assert face_nonedge_incidence(fs).membership == midpoint_incidence(fs), (points, edges)
         edgeless = set(range(len(points))) - {v for e in edges for v in e}
         edgeless_pairs += sum(1 for i, j in fs.graph.non_edges() if {i, j} <= edgeless)
-        hole_darts += sum(len(c) for f in fs.faces[:-1] for c in f.cycles[1:])
+        hole_darts += sum(len(c) for f in fs.faces[:-1] for c in f[1:])
     assert edgeless_pairs > 0 and hole_darts > 0
 
 
@@ -596,11 +616,12 @@ def test_areas_and_rings_match_the_coordinate_formulas():
     crossed, fractional, concurrent = 0, 0, 0
     for points, edges in [*_walk_drawings(), THREE_THROUGH_ONE]:
         fs = build(points, edges)
-        for f in fs.faces[:-1]:
-            want = shoelace_area2(fs.nodes, f.cycles[0])
-            assert type(f.area2) is Fraction and f.area2 == want, (points, edges)
-            crossed += any(fs.nodes[i][2] > 1 for i in f.cycles[0])
-            fractional += f.area2.denominator > 1
+        for fid, f in enumerate(fs.faces[:-1]):
+            area2 = fs.area2(fid)
+            want = shoelace_area2(fs.nodes, f[0])
+            assert type(area2) is Fraction and area2 == want, (points, edges)
+            crossed += any(fs.nodes[i][2] > 1 for i in f[0])
+            fractional += area2.denominator > 1
         assert fs.outgoing == tuple(ccw_ring(fs.nodes, fs.pieces, r) for r in fs.outgoing)
         concurrent += any(len(r) == 6 for r in fs.outgoing[len(points):])
     assert crossed > 100 and fractional > 100 and concurrent > 0
@@ -683,25 +704,20 @@ def test_crossing_nodes_match_the_oracle():
 
 
 def test_build_and_incidence_compute_without_fractions(monkeypatch):
-    # Only the output conversion makes a Fraction: the build's areas come out
-    # through it, and nothing else in the build or the walk may make one.
+    # Neither the build nor the walk makes a Fraction, not even through the
+    # output conversion: only a face's area2 and representative, computed on
+    # call, hand one out.
     import obsrep.arrangement as arrangement
 
     def refuse(*args):
-        raise AssertionError(f"Fraction{args} outside the output conversion")
-
-    def output(num, den):
-        with monkeypatch.context() as m:
-            m.setattr(arrangement, "Fraction", Fraction)
-            return convert(num, den)
+        raise AssertionError(f"Fraction{args} made")
 
     g12 = build(*_document(G12))
-    convert = arrangement._fraction
     monkeypatch.setattr(arrangement, "Fraction", refuse)
-    monkeypatch.setattr(arrangement, "_fraction", output)
+    monkeypatch.setattr(arrangement, "_fraction", refuse)
     fs = build(*_document(G12))
     assert fs == g12
     assert face_nonedge_incidence(fs) == face_nonedge_incidence(g12)
-    monkeypatch.setattr(arrangement, "_fraction", convert)
-    with pytest.raises(AssertionError, match="outside the output conversion"):
-        build(*_document(G12))
+    for readout in (fs.area2, fs.representative):
+        with pytest.raises(AssertionError, match="made"):
+            readout(0)

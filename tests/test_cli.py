@@ -14,6 +14,8 @@ from obsrep.cli import main
 from obsrep.sceneio import load_scene
 from obsrep.tangent import builtin_pattern_table
 
+from test_golden import G12
+
 HEXAGON = {
     "points": [[-2, 0], [4, 6], [6, -5]],
     "obstacles": [[[0, 0], [2, -2], [5, -2], [7, 0], [5, 2], [2, 2]]],
@@ -257,6 +259,27 @@ def test_scene_subcommands_check_general_position_once(sub, tmp_path, capsys, mo
     rc, out, err = run(capsys, [sub, write(tmp_path, "d.json", doc)])
     assert rc == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sub", ["faces", "incidence", "cover", "obs-search"])
+def test_areas_are_computed_only_where_printed(sub, tmp_path, capsys, monkeypatch):
+    import obsrep.arrangement as arrangement
+
+    original, calls = arrangement._area2, []
+
+    def counted(nodes, cycle):
+        calls.append(cycle)
+        return original(nodes, cycle)
+
+    monkeypatch.setattr(arrangement, "_area2", counted)
+    if sub == "obs-search":
+        argv = [sub, write(tmp_path, "g.json", G12["graph"]), "--seed", "1"]
+    else:
+        argv = [sub, write(tmp_path, "d.json", G12)]
+    rc, out, err = run(capsys, argv)
+    assert rc == 0
+    bounded = out.count(" bounded ")
+    assert len(calls) == bounded and (bounded > 0) == (sub == "faces")
 
 
 # --- search subcommands ---

@@ -15,7 +15,6 @@ from obsrep.geom import (
     convex_hull,
     direction_cmp,
     is_general_position,
-    on_closed_segment,
     orient,
     point_in_polygon,
     polygon_area2,
@@ -89,13 +88,8 @@ def test_point_is_an_int_pair():
 
 
 def test_on_segment_predicates():
+    # the brute-force corner check behind scene validation
     a, b = (0, 0), (10, 0)
-    assert on_closed_segment(a, b, (0, 0))
-    assert on_closed_segment(a, b, (10, 0))
-    assert on_closed_segment(a, b, (7, 0))
-    assert not on_closed_segment(a, b, (11, 0))
-    assert not on_closed_segment(a, b, (5, 1))
-    # the open form is the brute-force corner check behind scene validation
     assert oracles.on_open_segment(a, b, (7, 0))
     assert not oracles.on_open_segment(a, b, (0, 0))
     assert not oracles.on_open_segment(a, b, (10, 0))
@@ -256,7 +250,7 @@ def test_point_in_polygon_matches_parity_oracle():
         nodes = [oracles.xy(node) for node in fs.nodes]
         probes = nodes + [(rng.randint(-2, 14), rng.randint(-2, 14)) for _ in range(20)]
         for face in fs.faces:
-            for cycle in face.cycles:
+            for cycle in face:
                 walks += len(set(cycle)) < len(cycle)
                 corners = [nodes[i] for i in cycle]
                 for q in probes:
@@ -306,7 +300,8 @@ def test_segment_intersects_polygon_matches_oracle():
         seen["non-convex"] += not poly.is_convex()
         for w in poly.vertices:
             if orient(a, b, w) == 0:
-                seen["corner on" if on_closed_segment(a, b, w) else "corner beyond"] += 1
+                on = oracles.closed_segments_meet(a, b, w, w)
+                seen["corner on" if on else "corner beyond"] += 1
         done += 1
     assert min(seen.values()) >= 500, seen
 
