@@ -22,7 +22,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 
 from .errors import GeometryError, ObsrepError
-from .geom import direction_cmp, orient
+from .geom import direction_cmp, direction_key, orient
 from .graphs import Graph
 from .scene import Scene
 
@@ -259,11 +259,12 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
         outgoing[a].append(d)
 
     position = [0] * len(darts)
-    key = cmp_to_key(direction_cmp)
+    scale = max((y * y for _, y in directions), default=0) + 1
+    keys = [direction_key(x, y, scale) for x, y in directions]
     for ring in outgoing:
-        ring.sort(key=lambda d: key(directions[d]))
+        ring.sort(key=keys.__getitem__)
         for a, b in zip(ring, ring[1:]):
-            if direction_cmp(directions[a], directions[b]) == 0:
+            if keys[a] == keys[b]:
                 raise ObsrepError("two boundary pieces leave a node in the same direction")
         for i, d in enumerate(ring):
             position[d] = i

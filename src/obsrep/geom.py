@@ -14,7 +14,6 @@ from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd
 
 from .errors import GeometryError
 
@@ -70,20 +69,22 @@ def direction_cmp(d1, d2) -> int:
     return (c < 0) - (c > 0)
 
 
-def _line_class(dx, dy):
-    """Split the nonzero integer vector (dx, dy) into its line and its side.
+def direction_key(x, y, scale):
+    """An exact integer sort key for the nonzero integer direction (x, y).
 
-    Returns ``((ux, uy), side)``: ``(ux, uy)`` is the primitive direction of
-    the vector up to sign, normalised so that ``ux > 0`` or ``ux == 0 < uy``,
-    and ``side`` is +1 if the vector points that way and -1 if it points the
-    other way.  Two vectors from one point lie on a common line exactly when
-    their lines agree, and point in opposite directions exactly when their
-    sides differ as well.
+    Keys sort counterclockwise from +x, as :func:`direction_cmp` does, and
+    two keys are equal exactly when ``direction_cmp`` returns 0 for their
+    directions, provided ``scale > y * y`` for every direction compared.
+    A lower-half direction is flipped into the upper half, where its
+    place is the slope ``-x / y``, kept as ``(-x * scale) // y``: two
+    distinct slopes with ``0 < y1, y2 <= Y`` differ by at least
+    ``1 / (y1 * y2) >= 1 / Y**2``, so with ``scale > Y**2`` their floors
+    differ too.
     """
-    g = gcd(dx, dy)
-    if dx < 0 or (dx == 0 and dy < 0):
-        return (-dx // g, -dy // g), -1
-    return (dx // g, dy // g), 1
+    lower = y < 0 or (y == 0 and x < 0)
+    if lower:
+        x, y = -x, -y
+    return (lower, y != 0, (-x * scale) // y if y else 0)
 
 
 def closed_segments_intersect(a, b, c, d) -> bool:
@@ -246,10 +247,16 @@ def is_general_position(points):
             violations.append((seen[p], i))
         else:
             seen[p] = i
-    for i, j, k in combinations(range(len(points)), 3):
-        (ax, ay), (bx, by), (cx, cy) = points[i], points[j], points[k]
-        if orient_xy(ax, ay, bx, by, cx, cy) == 0:
-            violations.append((i, j, k))
+    n = len(points)
+    for i in range(n):
+        ax, ay = points[i]
+        for j in range(i + 1, n):
+            bx, by = points[j]
+            dx, dy = bx - ax, by - ay
+            for k in range(j + 1, n):
+                cx, cy = points[k]
+                if dx * (cy - ay) == dy * (cx - ax):
+                    violations.append((i, j, k))
     return (not violations), violations
 
 

@@ -31,7 +31,7 @@ class Graph:
                 raise GraphError(f"self-loop at vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise GraphError(f"edge {e!r} out of range for n={self.n}")
-            normalized.add((min(i, j), max(i, j)))
+            normalized.add((i, j) if i < j else (j, i))
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @staticmethod

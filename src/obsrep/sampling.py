@@ -6,17 +6,28 @@ reproducible from its seed.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import SearchError
-from .geom import Point, Polygon, _line_class, convex_hull, point_in_polygon
+from .geom import Point, Polygon, convex_hull, point_in_polygon
 from .scene import Scene
 
 
 def _collinear_with_any_pair(pts, q):
-    """Does q lie on a line through two of the points?  q must not be one of them."""
+    """Does q lie on a line through two of the points?  q must not be one of them.
+
+    Each point's offset from q, divided by its gcd and turned to point right
+    (or straight up), names its line through q: two points share a line
+    with q exactly when their names agree.
+    """
     qx, qy = q
     lines = set()
     for ax, ay in pts:
-        line, _ = _line_class(ax - qx, ay - qy)
+        dx, dy = ax - qx, ay - qy
+        g = gcd(dx, dy)
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        line = (dx // g, dy // g)
         if line in lines:
             return True
         lines.add(line)

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import SceneError
-from .geom import Point, Polygon, _line_class, is_general_position, point_in_polygon
+from .geom import Point, Polygon, is_general_position, point_in_polygon
 
 
 @dataclass(frozen=True)
@@ -71,33 +70,33 @@ def require_valid_scene(scene: Scene) -> None:
     harmless and allowed.
     """
     out = []
-    ok, violations = is_general_position(scene.points)
+    points = scene.points
+    ok, violations = is_general_position(points)
     if not ok:
         for v in violations:
             names = ", ".join(f"points[{i}]" for i in v)
             kind = "duplicate points" if len(v) == 2 else "collinear triple"
             out.append(f"{kind}: {names}")
-    for i, p in enumerate(scene.points):
+    for i, p in enumerate(points):
         for k, poly in enumerate(scene.obstacles):
             where = point_in_polygon(p, poly.vertices)
             if where >= 0:
                 side = "inside" if where > 0 else "on the boundary of"
                 out.append(f"points[{i}] is {side} obstacles[{k}]")
     between = []
+    n = len(points)
     for k, poly in enumerate(scene.obstacles):
         for t, (wx, wy) in enumerate(poly.vertices):
-            # Corner t lies strictly inside segment i-j exactly when points i
-            # and j sit on one line through it, on opposite sides of it.
-            on_line = {}
-            for i, (px, py) in enumerate(scene.points):
-                if (px, py) != (wx, wy):
-                    line, side = _line_class(px - wx, py - wy)
-                    on_line.setdefault(line, []).append((i, side))
-            for group in on_line.values():
-                if len(group) > 1:
-                    for (i, si), (j, sj) in combinations(group, 2):
-                        if si != sj:
-                            between.append((i, j, k, t))
+            # Corner t lies strictly inside segment i-j exactly when the
+            # vectors from it to points i and j are parallel (cross product
+            # 0) and point opposite ways (dot product < 0).
+            vectors = [(px - wx, py - wy) for px, py in points]
+            for i in range(n):
+                ux, uy = vectors[i]
+                for j in range(i + 1, n):
+                    vx, vy = vectors[j]
+                    if ux * vy == uy * vx and ux * vx + uy * vy < 0:
+                        between.append((i, j, k, t))
     for i, j, k, t in sorted(between):
         out.append(f"obstacles[{k}] vertex {t} lies between points[{i}] and points[{j}]")
     if out:

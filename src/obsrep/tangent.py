@@ -10,16 +10,16 @@ from per-pair event patterns to visible/blocked is derived empirically and
 kept in a :class:`PatternTable`.
 
 Encoding a scene takes one orientation per obstacle edge and point, then a
-sort of the 2n events.  Observing or decoding a word indexes each label's two
-events once and reads every pair's pattern from that index in O(1), so one
-word costs O(n^2) for its C(n, 2) pairs.
+sort of the 2n events by an exact integer key, one key per event
+(:func:`~obsrep.geom.direction_key`).  Observing or decoding a word indexes
+each label's two events once and reads every pair's pattern from that index
+in O(1), so one word costs O(n^2) for its C(n, 2) pairs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import combinations
 
 from .errors import (
@@ -29,17 +29,14 @@ from .errors import (
     ObsrepError,
     UnknownPatternError,
 )
-from .geom import direction_cmp
+from .geom import direction_key
 from .graphs import Graph
 from .sampling import iter_single_obstacle_scenes
 from .scene import Scene
-from .visibility import visibility_graph
+from .visibility import visibility_details
 
 _SIGN_CHAR = {1: "+", -1: "-"}
 _EVENT_RE = re.compile(r"([0-9]+)([+-])")
-
-# encode_tangent's events lead with their direction, so direction_cmp reads it directly.
-_BY_DIRECTION = cmp_to_key(direction_cmp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +109,11 @@ def encode_tangent(scene: Scene, index: int = 0) -> TangentSequence:
     ``side[i-1] < 0 < side[i]`` and its ``-`` tangent when
     ``side[i] < 0 < side[i-1]``; a point on an edge's line gets a zero side
     and misses a tangent.  So each point costs one cross product per edge.
+
+    The events are then sorted by :func:`~obsrep.geom.direction_key`, one
+    exact integer key each, with ``scale`` one more than the largest squared
+    x-offset between a point and a corner; two events with equal keys share
+    a tangent direction.
     """
     obstacle = scene.obstacles[index]
     if not obstacle.is_convex():
@@ -128,23 +130,25 @@ def encode_tangent(scene: Scene, index: int = 0) -> TangentSequence:
         for (wx, wy, _, _), after in zip(edges, side):
             # Clockwise from +y is counterclockwise from +x once x and y swap.
             if before < 0 < after:
-                events.append((py - wy, px - wx, label, 1))
+                events.append((label, 1, py - wy, px - wx))
                 plus += 1
             elif after < 0 < before:
-                events.append((wy - py, wx - px, label, -1))
+                events.append((label, -1, wy - py, wx - px))
                 minus += 1
             before = after
         if plus != 1 or minus != 1:
             raise GeneralPositionError(
                 f"point {v!r} does not have two clean tangents (collinear with obstacle vertices?)"
             )
-    events.sort(key=_BY_DIRECTION)
-    for e1, e2 in zip(events, events[1:]):
-        if direction_cmp(e1, e2) == 0:
+    scale = max((y * y for _, _, _, y in events), default=0) + 1
+    keys = [direction_key(x, y, scale) for _, _, x, y in events]
+    order = sorted(range(len(events)), key=keys.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if keys[a] == keys[b]:
             raise GeneralPositionError(
-                f"points {pts[e1[2]]!r} and {pts[e2[2]]!r} share a tangent direction"
+                f"points {pts[events[a][0]]!r} and {pts[events[b][0]]!r} share a tangent direction"
             )
-    return TangentSequence(tuple((label, sign) for _, _, label, sign in events))
+    return TangentSequence(tuple(events[i][:2] for i in order))
 
 
 # A pair's pattern from the order in which q+, p- and p+ follow q-, keyed by
@@ -245,12 +249,23 @@ class PatternTable:
 
 
 def observe_scene(table: PatternTable, scene: Scene) -> TangentSequence:
-    """Record every pair of the scene in the table; returns the scene's sequence."""
+    """Record every pair of the scene in the table; returns the scene's sequence.
+
+    Each distinct (pattern, outcome) is recorded once, with its first pair
+    as witness and in the order of those first pairs.  A later pair with
+    the same pattern and outcome would leave the table as it is, so the
+    table, its witnesses and any :class:`ContradictionError` come out as
+    if every pair were recorded in turn.
+    """
     seq = encode_tangent(scene)
-    actual = visibility_graph(scene)
+    blocked = visibility_details(scene)[1]
+    first = {}
     for i, j, pattern in _pair_patterns(seq):
-        outcome = VISIBLE if actual.has_edge(i, j) else BLOCKED
-        table.record(pattern, outcome, witness=(scene, (i, j)))
+        key = (pattern, (i, j) in blocked)
+        if key not in first:
+            first[key] = (i, j)
+    for (pattern, is_blocked), pair in first.items():
+        table.record(pattern, BLOCKED if is_blocked else VISIBLE, witness=(scene, pair))
     return seq
 
 

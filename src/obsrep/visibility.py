@@ -11,28 +11,25 @@ from .graphs import Graph
 from .scene import Scene
 
 
-def _blockers(scene: Scene, i: int, j: int):
-    """Indices of obstacles whose closed region meets the open segment i-j."""
-    a, b = scene.points[i], scene.points[j]
-    return [k for k, poly in enumerate(scene.obstacles) if segment_intersects_polygon(a, b, poly)]
-
-
 def visibility_details(scene: Scene):
     """The visibility graph plus, for each blocked pair, its blocking obstacles.
 
     Returns ``(graph, witnesses)`` where witnesses maps every non-edge to the
-    non-empty list of obstacle indices that intersect its open segment.  The
-    scene validated itself when it was built, so it is not checked again.
+    non-empty list of obstacle indices that intersect its open segment, in
+    increasing order: each obstacle in turn is tested against every pair.
+    The scene validated itself when it was built, so it is not checked again.
     """
-    edges = []
+    points = scene.points
+    n = len(points)
     witnesses = {}
-    for i, j in combinations(range(scene.n), 2):
-        blockers = _blockers(scene, i, j)
-        if blockers:
-            witnesses[(i, j)] = blockers
-        else:
-            edges.append((i, j))
-    return Graph.of(scene.n, edges), witnesses
+    for k, poly in enumerate(scene.obstacles):
+        for i in range(n):
+            a = points[i]
+            for j in range(i + 1, n):
+                if segment_intersects_polygon(a, points[j], poly):
+                    witnesses.setdefault((i, j), []).append(k)
+    edges = [pair for pair in combinations(range(n), 2) if pair not in witnesses]
+    return Graph.of(n, edges), witnesses
 
 
 def visibility_graph(scene: Scene) -> Graph:

@@ -13,8 +13,10 @@ representative halves a probe until it is clear instead of solving for the
 probe's first contact, minimum set cover is plain subset enumeration, a
 counting bound is decided by building both of its powers in full, a tangent
 word tests both signs of every point at every obstacle corner with two
-cross products each instead of reading one side per edge, and a pair's
-pattern rescans the whole word.  Slower and dumber on purpose.
+cross products each instead of reading one side per edge, a pair's
+pattern rescans the whole word, and a scene's pairs go into a pattern table
+with one ``record`` each instead of one per distinct (pattern, outcome).
+Slower and dumber on purpose.
 """
 
 from bisect import bisect_left
@@ -591,3 +593,17 @@ def rescanned_pair_pattern(events, i, j):
     start = sub.index((q, -1))
     sub = sub[start:] + sub[:start]
     return "".join(("p" if label == p else "q") + ("+" if sign > 0 else "-") for label, sign in sub)
+
+
+def record_every_pair(table, scene, events, visible):
+    """Fill ``table`` from one scene with one ``record`` per pair i < j, in order.
+
+    ``events`` is the scene's tangent word and ``visible`` its set of
+    visible pairs.  Each pair goes in with its rescanned pattern, outcome
+    "visible" or "blocked", and ``(scene, (i, j))`` as witness, the way
+    ``observe_scene`` filled the table before it kept only the first pair
+    of each (pattern, outcome).
+    """
+    for i, j in combinations(range(len(events) // 2), 2):
+        outcome = "visible" if (i, j) in visible else "blocked"
+        table.record(rescanned_pair_pattern(events, i, j), outcome, witness=(scene, (i, j)))

@@ -7,7 +7,7 @@ import pytest
 
 from obsrep.arrangement import _first_contact, build_arrangement, face_nonedge_incidence
 from obsrep.errors import GeometryError, ObsrepError, SceneError
-from obsrep.geom import direction_cmp
+from obsrep.geom import direction_cmp, direction_key
 from obsrep.graphs import Graph, complete_graph, gnp_half
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
@@ -628,7 +628,7 @@ def test_areas_and_rings_match_the_coordinate_formulas():
 
 
 def test_rings_and_wedges_compare_integer_directions(monkeypatch):
-    calls = []
+    calls, keys = [], []
 
     def integers_only(d1, d2):
         if not all(type(c) is int for c in d1 + d2):
@@ -636,12 +636,19 @@ def test_rings_and_wedges_compare_integer_directions(monkeypatch):
         calls.append(None)
         return direction_cmp(d1, d2)
 
+    def integer_keys(x, y, scale):
+        if not all(type(c) is int for c in (x, y, scale)):
+            raise AssertionError(f"direction_key on {x}, {y} at scale {scale}")
+        keys.append(None)
+        return direction_key(x, y, scale)
+
     monkeypatch.setattr("obsrep.arrangement.direction_cmp", integers_only)
+    monkeypatch.setattr("obsrep.arrangement.direction_key", integer_keys)
     points = [tuple(p) for p in G12["points"]]
     fs = build(points, [(i - 1, j - 1) for i, j in G12["graph"]["edges"]])
     assert len(fs.nodes) > len(points)
     face_nonedge_incidence(fs)
-    assert calls
+    assert calls and keys
     # every node is a reduced homogeneous int triple, the drawn points with W = 1
     assert fs.nodes[: len(points)] == tuple((x, y, 1) for x, y in points)
     assert all(type(c) is int for node in fs.nodes for c in node)

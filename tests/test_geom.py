@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from obsrep.geom import (
     closed_segments_intersect,
     convex_hull,
     direction_cmp,
+    direction_key,
     is_general_position,
     orient,
     point_in_polygon,
@@ -61,6 +63,49 @@ def test_direction_cmp_orders_counterclockwise_from_east():
             assert direction_cmp(a, b) == (i > j) - (i < j)
     assert direction_cmp((2, 4), (1, 2)) == 0
     assert direction_cmp((Fraction(1, 3), 0), (7, 0)) == 0
+
+
+def _keys_order_like_direction_cmp(directions):
+    scale = max(y * y for _, y in directions) + 1
+    keys = [direction_key(x, y, scale) for x, y in directions]
+    ties = 0
+    for d1, k1 in zip(directions, keys):
+        for d2, k2 in zip(directions, keys):
+            assert (k1 > k2) - (k1 < k2) == direction_cmp(d1, d2), (d1, d2, scale)
+            ties += k1 == k2 and d1 != d2
+    return ties
+
+
+def test_direction_key_orders_like_direction_cmp_on_a_small_grid():
+    grid = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if (x, y) != (0, 0)]
+    assert _keys_order_like_direction_cmp(grid) > 0
+
+
+def test_direction_key_orders_like_direction_cmp_near_two_to_the_seventy():
+    """Directions with coordinates near 2**70: random ones, their negations,
+    neighbours one unit off, Farey neighbours (cross product 1, so their
+    slopes differ by the least amount the key must still tell apart), equal
+    directions of different lengths and the four axis directions.  Keys tie
+    exactly where direction_cmp does."""
+    rng = random.Random(7070)
+    big = 2**70
+
+    def near():
+        return rng.choice((-1, 1)) * (big - rng.randrange(2**20))
+
+    directions = [(big, 0), (-big, 0), (0, big), (0, -big)]
+    for _ in range(40):
+        x, y = near(), near()
+        directions += [(x, y), (-x, -y), (x + 1, y), (x, y - 1)]
+        y1 = big - rng.randrange(2**20)
+        x1 = next(x for x in iter(near, None) if gcd(x, y1) == 1)
+        y2 = pow(x1, -1, y1)
+        x2 = (x1 * y2 - 1) // y1
+        directions += [(x1, y1), (x2, y2), (-x1, -y1), (-x2, -y2)]
+        a, b = rng.randint(-9, 9) or 1, rng.randint(-9, 9) or 1
+        m = big // 16 + rng.randrange(2**20)
+        directions += [(a * m, b * m), (a * (m + 1), b * (m + 1))]
+    assert _keys_order_like_direction_cmp(directions) >= 40
 
 
 def test_point_constructor_rejects_non_ints():

@@ -155,8 +155,9 @@ class _RecordingTable(PatternTable):
 
 def test_events_and_pair_patterns_match_the_oracles_on_sampled_scenes():
     """2,000 sampled scenes: the events equal the four-cross-product oracle's,
-    and every pair's pattern, from pair_pattern, observe_scene and
-    decode_visibility alike, equals the one a rescan of the word finds."""
+    every pair's pattern, from pair_pattern and decode_visibility alike,
+    equals the one a rescan of the word finds, and observe_scene records the
+    first pair of each (pattern, outcome), in pair order, with that pattern."""
     rng = random.Random(2121)
     pairs = 0
     for scene in iter_single_obstacle_scenes(rng, 2000):
@@ -170,7 +171,11 @@ def test_events_and_pair_patterns_match_the_oracles_on_sampled_scenes():
             assert pair_pattern(seq, i, j) == pair_pattern(seq, j, i) == pattern
         observed = _RecordingTable()
         observe_scene(observed, scene)
-        assert observed.log == want
+        visible = visibility_graph(scene)
+        first = {}
+        for (i, j), pattern in want:
+            first.setdefault((pattern, visible.has_edge(i, j)), (i, j))
+        assert observed.log == [(pair, pattern) for (pattern, _), pair in first.items()]
         asked = _RecordingTable()
         decode_visibility(seq, asked)
         assert asked.log == [pattern for _, pattern in want]
@@ -291,6 +296,59 @@ def test_observe_scene_collects_all_pairs(hexagon_scene):
     seq = observe_scene(table, hexagon_scene)
     assert seq.serialize() == "2+1-2-3+1+3-"
     assert set(outcomes(table)) == {"q-p+p-q+", "q-p+q+p-", "q-p-q+p+"}
+
+
+def _first_witnesses(table):
+    """Each known pattern's kept witness, read back from the contradiction that
+    recording its other outcome raises (which leaves the table as it was)."""
+    kept = {}
+    for pattern, outcome in outcomes(table).items():
+        with pytest.raises(ContradictionError) as err:
+            table.record(pattern, BLOCKED if outcome == VISIBLE else VISIBLE, witness="probe")
+        kept[pattern] = err.value.first_witness
+    return kept
+
+
+def _observe_both_ways(seeded, scene):
+    """Run observe_scene and the one-record-per-pair oracle on copies of the
+    ``seeded`` table; each side gives its table, or the contradiction it raised."""
+    results = []
+    for observe in (
+        lambda table: observe_scene(table, scene),
+        lambda table: oracles.record_every_pair(
+            table, scene, encode_tangent(scene).events, visibility_graph(scene).edges
+        ),
+    ):
+        table = PatternTable()
+        for pattern, (outcome, witness) in seeded.items():
+            table.record(pattern, outcome, witness=witness)
+        try:
+            observe(table)
+        except ContradictionError as err:
+            results.append((err.pattern, err.first_witness, err.second_witness))
+        else:
+            results.append((outcomes(table), _first_witnesses(table)))
+    return results
+
+
+def test_observe_scene_records_like_one_record_per_pair():
+    """200 sampled scenes: observe_scene leaves the same table and kept
+    witnesses as recording every pair in turn, and with some of the scene's
+    patterns pre-seeded with the other outcome it raises the same
+    contradiction (pattern, first witness, second witness)."""
+    rng = random.Random(2525)
+    for scene in iter_single_obstacle_scenes(rng, 200):
+        fresh, oracle = _observe_both_ways({}, scene)
+        assert fresh == oracle
+        patterns = sorted(fresh[0].items())
+        flipped = {
+            pattern: (BLOCKED if outcome == VISIBLE else VISIBLE, ("seeded", pattern))
+            for pattern, outcome in rng.sample(patterns, rng.randint(1, len(patterns)))
+        }
+        mine, oracle = _observe_both_ways(flipped, scene)
+        assert mine == oracle
+        pattern, first, (witness_scene, _) = mine
+        assert first == ("seeded", pattern) and witness_scene is scene
 
 
 def test_decode_matches_geometry_on_random_scenes():
