@@ -43,8 +43,7 @@ class Point(namedtuple("Point", "x y")):
 
 def orient(a, b, c) -> int:
     """Sign of the cross product (b-a) x (c-a): +1 left turn, -1 right, 0 collinear."""
-    (ax, ay), (bx, by), (cx, cy) = a, b, c
-    return orient_xy(ax, ay, bx, by, cx, cy)
+    return orient_xy(*a, *b, *c)
 
 
 def orient_xy(ax, ay, bx, by, cx, cy) -> int:
@@ -107,13 +106,23 @@ def closed_segments_intersect(a, b, c, d) -> bool:
 
 def polygon_area2(vertices) -> int:
     """Twice the signed area of the vertex cycle (positive = counterclockwise)."""
-    total = 0
-    k = len(vertices)
-    for i in range(k):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % k]
-        total += x1 * y2 - x2 * y1
-    return total
+    pairs = zip(vertices, vertices[1:] + vertices[:1])
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in pairs)
+
+
+def _assume_valid(cls, **fields):
+    """``cls(**fields)`` without running ``__post_init__``, for a value valid by construction.
+
+    Each caller names its own code that established the invariants; input goes through ``cls``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _bounding_box(vertices):
+    """``(min x, max x, min y, max y)`` of a nonempty vertex sequence."""
+    xs, ys = zip(*vertices)
+    return min(xs), max(xs), min(ys), max(ys)
 
 
 @dataclass(frozen=True)
@@ -150,17 +159,13 @@ class Polygon:
                 raise GeometryError(f"polygon edges fold back at {q!r}")
         for i in range(k):
             a, b = v[i], v[(i + 1) % k]
-            for j in range(i + 1, k):
-                if j == i or (j + 1) % k == i or (i + 1) % k == j:
-                    continue  # adjacent edges share a vertex by construction
+            for j in range(i + 2, k - (i == 0)):  # skip edges adjacent to edge i
                 c, d = v[j], v[(j + 1) % k]
                 if closed_segments_intersect(a, b, c, d):
                     raise GeometryError(f"polygon is not simple: edges {i} and {j} intersect")
         if polygon_area2(v) <= 0:
             raise GeometryError("polygon vertices must be in counterclockwise order")
-        xs = [p.x for p in v]
-        ys = [p.y for p in v]
-        object.__setattr__(self, "_box", (min(xs), max(xs), min(ys), max(ys)))
+        object.__setattr__(self, "_box", _bounding_box(v))
 
     def is_convex(self) -> bool:
         """Strict convexity: every consecutive turn is a left turn."""

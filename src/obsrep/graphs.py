@@ -27,6 +27,8 @@ class Graph:
         normalized = set()
         for e in self.edges:
             i, j = e
+            if type(i) is not int or type(j) is not int:
+                raise GraphError(f"edge {e!r} has an endpoint that is not an int")
             if i == j:
                 raise GraphError(f"self-loop at vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import SearchError
-from .geom import Point, Polygon, convex_hull, point_in_polygon
+from .geom import Point, Polygon, _assume_valid, _bounding_box, convex_hull, point_in_polygon
 from .scene import Scene
 
 
@@ -41,7 +41,9 @@ def random_convex_polygon(rng) -> Polygon:
         raw = [Point(rng.randint(-333, 333), rng.randint(-333, 333)) for _ in range(k)]
         hull = convex_hull(raw)
         if len(hull) >= 3:
-            return Polygon(hull)
+            # convex_hull keeps distinct corners in counterclockwise order and drops every
+            # non-left turn, so the hull is simple and strictly convex: Polygon's invariants.
+            return _assume_valid(Polygon, vertices=tuple(hull), _box=_bounding_box(hull))
     raise SearchError("could not sample a convex polygon")
 
 
@@ -64,7 +66,9 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
             continue
         taken.append(q)
         pts.append(q)
-    return Scene(tuple(pts), (poly,))
+    # The rejection tests above establish require_valid_scene's invariants: taken holds the
+    # corners too, so each point is new, strictly outside, and off every line through two others.
+    return _assume_valid(Scene, points=tuple(pts), obstacles=(poly,))
 
 
 def iter_single_obstacle_scenes(rng, count):

@@ -18,8 +18,10 @@ class Scene:
     ints with :class:`GeometryError`, points or obstacles given as anything
     but a sequence, or an obstacle that is not a :class:`Polygon`, raise
     :class:`SceneError`, and so does a scene that breaks an invariant (see
-    :func:`require_valid_scene`), so every ``Scene`` in hand is valid and
-    nothing downstream checks it again.
+    :func:`require_valid_scene`).  So every ``Scene`` in hand is valid and
+    nothing downstream checks it again.  The seeded sampler's scenes are valid
+    by construction and skip this pass; ``tests/test_valid_by_construction.py``
+    rebuilds 2,000 of them in full to check that.
     """
 
     points: tuple[Point, ...]
@@ -71,12 +73,10 @@ def require_valid_scene(scene: Scene) -> None:
     """
     out = []
     points = scene.points
-    ok, violations = is_general_position(points)
-    if not ok:
-        for v in violations:
-            names = ", ".join(f"points[{i}]" for i in v)
-            kind = "duplicate points" if len(v) == 2 else "collinear triple"
-            out.append(f"{kind}: {names}")
+    for v in is_general_position(points)[1]:
+        names = ", ".join(f"points[{i}]" for i in v)
+        kind = "duplicate points" if len(v) == 2 else "collinear triple"
+        out.append(f"{kind}: {names}")
     for i, p in enumerate(points):
         for k, poly in enumerate(scene.obstacles):
             where = point_in_polygon(p, poly.vertices)

@@ -29,7 +29,7 @@ from .errors import (
     ObsrepError,
     UnknownPatternError,
 )
-from .geom import direction_key
+from .geom import _assume_valid, direction_key
 from .graphs import Graph
 from .sampling import iter_single_obstacle_scenes
 from .scene import Scene
@@ -50,7 +50,9 @@ class TangentSequence:
     events: tuple
 
     def __post_init__(self):
-        events = tuple((int(l), int(s)) for l, s in self.events)
+        events = tuple(map(tuple, self.events))
+        if not all(len(e) == 2 and type(e[0]) is type(e[1]) is int for e in events):
+            raise ObsrepError("a tangent event must be a (label, sign) pair of plain ints")
         object.__setattr__(self, "events", events)
         n = len(events) // 2
         if sorted(events) != [(label, sign) for label in range(n) for sign in (-1, 1)]:
@@ -148,7 +150,8 @@ def encode_tangent(scene: Scene, index: int = 0) -> TangentSequence:
             raise GeneralPositionError(
                 f"points {pts[events[a][0]]!r} and {pts[events[b][0]]!r} share a tangent direction"
             )
-    return TangentSequence(tuple(events[i][:2] for i in order))
+    # The loop above gave each label exactly one + and one - event, each an int pair.
+    return _assume_valid(TangentSequence, events=tuple(events[i][:2] for i in order))
 
 
 # A pair's pattern from the order in which q+, p- and p+ follow q-, keyed by

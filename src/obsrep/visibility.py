@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ObsrepError
-from .geom import segment_intersects_polygon
+from .geom import _assume_valid, segment_intersects_polygon
 from .graphs import Graph
 from .scene import Scene
 
@@ -28,8 +28,9 @@ def visibility_details(scene: Scene):
             for j in range(i + 1, n):
                 if segment_intersects_polygon(a, points[j], poly):
                     witnesses.setdefault((i, j), []).append(k)
-    edges = [pair for pair in combinations(range(n), 2) if pair not in witnesses]
-    return Graph.of(n, edges), witnesses
+    edges = frozenset(pair for pair in combinations(range(n), 2) if pair not in witnesses)
+    # The line above makes each edge a pair i < j of range(n), as Graph's checks leave it.
+    return _assume_valid(Graph, n=n, edges=edges), witnesses
 
 
 def visibility_graph(scene: Scene) -> Graph:

@@ -36,6 +36,13 @@ def test_constructor_rejects_a_vertex_count_that_is_not_an_int(n):
         Graph(n)
 
 
+@pytest.mark.parametrize("edge", [(0.5, 1), (0, 1.0), ("0", 1), (True, 2)])
+def test_constructor_rejects_an_endpoint_that_is_not_an_int(edge):
+    # (0.5, 1) was once kept as an edge, and non_edges() then still listed (0, 1).
+    with pytest.raises(GraphError, match="not an int"):
+        Graph(3, frozenset({edge}))
+
+
 def test_non_edges_sorted_and_complementary():
     g = cycle_graph(4)
     assert g.non_edges() == [(0, 2), (1, 3)]

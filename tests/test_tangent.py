@@ -74,6 +74,21 @@ def test_sequence_rejects_bad_events():
             TangentSequence.parse(bad)
 
 
+@pytest.mark.parametrize(
+    "events",
+    [
+        ((0.7, 1.2), (0.2, -1.9)),  # once truncated by int() to the word 1+1-
+        (("1", 1), ("1", -1)),
+        ((0, True), (0, -1)),
+        ((False, 1), (False, -1)),
+        ((0, 1, 0), (0, -1)),
+    ],
+)
+def test_sequence_refuses_events_that_are_not_pairs_of_plain_ints(events):
+    with pytest.raises(ObsrepError, match="pair of plain ints"):
+        TangentSequence(events)
+
+
 def test_single_point_has_one_event_of_each_sign():
     square = poly((0, 0), (4, 0), (4, 4), (0, 4))
     seq = encode_tangent(Scene(pts((10, 1)), (square,)))

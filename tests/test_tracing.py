@@ -72,3 +72,21 @@ def test_traced_faces_run_records_each_representative(tmp_path, capsys):
     assert tracer.calls()["arrangement.representative"] == faces >= 1
     # each face's point comes from exact first contacts, not closed-segment probes
     assert tracer.counts["geom.closed_segments_intersect.calls"] == 0
+
+
+def test_derive_table_builds_each_sampled_scene_once(capsys):
+    """Sampled scenes, hull polygons, words and visibility graphs are valid by
+    construction, so a traced derive-table validates no scene and tests no
+    polygon edge pair, while every layer it does use still records its calls."""
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert obsrep.cli.main(["derive-table", "--seed", "1", "--budget", "20"]) == 0
+    capsys.readouterr()
+
+    calls = tracer.calls()
+    assert calls.get("scene.validate", 0) == 0
+    assert tracer.counts["geom.closed_segments_intersect.calls"] == 0
+    for name in ("sampling", "tangent.encode", "visibility.details", "tangent.derive"):
+        assert calls.get(name, 0) >= 1, name
+    assert calls["sampling"] == calls["tangent.encode"] == calls["visibility.details"] == 20
