@@ -17,12 +17,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import combinations
 from math import gcd, lcm, prod
 
 from .errors import GeometryError, ObsrepError
-from .geom import direction_cmp, direction_key, orient
+from .geom import direction_key, orient
 from .graphs import Graph
 from .scene import Scene
 
@@ -32,10 +31,13 @@ def _fraction(num, den):
     return Fraction(num, den)
 
 
-# A ratio is an int pair (n, d) with d > 0, standing for n/d; this key orders them.
-_by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
-# Orders homogeneous nodes (X, Y, W), W > 0, lowest first, then leftmost.
-_low_left = cmp_to_key(lambda a, b: (a[1] * b[2] - b[1] * a[2]) or (a[0] * b[2] - b[0] * a[2]))
+def _scale(points):
+    """The drawing's one scale S = 4·span⁴ + 1, span its points' largest x- or
+    y-extent.  A cut parameter or node coordinate is n/d, 0 < d <= 2·span², so
+    distinct ones differ by over 1/S and ``n * S // d`` orders them exactly; a
+    direction between points has y² < S, as ``direction_key`` needs."""
+    span = max((max(c) - min(c) for c in zip(*points)), default=0)
+    return 4 * span**4 + 1
 
 
 def _crossing(p, q, r, s):
@@ -51,9 +53,9 @@ def _crossing(p, q, r, s):
     return (tn, un, denom) if 0 < tn < denom and 0 < un < denom else None
 
 
-def _wedge(ring, directions, d):
-    """The dart of a node's ring just clockwise of direction d, left of which d points."""
-    return ring[sum(direction_cmp(directions[r], d) < 0 for r in ring) - 1]
+def _wedge(ring, keys, key):
+    """The dart of a node's ring just clockwise of the direction with this key."""
+    return ring[bisect_left(ring, key, key=keys.__getitem__) - 1]
 
 
 def _dart_left_of(q, nodes, pieces, outgoing):
@@ -76,8 +78,12 @@ def _dart_left_of(q, nodes, pieces, outgoing):
         if ha * hb < 0:
             up = 1 if ha < hb else -1
             hits.append((((ax * hb - bx * ha) * up, (hb * aw - ha * bw) * up), 2 * k + (up > 0)))
-    left = [(x, d) for x, d in hits if x[0] * qw < qx * x[1]]
-    return max(left, key=lambda hit: _by_value(hit[0]), default=(None, None))[1]
+    # The nearest hit left of q, cross-multiplied: a denominator can exceed 2·span².
+    x, w, dart = 0, 1, None
+    for (hx, hw), d in hits:
+        if hx * qw < qx * hw and (dart is None or hx * w > x * hw):
+            x, w, dart = hx, hw, d
+    return dart
 
 
 @dataclass(frozen=True)
@@ -93,11 +99,11 @@ class FaceSet:
     boundary comes first; the other cycles float inside it, an edgeless vertex
     as a one-node cycle.  Dart 2k runs along ``pieces[k]`` and 2k+1 against
     it; ``dart_face[d]`` is the face on d's left, ``outgoing[v]`` the darts
-    leaving node v sorted counterclockwise from +x, and edge k of
-    ``graph.sorted_edges()`` has the pieces from ``edge_cuts[k][0]`` on, cut at
-    the parameters in ``edge_cuts[k][1]``: ratios (n, d), d > 0, in increasing
-    order.  ``directions[d]`` is the integer vector q - p of the edge (p, q)
-    under dart d, negated for odd d; rings are sorted and wedges read on these.
+    leaving node v sorted counterclockwise from +x.  Orders are integer keys
+    at the drawing's ``scale`` (``_scale``): edge k of ``graph.sorted_edges()``
+    has the pieces from ``edge_cuts[k][0]`` on, cut at parameters n/d keyed
+    ``n * scale // d`` in ``edge_cuts[k][1]``, increasing; ``dart_keys[d]``
+    keys the vector q - p of the edge (p, q) under dart d, negated for odd d.
     """
 
     graph: Graph
@@ -108,7 +114,8 @@ class FaceSet:
     dart_face: tuple
     outgoing: tuple
     edge_cuts: tuple
-    directions: tuple
+    dart_keys: tuple
+    scale: int
 
     def locate(self, point) -> int:
         """Face id containing the query point, which must avoid the drawing, read
@@ -142,7 +149,7 @@ class FaceSet:
         """An exact rational point interior to the face; computed on each call."""
         cycles = self.faces[face_id]
         if face_id % len(self.faces) < len(self.faces) - 1:
-            return _interior_point_of_cycle(self.nodes, cycles)
+            return _interior_point_of_cycle(self.nodes, cycles, self.scale)
         # A crossing lies inside two segments, never left of or below all drawn points.
         points = self.nodes[: self.graph.n] or ((1, 1, 1),)
         return tuple(_fraction(min(p[i] for p in points) - 1, 1) for i in (0, 1))
@@ -165,12 +172,13 @@ def _first_contact(m, a, b):
         n, d = (n, d) if d > 0 else (-n, -d)
     else:
         # The ray meets an end on its line first; a segment along the line, its nearer end.
-        ends = (((a, wa), ca), ((b, wb), cb))
-        n, d = min(((p[1], w * m[1]) for (p, w), c in ends if not c), key=_by_value)
+        n, d = (b[1], wb * m[1]) if ca else (a[1], wa * m[1])
+        if not ca and not cb and b[1] * wa < a[1] * wb:
+            n, d = b[1], wb * m[1]
     return (n, d) if n > 0 else None
 
 
-def _interior_point_of_cycle(nodes, cycles):
+def _interior_point_of_cycle(nodes, cycles, scale):
     """A rational point just inside a bounded face, given its cycles, outer first.
 
     Works from the first lowest (then leftmost) node v of the outer cycle;
@@ -187,7 +195,8 @@ def _interior_point_of_cycle(nodes, cycles):
     """
     outer = cycles[0]
     k = len(outer)
-    idx = min(range(k), key=lambda i: _low_left(nodes[outer[i]]))
+    keys = [(y * scale // w, x * scale // w) for x, y, w in map(nodes.__getitem__, outer)]
+    idx = keys.index(min(keys))
     corner = outer[idx]
     vx, vy, vw = nodes[corner]
     rel = {}  # node i relative to v: an integer vector and the scale it is over
@@ -243,14 +252,15 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
             cuts[e][i], cuts[f][i] = (tn, w), (un, w)
     nodes = list(node_index)
 
-    pieces, edge_cuts, directions = [], [], []
+    scale = _scale(points)
+    pieces, edge_cuts, keys = [], [], []
     for e in edges:
-        marks = sorted(cuts[e].items(), key=lambda mark: _by_value(mark[1]))
-        edge_cuts.append((len(pieces), tuple(t for _, t in marks)))
-        chain = [e[0]] + [x for x, _ in marks] + [e[1]]
+        marks = sorted((n * scale // d, i) for i, (n, d) in cuts[e].items())
+        edge_cuts.append((len(pieces), tuple(t for t, _ in marks)))
+        chain = [e[0]] + [i for _, i in marks] + [e[1]]
         pieces.extend(zip(chain, chain[1:]))
-        (px, py), (qx, qy) = points[e[0]], points[e[1]]
-        directions += [(qx - px, qy - py), (px - qx, py - qy)] * (len(chain) - 1)
+        dx, dy = (b - a for a, b in zip(points[e[0]], points[e[1]]))
+        keys += [direction_key(dx, dy, scale), direction_key(-dx, -dy, scale)] * (len(chain) - 1)
 
     # Darts 2k and 2k+1 are the two directions of piece k; twin = dart ^ 1.
     darts = [end for a, b in pieces for end in ((a, b), (b, a))]
@@ -259,8 +269,6 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
         outgoing[a].append(d)
 
     position = [0] * len(darts)
-    scale = max((y * y for _, y in directions), default=0) + 1
-    keys = [direction_key(x, y, scale) for x, y in directions]
     for ring in outgoing:
         ring.sort(key=keys.__getitem__)
         for a, b in zip(ring, ring[1:]):
@@ -295,9 +303,8 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
                 if v not in reached:
                     reached.add(v)
                     stack.extend(darts[d][1] for d in outgoing[v])
-    outer = {
-        v: orbit_of[_wedge(outgoing[v], directions, (-1, 0))] for v in leftmost if outgoing[v]
-    }
+    west = direction_key(-1, 0, scale)
+    outer = {v: orbit_of[_wedge(outgoing[v], keys, west)] for v in leftmost if outgoing[v]}
     bounded = [o for o in range(len(cycles)) if o not in outer.values()]
     orbit_face = {o: fid for fid, o in enumerate(bounded)}
 
@@ -331,7 +338,8 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
         dart_face=tuple(orbit_face[o] for o in orbit_of),
         outgoing=tuple(map(tuple, outgoing)),
         edge_cuts=tuple(edge_cuts),
-        directions=tuple(directions),
+        dart_keys=tuple(keys),
+        scale=scale,
     )
 
 
@@ -363,26 +371,27 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
     nonedges = tuple(fs.graph.non_edges())
     floating = {c[0]: fid for fid, f in enumerate(fs.faces) for c in f if len(c) == 1}
 
-    def wedge(v, d):
-        # The face just off node v in direction d.
-        return fs.dart_face[_wedge(fs.outgoing[v], fs.directions, d)]
+    def wedge(v):
+        # The face just off node v toward p.
+        return fs.dart_face[_wedge(fs.outgoing[v], fs.dart_keys, back)]
 
     def beside(k, u):
         # The face on p's side of where the non-edge crosses edge k, at parameter u on it.
         first, cuts = fs.edge_cuts[k]
-        i = bisect_left(cuts, _by_value(u), key=_by_value)
-        if i < len(cuts) and cuts[i][0] * u[1] == u[0] * cuts[i][1]:
-            return wedge(fs.pieces[first + i][1], back)
+        t = u[0] * fs.scale // u[1]
+        i = bisect_left(cuts, t)
+        if i < len(cuts) and cuts[i] == t:
+            return wedge(fs.pieces[first + i][1])
         a, b = edges[k]
         return fs.dart_face[2 * (first + i) + (orient(points[a], points[b], p) < 0)]
 
     hit = [set() for _ in fs.faces]
     for index, (i, j) in enumerate(nonedges):
         p, q = points[i], points[j]
-        back = (p[0] - q[0], p[1] - q[1])
+        back = direction_key(p[0] - q[0], p[1] - q[1], fs.scale)
         for k, (a, b) in enumerate(edges):
             cut = _crossing(p, q, points[a], points[b])
             if cut is not None:
                 hit[beside(k, cut[1:])].add(index)
-        hit[wedge(j, back) if fs.outgoing[j] else floating[j]].add(index)
+        hit[wedge(j) if fs.outgoing[j] else floating[j]].add(index)
     return CoverInstance(nonedges, tuple(tuple(sorted(h)) for h in hit))

@@ -58,22 +58,13 @@ def _in_box(a, b, p) -> bool:
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
-def direction_cmp(d1, d2) -> int:
-    """Order two nonzero directions counterclockwise from +x: -1, 1, or 0 if they agree."""
-    lower1 = d1[1] < 0 or (d1[1] == 0 and d1[0] < 0)
-    lower2 = d2[1] < 0 or (d2[1] == 0 and d2[0] < 0)
-    if lower1 != lower2:
-        return lower1 - lower2
-    c = d1[0] * d2[1] - d1[1] * d2[0]
-    return (c < 0) - (c > 0)
-
-
 def direction_key(x, y, scale):
     """An exact integer sort key for the nonzero integer direction (x, y).
 
-    Keys sort counterclockwise from +x, as :func:`direction_cmp` does, and
-    two keys are equal exactly when ``direction_cmp`` returns 0 for their
-    directions, provided ``scale > y * y`` for every direction compared.
+    Keys sort counterclockwise from +x, and two keys are equal exactly when
+    their directions agree, provided ``scale > y * y`` for every direction
+    compared; the reference comparator they are tested against lives in
+    ``tests/oracles.py``.
     A lower-half direction is flipped into the upper half, where its
     place is the slope ``-x / y``, kept as ``(-x * scale) // y``: two
     distinct slopes with ``0 < y1, y2 <= Y`` differ by at least

@@ -25,23 +25,23 @@ class Graph:
         if self.n < 0:
             raise GraphError(f"vertex count must be >= 0, got {self.n}")
         normalized = set()
-        for e in self.edges:
-            i, j = e
-            if type(i) is not int or type(j) is not int:
-                raise GraphError(f"edge {e!r} has an endpoint that is not an int")
-            if i == j:
-                raise GraphError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise GraphError(f"edge {e!r} out of range for n={self.n}")
-            normalized.add((i, j) if i < j else (j, i))
+        try:
+            for e in self.edges:
+                i, j = e
+                if type(i) is not int or type(j) is not int:
+                    raise GraphError(f"edge {e!r} has an endpoint that is not an int")
+                if i == j:
+                    raise GraphError(f"self-loop at vertex {i}")
+                if not (0 <= i < self.n and 0 <= j < self.n):
+                    raise GraphError(f"edge {e!r} out of range for n={self.n}")
+                normalized.add((i, j) if i < j else (j, i))
+        except (TypeError, ValueError):
+            raise GraphError(f"edges must be (i, j) pairs of ints, not {self.edges!r}") from None
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @staticmethod
     def of(n, pairs) -> "Graph":
         return Graph(n, frozenset(tuple(p) for p in pairs))
-
-    def has_edge(self, i, j) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
 
     def non_edges(self):
         """All absent pairs, sorted lexicographically."""

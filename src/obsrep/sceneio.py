@@ -162,15 +162,11 @@ def dumps_scene(scene: Scene, graph: Graph | None = None) -> str:
     return json.dumps(scene_to_dict(scene, graph), indent=2) + "\n"
 
 
-def _decode(source):
+def _decode(fh):
     try:
-        return json.loads(source) if isinstance(source, str) else json.load(source)
+        return json.load(fh)
     except (ValueError, RecursionError) as e:
         raise SceneFormatError(f"not valid JSON: {e}") from None
-
-
-def loads_scene(text: str) -> tuple:
-    return scene_from_dict(_decode(text))
 
 
 def load_scene(path) -> tuple:

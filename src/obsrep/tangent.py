@@ -50,8 +50,11 @@ class TangentSequence:
     events: tuple
 
     def __post_init__(self):
-        events = tuple(map(tuple, self.events))
-        if not all(len(e) == 2 and type(e[0]) is type(e[1]) is int for e in events):
+        try:
+            events = tuple(map(tuple, self.events))
+        except TypeError:  # not a sequence of sequences
+            events = None
+        if events is None or not all(len(e) == 2 and type(e[0]) is type(e[1]) is int for e in events):
             raise ObsrepError("a tangent event must be a (label, sign) pair of plain ints")
         object.__setattr__(self, "events", events)
         n = len(events) // 2

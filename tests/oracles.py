@@ -8,7 +8,8 @@ every vertex pair against every obstacle corner, drawing faces come from a
 vertical-slab decomposition flooded across slab boundaries instead of
 half-edge tracing, face/non-edge incidence locates the midpoint of each
 stretch between crossings instead of walking the darts, face areas and dart
-rings are read off node coordinates instead of edge vectors, a face's
+rings are read off node coordinates instead of edge vectors, two directions
+are compared by a cross product instead of integer keys, a face's
 representative halves a probe until it is clear instead of solving for the
 probe's first contact, minimum set cover is plain subset enumeration, a
 counting bound is decided by building both of its powers in full, a tangent
@@ -194,6 +195,17 @@ def shoelace_area2(nodes, cycle):
         (x1, y1), (x2, y2) = xy(nodes[i]), xy(nodes[j])
         total += x1 * y2 - x2 * y1
     return total
+
+
+def direction_cmp(d1, d2) -> int:
+    """Order two nonzero directions counterclockwise from +x: -1, 1, or 0 if
+    they agree.  The reference order that ``geom.direction_key`` must match."""
+    lower1 = d1[1] < 0 or (d1[1] == 0 and d1[0] < 0)
+    lower2 = d2[1] < 0 or (d2[1] == 0 and d2[0] < 0)
+    if lower1 != lower2:
+        return lower1 - lower2
+    c = d1[0] * d2[1] - d1[1] * d2[0]
+    return (c < 0) - (c > 0)
 
 
 def _ccw_key(d):

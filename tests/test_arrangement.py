@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import floor, gcd
 
 import pytest
 
 from obsrep.arrangement import _first_contact, build_arrangement, face_nonedge_incidence
 from obsrep.errors import GeometryError, ObsrepError, SceneError
-from obsrep.geom import direction_cmp, direction_key
+from obsrep.geom import direction_key
 from obsrep.graphs import Graph, complete_graph, gnp_half
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
@@ -628,32 +628,29 @@ def test_areas_and_rings_match_the_coordinate_formulas():
 
 
 def test_rings_and_wedges_compare_integer_directions(monkeypatch):
-    calls, keys = [], []
-
-    def integers_only(d1, d2):
-        if not all(type(c) is int for c in d1 + d2):
-            raise AssertionError(f"direction_cmp on {d1} and {d2}")
-        calls.append(None)
-        return direction_cmp(d1, d2)
+    # Rings are sorted, and the build's and the walk's wedges are read, on
+    # direction keys of integer vectors at the drawing's one scale.
+    scales = []
 
     def integer_keys(x, y, scale):
-        if not all(type(c) is int for c in (x, y, scale)):
+        if not all(type(c) is int for c in (x, y, scale)) or scale <= y * y:
             raise AssertionError(f"direction_key on {x}, {y} at scale {scale}")
-        keys.append(None)
+        scales.append(scale)
         return direction_key(x, y, scale)
 
-    monkeypatch.setattr("obsrep.arrangement.direction_cmp", integers_only)
     monkeypatch.setattr("obsrep.arrangement.direction_key", integer_keys)
     points = [tuple(p) for p in G12["points"]]
     fs = build(points, [(i - 1, j - 1) for i, j in G12["graph"]["edges"]])
     assert len(fs.nodes) > len(points)
+    built = len(scales)
     face_nonedge_incidence(fs)
-    assert calls and keys
+    assert 0 < built < len(scales) and set(scales) == {fs.scale}
+    assert len(fs.dart_keys) == 2 * len(fs.pieces)
     # every node is a reduced homogeneous int triple, the drawn points with W = 1
     assert fs.nodes[: len(points)] == tuple((x, y, 1) for x, y in points)
     assert all(type(c) is int for node in fs.nodes for c in node)
     assert all(w > 1 and gcd(x, y, w) == 1 for x, y, w in fs.nodes[len(points):])
-    assert all(type(c) is int and d > 0 for _, cuts in fs.edge_cuts for c, d in cuts)
+    assert all(type(t) is int for _, cuts in fs.edge_cuts for t in cuts)
 
 
 def _document(doc):
@@ -705,7 +702,7 @@ def test_crossing_nodes_match_the_oracle():
         nodes, cuts = _crossings_by_the_oracle(points, fs.graph.sorted_edges())
         assert [xy(node) for node in fs.nodes] == nodes, (points, edges)
         assert all(w > 0 and gcd(x, y, w) == 1 for x, y, w in fs.nodes)
-        assert [[Fraction(*t) for t in ts] for _, ts in fs.edge_cuts] == cuts
+        assert [list(ts) for _, ts in fs.edge_cuts] == [[floor(t * fs.scale) for t in ts] for ts in cuts]
         concurrent += sum(map(len, cuts)) > 2 * (len(nodes) - len(points))
     assert concurrent >= 100, concurrent
 
@@ -728,3 +725,102 @@ def test_build_and_incidence_compute_without_fractions(monkeypatch):
     for readout in (fs.area2, fs.representative):
         with pytest.raises(AssertionError, match="made"):
             readout(0)
+
+
+# --- the drawing's one integer scale ---
+
+# Edges 0-1, 2-3 and 4-5 of a span-12 drawing: 2-3 and 4-5 cut 0-1 at 119/219
+# and 144/265, which differ by 1/(219·265) > 1/(4·12⁴), but by less than
+# 1/(2·12⁴), so at half the drawing's scale their keys would agree.
+CLOSE_CUTS = [(0, 0), (12, 11), (2, 11), (11, 1), (1, 12), (12, 0)]
+
+
+def _left_of_dart(fs, d):
+    """A point just left of dart d's midpoint: a step along d's left normal,
+    halved until the closed step meets no other piece and no node."""
+    a, b = fs.pieces[d >> 1][:: -1 if d & 1 else 1]
+    (ax, ay), (bx, by) = xy(fs.nodes[a]), xy(fs.nodes[b])
+    mid = ((ax + bx) / 2, (ay + by) / 2)
+    others = [(fs.nodes[i], fs.nodes[j]) for k, (i, j) in enumerate(fs.pieces) if k != d >> 1]
+    others += [(node, node) for node in fs.nodes]
+    step = Fraction(1)
+    while True:
+        p = (mid[0] - step * (by - ay), mid[1] + step * (bx - ax))
+        if not any(closed_segments_meet(mid, p, c, e) for c, e in others):
+            return p
+        step /= 2
+
+
+def _check_at_the_scale(points, edges):
+    """Faces, ``dart_face``, ``membership``, representatives and cut keys of
+    one drawing against the oracles."""
+    fs, oracle, mapping = _check_against_oracle(points, edges)
+    span = max(max(c) - min(c) for c in zip(*points))
+    assert fs.scale == 4 * span**4 + 1
+    assert face_nonedge_incidence(fs).membership == midpoint_incidence(fs)
+    lonely = _isolated(fs)
+    for fid, f in enumerate(fs.faces[:-1]):
+        assert _same_point(fs.representative(fid), halving_representative(fs.nodes, f, lonely))
+    for d, face in enumerate(fs.dart_face):
+        assert oracle.locate(_left_of_dart(fs, d)) == mapping[face], (points, edges, d)
+    nodes, cuts = _crossings_by_the_oracle(points, fs.graph.sorted_edges())
+    assert [xy(node) for node in fs.nodes] == nodes
+    assert [list(ts) for _, ts in fs.edge_cuts] == [[floor(t * fs.scale) for t in ts] for ts in cuts]
+    assert all(s < t for _, ts in fs.edge_cuts for s, t in zip(ts, ts[1:]))
+    return fs
+
+
+def _scale_drawings():
+    """CLOSE_CUTS alone, framed by its hull and with every edge; then seeded
+    G(7, ½) drawings on a 40-grid."""
+    crossing = [(0, 1), (2, 3), (4, 5)]
+    yield CLOSE_CUTS, crossing
+    yield CLOSE_CUTS, crossing + [(0, 5), (1, 4), (1, 5), (0, 4)]
+    yield CLOSE_CUTS, complete_graph(6).sorted_edges()
+    rng = random.Random(4242)
+    for _ in range(3):
+        yield random_placement(rng, 7, 40), gnp_half(7, rng).sorted_edges()
+
+
+def test_two_cuts_closer_than_half_the_scale_keep_their_order():
+    fs = _check_at_the_scale(CLOSE_CUTS, [(0, 1), (2, 3), (4, 5)])
+    (_, (s, t)), half = fs.edge_cuts[0], 2 * 12**4
+    assert (s, t) == (119 * fs.scale // 219, 144 * fs.scale // 265)
+    assert 119 * half // 219 == 144 * half // 265
+
+
+def test_drawings_offset_near_two_to_the_seventy_keep_their_faces():
+    # A small span far from the origin: the scale, the cut keys, the faces,
+    # darts and membership are those of the drawing at the origin, and every
+    # node and representative moves by the offset.
+    dx, dy = 2**70 + 3, -(2**70) + 5
+    for points, edges in _scale_drawings():
+        moved = [(x + dx, y + dy) for x, y in points]
+        near, far = build(points, edges), _check_at_the_scale(moved, edges)
+        assert far.scale == near.scale < 2**30
+        assert (far.faces, far.dart_face, far.edge_cuts) == (near.faces, near.dart_face, near.edge_cuts)
+        assert far.nodes == tuple((x + dx * w, y + dy * w, w) for x, y, w in near.nodes)
+        assert face_nonedge_incidence(far) == face_nonedge_incidence(near)
+        for fid in range(len(near.faces)):
+            x, y = near.representative(fid)
+            assert far.representative(fid) == (x + dx, y + dy)
+
+
+def test_drawings_with_a_span_near_two_to_the_thirty_five():
+    rng = random.Random(3535)
+    for _ in range(3):
+        points = random_placement(rng, 7, 2**35)
+        fs = _check_at_the_scale(points, gnp_half(7, rng).sorted_edges())
+        assert 2**34 < max(max(c) - min(c) for c in zip(*points)) < 2**35
+        assert len(fs.nodes) > 7
+    # CLOSE_CUTS blown up to span 12·2³¹ and nudged off its lattice
+    big = [((x << 31) + i, (y << 31) - i * i) for i, (x, y) in enumerate(CLOSE_CUTS)]
+    _check_at_the_scale(big, complete_graph(6).sorted_edges())
+
+
+def test_drawings_in_negative_coordinates():
+    # Floor division rounds toward -inf, so keys of negative coordinates
+    # still order them; mirrored drawings also flip every ring.
+    for points, edges in _scale_drawings():
+        _check_at_the_scale([(-x - 50, -y - 1) for x, y in points], edges)
+        _check_at_the_scale([(-x, y - 60) for x, y in points], edges)

@@ -14,7 +14,6 @@ from obsrep.geom import (
     Polygon,
     closed_segments_intersect,
     convex_hull,
-    direction_cmp,
     direction_key,
     is_general_position,
     orient,
@@ -27,6 +26,7 @@ from obsrep.sampling import random_convex_polygon, random_placement
 from obsrep.scene import Scene
 
 import oracles
+from oracles import direction_cmp
 from support import polygon_edges, random_polygon
 
 coords = st.integers(min_value=-10**6, max_value=10**6)

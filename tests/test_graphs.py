@@ -15,8 +15,8 @@ from obsrep.graphs import (
 def test_edges_are_normalized():
     g = Graph.of(4, [(2, 0), (3, 1), (1, 3)])
     assert g.sorted_edges() == [(0, 2), (1, 3)]
-    assert g.has_edge(0, 2) and g.has_edge(2, 0)
-    assert not g.has_edge(0, 1)
+    assert g.edges == {(0, 2), (1, 3)}
+    assert g.non_edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
 def test_constructor_rejects_bad_edges():
@@ -28,6 +28,10 @@ def test_constructor_rejects_bad_edges():
         Graph.of(3, [(-1, 2)])
     with pytest.raises(GraphError):
         Graph(-1)
+    # malformed edge containers, once bare TypeErrors and ValueErrors
+    for edges in (frozenset({(0, 1, 2)}), [5], 7):
+        with pytest.raises(GraphError, match="pairs of ints"):
+            Graph(3, edges)
 
 
 @pytest.mark.parametrize("n", [2.5, True, "3"])

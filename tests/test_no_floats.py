@@ -3,7 +3,9 @@
 The check reads each module's syntax tree, so it covers code that no test
 runs.  It refuses float literals, the name ``float``, true division (``/`` and
 ``/=``, which turn two ints into a float) and every ``math`` function but the
-integer ones.
+integer ones.  It also refuses comparators: every order the package sorts or
+bisects by is an exact integer key, so ``cmp_to_key`` and the reference
+comparator ``direction_cmp``, which lives in ``tests/oracles.py``, stay out.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "obsrep").glob("*.py"))
 INTEGER_MATH = {"gcd", "lcm", "prod", "isqrt", "comb"}
+COMPARATORS = {"cmp_to_key", "direction_cmp"}
 
 
 def float_hazards(tree):
@@ -32,6 +35,22 @@ def float_hazards(tree):
     return found
 
 
+def comparator_hazards(tree):
+    """(line, name) for each use, import, definition or name string of a comparator."""
+    found = []
+    for node in ast.walk(tree):
+        name = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+            else node.value if isinstance(node, ast.Constant)
+            else None
+        )
+        if isinstance(name, str) and name.rsplit(".", 1)[-1] in COMPARATORS:
+            found.append((node.lineno, name))
+    return found
+
+
 def test_sources_have_no_float_hazard():
     assert len(SOURCES) > 10
     found = {p.name: float_hazards(ast.parse(p.read_text(), str(p))) for p in SOURCES}
@@ -50,3 +69,23 @@ def test_each_hazard_is_caught():
         "v = 7 // 2",
     ])
     assert sorted(line for line, _ in float_hazards(ast.parse(source))) == [1, 2, 3, 4, 5, 7]
+
+
+def test_sources_order_by_integer_keys_only():
+    found = {p.name: comparator_hazards(ast.parse(p.read_text(), str(p))) for p in SOURCES}
+    assert {name: hazards for name, hazards in found.items() if hazards} == {}
+
+
+def test_each_comparator_is_caught():
+    source = "\n".join([
+        "from functools import cmp_to_key",
+        "import functools",
+        "k = functools.cmp_to_key(f)",
+        "def direction_cmp(a, b): return 0",
+        "from .geom import direction_cmp as by_angle",
+        "g = getattr(functools, 'cmp_to_key')",
+        "ring.sort(key=keys.__getitem__)",
+        "doc = 'direction_cmp lives in tests/oracles.py'",
+        "ring.sort(key=cmp_to_key(by_angle))",
+    ])
+    assert sorted(line for line, _ in comparator_hazards(ast.parse(source))) == [1, 3, 4, 5, 6, 9]

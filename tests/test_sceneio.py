@@ -12,11 +12,12 @@ from obsrep.sceneio import (
     graph_to_dict,
     load_graph,
     load_scene,
-    loads_scene,
     save_scene,
     scene_from_dict,
     scene_to_dict,
 )
+
+from support import loads_scene
 
 HEXAGON_DOC = {
     "points": [[-2, 0], [4, 6], [6, -5]],
@@ -99,9 +100,11 @@ def test_load_graph_requires_the_graph_field(tmp_path):
 # --- diagnostics ---
 
 
-def test_not_json():
+def test_not_json(tmp_path):
+    target = tmp_path / "scene.json"
+    target.write_text("{points: oops")
     with pytest.raises(SceneFormatError, match="not valid JSON"):
-        loads_scene("{points: oops")
+        load_scene(target)
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,8 @@ def test_sequence_rejects_bad_events():
         ((0, True), (0, -1)),
         ((False, 1), (False, -1)),
         ((0, 1, 0), (0, -1)),
+        (5, 6),  # once a bare TypeError: an event that is not a sequence
+        5,  # once a bare TypeError: events that are not a sequence
     ],
 )
 def test_sequence_refuses_events_that_are_not_pairs_of_plain_ints(events):
@@ -189,7 +191,7 @@ def test_events_and_pair_patterns_match_the_oracles_on_sampled_scenes():
         visible = visibility_graph(scene)
         first = {}
         for (i, j), pattern in want:
-            first.setdefault((pattern, visible.has_edge(i, j)), (i, j))
+            first.setdefault((pattern, (i, j) in visible.edges), (i, j))
         assert observed.log == [(pair, pattern) for (pattern, _), pair in first.items()]
         asked = _RecordingTable()
         decode_visibility(seq, asked)

@@ -126,7 +126,7 @@ def test_visibility_details_match_oracle_on_multi_obstacle_scenes():
                 if oracles.segment_meets_polygon(points[i], points[j], o.vertices)
             ]
             assert witnesses.get((i, j), []) == want, (points, obstacles, i, j)
-            assert g.has_edge(i, j) == (not want)
+            assert ((i, j) in g.edges) == (not want)
             seen["visible"] += not want
             seen["blocked by two"] += len(want) >= 2
         seen["scenes"] += 1
