@@ -31,7 +31,7 @@ from .errors import (
 from .geom import Point, Polygon, convex_hull, is_general_position, orient
 from .graphs import Graph, GraphError, complete_graph, cycle_graph
 from .ordertype import SceneSignature, chirotope, scene_signature
-from .scene import Scene, require_valid_scene
+from .scene import Scene
 from .sceneio import load_graph, load_scene, save_scene
 from .search import (
     ChainRecord,
@@ -54,7 +54,6 @@ from .tangent import (
     decode_visibility,
     derive_pattern_table,
     encode_tangent,
-    pair_pattern,
 )
 from .visibility import (
     RepresentationReport,
@@ -110,11 +109,9 @@ __all__ = [
     "min_obstacles_for_placement",
     "obs_upper_bound",
     "orient",
-    "pair_pattern",
     "partition_lemma_check",
     "random_graph_experiment",
     "replay_witness",
-    "require_valid_scene",
     "save_scene",
     "scene_signature",
     "solve_cover",

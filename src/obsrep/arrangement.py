@@ -26,11 +26,6 @@ from .graphs import Graph
 from .scene import Scene
 
 
-def _fraction(num, den):
-    """The output form of an int ratio: areas and representatives leave as ``Fraction``."""
-    return Fraction(num, den)
-
-
 def _scale(points):
     """The drawing's one scale S = 4·span⁴ + 1, span its points' largest x- or
     y-extent.  A cut parameter or node coordinate is n/d, 0 < d <= 2·span², so
@@ -152,7 +147,7 @@ class FaceSet:
             return _interior_point_of_cycle(self.nodes, cycles, self.scale)
         # A crossing lies inside two segments, never left of or below all drawn points.
         points = self.nodes[: self.graph.n] or ((1, 1, 1),)
-        return tuple(_fraction(min(p[i] for p in points) - 1, 1) for i in (0, 1))
+        return tuple(Fraction(min(p[i] for p in points) - 1) for i in (0, 1))
 
 
 def _first_contact(m, a, b):
@@ -214,7 +209,7 @@ def _interior_point_of_cycle(nodes, cycles, scale):
     contacts = filter(None, (_first_contact(m, rel[a], rel[b]) for a, b in pairs))
     # v + m/(ms·2^k), over the common denominator w = vw·ms·2^k.
     w = vw * ms << max((d // (n * ms) for n, d in contacts), default=0).bit_length()
-    return _fraction(vx * w // vw + m[0] * vw, w), _fraction(vy * w // vw + m[1] * vw, w)
+    return Fraction(vx * w // vw + m[0] * vw, w), Fraction(vy * w // vw + m[1] * vw, w)
 
 
 def _area2(nodes, cycle):
@@ -225,7 +220,7 @@ def _area2(nodes, cycle):
     for i, j in zip(cycle, cycle[1:] + cycle[:1]):
         (ax, ay, aw), (bx, by, bw) = nodes[i], nodes[j]
         num += (ax * by - bx * ay) * (den // (aw * bw))
-    return _fraction(num, den)
+    return Fraction(num, den)
 
 
 def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
@@ -347,13 +342,12 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
 class CoverInstance:
     """Which faces could block which absent edges.
 
-    ``membership[k]`` lists, for face id ``k``, the indices into ``nonedges``
-    of the absent edges whose open segment has a sub-interval inside that
-    face.
+    ``through[k]`` lists, increasing, the ids of the faces that hold a stretch
+    of the open segment of ``nonedges[k]``.
     """
 
     nonedges: tuple
-    membership: tuple
+    through: tuple
 
 
 def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
@@ -385,13 +379,14 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
         a, b = edges[k]
         return fs.dart_face[2 * (first + i) + (orient(points[a], points[b], p) < 0)]
 
-    hit = [set() for _ in fs.faces]
-    for index, (i, j) in enumerate(nonedges):
+    through = []
+    for i, j in nonedges:
         p, q = points[i], points[j]
         back = direction_key(p[0] - q[0], p[1] - q[1], fs.scale)
+        hit = {wedge(j) if fs.outgoing[j] else floating[j]}
         for k, (a, b) in enumerate(edges):
             cut = _crossing(p, q, points[a], points[b])
             if cut is not None:
-                hit[beside(k, cut[1:])].add(index)
-        hit[wedge(j) if fs.outgoing[j] else floating[j]].add(index)
-    return CoverInstance(nonedges, tuple(tuple(sorted(h)) for h in hit))
+                hit.add(beside(k, cut[1:]))
+        through.append(tuple(sorted(hit)))
+    return CoverInstance(nonedges, tuple(through))

@@ -230,13 +230,8 @@ def cmd_incidence(args):
     instance = face_nonedge_incidence(fs)
     print(f"faces {len(fs.faces)}")
     print(f"nonedges {len(instance.nonedges)}")
-    hits = {idx: [] for idx in range(len(instance.nonedges))}
-    for fid, members in enumerate(instance.membership):
-        for idx in members:
-            hits[idx].append(fid)
-    for idx, (i, j) in enumerate(instance.nonedges):
-        through = " ".join(str(fid + 1) for fid in sorted(hits[idx]))
-        print(f"nonedge {_pair(i, j)} faces {through}")
+    for (i, j), faces in zip(instance.nonedges, instance.through):
+        print(f"nonedge {_pair(i, j)} faces {' '.join(str(fid + 1) for fid in faces)}")
     return 0
 
 

@@ -40,7 +40,10 @@ def _placement_cover(scene: Scene, g: Graph):
     """The placement's minimum cover and the incidence it was solved on."""
     fs = build_arrangement(scene, g)
     instance = face_nonedge_incidence(fs)
-    sets = {fid: items for fid, items in enumerate(instance.membership)}
+    sets = {}
+    for k, faces in enumerate(instance.through):
+        for fid in faces:
+            sets.setdefault(fid, []).append(k)
     chosen = solve_cover(len(instance.nonedges), sets)
     return tuple(chosen), instance
 
@@ -59,14 +62,12 @@ class ObsResult:
 
 
 def replay_witness(g: Graph, result: ObsResult) -> bool:
-    """Re-derive the witness cover from scratch and compare against the result."""
+    """Re-derive the minimum cover from scratch: the result must name as many
+    faces, and every non-edge must pass through one of them.  A junk or
+    repeated id then cannot pass, as fewer real faces would cover."""
     cover, instance = _placement_cover(Scene(result.points), g)
-    if len(cover) != len(result.faces):
-        return False
-    covered = set()
-    for fid in result.faces:
-        covered.update(instance.membership[fid])
-    return covered == set(range(len(instance.nonedges)))
+    chosen = set(result.faces)
+    return len(cover) == len(result.faces) and all(chosen & set(f) for f in instance.through)
 
 
 def obs_upper_bound(

@@ -120,6 +120,8 @@ def encode_tangent(scene: Scene, index: int = 0) -> TangentSequence:
     x-offset between a point and a corner; two events with equal keys share
     a tangent direction.
     """
+    if type(index) is not int or not 0 <= index < len(scene.obstacles):
+        raise ObsrepError(f"no obstacle at index {index!r}; the scene has {len(scene.obstacles)}")
     obstacle = scene.obstacles[index]
     if not obstacle.is_convex():
         raise GeometryError("tangent encoding needs a strictly convex obstacle")

@@ -533,7 +533,8 @@ def full_power_beaten(query, n) -> bool:
 
 
 def midpoint_incidence(fs):
-    """``membership`` of the face/non-edge incidence of a face set, by point location.
+    """``through`` of the face/non-edge incidence of a face set, by point location:
+    one sorted tuple of face ids per non-edge.
 
     Each non-edge is cut where it crosses drawn edges, and the midpoint of
     each stretch between cuts goes to the smallest-area bounded face whose
@@ -544,21 +545,22 @@ def midpoint_incidence(fs):
     edges = fs.graph.sorted_edges()
     order = sorted((fs.area2(fid), fid) for fid in range(len(fs.faces) - 1))
     outlines = {fid: [xy(fs.nodes[v]) for v in fs.faces[fid][0]] for _, fid in order}
-    hit = [set() for _ in fs.faces]
-    for index, (i, j) in enumerate(fs.graph.non_edges()):
+    through = []
+    for i, j in fs.graph.non_edges():
         p, q = xy(points[i]), xy(points[j])
         ts = {Fraction(0), Fraction(1)}
         for a, b in edges:
             params = cross_params(p, q, points[a], points[b])
             if params is not None and 0 < params[0] < 1 and 0 < params[1] < 1:
                 ts.add(params[0])
-        stops = sorted(ts)
+        stops, hit = sorted(ts), set()
         for t1, t2 in zip(stops, stops[1:]):
             tm = (t1 + t2) / 2
             m = (p[0] + tm * (q[0] - p[0]), p[1] + tm * (q[1] - p[1]))
             inside = (fid for _, fid in order if point_in_polygon(m, outlines[fid]) == 1)
-            hit[next(inside, len(fs.faces) - 1)].add(index)
-    return tuple(tuple(sorted(h)) for h in hit)
+            hit.add(next(inside, len(fs.faces) - 1))
+        through.append(tuple(sorted(hit)))
+    return tuple(through)
 
 
 def tangent_events(points, vertices):

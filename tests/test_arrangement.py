@@ -359,7 +359,7 @@ def test_square_cycle_incidence():
     inc = face_nonedge_incidence(fs)
     assert inc.nonedges == ((0, 2), (1, 3))
     # both missing diagonals run inside the square face and nowhere else
-    assert inc.membership == ((0, 1), ())
+    assert inc.through == ((0,), (0,))
 
 
 def test_crossed_nonedge_is_cut_at_the_crossing():
@@ -369,7 +369,7 @@ def test_crossed_nonedge_is_cut_at_the_crossing():
     fs = build([(0, 0), (10, 1), (11, 9), (1, 8)], g.edges)
     inc = face_nonedge_incidence(fs)
     assert inc.nonedges == ((0, 2),)
-    touched = [fid for fid, items in enumerate(inc.membership) if items]
+    (touched,) = inc.through
     assert len(touched) == 2
     assert all(fs.area2(fid) is not None for fid in touched)
 
@@ -427,8 +427,8 @@ def _check_against_oracle(points, edges):
     for fid, sides in enumerate(face_complexity(fs)[0]):
         assert sides == oracle_complexity[mapping[fid]], fs.faces[fid]
     inc = face_nonedge_incidence(fs)
-    for k, (i, j) in enumerate(inc.nonedges):
-        ours = {mapping[fid] for fid, items in enumerate(inc.membership) if k in items}
+    for (i, j), faces in zip(inc.nonedges, inc.through):
+        ours = {mapping[fid] for fid in faces}
         assert ours == oracle.nonedge_faces(points[i], points[j]), (i, j)
     return fs, oracle, mapping
 
@@ -467,11 +467,10 @@ def test_nonedges_at_isolated_vertices_against_the_oracle():
     _check_against_oracle(points, edges)
     fs = build(points, edges)
     inc = face_nonedge_incidence(fs)
-    faces_of = {e: [f for f, items in enumerate(inc.membership) if k in items]
-                for k, e in enumerate(inc.nonedges)}
-    assert faces_of[(3, 4)] == faces_of[(0, 3)] == [0]
-    assert faces_of[(5, 6)] == faces_of[(2, 6)] == [1]
-    assert faces_of[(3, 5)] == faces_of[(0, 5)] == [0, 1]
+    faces_of = dict(zip(inc.nonedges, inc.through))
+    assert faces_of[(3, 4)] == faces_of[(0, 3)] == (0,)
+    assert faces_of[(5, 6)] == faces_of[(2, 6)] == (1,)
+    assert faces_of[(3, 5)] == faces_of[(0, 5)] == (0, 1)
 
 
 def test_floating_drawings_against_the_oracle():
@@ -578,7 +577,7 @@ def test_walk_matches_midpoint_location():
     edgeless_pairs = hole_darts = 0
     for points, edges in _walk_drawings():
         fs = build(points, edges)
-        assert face_nonedge_incidence(fs).membership == midpoint_incidence(fs), (points, edges)
+        assert face_nonedge_incidence(fs).through == midpoint_incidence(fs), (points, edges)
         edgeless = set(range(len(points))) - {v for e in edges for v in e}
         edgeless_pairs += sum(1 for i, j in fs.graph.non_edges() if {i, j} <= edgeless)
         hole_darts += sum(len(c) for f in fs.faces[:-1] for c in f[1:])
@@ -708,9 +707,8 @@ def test_crossing_nodes_match_the_oracle():
 
 
 def test_build_and_incidence_compute_without_fractions(monkeypatch):
-    # Neither the build nor the walk makes a Fraction, not even through the
-    # output conversion: only a face's area2 and representative, computed on
-    # call, hand one out.
+    # Neither the build nor the walk makes a Fraction: only a face's area2
+    # and representative, computed on call, hand one out.
     import obsrep.arrangement as arrangement
 
     def refuse(*args):
@@ -718,7 +716,6 @@ def test_build_and_incidence_compute_without_fractions(monkeypatch):
 
     g12 = build(*_document(G12))
     monkeypatch.setattr(arrangement, "Fraction", refuse)
-    monkeypatch.setattr(arrangement, "_fraction", refuse)
     fs = build(*_document(G12))
     assert fs == g12
     assert face_nonedge_incidence(fs) == face_nonedge_incidence(g12)
@@ -752,12 +749,12 @@ def _left_of_dart(fs, d):
 
 
 def _check_at_the_scale(points, edges):
-    """Faces, ``dart_face``, ``membership``, representatives and cut keys of
+    """Faces, ``dart_face``, ``through``, representatives and cut keys of
     one drawing against the oracles."""
     fs, oracle, mapping = _check_against_oracle(points, edges)
     span = max(max(c) - min(c) for c in zip(*points))
     assert fs.scale == 4 * span**4 + 1
-    assert face_nonedge_incidence(fs).membership == midpoint_incidence(fs)
+    assert face_nonedge_incidence(fs).through == midpoint_incidence(fs)
     lonely = _isolated(fs)
     for fid, f in enumerate(fs.faces[:-1]):
         assert _same_point(fs.representative(fid), halving_representative(fs.nodes, f, lonely))
@@ -791,7 +788,7 @@ def test_two_cuts_closer_than_half_the_scale_keep_their_order():
 
 def test_drawings_offset_near_two_to_the_seventy_keep_their_faces():
     # A small span far from the origin: the scale, the cut keys, the faces,
-    # darts and membership are those of the drawing at the origin, and every
+    # darts and incidence are those of the drawing at the origin, and every
     # node and representative moves by the offset.
     dx, dy = 2**70 + 3, -(2**70) + 5
     for points, edges in _scale_drawings():

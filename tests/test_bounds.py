@@ -92,6 +92,12 @@ def test_query_validation():
         BoundsQuery(s=3, c=Fraction(0))
     with pytest.raises(ObsrepError):
         BoundsQuery(s=3, c=Fraction(-2, 3))
+    # h and s are plain ints, c an int or a Fraction: nothing is coerced
+    for bad in (dict(h=2.5), dict(h="3"), dict(h=True), dict(s=4.0), dict(s=True),
+                dict(s=3, c=0.5), dict(s=3, c="1/2"), dict(s=3, c=True)):
+        with pytest.raises(ObsrepError, match="must be an int"):
+            BoundsQuery(**bad)
+    assert BoundsQuery(s=3, c=2).c == Fraction(2)
 
 
 def test_c_defaults_to_one():

@@ -445,6 +445,7 @@ def test_usage_errors_exit_one(capsys):
         ["bounds", "--h", "1", "--s", "3"],  # mutually exclusive
         ["obs-search", "g.json"],  # --seed is required
         ["derive-table", "--seed", "-1"],
+        ["derive-table", "--seed", "18446744073709551616"],  # 2**64
         ["bounds", "--s", "3", "--c", "1/0"],
     ):
         with pytest.raises(SystemExit) as exc:

@@ -82,7 +82,8 @@ def test_fifteen_hundred_candidates_stay_off_the_recursion_limit():
 def test_seeded_twenty_vertex_drawing_keeps_its_witness():
     # The faces of G(20, 1/2) with rng = random.Random(1): gnp_half(20, rng),
     # random_placement(rng, 20, 40000), build_arrangement and
-    # face_nonedge_incidence; membership[k] lists face k's non-edge indices.
+    # face_nonedge_incidence, inverted to the per-face form solve_cover takes:
+    # "membership"[k] lists the indices of the non-edges through face k.
     instance = json.loads((Path(__file__).parent / "data" / "cover-g20.json").read_text())
     sets = dict(enumerate(instance["membership"]))
     assert (instance["n_elements"], len(sets)) == (83, 1359)

@@ -160,6 +160,9 @@ def test_bad_obstacle_is_indexed():
     doc = {"points": [[0, 0], [9, 1]], "obstacles": [[[20, 0], [24, 0], [20, "y"]]]}
     with pytest.raises(SceneFormatError, match=r"obstacles\[0\]\[2\]"):
         scene_from_dict(doc)
+    doc = {"points": [[0, 0], [9, 1]], "obstacles": [[[20, 0], [24, 0], [20, 4]], "ring"]}
+    with pytest.raises(SceneFormatError, match=r"obstacles\[1\] must be a list of \[x, y\] pairs"):
+        scene_from_dict(doc)
 
 
 def test_bad_graph_is_reported():
@@ -172,6 +175,12 @@ def test_bad_graph_is_reported():
         scene_from_dict(dict(base, graph={"n": 3, "edges": [[2, 2]]}))
     with pytest.raises(SceneFormatError, match='"n" must be a non-negative'):
         graph_from_dict({"n": -1, "edges": []})
+    with pytest.raises(SceneFormatError, match='"graph" must be an object'):
+        scene_from_dict(dict(base, graph=[3, []]))
+    with pytest.raises(SceneFormatError, match='"edges" must be a list'):
+        scene_from_dict(dict(base, graph={"n": 3, "edges": {"1": 2}}))
+    with pytest.raises(SceneFormatError, match=r"graph edges\[1\] must be a pair of integers"):
+        scene_from_dict(dict(base, graph={"n": 3, "edges": [[1, 2], [1, 2, 3]]}))
 
 
 def test_semantic_problems_raise_scene_error():

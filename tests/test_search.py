@@ -99,15 +99,20 @@ def test_replay_rejects_tampered_results():
     assert cheat.upper_bound == 0
     assert not replay_witness(g, cheat)
     # keep the bound but swap in a face that misses a non-edge
-    instance = face_nonedge_incidence(build_arrangement(Scene(result.points), g))
-    short = next(
-        fid
-        for fid, members in enumerate(instance.membership)
-        if len(members) < len(instance.nonedges)
-    )
+    fs = build_arrangement(Scene(result.points), g)
+    through = face_nonedge_incidence(fs).through
+    short = next(fid for fid in range(len(fs.faces)) if any(fid not in f for f in through))
     rigged = ObsResult(result.points, (short,), True)
     assert rigged.upper_bound == result.upper_bound
     assert not replay_witness(g, rigged)
+    # ids that name no face: -1 is no alias of the last face, which is the
+    # witness here, and one past the last face is refused, not an IndexError
+    path = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
+    result = obs_upper_bound(path, 5, seed=1)
+    n_faces = len(build_arrangement(Scene(result.points), path).faces)
+    assert result.faces == (n_faces - 1,) and replay_witness(path, result)
+    for fid in (-1, n_faces):
+        assert not replay_witness(path, ObsResult(result.points, (fid,), True))
     # a complete graph's witness must carry no faces at all
     full = obs_upper_bound(complete_graph(3), placements=1, seed=0)
     assert not replay_witness(complete_graph(3), ObsResult(full.points, (0,), True))

@@ -107,6 +107,15 @@ def test_encode_requires_convex_obstacle():
         encode_tangent(Scene(pts((10, 1)), (dent,)))
 
 
+def test_encode_refuses_an_index_that_names_no_obstacle(hexagon_scene):
+    # a negative index would read from the end, and one past the end would
+    # raise a bare IndexError
+    for index in (-1, 1, 5, True, 0.0, "0"):
+        with pytest.raises(ObsrepError, match="no obstacle at index"):
+            encode_tangent(hexagon_scene, index)
+    assert encode_tangent(hexagon_scene, 0) == encode_tangent(hexagon_scene)
+
+
 def test_encode_rejects_tangent_through_two_corners():
     # the point is collinear with the square's left side, so one tangent
     # grazes two corners at once
