@@ -133,17 +133,22 @@ class FaceSet:
         d = _dart_left_of((qx, qy, qw), self.nodes, self.pieces, self.outgoing)
         return len(self.faces) - 1 if d is None else self.dart_face[d]
 
+    def _face(self, face_id):
+        if type(face_id) is not int or not 0 <= face_id < len(self.faces):
+            raise ObsrepError(f"no face {face_id!r}; the drawing has {len(self.faces)}")
+        return self.faces[face_id]
+
     def area2(self, face_id: int):
         """Twice the face's area, or ``None`` for the unbounded face; computed on each call."""
-        cycles = self.faces[face_id]
-        if face_id % len(self.faces) == len(self.faces) - 1:
+        cycles = self._face(face_id)
+        if face_id == len(self.faces) - 1:
             return None
         return _area2(self.nodes, cycles[0])
 
     def representative(self, face_id: int):
         """An exact rational point interior to the face; computed on each call."""
-        cycles = self.faces[face_id]
-        if face_id % len(self.faces) < len(self.faces) - 1:
+        cycles = self._face(face_id)
+        if face_id < len(self.faces) - 1:
             return _interior_point_of_cycle(self.nodes, cycles, self.scale)
         # A crossing lies inside two segments, never left of or below all drawn points.
         points = self.nodes[: self.graph.n] or ((1, 1, 1),)

@@ -115,8 +115,13 @@ def _load_drawing(path):
     return scene, graph
 
 
-def _pair(i, j):
-    return f"{i + 1} {j + 1}"
+def _pair(i, j, sep=" "):
+    return f"{i + 1}{sep}{j + 1}"
+
+
+def _labels(ids):
+    """The 1-based labels of 0-based ids, each after a space."""
+    return "".join(f" {i + 1}" for i in ids)
 
 
 def cmd_visibility(args):
@@ -127,8 +132,7 @@ def cmd_visibility(args):
     for i, j in graph.sorted_edges():
         print(f"edge {_pair(i, j)}")
     for (i, j), blockers in sorted(witnesses.items()):
-        who = " ".join(str(k + 1) for k in blockers)
-        print(f"blocked {_pair(i, j)} by {who}")
+        print(f"blocked {_pair(i, j)} by{_labels(blockers)}")
     return 0
 
 
@@ -139,9 +143,9 @@ def cmd_validate(args):
         report = validate_representation(scene, graph)
         if not report.matches:
             # the report carries 0-based pairs; relabel for the CLI
-            wrong = [f"pair {i + 1}-{j + 1} is in the graph but blocked in the scene"
+            wrong = [f"pair {_pair(i, j, '-')} is in the graph but blocked in the scene"
                      for i, j in report.blocked_but_required]
-            wrong += [f"pair {i + 1}-{j + 1} is visible in the scene but not in the graph"
+            wrong += [f"pair {_pair(i, j, '-')} is visible in the scene but not in the graph"
                       for i, j in report.visible_but_excluded]
             raise ObsrepError("scene does not represent its graph: " + "; ".join(wrong))
         print("graph matches")
@@ -187,7 +191,7 @@ def cmd_ordertype(args):
     ot = chirotope(scene)
     print(f"points {ot.n}")
     for (i, j, k), sign in zip(combinations(range(ot.n), 3), ot.entries):
-        print(f"triple {i + 1} {j + 1} {k + 1} {_SIGN[sign]}")
+        print(f"triple{_labels((i, j, k))} {_SIGN[sign]}")
     return 0
 
 
@@ -201,7 +205,7 @@ def cmd_signature(args):
     print(f"triples {len(sig.entries)}")
     print(f"zeros {sig.entries.count(0)}")
     for (i, j, k), sign in zip(combinations(range(sig.total), 3), sig.entries):
-        print(f"triple {i + 1} {j + 1} {k + 1} {_SIGN[sign]}")
+        print(f"triple{_labels((i, j, k))} {_SIGN[sign]}")
     return 0
 
 
@@ -231,7 +235,7 @@ def cmd_incidence(args):
     print(f"faces {len(fs.faces)}")
     print(f"nonedges {len(instance.nonedges)}")
     for (i, j), faces in zip(instance.nonedges, instance.through):
-        print(f"nonedge {_pair(i, j)} faces {' '.join(str(fid + 1) for fid in faces)}")
+        print(f"nonedge {_pair(i, j)} faces{_labels(faces)}")
     return 0
 
 
@@ -240,10 +244,7 @@ def cmd_cover(args):
     faces = min_obstacles_for_placement(scene, graph)
     print(f"nonedges {len(graph.non_edges())}")
     print(f"minimum {len(faces)}")
-    line = "faces"
-    if faces:
-        line += " " + " ".join(str(fid + 1) for fid in faces)
-    print(line)
+    print(f"faces{_labels(faces)}")
     return 0
 
 
@@ -252,10 +253,7 @@ def _print_result(result):
     print(f"certified {'yes' if result.certified_exact else 'no'}")
     for i, p in enumerate(result.points):
         print(f"point {i + 1} {p.x} {p.y}")
-    line = "faces"
-    if result.faces:
-        line += " " + " ".join(str(fid + 1) for fid in result.faces)
-    print(line)
+    print(f"faces{_labels(result.faces)}")
 
 
 def cmd_obs_search(args):
@@ -279,9 +277,7 @@ def cmd_chain(args):
     print(f"n {target.n}")
     print(f"steps {len(record.steps)}")
     for t, step in enumerate(record.steps):
-        what = "full" if step.deleted is None else "delete " + "-".join(
-            str(v + 1) for v in step.deleted
-        )
+        what = "full" if step.deleted is None else "delete " + _pair(*step.deleted, "-")
         sure = "yes" if step.result.certified_exact else "no"
         print(f"step {t} {what} bound {step.result.upper_bound} certified {sure}")
     for bound, t in record.first_reached:
@@ -302,8 +298,7 @@ def cmd_partition_check(args):
     print(f"hypothesis {'holds' if report.hypothesis_holds else 'fails'}")
     print(f"conclusion {'holds' if report.conclusion_holds else 'fails'}")
     for gi, (group, flag) in enumerate(zip(report.groups, report.flags)):
-        members = " ".join(str(i + 1) for i in group)
-        print(f"group {gi + 1} vertices {members} {'flagged' if flag else 'spoiled'}")
+        print(f"group {gi + 1} vertices{_labels(group)} {'flagged' if flag else 'spoiled'}")
     return 0
 
 
@@ -422,10 +417,7 @@ def main(argv=None) -> int:
     except ContradictionError as e:
         print(f"contradiction: {e}", file=sys.stderr)
         return 2
-    except ObsrepError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ObsrepError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

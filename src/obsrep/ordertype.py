@@ -38,10 +38,6 @@ class SceneSignature:
     entries: tuple[int, ...]
     ranges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "ranges", tuple(tuple(r) for r in self.ranges))
-
 
 def chirotope(scene: Scene) -> SceneSignature:
     """The labeled order type of the scene's vertices, as a signature without obstacles.

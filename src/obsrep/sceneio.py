@@ -29,15 +29,17 @@ from .graphs import Graph
 from .scene import Scene
 
 
-def _int_pair(value, where, problems):
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(type(v) is not int for v in value)
-    ):
-        problems.append(f"{where} must be a pair of integers, got {value!r}")
-        return None
-    return int(value[0]), int(value[1])
+def _int_pairs(items, where, problems):
+    """``items`` as ``Point``s; an item that is not a pair of plain ints is
+    named in ``problems`` and read as ``None``."""
+    out = []
+    for i, item in enumerate(items):
+        if isinstance(item, (list, tuple)) and len(item) == 2 and all(type(v) is int for v in item):
+            out.append(Point(*item))
+        else:
+            problems.append(f"{where}[{i}] must be a pair of integers, got {item!r}")
+            out.append(None)
+    return out
 
 
 def _parse_points(data, problems):
@@ -45,12 +47,7 @@ def _parse_points(data, problems):
     if not isinstance(raw, list) or not raw:
         problems.append('"points" must be a non-empty list of [x, y] pairs')
         return ()
-    out = []
-    for i, item in enumerate(raw):
-        pair = _int_pair(item, f"points[{i}]", problems)
-        if pair is not None:
-            out.append(Point(*pair))
-    return tuple(out)
+    return tuple(_int_pairs(raw, "points", problems))
 
 
 def _parse_obstacles(data, problems):
@@ -63,15 +60,8 @@ def _parse_obstacles(data, problems):
         if not isinstance(ring, list):
             problems.append(f"obstacles[{k}] must be a list of [x, y] pairs")
             continue
-        corners = []
-        bad = False
-        for t, item in enumerate(ring):
-            pair = _int_pair(item, f"obstacles[{k}][{t}]", problems)
-            if pair is None:
-                bad = True
-            else:
-                corners.append(Point(*pair))
-        if bad:
+        corners = _int_pairs(ring, f"obstacles[{k}]", problems)
+        if None in corners:
             continue
         if len(corners) >= 3 and polygon_area2(corners) < 0:
             corners.reverse()
@@ -82,8 +72,7 @@ def _parse_obstacles(data, problems):
     return tuple(out)
 
 
-def _parse_graph(data, n_points, problems):
-    raw = data.get("graph")
+def _parse_graph(raw, n_points, problems):
     if raw is None:
         return None
     if not isinstance(raw, dict):
@@ -101,8 +90,7 @@ def _parse_graph(data, n_points, problems):
         problems.append('graph "edges" must be a list of [a, b] label pairs')
         return None
     pairs = []
-    for i, item in enumerate(edges_raw):
-        pair = _int_pair(item, f"graph edges[{i}]", problems)
+    for i, pair in enumerate(_int_pairs(edges_raw, "graph edges", problems)):
         if pair is None:
             continue
         a, b = pair
@@ -126,7 +114,7 @@ def scene_from_dict(data) -> tuple:
     points = _parse_points(data, problems)
     points_ok = len(problems) == before
     obstacles = _parse_obstacles(data, problems)
-    graph = _parse_graph(data, len(points) if points_ok else None, problems)
+    graph = _parse_graph(data.get("graph"), len(points) if points_ok else None, problems)
     if problems:
         raise SceneFormatError("; ".join(problems))
     return Scene(points, obstacles), graph
@@ -137,29 +125,10 @@ def graph_from_dict(data) -> Graph:
     if not isinstance(data, dict):
         raise SceneFormatError("a graph document must be a JSON object")
     problems = []
-    graph = _parse_graph({"graph": data}, None, problems)
+    graph = _parse_graph(data, None, problems)
     if problems:
         raise SceneFormatError("; ".join(problems))
     return graph
-
-
-def scene_to_dict(scene: Scene, graph: Graph | None = None) -> dict:
-    """The document form of a scene (1-based edge labels, CCW obstacles)."""
-    doc = {
-        "points": [[p.x, p.y] for p in scene.points],
-        "obstacles": [[[v.x, v.y] for v in poly.vertices] for poly in scene.obstacles],
-    }
-    if graph is not None:
-        doc["graph"] = graph_to_dict(graph)
-    return doc
-
-
-def graph_to_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[i + 1, j + 1] for i, j in g.sorted_edges()]}
-
-
-def dumps_scene(scene: Scene, graph: Graph | None = None) -> str:
-    return json.dumps(scene_to_dict(scene, graph), indent=2) + "\n"
 
 
 def _decode(fh):
@@ -176,8 +145,16 @@ def load_scene(path) -> tuple:
 
 
 def save_scene(path, scene: Scene, graph: Graph | None = None) -> None:
+    """Write a scene document to ``path``: counterclockwise obstacle rings,
+    1-based edge labels, indented by two spaces."""
+    doc = {
+        "points": [[p.x, p.y] for p in scene.points],
+        "obstacles": [[[v.x, v.y] for v in poly.vertices] for poly in scene.obstacles],
+    }
+    if graph is not None:
+        doc["graph"] = {"n": graph.n, "edges": [[i + 1, j + 1] for i, j in graph.sorted_edges()]}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_scene(scene, graph))
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_graph(path) -> Graph:

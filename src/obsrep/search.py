@@ -64,7 +64,10 @@ class ObsResult:
 def replay_witness(g: Graph, result: ObsResult) -> bool:
     """Re-derive the minimum cover from scratch: the result must name as many
     faces, and every non-edge must pass through one of them.  A junk or
-    repeated id then cannot pass, as fewer real faces would cover."""
+    repeated id then cannot pass, as fewer real faces would cover; an id
+    that is not a plain int is refused outright."""
+    if not all(type(fid) is int for fid in result.faces):
+        return False
     cover, instance = _placement_cover(Scene(result.points), g)
     chosen = set(result.faces)
     return len(cover) == len(result.faces) and all(chosen & set(f) for f in instance.through)
@@ -131,7 +134,7 @@ def edge_deletion_chain(
     """
     if order not in ("lex", "random"):
         raise ObsrepError(f"unknown deletion order {order!r}")
-    missing = sorted(set(complete_graph(target.n).edges) - target.edges)
+    missing = target.non_edges()
     if order == "random":
         random.Random(seed).shuffle(missing)
     steps = []

@@ -4,11 +4,10 @@ Unlike ``oracles.py``, which re-derives answers without the package's own
 predicates, these functions call the package freely: they list a polygon's
 edges, draw random simple polygons, relabel order types, transform scenes
 into signature-equal copies, check where a scene's obstacles sit among the
-faces of its drawing, run the partition check with a drawing's faces
-as the obstacles, and read a scene document from a string.
+faces of its drawing, and run the partition check with a drawing's faces
+as the obstacles.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations, permutations
@@ -25,7 +24,6 @@ from obsrep.geom import (
 )
 from obsrep.ordertype import SceneSignature, chirotope
 from obsrep.scene import Scene
-from obsrep.sceneio import scene_from_dict
 from obsrep.search import PartitionReport, _partition_report
 from obsrep.visibility import visibility_graph
 
@@ -256,12 +254,3 @@ def partition_faces_check(points, g, faces, k: int) -> PartitionReport:
             nodes = {i for cycle in fs.faces[fid] for i in cycle}
             vertex_sets.append(tuple(xy(fs.nodes[i]) for i in sorted(nodes)))
     return _partition_report(tuple(points), k, vertex_sets)
-
-
-# --- scene documents ---
-
-
-def loads_scene(text: str) -> tuple:
-    """``(Scene, Graph | None)`` from a scene document in a string, as
-    ``sceneio.load_scene`` reads one from a file."""
-    return scene_from_dict(json.loads(text))

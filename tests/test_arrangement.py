@@ -41,7 +41,7 @@ def test_triangle_faces():
     assert fs.components == 1
     assert face_complexity(fs) == ((3, 3), 3)
     assert fs.area2(0) == 70
-    assert fs.area2(-1) is None
+    assert fs.area2(1) is None
 
 
 def test_edgeless_drawing_has_one_face():
@@ -156,14 +156,12 @@ def test_locate_refuses_inexact_and_malformed_points():
             fs.locate(q)
 
 
-def test_face_readouts_index_like_faces():
+def test_face_readouts_refuse_ids_that_name_no_face():
     fs = build([(0, 0), (10, 0), (4, 7)], [(0, 1), (1, 2), (0, 2)])
-    assert [fs.area2(fid) for fid in (0, 1, -2, -1)] == [70, None, 70, None]
-    assert fs.representative(-2) == fs.representative(0)
-    assert fs.representative(-1) == fs.representative(1)
+    assert [fs.area2(fid) for fid in (0, 1)] == [70, None]
     for readout in (fs.area2, fs.representative):
-        for fid in (2, -3):
-            with pytest.raises(IndexError):
+        for fid in (-2, -1, 2, 1.0, True):
+            with pytest.raises(ObsrepError, match="no face"):
                 readout(fid)
 
 

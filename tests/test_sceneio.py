@@ -6,18 +6,7 @@ import pytest
 from obsrep.errors import SceneError, SceneFormatError
 from obsrep.graphs import Graph, gnp_half
 from obsrep.sampling import random_single_obstacle_scene
-from obsrep.sceneio import (
-    dumps_scene,
-    graph_from_dict,
-    graph_to_dict,
-    load_graph,
-    load_scene,
-    save_scene,
-    scene_from_dict,
-    scene_to_dict,
-)
-
-from support import loads_scene
+from obsrep.sceneio import graph_from_dict, load_graph, load_scene, save_scene, scene_from_dict
 
 HEXAGON_DOC = {
     "points": [[-2, 0], [4, 6], [6, -5]],
@@ -31,28 +20,34 @@ def test_parse_hexagon_document(hexagon_scene):
     assert graph is None
 
 
-def test_round_trip_via_text(hexagon_scene):
-    text = dumps_scene(hexagon_scene)
-    scene, graph = loads_scene(text)
+def test_round_trip_via_text(tmp_path, hexagon_scene):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_scene(first, hexagon_scene)
+    scene, graph = load_scene(first)
     assert scene == hexagon_scene
     assert graph is None
-    assert dumps_scene(scene) == text
+    save_scene(second, scene)
+    assert second.read_text() == first.read_text()
 
 
-def test_round_trip_with_graph(hexagon_scene):
+def test_round_trip_with_graph(tmp_path, hexagon_scene):
+    target = tmp_path / "scene.json"
     g = Graph.of(3, [(0, 1), (0, 2)])
-    scene, graph = loads_scene(dumps_scene(hexagon_scene, g))
+    save_scene(target, hexagon_scene, g)
+    scene, graph = load_scene(target)
     assert scene == hexagon_scene
     assert graph == g
 
 
-def test_graph_edges_serialize_one_based():
-    doc = graph_to_dict(Graph.of(3, [(0, 1), (0, 2)]))
+def test_graph_edges_serialize_one_based(tmp_path, hexagon_scene):
+    target = tmp_path / "scene.json"
+    save_scene(target, hexagon_scene, Graph.of(3, [(0, 1), (0, 2)]))
+    doc = json.loads(target.read_text())["graph"]
     assert doc == {"n": 3, "edges": [[1, 2], [1, 3]]}
     assert graph_from_dict(doc) == Graph.of(3, [(0, 1), (0, 2)])
 
 
-def test_clockwise_obstacles_are_normalized(hexagon_scene):
+def test_clockwise_obstacles_are_normalized(tmp_path, hexagon_scene):
     doc = {
         "points": HEXAGON_DOC["points"],
         "obstacles": [list(reversed(HEXAGON_DOC["obstacles"][0]))],
@@ -60,19 +55,23 @@ def test_clockwise_obstacles_are_normalized(hexagon_scene):
     scene, _ = scene_from_dict(doc)
     assert scene == hexagon_scene
     # and writing out again produces the counterclockwise listing
-    assert scene_to_dict(scene)["obstacles"] == HEXAGON_DOC["obstacles"]
+    target = tmp_path / "scene.json"
+    save_scene(target, scene)
+    assert json.loads(target.read_text())["obstacles"] == HEXAGON_DOC["obstacles"]
 
 
-def test_random_documents_round_trip():
+def test_random_documents_round_trip(tmp_path):
     rng = random.Random(515)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
     for _ in range(30):
         scene = random_single_obstacle_scene(rng, rng.randint(2, 6))
         g = gnp_half(scene.n, rng)
-        text = dumps_scene(scene, g)
-        again_scene, again_graph = loads_scene(text)
+        save_scene(first, scene, g)
+        again_scene, again_graph = load_scene(first)
         assert again_scene == scene
         assert again_graph == g
-        assert dumps_scene(again_scene, again_graph) == text
+        save_scene(second, again_scene, again_graph)
+        assert second.read_text() == first.read_text()
 
 
 def test_file_round_trip(tmp_path, hexagon_scene):
@@ -191,6 +190,21 @@ def test_semantic_problems_raise_scene_error():
     }
     with pytest.raises(SceneError, match=r"points\[1\] is inside obstacles\[0\]"):
         scene_from_dict(doc)
+
+
+def test_pair_problems_are_named_in_document_order():
+    doc = {
+        "points": [[0, 0], [1, "x"], [4, 6]],
+        "obstacles": [[[20, 0], [24, 0.5], [20, 4]]],
+        "graph": {"n": 3, "edges": [[1, 2], [3]]},
+    }
+    with pytest.raises(SceneFormatError) as err:
+        scene_from_dict(doc)
+    assert str(err.value) == (
+        "points[1] must be a pair of integers, got [1, 'x']; "
+        "obstacles[0][1] must be a pair of integers, got [24, 0.5]; "
+        "graph edges[1] must be a pair of integers, got [3]"
+    )
 
 
 def test_every_structural_problem_is_listed_at_once():

@@ -106,12 +106,13 @@ def test_replay_rejects_tampered_results():
     assert rigged.upper_bound == result.upper_bound
     assert not replay_witness(g, rigged)
     # ids that name no face: -1 is no alias of the last face, which is the
-    # witness here, and one past the last face is refused, not an IndexError
+    # witness here, one past the last face is refused, not an IndexError, and
+    # 1.0 and True equal the witness id 1 but are not ints
     path = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
     result = obs_upper_bound(path, 5, seed=1)
     n_faces = len(build_arrangement(Scene(result.points), path).faces)
-    assert result.faces == (n_faces - 1,) and replay_witness(path, result)
-    for fid in (-1, n_faces):
+    assert result.faces == (n_faces - 1,) == (1,) and replay_witness(path, result)
+    for fid in (-1, n_faces, 1.0, True):
         assert not replay_witness(path, ObsResult(result.points, (fid,), True))
     # a complete graph's witness must carry no faces at all
     full = obs_upper_bound(complete_graph(3), placements=1, seed=0)
