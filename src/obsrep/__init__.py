@@ -19,14 +19,10 @@ from .bounds import BoundsQuery, bounds_threshold
 from .cover import solve_cover
 from .errors import (
     ContradictionError,
-    CoverError,
-    GeneralPositionError,
     GeometryError,
     ObsrepError,
     SceneError,
     SceneFormatError,
-    SearchError,
-    UnknownPatternError,
 )
 from .geom import Point, Polygon, convex_hull, is_general_position, orient
 from .graphs import Graph, GraphError, complete_graph, cycle_graph
@@ -69,11 +65,9 @@ __all__ = [
     "ChainRecord",
     "ChainStep",
     "ContradictionError",
-    "CoverError",
     "CoverInstance",
     "ExperimentReport",
     "FaceSet",
-    "GeneralPositionError",
     "GeometryError",
     "Graph",
     "GraphError",
@@ -88,9 +82,7 @@ __all__ = [
     "SceneError",
     "SceneFormatError",
     "SceneSignature",
-    "SearchError",
     "TangentSequence",
-    "UnknownPatternError",
     "bounds_threshold",
     "build_arrangement",
     "builtin_pattern_table",

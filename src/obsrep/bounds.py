@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ObsrepError
+from .errors import ObsrepError, _count
 
 _SCAN_LIMIT = 200_000
 
@@ -47,19 +47,13 @@ class BoundsQuery:
         if (self.h is None) == (self.s is None):
             raise ObsrepError("give exactly one of h (obstacle count) and s (total sides)")
         if self.h is not None:
-            if type(self.h) is not int:
-                raise ObsrepError(f"obstacle count h must be an int, not {self.h!r}")
-            if self.h < 1:
-                raise ObsrepError("obstacle count h must be >= 1")
+            _count(self.h, 1, "obstacle count h")
             if self.c is not None:
                 raise ObsrepError("the constant c applies only to side-count (s) queries")
         else:
-            if type(self.s) is not int:
-                raise ObsrepError(f"total side count s must be an int, not {self.s!r}")
+            _count(self.s, 3, "total side count s")
             if self.c is not None and type(self.c) not in (int, Fraction):
                 raise ObsrepError(f"the constant c must be an int or a Fraction, not {self.c!r}")
-            if self.s < 3:
-                raise ObsrepError("total side count s must be >= 3 (a polygon has three sides)")
             c = Fraction(1) if self.c is None else Fraction(self.c)
             if c <= 0:
                 raise ObsrepError("the constant c must be positive")

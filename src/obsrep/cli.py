@@ -3,8 +3,8 @@
 Every subcommand reads scene/graph documents (see :mod:`obsrep.sceneio`),
 prints line-oriented key/value output with 1-based labels, and is
 bit-reproducible for a fixed argv (stochastic subcommands require an
-explicit ``--seed``).  Exit status: 0 on success, 1 on any validation or
-input problem, 2 when the package detects an internal contradiction (a
+explicit ``--seed``).  Exit status: 0 on success, 1 on bad input or when
+memory runs out, 2 when the package detects an internal contradiction (a
 pattern observed with both outcomes, or a witness that fails to replay).
 """
 
@@ -20,7 +20,6 @@ from .bounds import BoundsQuery, bounds_threshold
 from .errors import ContradictionError, ObsrepError
 from .ordertype import chirotope, scene_signature
 from .arrangement import build_arrangement, face_nonedge_incidence
-from .cover import solve_cover
 from .search import (
     edge_deletion_chain,
     min_obstacles_for_placement,
@@ -419,6 +418,9 @@ def main(argv=None) -> int:
         return 2
     except (ObsrepError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -12,22 +12,27 @@ the second pass tries lies in no minimum cover that extends the ids it fixed.
 
 from __future__ import annotations
 
-from .errors import CoverError
+from .errors import ObsrepError, _count
+
+# Entries the failure memo may hold; it is cleared when full.  It caches only
+# proven failures, so clearing it costs time, never a witness.
+_MEMO_LIMIT = 1 << 18
 
 
 def solve_cover(n_elements: int, sets: dict) -> tuple:
     """Minimum-size cover of ``range(n_elements)`` by the given id → elements map.
 
     Ties between minimum covers go to the lexicographically smallest sorted
-    tuple of set ids.  Raises :class:`CoverError` when some element appears in
+    tuple of set ids.  Raises :class:`ObsrepError` when some element appears in
     no set.
     """
+    _count(n_elements, 0, "n_elements")
     ids, masks = [], []
     for sid in sorted(sets):
         mask = 0
         for element in sets[sid]:
-            if not 0 <= element < n_elements:
-                raise CoverError(f"set {sid} names unknown element {element}")
+            if type(element) is not int or not 0 <= element < n_elements:
+                raise ObsrepError(f"set {sid} names unknown element {element!r}")
             mask |= 1 << element
         # A set inside an earlier one is never needed: swapping it for the
         # earlier id keeps the cover and gives a smaller sorted tuple.
@@ -37,7 +42,7 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
     holders = [[i for i, mask in enumerate(masks) if mask >> e & 1] for e in range(n_elements)]
     missing = [e for e in range(n_elements) if not holders[e]]
     if missing:
-        raise CoverError(f"elements {missing} appear in no set")
+        raise ObsrepError(f"elements {missing} appear in no set")
     order = sorted(range(n_elements), key=lambda e: (len(holders[e]), e))
     holders = [holders[e] for e in order]
     masks = [sum((mask >> e & 1) << bit for bit, e in enumerate(order)) for mask in masks]
@@ -62,6 +67,8 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
         branch = holders[(uncovered & -uncovered).bit_length() - 1]
         if packed <= k and any(coverable(uncovered & ~masks[i], k - 1) for i in branch):
             return True
+        if len(failed) >= _MEMO_LIMIT:
+            failed.clear()
         failed[uncovered] = k
         return False
 

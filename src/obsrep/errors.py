@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one check of count arguments."""
 
 
 class ObsrepError(Exception):
@@ -6,11 +6,7 @@ class ObsrepError(Exception):
 
 
 class GeometryError(ObsrepError):
-    """Invalid geometric input (non-integer point coordinate, degenerate polygon, ...)."""
-
-
-class GeneralPositionError(GeometryError):
-    """Points violate general position: a duplicate pair or a collinear triple."""
+    """Invalid geometry: non-int coordinates, degenerate polygons, points off general position."""
 
 
 class SceneError(ObsrepError):
@@ -36,13 +32,7 @@ class ContradictionError(ObsrepError):
         self.second_witness = second_witness
 
 
-class UnknownPatternError(ObsrepError):
-    """A pair pattern does not appear in the decoding table."""
-
-
-class CoverError(ObsrepError):
-    """A set-cover instance cannot be solved (some element is uncoverable)."""
-
-
-class SearchError(ObsrepError):
-    """A randomized search could not complete (e.g. no valid placement found)."""
+def _count(value, least, what):
+    """Refuse ``value`` as the count ``what`` unless it is a plain int >= ``least``."""
+    if type(value) is not int or value < least:
+        raise ObsrepError(f"{what} must be an int >= {least}, not {value!r}")

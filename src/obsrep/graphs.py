@@ -20,10 +20,8 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            raise GraphError(f"vertex count must be an int, got {self.n!r}")
-        if self.n < 0:
-            raise GraphError(f"vertex count must be >= 0, got {self.n}")
+        if type(self.n) is not int or self.n < 0:
+            raise GraphError(f"vertex count must be an int >= 0, not {self.n!r}")
         normalized = set()
         try:
             for e in self.edges:
@@ -41,7 +39,7 @@ class Graph:
 
     @staticmethod
     def of(n, pairs) -> "Graph":
-        return Graph(n, frozenset(tuple(p) for p in pairs))
+        return Graph(n, pairs)
 
     def non_edges(self):
         """All absent pairs, sorted lexicographically."""

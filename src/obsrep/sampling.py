@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import SearchError
+from .errors import ObsrepError
 from .geom import Point, Polygon, _assume_valid, _bounding_box, convex_hull, point_in_polygon
 from .scene import Scene
 
@@ -44,7 +44,7 @@ def random_convex_polygon(rng) -> Polygon:
             # convex_hull keeps distinct corners in counterclockwise order and drops every
             # non-left turn, so the hull is simple and strictly convex: Polygon's invariants.
             return _assume_valid(Polygon, vertices=tuple(hull), _box=_bounding_box(hull))
-    raise SearchError("could not sample a convex polygon")
+    raise ObsrepError("could not sample a convex polygon")
 
 
 def random_single_obstacle_scene(rng, n_points) -> Scene:
@@ -60,7 +60,7 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
     while len(pts) < n_points:
         tries += 1
         if tries > 4000:
-            raise SearchError("could not place scene points in general position")
+            raise ObsrepError("could not place scene points in general position")
         q = Point(rng.randint(-1000, 1000), rng.randint(-1000, 1000))
         if q in taken or point_in_polygon(q, poly.vertices) >= 0 or _collinear_with_any_pair(taken, q):
             continue
@@ -89,7 +89,7 @@ def random_placement(rng, n, grid):
     while len(pts) < n:
         tries += 1
         if tries > 20000:
-            raise SearchError(f"no general-position placement on a {grid}x{grid} grid")
+            raise ObsrepError(f"no general-position placement on a {grid}x{grid} grid")
         q = Point(rng.randrange(grid), rng.randrange(grid))
         if q.x in xs or _collinear_with_any_pair(pts, q):
             continue

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .arrangement import build_arrangement, face_nonedge_incidence
 from .cover import solve_cover
-from .errors import ObsrepError
+from .errors import ObsrepError, _count
 from .geom import convex_hull, point_in_polygon
 from .graphs import Graph, all_graphs, complete_graph, gnp_half
 from .sampling import random_placement
@@ -82,10 +82,11 @@ def obs_upper_bound(
     as soon as the bound hits the certifiable floor — 0 for complete graphs,
     1 otherwise — which can only lower the reported value.
     """
-    if placements < 1:
-        raise ObsrepError("placements must be >= 1")
+    _count(placements, 1, "placements")
     if grid is None:
         grid = 100 * g.n * g.n
+    else:
+        _count(grid, 1, "grid")
     if grid < g.n * g.n:
         raise ObsrepError(f"grid {grid} is too small for {g.n} points")
     floor = 0 if g.is_complete else 1
@@ -161,8 +162,7 @@ def suggested_group_size(n: int) -> int:
     Computed exactly as the bit length of n**5; nothing here asserts the
     choice is optimal.
     """
-    if n < 1:
-        raise ObsrepError("n must be >= 1")
+    _count(n, 1, "n")
     return max(1, (n**5).bit_length() - 1)
 
 
@@ -196,8 +196,7 @@ def _hull_contains_all(group_points, vertices) -> bool:
 
 
 def _partition_report(points, k, obstacle_vertex_sets) -> PartitionReport:
-    if k < 1:
-        raise ObsrepError("group size k must be >= 1")
+    _count(k, 1, "group size k")
     xs = [p.x for p in points]
     if len(set(xs)) != len(xs):
         raise ObsrepError("two vertices share an x-coordinate; cannot split by vertical lines")
@@ -265,8 +264,8 @@ def random_graph_experiment(
     sampling.  Deterministic for a fixed seed: per-graph placement seeds are
     drawn from one master generator in graph order.
     """
-    if trials < 1:
-        raise ObsrepError("trials must be >= 1")
+    _count(trials, 1, "trials")
+    _count(n, 0, "n")
     master = random.Random(seed)
     if exhaustive:
         graphs = list(all_graphs(n))

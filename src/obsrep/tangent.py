@@ -22,13 +22,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (
-    ContradictionError,
-    GeneralPositionError,
-    GeometryError,
-    ObsrepError,
-    UnknownPatternError,
-)
+from .errors import ContradictionError, GeometryError, ObsrepError, _count
 from .geom import _assume_valid, direction_key
 from .graphs import Graph
 from .sampling import iter_single_obstacle_scenes
@@ -144,7 +138,7 @@ def encode_tangent(scene: Scene, index: int = 0) -> TangentSequence:
                 minus += 1
             before = after
         if plus != 1 or minus != 1:
-            raise GeneralPositionError(
+            raise GeometryError(
                 f"point {v!r} does not have two clean tangents (collinear with obstacle vertices?)"
             )
     scale = max((y * y for _, _, _, y in events), default=0) + 1
@@ -152,7 +146,7 @@ def encode_tangent(scene: Scene, index: int = 0) -> TangentSequence:
     order = sorted(range(len(events)), key=keys.__getitem__)
     for a, b in zip(order, order[1:]):
         if keys[a] == keys[b]:
-            raise GeneralPositionError(
+            raise GeometryError(
                 f"points {pts[events[a][0]]!r} and {pts[events[b][0]]!r} share a tangent direction"
             )
     # The loop above gave each label exactly one + and one - event, each an int pair.
@@ -237,7 +231,7 @@ class PatternTable:
         try:
             return self._outcomes[pattern]
         except KeyError:
-            raise UnknownPatternError(f"pattern {pattern!r} was never observed") from None
+            raise ObsrepError(f"pattern {pattern!r} was never observed") from None
 
     def serialize(self) -> str:
         return "".join(f"pattern {p} {o}\n" for p, o in sorted(self._outcomes.items()))
@@ -286,8 +280,7 @@ def derive_pattern_table(sample_count: int, rng_seed: int) -> PatternTable:
     """
     import random
 
-    if sample_count < 1:
-        raise ObsrepError("sample_count must be >= 1")
+    _count(sample_count, 1, "sample_count")
     rng = random.Random(rng_seed)
     table = PatternTable()
     for scene in iter_single_obstacle_scenes(rng, sample_count):

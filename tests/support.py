@@ -13,7 +13,7 @@ from functools import cmp_to_key
 from itertools import combinations, permutations
 
 from obsrep.arrangement import build_arrangement
-from obsrep.errors import GeometryError, ObsrepError, SearchError
+from obsrep.errors import GeometryError, ObsrepError
 from obsrep.geom import (
     Point,
     Polygon,
@@ -179,7 +179,7 @@ def perturb_scene(scene: Scene, rng, jitters: int = 8, scale: int = 1000):
             seq = candidate
             accepted += 1
     if accepted == 0:
-        raise SearchError("no orientation-preserving jitter was accepted")
+        raise ObsrepError("no orientation-preserving jitter was accepted")
     obstacles = []
     at = base.n
     for poly in base.obstacles:

@@ -3,17 +3,18 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import obsrep
 
 ROOT = Path(__file__).parents[1]
 
 PUBLIC = [
-    "BoundsQuery", "ChainRecord", "ChainStep", "ContradictionError", "CoverError",
-    "CoverInstance", "ExperimentReport", "FaceSet", "GeneralPositionError",
-    "GeometryError", "Graph", "GraphError", "ObsResult", "ObsrepError",
-    "PartitionReport", "PatternTable", "Point", "Polygon", "RepresentationReport",
-    "Scene", "SceneError", "SceneFormatError", "SceneSignature", "SearchError",
-    "TangentSequence", "UnknownPatternError", "bounds_threshold", "build_arrangement",
+    "BoundsQuery", "ChainRecord", "ChainStep", "ContradictionError", "CoverInstance",
+    "ExperimentReport", "FaceSet", "GeometryError", "Graph", "GraphError", "ObsResult",
+    "ObsrepError", "PartitionReport", "PatternTable", "Point", "Polygon",
+    "RepresentationReport", "Scene", "SceneError", "SceneFormatError", "SceneSignature",
+    "TangentSequence", "bounds_threshold", "build_arrangement",
     "builtin_pattern_table", "chirotope", "complete_graph", "convex_hull",
     "cycle_graph", "decode_visibility", "derive_pattern_table", "edge_deletion_chain",
     "encode_tangent", "face_nonedge_incidence", "is_general_position", "load_graph",
@@ -26,7 +27,52 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    assert sorted(obsrep.__all__) == PUBLIC  # 54 names
+    assert sorted(obsrep.__all__) == PUBLIC  # 50 names
+
+
+def test_error_classes_are_pinned():
+    # One class per contract the caller can act on; the CLI maps
+    # ContradictionError to exit 2 and every other one to exit 1.
+    def below(cls):
+        return {sub for child in cls.__subclasses__() for sub in {child} | below(child)}
+
+    assert {cls.__name__ for cls in below(obsrep.ObsrepError)} == {
+        "ContradictionError", "GeometryError", "GraphError", "SceneError", "SceneFormatError",
+    }
+
+
+THREE_POINTS = obsrep.Scene([obsrep.Point(0, 0), obsrep.Point(4, 1), obsrep.Point(8, 5)])
+
+# Each count argument: the call with the count, the least value it takes, and
+# the name its message gives.
+COUNTS = {
+    "obs_upper_bound placements": (
+        lambda v: obsrep.obs_upper_bound(obsrep.Graph(1), v), 1, "placements"),
+    "obs_upper_bound grid": (
+        lambda v: obsrep.obs_upper_bound(obsrep.Graph(1), 1, grid=v), 1, "grid"),
+    "random_graph_experiment trials": (
+        lambda v: obsrep.random_graph_experiment(3, v, 0, placements=1), 1, "trials"),
+    "random_graph_experiment n": (
+        lambda v: obsrep.random_graph_experiment(v, 1, 0, placements=1), 0, "n"),
+    "suggested_group_size n": (obsrep.suggested_group_size, 1, "n"),
+    "partition_lemma_check k": (
+        lambda v: obsrep.partition_lemma_check(THREE_POINTS, v), 1, "group size k"),
+    "derive_pattern_table sample_count": (
+        lambda v: obsrep.derive_pattern_table(v, 0), 1, "sample_count"),
+    "BoundsQuery h": (lambda v: obsrep.BoundsQuery(h=v), 1, "obstacle count h"),
+    "BoundsQuery s": (lambda v: obsrep.BoundsQuery(s=v), 3, "total side count s"),
+    "solve_cover n_elements": (lambda v: obsrep.solve_cover(v, {}), 0, "n_elements"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(COUNTS))
+def test_every_count_argument_is_a_plain_int_at_least_its_floor(site):
+    call, least, what = COUNTS[site]
+    for bad in (2.5, True, "3", least - 1):
+        with pytest.raises(obsrep.ObsrepError) as err:
+            call(bad)
+        assert str(err.value) == f"{what} must be an int >= {least}, not {bad!r}", bad
+    call(least)
 
 
 def test_every_public_name_resolves():

@@ -282,6 +282,20 @@ def test_areas_are_computed_only_where_printed(sub, tmp_path, capsys, monkeypatc
     assert len(calls) == bounded and (bounded > 0) == (sub == "faces")
 
 
+@pytest.mark.parametrize("sub", ["cover", "obs-search"])
+def test_running_out_of_memory_is_one_error_line(sub, tmp_path, capsys, monkeypatch):
+    def exhausted(n_elements, sets):
+        raise MemoryError
+
+    monkeypatch.setattr(obsrep.search, "solve_cover", exhausted)
+    if sub == "obs-search":
+        argv = [sub, write(tmp_path, "g.json", C4_GRAPH), "--seed", "7"]
+    else:
+        argv = [sub, write(tmp_path, "d.json", SQUARE_DRAWING)]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (1, "", "error: out of memory\n")
+
+
 # --- search subcommands ---
 
 
@@ -367,6 +381,11 @@ def test_bounds_s_mode(capsys):
     assert (rc, out) == (0, "threshold 6 (for the supplied constant c = 1/2)\n")
     rc, out, err = run(capsys, ["bounds", "--s", "3"])
     assert (rc, out) == (0, "threshold 11 (for the supplied constant c = 1)\n")
+
+
+def test_bounds_s_mode_refuses_fewer_than_three_sides(capsys):
+    rc, out, err = run(capsys, ["bounds", "--s", "2"])
+    assert (rc, out, err) == (1, "", "error: total side count s must be an int >= 3, not 2\n")
 
 
 def test_bounds_h_mode_refuses_the_constant(capsys):

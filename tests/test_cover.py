@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from obsrep.cover import solve_cover
-from obsrep.errors import CoverError
+from obsrep.errors import ObsrepError
 
 from oracles import solve_cover_first_hit
 
@@ -20,8 +20,15 @@ def test_empty_universe_needs_nothing():
 
 
 def test_uncoverable_element_raises():
-    for n, sets in [(3, {0: [0], 1: [1]}), (2, {0: [0, 5]}), (0, {4: [0]})]:
-        with pytest.raises(CoverError):
+    for n, sets, message in [
+        (3, {0: [0], 1: [1]}, r"elements \[2\] appear in no set"),
+        (2, {0: [0, 5]}, "set 0 names unknown element 5"),
+        (0, {4: [0]}, "set 4 names unknown element 0"),
+        # an element is a plain int: True would alias element 1
+        (2, {0: [0], 1: [1.0]}, "set 1 names unknown element 1.0"),
+        (2, {0: [0], 1: [True]}, "set 1 names unknown element True"),
+    ]:
+        with pytest.raises(ObsrepError, match=message):
             solve_cover(n, sets)
 
 

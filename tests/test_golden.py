@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import obsrep.cover
 from obsrep.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -203,6 +204,12 @@ def test_cli_output_matches_golden(name, tmp_path, capsys):
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert err == want
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("cover-")))
+def test_cover_witnesses_survive_a_tiny_failure_memo(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(obsrep.cover, "_MEMO_LIMIT", 8)
+    test_cli_output_matches_golden(name, tmp_path, capsys)
 
 
 if __name__ == "__main__":

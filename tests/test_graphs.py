@@ -32,6 +32,10 @@ def test_constructor_rejects_bad_edges():
     for edges in (frozenset({(0, 1, 2)}), [5], 7):
         with pytest.raises(GraphError, match="pairs of ints"):
             Graph(3, edges)
+    # Graph.of once raised bare TypeErrors for these
+    for pairs in ([5], 7, None):
+        with pytest.raises(GraphError, match="pairs of ints"):
+            Graph.of(3, pairs)
 
 
 @pytest.mark.parametrize("n", [2.5, True, "3"])
