@@ -1,33 +1,46 @@
 """Seeded random generators for scenes, convex obstacles and point placements.
 
 All functions take an explicit ``random.Random`` so every caller is
-reproducible from its seed.
+reproducible from its seed; every bounded draw goes through :func:`_below`.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .errors import ObsrepError
 from .geom import Point, Polygon, _assume_valid, _bounding_box, convex_hull, point_in_polygon
 from .scene import Scene
 
 
-def _collinear_with_any_pair(pts, q):
+def _below(getrandbits, n):
+    """``randrange(n)``'s draw for n >= 1: CPython's loop of n.bit_length() bits until < n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle(getrandbits, items):
+    """``random.Random.shuffle``'s Fisher–Yates loop, on :func:`_below`."""
+    for i in range(len(items) - 1, 0, -1):
+        j = _below(getrandbits, i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def _collinear_with_any_pair(pts, q, scale):
     """Does q lie on a line through two of the points?  q must not be one of them.
 
-    Each point's offset from q, divided by its gcd and turned to point right
-    (or straight up), names its line through q: two points share a line
-    with q exactly when their names agree.
+    Each point's line through q is named by its slope, kept as the integer
+    ``(ay - qy) * scale // (ax - qx)``, or by ``None`` when it is vertical.
+    The name is exact by ``geom.direction_key``'s argument: two distinct
+    slopes with ``0 < |dx| <= D`` differ by at least ``1 / D**2``, so with
+    ``scale >= D**2`` their floors differ too.
     """
     qx, qy = q
     lines = set()
     for ax, ay in pts:
-        dx, dy = ax - qx, ay - qy
-        g = gcd(dx, dy)
-        if dx < 0 or (dx == 0 and dy < 0):
-            g = -g
-        line = (dx // g, dy // g)
+        dx = ax - qx
+        line = (ay - qy) * scale // dx if dx else None
         if line in lines:
             return True
         lines.add(line)
@@ -36,14 +49,16 @@ def _collinear_with_any_pair(pts, q):
 
 def random_convex_polygon(rng) -> Polygon:
     """A strictly convex lattice polygon: hull of 4 to 7 random points in [-333, 333]^2."""
+    bits = rng.getrandbits
     for _ in range(200):
-        k = rng.randint(4, 7)
-        raw = [Point(rng.randint(-333, 333), rng.randint(-333, 333)) for _ in range(k)]
+        k = 4 + _below(bits, 4)
+        raw = [(_below(bits, 667) - 333, _below(bits, 667) - 333) for _ in range(k)]
         hull = convex_hull(raw)
         if len(hull) >= 3:
+            hull = tuple(Point(x, y) for x, y in hull)
             # convex_hull keeps distinct corners in counterclockwise order and drops every
             # non-left turn, so the hull is simple and strictly convex: Polygon's invariants.
-            return _assume_valid(Polygon, vertices=tuple(hull), _box=_bounding_box(hull))
+            return _assume_valid(Polygon, vertices=hull, _box=_bounding_box(hull))
     raise ObsrepError("could not sample a convex polygon")
 
 
@@ -54,6 +69,9 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
     plus obstacle corners) is kept in general position by rejection.
     """
     poly = random_convex_polygon(rng)
+    bits = rng.getrandbits
+    scale = 2000 * 2000 + 1  # every taken point lies in [-1000, 1000]^2
+    xlo, xhi, ylo, yhi = poly._box
     taken = list(poly.vertices)
     pts = []
     tries = 0
@@ -61,9 +79,14 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
         tries += 1
         if tries > 4000:
             raise ObsrepError("could not place scene points in general position")
-        q = Point(rng.randint(-1000, 1000), rng.randint(-1000, 1000))
-        if q in taken or point_in_polygon(q, poly.vertices) >= 0 or _collinear_with_any_pair(taken, q):
+        q = qx, qy = _below(bits, 2001) - 1000, _below(bits, 2001) - 1000
+        # a candidate outside the obstacle's box is strictly outside the obstacle
+        if q in taken or (xlo <= qx <= xhi and ylo <= qy <= yhi
+                          and point_in_polygon(q, poly.vertices) >= 0):
             continue
+        if _collinear_with_any_pair(taken, q, scale):
+            continue
+        q = Point(qx, qy)
         taken.append(q)
         pts.append(q)
     # The rejection tests above establish require_valid_scene's invariants: taken holds the
@@ -74,7 +97,7 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
 def iter_single_obstacle_scenes(rng, count):
     """``count`` random scenes with 2..10 vertices each."""
     for _ in range(count):
-        yield random_single_obstacle_scene(rng, rng.randint(2, 10))
+        yield random_single_obstacle_scene(rng, 2 + _below(rng.getrandbits, 9))
 
 
 def random_placement(rng, n, grid):
@@ -83,6 +106,8 @@ def random_placement(rng, n, grid):
     Distinct x-coordinates are required so that any placement can later feed
     the x-sorted partition checker.
     """
+    bits = rng.getrandbits
+    scale = grid * grid  # |dx| <= grid - 1
     pts = []
     xs = set()
     tries = 0
@@ -90,9 +115,9 @@ def random_placement(rng, n, grid):
         tries += 1
         if tries > 20000:
             raise ObsrepError(f"no general-position placement on a {grid}x{grid} grid")
-        q = Point(rng.randrange(grid), rng.randrange(grid))
-        if q.x in xs or _collinear_with_any_pair(pts, q):
+        q = qx, qy = _below(bits, grid), _below(bits, grid)
+        if qx in xs or _collinear_with_any_pair(pts, q, scale):
             continue
-        xs.add(q.x)
-        pts.append(q)
+        xs.add(qx)
+        pts.append(Point(qx, qy))
     return tuple(pts)

@@ -21,7 +21,7 @@ from .cover import solve_cover
 from .errors import ObsrepError, _count
 from .geom import convex_hull, point_in_polygon
 from .graphs import Graph, all_graphs, complete_graph, gnp_half
-from .sampling import random_placement
+from .sampling import _shuffle, random_placement
 from .scene import Scene
 
 
@@ -137,7 +137,7 @@ def edge_deletion_chain(
         raise ObsrepError(f"unknown deletion order {order!r}")
     missing = target.non_edges()
     if order == "random":
-        random.Random(seed).shuffle(missing)
+        _shuffle(random.Random(seed).getrandbits, missing)
     steps = []
     current = complete_graph(target.n)
     steps.append(

@@ -15,14 +15,16 @@ probe's first contact, minimum set cover is plain subset enumeration, a
 counting bound is decided by building both of its powers in full, a tangent
 word tests both signs of every point at every obstacle corner with two
 cross products each instead of reading one side per edge, a pair's
-pattern rescans the whole word, and a scene's pairs go into a pattern table
-with one ``record`` each instead of one per distinct (pattern, outcome).
-Slower and dumber on purpose.
+pattern rescans the whole word, a scene's pairs go into a pattern table
+with one ``record`` each instead of one per distinct (pattern, outcome), and
+a sampler's line through a candidate is named by its offset reduced by the
+gcd instead of by a scaled slope.  Slower and dumber on purpose.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 
 def xy(p):
@@ -621,3 +623,24 @@ def record_every_pair(table, scene, events, visible):
     for i, j in combinations(range(len(events) // 2), 2):
         outcome = "visible" if (i, j) in visible else "blocked"
         table.record(rescanned_pair_pattern(events, i, j), outcome, witness=(scene, (i, j)))
+
+
+def gcd_collinear_with_any_pair(pts, q):
+    """Does q lie on a line through two of the points?  q must not be one of them.
+
+    Each point's offset from q, divided by its gcd and turned to point right
+    (or straight up), names its line through q: two points share a line
+    with q exactly when their names agree.
+    """
+    qx, qy = q
+    lines = set()
+    for ax, ay in pts:
+        dx, dy = ax - qx, ay - qy
+        g = gcd(dx, dy)
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        line = (dx // g, dy // g)
+        if line in lines:
+            return True
+        lines.add(line)
+    return False

@@ -165,6 +165,10 @@ CASES = {
     "cover-collinear": (["cover", "{collinear}"], 1),
     "obs-search-c6": (["obs-search", "{c6}", "--seed", "7", "--placements", "6"], 0),
     "chain-c5": (["chain", "{c5}", "--seed", "3", "--placements", "4"], 0),
+    "chain-c5-random": (
+        ["chain", "{c5}", "--seed", "3", "--placements", "4", "--order", "random"],
+        0,
+    ),
     "random-exp-n4": (
         ["random-exp", "--n", "4", "--seed", "11", "--trials", "6", "--placements", "4"],
         0,
