@@ -247,20 +247,16 @@ def cmd_cover(args):
     return 0
 
 
-def _print_result(result):
-    print(f"upper-bound {result.upper_bound}")
-    print(f"certified {'yes' if result.certified_exact else 'no'}")
-    for i, p in enumerate(result.points):
-        print(f"point {i + 1} {p.x} {p.y}")
-    print(f"faces{_labels(result.faces)}")
-
-
 def cmd_obs_search(args):
     g = load_graph(args.graph)
     result = obs_upper_bound(g, args.placements, args.grid, args.seed)
     print(f"n {g.n}")
     print(f"edges {len(g.edges)}")
-    _print_result(result)
+    print(f"upper-bound {result.upper_bound}")
+    print(f"certified {'yes' if result.certified_exact else 'no'}")
+    for i, p in enumerate(result.points):
+        print(f"point {i + 1} {p.x} {p.y}")
+    print(f"faces{_labels(result.faces)}")
     if not replay_witness(g, result):
         print("witness failed to replay", file=sys.stderr)
         return 2

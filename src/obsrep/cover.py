@@ -12,6 +12,8 @@ the second pass tries lies in no minimum cover that extends the ids it fixed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
+
 from .errors import ObsrepError, _count
 
 # Entries the failure memo may hold; it is cleared when full.  It caches only
@@ -23,10 +25,17 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
     """Minimum-size cover of ``range(n_elements)`` by the given id → elements map.
 
     Ties between minimum covers go to the lexicographically smallest sorted
-    tuple of set ids.  Raises :class:`ObsrepError` when some element appears in
-    no set.
+    tuple of set ids.  Raises :class:`ObsrepError` when ``sets`` is not such a
+    map, with plain int ids and iterable sets, or some element appears in no set.
     """
     _count(n_elements, 0, "n_elements")
+    if not isinstance(sets, Mapping):
+        raise ObsrepError(f"sets must be a mapping of ids to elements, not a {type(sets).__name__}")
+    for sid in sets:
+        if type(sid) is not int:
+            raise ObsrepError(f"set ids must be plain ints, not {sid!r}")
+        if not isinstance(sets[sid], Iterable):
+            raise ObsrepError(f"set {sid} must be a collection of elements, not {sets[sid]!r}")
     ids, masks = [], []
     for sid in sorted(sets):
         mask = 0

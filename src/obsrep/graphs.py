@@ -37,10 +37,6 @@ class Graph:
             raise GraphError(f"edges must be (i, j) pairs of ints, not {self.edges!r}") from None
         object.__setattr__(self, "edges", frozenset(normalized))
 
-    @staticmethod
-    def of(n, pairs) -> "Graph":
-        return Graph(n, pairs)
-
     def non_edges(self):
         """All absent pairs, sorted lexicographically."""
         return [p for p in combinations(range(self.n), 2) if p not in self.edges]
@@ -66,12 +62,12 @@ def complete_graph(n) -> Graph:
 def cycle_graph(n) -> Graph:
     if n < 3:
         raise GraphError("a cycle needs at least 3 vertices")
-    return Graph.of(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def gnp_half(n, rng) -> Graph:
     """G(n, 1/2): each pair is an edge with one fair coin flip from ``rng``."""
-    return Graph.of(n, [p for p in combinations(range(n), 2) if rng.getrandbits(1)])
+    return Graph(n, [p for p in combinations(range(n), 2) if rng.getrandbits(1)])
 
 
 def all_graphs(n):
@@ -80,4 +76,4 @@ def all_graphs(n):
         raise GraphError("exhaustive graph enumeration is limited to n <= 5")
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        yield Graph.of(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
+        yield Graph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])

@@ -49,10 +49,9 @@ def chirotope(scene: Scene) -> SceneSignature:
 
 def scene_signature(scene: Scene) -> SceneSignature:
     """Signature of the scene: every triple's orientation and the obstacle ranges."""
-    pts = scene.all_points()
+    pts = list(scene.points)
     ranges = []
-    at = scene.n
     for poly in scene.obstacles:
-        ranges.append((at, at + len(poly.vertices)))
-        at += len(poly.vertices)
+        ranges.append((len(pts), len(pts) + len(poly.vertices)))
+        pts.extend(poly.vertices)
     return SceneSignature(scene.n, len(pts), _triple_signs(pts), tuple(ranges))

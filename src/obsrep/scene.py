@@ -53,13 +53,6 @@ class Scene:
     def n(self) -> int:
         return len(self.points)
 
-    def all_points(self):
-        """Vertices followed by obstacle corners in boundary order."""
-        out = list(self.points)
-        for poly in self.obstacles:
-            out.extend(poly.vertices)
-        return out
-
 
 def require_valid_scene(scene: Scene) -> None:
     """Raise :class:`SceneError` with one message per broken invariant, if any.

@@ -101,7 +101,7 @@ def _parse_graph(raw, n_points, problems):
             problems.append(f"graph edges[{i}] joins vertex {a} to itself")
             continue
         pairs.append((a - 1, b - 1))
-    return Graph.of(n, pairs)
+    return Graph(n, pairs)
 
 
 def scene_from_dict(data) -> tuple:
@@ -118,17 +118,6 @@ def scene_from_dict(data) -> tuple:
     if problems:
         raise SceneFormatError("; ".join(problems))
     return Scene(points, obstacles), graph
-
-
-def graph_from_dict(data) -> Graph:
-    """Parse a bare graph object ``{"n": ..., "edges": [[a, b], ...]}``."""
-    if not isinstance(data, dict):
-        raise SceneFormatError("a graph document must be a JSON object")
-    problems = []
-    graph = _parse_graph(data, None, problems)
-    if problems:
-        raise SceneFormatError("; ".join(problems))
-    return graph
 
 
 def _decode(fh):
@@ -161,9 +150,15 @@ def load_graph(path) -> Graph:
     """Read a graph: either a bare graph document or a scene document's graph."""
     with open(path, "r", encoding="utf-8") as fh:
         data = _decode(fh)
-    if isinstance(data, dict) and "points" in data:
+    if not isinstance(data, dict):
+        raise SceneFormatError("a graph document must be a JSON object")
+    if "points" in data:
         _, graph = scene_from_dict(data)
         if graph is None:
             raise SceneFormatError('the scene document has no "graph" field')
         return graph
-    return graph_from_dict(data)
+    problems = []
+    graph = _parse_graph(data, None, problems)
+    if problems:
+        raise SceneFormatError("; ".join(problems))
+    return graph

@@ -140,14 +140,10 @@ def edge_deletion_chain(
         _shuffle(random.Random(seed).getrandbits, missing)
     steps = []
     current = complete_graph(target.n)
-    steps.append(
-        ChainStep(None, obs_upper_bound(current, placements, grid, seed))
-    )
-    for edge in missing:
-        current = current.without_edge(*edge)
-        steps.append(
-            ChainStep(edge, obs_upper_bound(current, placements, grid, seed))
-        )
+    for edge in [None, *missing]:
+        if edge is not None:
+            current = current.without_edge(*edge)
+        steps.append(ChainStep(edge, obs_upper_bound(current, placements, grid, seed)))
     seen = {}
     for i, s in enumerate(steps):
         seen.setdefault(s.result.upper_bound, i)
@@ -189,12 +185,6 @@ class PartitionReport:
     conclusion_holds: bool
 
 
-def _hull_contains_all(group_points, vertices) -> bool:
-    """Is every query vertex inside or on the hull of the group's points?"""
-    hull = convex_hull(group_points)
-    return all(point_in_polygon(v, hull) >= 0 for v in vertices)
-
-
 def _partition_report(points, k, obstacle_vertex_sets) -> PartitionReport:
     _count(k, 1, "group size k")
     xs = [p.x for p in points]
@@ -206,16 +196,14 @@ def _partition_report(points, k, obstacle_vertex_sets) -> PartitionReport:
     groups = tuple(tuple(order[i * k : (i + 1) * k]) for i in range(full))
     flags = []
     for group in groups:
-        gp = [points[i] for i in group]
+        hull = convex_hull([points[i] for i in group])
         spoiled = any(
-            verts is not None and _hull_contains_all(gp, verts)
+            verts is not None and all(point_in_polygon(v, hull) >= 0 for v in verts)
             for verts in obstacle_vertex_sets
         )
         flags.append(not spoiled)
     flagged = sum(flags)
     m = len(obstacle_vertex_sets)
-    hypothesis = Fraction(m) < Fraction(n, 2 * k)
-    conclusion = Fraction(flagged) > full - Fraction(n, 2 * k)
     return PartitionReport(
         k=k,
         groups=groups,
@@ -224,8 +212,9 @@ def _partition_report(points, k, obstacle_vertex_sets) -> PartitionReport:
         full_groups=full,
         obstacle_count=m,
         identity_holds=flagged >= full - m,
-        hypothesis_holds=hypothesis,
-        conclusion_holds=conclusion,
+        # m < n/(2k) and flagged > full - n/(2k), both multiplied by 2k
+        hypothesis_holds=2 * k * m < n,
+        conclusion_holds=2 * k * flagged > 2 * k * full - n,
     )
 
 

@@ -211,30 +211,26 @@ BLOCKED = "blocked"
 
 
 class PatternTable:
-    """Single-valued map from canonical pair patterns to visible/blocked."""
+    """Single-valued map from canonical pair patterns to (outcome, first witness)."""
 
     def __init__(self):
-        self._outcomes = {}
-        self._witnesses = {}
+        self._records = {}
 
     def record(self, pattern: str, outcome: str, witness=None) -> None:
         if outcome not in (VISIBLE, BLOCKED):
             raise ObsrepError(f"unknown outcome {outcome!r}")
-        known = self._outcomes.get(pattern)
-        if known is None:
-            self._outcomes[pattern] = outcome
-            self._witnesses[pattern] = witness
-        elif known != outcome:
-            raise ContradictionError(pattern, self._witnesses[pattern], witness)
+        known, first = self._records.setdefault(pattern, (outcome, witness))
+        if known != outcome:
+            raise ContradictionError(pattern, first, witness)
 
     def outcome(self, pattern: str) -> str:
         try:
-            return self._outcomes[pattern]
+            return self._records[pattern][0]
         except KeyError:
             raise ObsrepError(f"pattern {pattern!r} was never observed") from None
 
     def serialize(self) -> str:
-        return "".join(f"pattern {p} {o}\n" for p, o in sorted(self._outcomes.items()))
+        return "".join(f"pattern {p} {o}\n" for p, (o, _) in sorted(self._records.items()))
 
     @staticmethod
     def parse(text: str) -> "PatternTable":
@@ -310,4 +306,4 @@ def builtin_pattern_table() -> PatternTable:
 def decode_visibility(seq: TangentSequence, table: PatternTable) -> Graph:
     """Reconstruct the visibility graph of a sequence via the pattern table."""
     edges = [(i, j) for i, j, pattern in _pair_patterns(seq) if table.outcome(pattern) == VISIBLE]
-    return Graph.of(len(seq.events) // 2, edges)
+    return Graph(len(seq.events) // 2, edges)

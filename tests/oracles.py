@@ -10,8 +10,9 @@ half-edge tracing, face/non-edge incidence locates the midpoint of each
 stretch between crossings instead of walking the darts, face areas and dart
 rings are read off node coordinates instead of edge vectors, two directions
 are compared by a cross product instead of integer keys, a face's
-representative halves a probe until it is clear instead of solving for the
-probe's first contact, minimum set cover is plain subset enumeration, a
+representative halves a probe until it is clear (in Fractions, or in int
+triples whose contacts are decided by orientations) instead of solving for
+the probe's first contact, minimum set cover is plain subset enumeration, a
 counting bound is decided by building both of its powers in full, a tangent
 word tests both signs of every point at every obstacle corner with two
 cross products each instead of reading one side per edge, a pair's
@@ -24,7 +25,7 @@ gcd instead of by a scaled slope.  Slower and dumber on purpose.
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
 def xy(p):
@@ -288,15 +289,87 @@ def halving_representative(nodes, cycles, isolated):
     k = len(outer)
     idx = min(range(k), key=lambda i: (outer[i][1], outer[i][0]))
     v, u, w = outer[idx], outer[idx - 1], outer[(idx + 1) % k]
-    corner = cycles[0][idx]
+    others = _face_others(nodes, cycles, cycles[0][idx], isolated)
+    return _halving_probe(v, (u[0] - v[0], u[1] - v[1]), (w[0] - v[0], w[1] - v[1]), others)
+
+
+def _face_others(nodes, cycles, corner, isolated):
+    """The pieces of the face's cycles that avoid ``corner``, then each
+    isolated point as a piece of length zero."""
     others = [
         (nodes[a], nodes[b])
         for c in cycles
         for a, b in zip(c, c[1:] + c[:1])
         if corner not in (a, b)
     ]
-    others += [(q, q) for q in isolated]
-    return _halving_probe(v, (u[0] - v[0], u[1] - v[1]), (w[0] - v[0], w[1] - v[1]), others)
+    return others + [(q, q) for q in isolated]
+
+
+def _homogeneous(p):
+    """A point ``(x, y)`` or a node ``(X, Y, W)`` as an int triple with W > 0."""
+    x, y, *w = p
+    return (x, y, *(w or [1]))
+
+
+def _orientation(p, q, r):
+    """Orientation of three homogeneous points: the sign of their 3x3
+    determinant, which no positive W changes."""
+    (a, b, c), (d, e, f), (g, h, i) = p, q, r
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return (det > 0) - (det < 0)
+
+
+def _in_box(p, a, b):
+    """Does the homogeneous p lie in the closed box spanned by a and b?"""
+    return all((a[k] * p[2] - p[k] * a[2]) * (b[k] * p[2] - p[k] * b[2]) <= 0 for k in (0, 1))
+
+
+def _closed_segments_meet_by_orientation(a, b, c, d) -> bool:
+    """Closed [a, b], a != b, versus closed [c, d], which may be one point;
+    all four homogeneous."""
+    o1, o2 = _orientation(a, b, c), _orientation(a, b, d)
+    o3, o4 = _orientation(c, d, a), _orientation(c, d, b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return (
+        (o1 == 0 and _in_box(c, a, b))
+        or (o2 == 0 and _in_box(d, a, b))
+        or (o3 == 0 and _in_box(a, c, d))
+        or (o4 == 0 and _in_box(b, c, d))
+    )
+
+
+def integer_halving_representative(nodes, cycles, isolated):
+    """``halving_representative`` in integers.
+
+    The corner, the direction m and the halving rule are the same, but the
+    three corner nodes are put over one denominator d, so the probe end
+    v + m/2^k is the int triple (d·2^k·v + M, d²·2^k) with M = d²·m, and
+    contact is decided by orientations of homogeneous int triples.  Only the
+    final point becomes two Fractions.
+    """
+    outer = [_homogeneous(nodes[i]) for i in cycles[0]]
+    k = len(outer)
+    scale = lcm(*(w for _, _, w in outer))
+    lowest = [(y * scale // w, x * scale // w) for x, y, w in outer]
+    idx = min(range(k), key=lambda i: lowest[i])
+    v, u, w = outer[idx], outer[idx - 1], outer[(idx + 1) % k]
+    d = lcm(v[2], u[2], w[2])
+    vx, vy, ux, uy, wx, wy = (p[c] * d // p[2] for p in (v, u, w) for c in (0, 1))
+    du, dw = (ux - vx, uy - vy), (wx - vx, wy - vy)
+    nu, nw = abs(du[0]) + abs(du[1]), abs(dw[0]) + abs(dw[1])
+    mx, my = dw[0] * nu + du[0] * nw, dw[1] * nu + du[1] * nw
+    others = [
+        (_homogeneous(a), _homogeneous(b))
+        for a, b in _face_others(nodes, cycles, cycles[0][idx], isolated)
+    ]
+    step = 1  # 2^k
+    p = (vx * d + mx, vy * d + my, d * d)
+    for a, b in others:
+        while _closed_segments_meet_by_orientation(v, p, a, b):
+            step *= 2
+            p = (vx * d * step + mx, vy * d * step + my, d * d * step)
+    return (Fraction(p[0], p[2]), Fraction(p[1], p[2]))
 
 
 class SlabOracle:

@@ -165,7 +165,7 @@ def perturb_scene(scene: Scene, rng, jitters: int = 8, scale: int = 1000):
     ``Scene``, which validates itself.
     """
     base = scaled_scene(scene, scale)
-    seq = base.all_points()
+    seq = [*base.points, *(v for poly in base.obstacles for v in poly.vertices)]
     entries = _triple_signs(seq)
     accepted = 0
     for _ in range(max(jitters, 1) * 40):

@@ -95,7 +95,7 @@ def test_criterion_01_hexagon_scene_reproduction(capsys):
     elapsed = time.perf_counter() - started
     ok = (
         word == TangentSequence.parse("2+1-2-3+1+3-")
-        and graph == Graph.of(3, [(0, 1), (0, 2)])
+        and graph == Graph(3, [(0, 1), (0, 2)])
         and set(witnesses) == {(1, 2)}
         and elapsed < 1.0
     )
@@ -158,7 +158,7 @@ def test_criterion_04_face_counts_and_euler_relation(capsys):
             a, b = rng.randrange(n), rng.randrange(n)
             if a != b:
                 edges.append((a, b))
-        fs = build_arrangement(Scene(pts), Graph.of(n, edges))
+        fs = build_arrangement(Scene(pts), Graph(n, edges))
         if len(fs.nodes) - len(fs.pieces) + len(fs.faces) != 2:
             euler_failures += 1
     ok = forced and euler_failures == 0

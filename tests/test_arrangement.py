@@ -19,6 +19,7 @@ from oracles import (
     closed_segments_meet,
     cross_params,
     halving_representative,
+    integer_halving_representative,
     midpoint_incidence,
     shoelace_area2,
     whole_drawing_probe,
@@ -29,7 +30,7 @@ from test_golden import CONCURRENT, G12, NESTED
 
 
 def build(points, edges):
-    return build_arrangement(Scene(points), Graph.of(len(points), edges))
+    return build_arrangement(Scene(points), Graph(len(points), edges))
 
 
 # --- hand-built drawings with known face structure ---
@@ -129,11 +130,11 @@ def test_drawing_rejects_degenerate_points():
 def test_drawing_rejects_bad_edges():
     # edges are checked once, by the graph; build_arrangement checks the size
     with pytest.raises(ObsrepError):
-        Graph.of(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(ObsrepError):
-        Graph.of(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(ObsrepError, match="3 points for a 4-vertex graph"):
-        build_arrangement(Scene([(0, 0), (10, 0), (4, 7)]), Graph.of(4, [(0, 3)]))
+        build_arrangement(Scene([(0, 0), (10, 0), (4, 7)]), Graph(4, [(0, 3)]))
 
 
 # --- point location and representatives ---
@@ -231,13 +232,16 @@ def test_representatives_match_the_whole_drawing_probe():
     assert isolated > 0 and holes > 0
 
 
-def test_representatives_match_the_halving_probe_on_seeded_drawings():
-    # 4,000 drawings, n = 3..10: every third keeps about a third of its edges,
-    # so isolated vertices occur, and every second is framed, so holes occur.
-    # Each drawing checks its faces with holes and one more seeded face.
+def _seeded_drawings(count):
+    """The first ``count`` seeded drawings, n = 3..10, that have a bounded face:
+    ``(points, edges, fs, chosen face ids, isolated nodes)``.
+
+    Every third keeps about a third of its edges, so isolated vertices occur,
+    and every second is framed, so holes occur.  The chosen faces are those
+    with holes and one more seeded face.
+    """
     rng = random.Random(4000)
-    isolated = holes = checked = 0
-    for k in range(4000):
+    for k in range(count):
         n = rng.randint(3, 10)
         points = random_placement(rng, n, rng.choice((1, 4, 100)) * n * n)
         edges = gnp_half(n, rng).sorted_edges()
@@ -251,15 +255,31 @@ def test_representatives_match_the_halving_probe_on_seeded_drawings():
             continue
         chosen = {rng.randrange(bounded)}
         chosen |= {fid for fid, f in enumerate(fs.faces[:-1]) if len(f) > 1}
-        lonely = _isolated(fs)
+        yield points, edges, fs, sorted(chosen), _isolated(fs)
+
+
+def test_representatives_match_the_halving_probe_on_seeded_drawings():
+    isolated = holes = checked = 0
+    for points, edges, fs, chosen, lonely in _seeded_drawings(4000):
         isolated += len(lonely)
-        for fid in sorted(chosen):
+        for fid in chosen:
             cycles = fs.faces[fid]
-            want = halving_representative(fs.nodes, cycles, lonely)
+            want = integer_halving_representative(fs.nodes, cycles, lonely)
             assert _same_point(fs.representative(fid), want), (points, edges, fid)
             holes += len(cycles) - 1
             checked += 1
     assert checked >= 4000 and isolated > 100 and holes > 100
+
+
+def test_integer_halving_probe_matches_the_fraction_probe():
+    checked = 0
+    for points, edges, fs, chosen, lonely in _seeded_drawings(200):
+        for fid in chosen:
+            want = halving_representative(fs.nodes, fs.faces[fid], lonely)
+            got = integer_halving_representative(fs.nodes, fs.faces[fid], lonely)
+            assert _same_point(got, want), (points, edges, fid)
+            checked += 1
+    assert checked >= 200
 
 
 # Faces whose probe first touches the drawing in a chosen way, with the
@@ -303,7 +323,8 @@ def test_representative_at_a_chosen_first_contact(name):
     assert len(fs.faces) == 2
     got = fs.representative(0)
     assert _same_point(got, tuple(Fraction(c) for c in want))
-    assert _same_point(got, halving_representative(fs.nodes, fs.faces[0], _isolated(fs)))
+    for oracle in (halving_representative, integer_halving_representative):
+        assert _same_point(got, oracle(fs.nodes, fs.faces[0], _isolated(fs)))
 
 
 def test_first_contact_solves_each_kind_of_contact():
@@ -352,7 +373,7 @@ def test_representative_reads_only_its_own_face(monkeypatch):
 
 
 def test_square_cycle_incidence():
-    g = Graph.of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     fs = build([(0, 0), (10, 0), (10, 10), (0, 10)], g.edges)
     inc = face_nonedge_incidence(fs)
     assert inc.nonedges == ((0, 2), (1, 3))
@@ -413,7 +434,7 @@ def _oracle_face_map(fs, oracle):
 
 
 def _check_against_oracle(points, edges):
-    graph = Graph.of(len(points), edges)
+    graph = Graph(len(points), edges)
     fs = build_arrangement(Scene(points), graph)
     oracle = SlabOracle(points, graph)
     assert len(fs.faces) == oracle.face_count

@@ -27,6 +27,10 @@ def test_uncoverable_element_raises():
         # an element is a plain int: True would alias element 1
         (2, {0: [0], 1: [1.0]}, "set 1 names unknown element 1.0"),
         (2, {0: [0], 1: [True]}, "set 1 names unknown element True"),
+        # a malformed map: not a mapping, a set that is no collection, ids that are not ints
+        (3, [[0, 1, 2]], "sets must be a mapping of ids to elements, not a list"),
+        (3, {0: 5}, "set 0 must be a collection of elements, not 5"),
+        (2, {0: [0], "a": [1]}, "set ids must be plain ints, not 'a'"),
     ]:
         with pytest.raises(ObsrepError, match=message):
             solve_cover(n, sets)

@@ -10,7 +10,7 @@ from obsrep.sampling import random_placement, random_single_obstacle_scene
 from obsrep.scene import Scene
 from obsrep.visibility import visibility_graph
 
-from conftest import pts
+from conftest import poly, pts
 from support import (
     canonical_unlabeled,
     orientation,
@@ -71,9 +71,25 @@ def test_hexagon_scene_signature(hexagon_scene):
     assert zeros == [(0, 3, 6)]
 
 
+def test_signature_lists_vertices_then_each_obstacles_corners():
+    scene = Scene(
+        pts((0, 0), (9, 1), (3, 12)),
+        [poly((20, 0), (24, 0), (22, 3)), poly((-9, 5), (-6, 5), (-6, 8), (-9, 8))],
+    )
+    first, second = (ob.vertices for ob in scene.obstacles)
+
+    def signs(seq):
+        return tuple(orient(*(seq[i] for i in t)) for t in combinations(range(len(seq)), 3))
+
+    sig = scene_signature(scene)
+    assert sig.ranges == ((3, 6), (6, 10))
+    assert sig.entries == signs([*scene.points, *first, *second])
+    assert sig.entries != signs([*scene.points, *second, *first])
+
+
 def test_signature_zeros_block_the_plain_chirotope(hexagon_scene):
     with pytest.raises(SceneError) as err:
-        Scene(hexagon_scene.all_points())
+        Scene([*hexagon_scene.points, *hexagon_scene.obstacles[0].vertices])
     assert "collinear triple: points[0], points[3], points[6]" in err.value.diagnostics
 
 
@@ -92,7 +108,7 @@ def test_perturbed_scenes_keep_signature_and_visibility():
     for _ in range(25):
         scene = random_single_obstacle_scene(rng, rng.randint(2, 6))
         base, moved = perturb_scene(scene, rng)
-        assert base.all_points() != moved.all_points()  # something actually moved
+        assert (base.points, base.obstacles) != (moved.points, moved.obstacles)  # something moved
         assert scene_signature(base) == scene_signature(moved)
         assert visibility_graph(moved) == visibility_graph(scene)
 

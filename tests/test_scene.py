@@ -27,13 +27,6 @@ def test_square_scene_is_valid(square_scene):
     require_valid_scene(square_scene)
 
 
-def test_all_points_order(hexagon_scene):
-    got = hexagon_scene.all_points()
-    assert got[:3] == list(hexagon_scene.points)
-    assert tuple(got[3:]) == hexagon_scene.obstacles[0].vertices
-    assert hexagon_scene.n == 3
-
-
 @pytest.mark.parametrize(
     "corners",
     [

@@ -6,7 +6,7 @@ import pytest
 from obsrep.errors import SceneError, SceneFormatError
 from obsrep.graphs import Graph, gnp_half
 from obsrep.sampling import random_single_obstacle_scene
-from obsrep.sceneio import graph_from_dict, load_graph, load_scene, save_scene, scene_from_dict
+from obsrep.sceneio import load_graph, load_scene, save_scene, scene_from_dict
 
 HEXAGON_DOC = {
     "points": [[-2, 0], [4, 6], [6, -5]],
@@ -32,7 +32,7 @@ def test_round_trip_via_text(tmp_path, hexagon_scene):
 
 def test_round_trip_with_graph(tmp_path, hexagon_scene):
     target = tmp_path / "scene.json"
-    g = Graph.of(3, [(0, 1), (0, 2)])
+    g = Graph(3, [(0, 1), (0, 2)])
     save_scene(target, hexagon_scene, g)
     scene, graph = load_scene(target)
     assert scene == hexagon_scene
@@ -41,10 +41,12 @@ def test_round_trip_with_graph(tmp_path, hexagon_scene):
 
 def test_graph_edges_serialize_one_based(tmp_path, hexagon_scene):
     target = tmp_path / "scene.json"
-    save_scene(target, hexagon_scene, Graph.of(3, [(0, 1), (0, 2)]))
+    save_scene(target, hexagon_scene, Graph(3, [(0, 1), (0, 2)]))
     doc = json.loads(target.read_text())["graph"]
     assert doc == {"n": 3, "edges": [[1, 2], [1, 3]]}
-    assert graph_from_dict(doc) == Graph.of(3, [(0, 1), (0, 2)])
+    bare = tmp_path / "graph.json"
+    bare.write_text(json.dumps(doc))
+    assert load_graph(bare) == Graph(3, [(0, 1), (0, 2)])
 
 
 def test_clockwise_obstacles_are_normalized(tmp_path, hexagon_scene):
@@ -76,7 +78,7 @@ def test_random_documents_round_trip(tmp_path):
 
 def test_file_round_trip(tmp_path, hexagon_scene):
     target = tmp_path / "scene.json"
-    g = Graph.of(3, [(0, 1), (0, 2)])
+    g = Graph(3, [(0, 1), (0, 2)])
     save_scene(target, hexagon_scene, g)
     scene, graph = load_scene(target)
     assert (scene, graph) == (hexagon_scene, g)
@@ -86,7 +88,7 @@ def test_file_round_trip(tmp_path, hexagon_scene):
 def test_load_graph_from_bare_document(tmp_path):
     target = tmp_path / "graph.json"
     target.write_text(json.dumps({"n": 4, "edges": [[1, 2], [3, 4]]}))
-    assert load_graph(target) == Graph.of(4, [(0, 1), (2, 3)])
+    assert load_graph(target) == Graph(4, [(0, 1), (2, 3)])
 
 
 def test_load_graph_requires_the_graph_field(tmp_path):
@@ -124,11 +126,13 @@ def test_undecodable_files_are_format_errors(raw, tmp_path):
         load_graph(target)
 
 
-def test_document_must_be_an_object():
-    with pytest.raises(SceneFormatError):
+def test_document_must_be_an_object(tmp_path):
+    with pytest.raises(SceneFormatError, match="a scene document must be a JSON object"):
         scene_from_dict([1, 2, 3])
-    with pytest.raises(SceneFormatError):
-        graph_from_dict("nope")
+    target = tmp_path / "graph.json"
+    target.write_text('"nope"')
+    with pytest.raises(SceneFormatError, match="a graph document must be a JSON object"):
+        load_graph(target)
 
 
 def test_unknown_fields_are_named():
@@ -164,7 +168,7 @@ def test_bad_obstacle_is_indexed():
         scene_from_dict(doc)
 
 
-def test_bad_graph_is_reported():
+def test_bad_graph_is_reported(tmp_path):
     base = dict(HEXAGON_DOC)
     with pytest.raises(SceneFormatError, match='"n" is 5 but the document lists 3'):
         scene_from_dict(dict(base, graph={"n": 5, "edges": []}))
@@ -172,8 +176,10 @@ def test_bad_graph_is_reported():
         scene_from_dict(dict(base, graph={"n": 3, "edges": [[0, 1]]}))
     with pytest.raises(SceneFormatError, match="joins vertex 2 to itself"):
         scene_from_dict(dict(base, graph={"n": 3, "edges": [[2, 2]]}))
+    bare = tmp_path / "graph.json"
+    bare.write_text('{"n": -1, "edges": []}')
     with pytest.raises(SceneFormatError, match='"n" must be a non-negative'):
-        graph_from_dict({"n": -1, "edges": []})
+        load_graph(bare)
     with pytest.raises(SceneFormatError, match='"graph" must be an object'):
         scene_from_dict(dict(base, graph=[3, []]))
     with pytest.raises(SceneFormatError, match='"edges" must be a list'):

@@ -9,6 +9,7 @@ from obsrep.geom import Point, orient
 from obsrep.graphs import Graph, complete_graph, cycle_graph, gnp_half
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
+from obsrep import search
 from obsrep.search import (
     ObsResult,
     edge_deletion_chain,
@@ -44,7 +45,7 @@ def test_square_cycle_needs_one_face():
 
 def test_path_is_covered_by_the_unbounded_face():
     faces = min_obstacles_for_placement(
-        Scene(pts((0, 0), (5, 1), (10, 0))), Graph.of(3, [(0, 1), (1, 2)])
+        Scene(pts((0, 0), (5, 1), (10, 0))), Graph(3, [(0, 1), (1, 2)])
     )
     assert len(faces) == 1
 
@@ -108,7 +109,7 @@ def test_replay_rejects_tampered_results():
     # ids that name no face: -1 is no alias of the last face, which is the
     # witness here, one past the last face is refused, not an IndexError, and
     # 1.0 and True equal the witness id 1 but are not ints
-    path = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
     result = obs_upper_bound(path, 5, seed=1)
     n_faces = len(build_arrangement(Scene(result.points), path).faces)
     assert result.faces == (n_faces - 1,) == (1,) and replay_witness(path, result)
@@ -133,6 +134,7 @@ def test_chain_from_complete_to_empty():
     record = edge_deletion_chain(Graph(4), seed=11)
     assert len(record.steps) == 7  # K4 plus six deletions
     assert record.steps[0].deleted is None
+    assert [s.deleted for s in record.steps[1:]] == Graph(4).non_edges()
     assert record.steps[0].result.upper_bound == 0
     bounds = [s.result.upper_bound for s in record.steps]
     assert all(b2 - b1 <= 1 for b1, b2 in zip(bounds, bounds[1:]))
@@ -195,6 +197,27 @@ def test_partition_spots_a_trapped_obstacle():
     assert report.identity_holds  # 0 >= 1 - 1
     assert not report.hypothesis_holds  # 1 obstacle is not < 4/8
     assert not report.conclusion_holds
+
+
+def test_partition_hypothesis_and_conclusion_fail_at_their_bounds():
+    # n = 4: m < n/(2k) and flagged > full - n/(2k) are strict, so equality
+    # fails; each case has 2km = 4 = n and 2k·flagged = 4 = 2k·full - n
+    points = pts((0, 0), (1, 5), (2, 1), (3, 7))
+    for k, sets, flagged in [(1, [((0, 0),), ((1, 5),)], 2), (2, [((0, 0),)], 1)]:
+        report = _partition_report(points, k, sets)
+        assert report.flagged == flagged
+        assert not report.hypothesis_holds and not report.conclusion_holds
+    report = _partition_report(points, 1, [((0, 0),)])  # 2 < 4 and 6 > 4
+    assert report.flagged == 3 and report.hypothesis_holds and report.conclusion_holds
+
+
+def test_partition_builds_one_hull_per_full_group(monkeypatch):
+    hulls = []
+    monkeypatch.setattr(search, "convex_hull", lambda group: hulls.append(group) or group)
+    points = pts((0, 0), (3, 5), (7, 1), (12, 6), (20, 2), (25, 9), (30, 4))
+    sets = [((1, 1),), ((40, 40),), None, ((3, 5), (7, 1))]
+    report = _partition_report(points, 2, sets)
+    assert report.full_groups == 3 and len(hulls) == 3
 
 
 def test_partition_ignores_the_partial_group():

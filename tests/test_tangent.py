@@ -297,7 +297,7 @@ def test_unknown_pattern_raises():
 
 def test_decode_hexagon_word():
     g = decode_visibility(TangentSequence.parse("2+1-2-3+1+3-"), builtin_pattern_table())
-    assert g == Graph.of(3, [(0, 1), (0, 2)])
+    assert g == Graph(3, [(0, 1), (0, 2)])
 
 
 def test_decode_unrealizable_word_fails():

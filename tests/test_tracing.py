@@ -44,7 +44,7 @@ def test_tracer_installs_records_and_restores(tmp_path, capsys):
         assert obsrep.cli.main(["cover", str(path)]) == 0
         # cover finds faces without point location, so query one directly
         triangle = build_arrangement(
-            Scene(((0, 0), (10, 0), (4, 7))), Graph.of(3, [(0, 1), (1, 2), (0, 2)])
+            Scene(((0, 0), (10, 0), (4, 7))), Graph(3, [(0, 1), (1, 2), (0, 2)])
         )
         assert triangle.locate((4, 2)) == 0
     capsys.readouterr()

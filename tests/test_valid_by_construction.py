@@ -41,7 +41,7 @@ def test_sampled_values_equal_their_full_rebuilds():
         assert TangentSequence(seq.events).events == seq.events
         graph = visibility_details(scene)[0]
         assert type(graph.edges) is frozenset
-        assert Graph.of(graph.n, graph.edges) == graph
+        assert Graph(graph.n, graph.edges) == graph
         scenes += 1
     assert scenes == 2000
 

@@ -66,14 +66,14 @@ def test_invalid_scene_is_rejected():
 
 
 def test_validate_representation_match(hexagon_scene):
-    report = validate_representation(hexagon_scene, Graph.of(3, [(0, 1), (0, 2)]))
+    report = validate_representation(hexagon_scene, Graph(3, [(0, 1), (0, 2)]))
     assert report.matches
     assert report.blocked_but_required == ()
     assert report.visible_but_excluded == ()
 
 
 def test_validate_representation_mismatch(hexagon_scene):
-    report = validate_representation(hexagon_scene, Graph.of(3, [(0, 1), (1, 2)]))
+    report = validate_representation(hexagon_scene, Graph(3, [(0, 1), (1, 2)]))
     assert not report.matches
     assert report.blocked_but_required == ((1, 2),)
     assert report.visible_but_excluded == ((0, 2),)
