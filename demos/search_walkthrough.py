@@ -28,8 +28,7 @@ def main():
     # witness for the smaller graph reuses the previous placement with one
     # extra face, so the bound never jumps.
     print("\ndeleting the complete graph on 4 vertices down to nothing:")
-    record = edge_deletion_chain(Graph(4), seed=5, order="lex",
-                                 placements=40, grid=None)
+    record = edge_deletion_chain(Graph(4), seed=5, order="lex", placements=40)
     for t, step in enumerate(record.steps):
         what = ("complete graph" if step.deleted is None
                 else "removed edge %d-%d" % tuple(v + 1 for v in step.deleted))

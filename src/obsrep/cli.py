@@ -249,7 +249,7 @@ def cmd_cover(args):
 
 def cmd_obs_search(args):
     g = load_graph(args.graph)
-    result = obs_upper_bound(g, args.placements, args.grid, args.seed)
+    result = obs_upper_bound(g, args.placements, seed=args.seed)
     print(f"n {g.n}")
     print(f"edges {len(g.edges)}")
     print(f"upper-bound {result.upper_bound}")
@@ -266,9 +266,7 @@ def cmd_obs_search(args):
 
 def cmd_chain(args):
     target = load_graph(args.graph)
-    record = edge_deletion_chain(
-        target, args.seed, args.order, args.placements, args.grid
-    )
+    record = edge_deletion_chain(target, args.seed, args.order, args.placements)
     print(f"n {target.n}")
     print(f"steps {len(record.steps)}")
     for t, step in enumerate(record.steps):
@@ -299,7 +297,7 @@ def cmd_partition_check(args):
 
 def cmd_random_exp(args):
     report = random_graph_experiment(
-        args.n, args.trials, args.seed, args.placements, args.grid, args.exhaustive
+        args.n, args.trials, args.seed, args.placements, exhaustive=args.exhaustive
     )
     print(f"n {report.n}")
     print(f"mode {report.mode}")
@@ -365,14 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph document, or a scene document with a graph")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--placements", type=_positive, default=64)
-    p.add_argument("--grid", type=_positive, default=None)
 
     p = add("chain", cmd_chain, "edge-deletion chain from the complete graph")
     p.add_argument("graph", help="target graph document")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--order", choices=("lex", "random"), default="lex")
     p.add_argument("--placements", type=_positive, default=40)
-    p.add_argument("--grid", type=_positive, default=None)
 
     p = add("partition-check", cmd_partition_check, "x-sorted group partition check")
     p.add_argument("scene")
@@ -384,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--trials", type=_positive, default=50)
     p.add_argument("--placements", type=_positive, default=32)
-    p.add_argument("--grid", type=_positive, default=None)
     p.add_argument("--exhaustive", action="store_true",
                    help="walk every labeled graph instead of sampling (n <= 5)")
 

@@ -233,8 +233,11 @@ def segment_intersects_polygon(a, b, polygon: Polygon) -> bool:
 def is_general_position(points):
     """Check that no two points coincide and no three are collinear.
 
-    Returns ``(ok, violations)`` where violations lists index 2-tuples for
-    duplicates and index 3-tuples for collinear triples.
+    Returns ``(ok, violations)`` where violations lists an index pair for each
+    later copy of a point, then, over first copies only, the increasing index
+    tuple of each line through three or more points, once, in sorted order.
+    From each point the later ones are bucketed by the exact slope key of
+    ``sampling._collinear_with_any_pair``, so the lines cost O(n^2).
     """
     violations = []
     seen = {}
@@ -243,16 +246,20 @@ def is_general_position(points):
             violations.append((seen[p], i))
         else:
             seen[p] = i
-    n = len(points)
-    for i in range(n):
+    firsts = list(seen.values())
+    xs = [x for x, _ in seen] or [0]
+    scale = (max(xs) - min(xs)) ** 2 + 1  # |dx| <= max(xs) - min(xs)
+    done = set()
+    for a, i in enumerate(firsts):
         ax, ay = points[i]
-        for j in range(i + 1, n):
+        lines = {}
+        for j in firsts[a + 1:]:
             bx, by = points[j]
-            dx, dy = bx - ax, by - ay
-            for k in range(j + 1, n):
-                cx, cy = points[k]
-                if dx * (cy - ay) == dy * (cx - ax):
-                    violations.append((i, j, k))
+            lines.setdefault((by - ay) * scale // (bx - ax) if bx != ax else None, []).append(j)
+        for key, line in lines.items():
+            if len(line) > 1 and (i, key) not in done:
+                violations.append((i, *line))
+                done.update((j, key) for j in line)
     return (not violations), violations
 
 

@@ -68,7 +68,7 @@ def require_valid_scene(scene: Scene) -> None:
     points = scene.points
     for v in is_general_position(points)[1]:
         names = ", ".join(f"points[{i}]" for i in v)
-        kind = "duplicate points" if len(v) == 2 else "collinear triple"
+        kind = {2: "duplicate points", 3: "collinear triple"}.get(len(v), "collinear points")
         out.append(f"{kind}: {names}")
     for i, p in enumerate(points):
         for k, poly in enumerate(scene.obstacles):

@@ -73,27 +73,20 @@ def replay_witness(g: Graph, result: ObsResult) -> bool:
     return len(cover) == len(result.faces) and all(chosen & set(f) for f in instance.through)
 
 
-def obs_upper_bound(
-    g: Graph, placements: int, grid: int | None = None, seed: int = 0
-) -> ObsResult:
+def obs_upper_bound(g: Graph, placements: int, *, seed: int = 0) -> ObsResult:
     """Best (smallest) placement cover over seeded random placements.
 
-    The placement stream depends only on (n, grid, seed), and sampling stops
-    as soon as the bound hits the certifiable floor — 0 for complete graphs,
-    1 otherwise — which can only lower the reported value.
+    Each placement is ``random_placement(rng, g.n, 100 * g.n * g.n)``, so the
+    placement stream depends only on (n, seed), and sampling stops as soon as
+    the bound hits the certifiable floor — 0 for complete graphs, 1
+    otherwise — which can only lower the reported value.
     """
     _count(placements, 1, "placements")
-    if grid is None:
-        grid = 100 * g.n * g.n
-    else:
-        _count(grid, 1, "grid")
-    if grid < g.n * g.n:
-        raise ObsrepError(f"grid {grid} is too small for {g.n} points")
     floor = 0 if g.is_complete else 1
     rng = random.Random(seed)
     best: tuple | None = None
     for _ in range(placements):
-        pts = random_placement(rng, g.n, grid)
+        pts = random_placement(rng, g.n, 100 * g.n * g.n)
         faces = min_obstacles_for_placement(Scene(pts), g)
         if best is None or len(faces) < len(best[1]):
             best = (pts, faces)
@@ -124,7 +117,6 @@ def edge_deletion_chain(
     seed: int,
     order: str = "lex",
     placements: int = 40,
-    grid: int | None = None,
 ) -> ChainRecord:
     """Delete ``target``'s non-edges from its complete graph, bounding each stage.
 
@@ -143,7 +135,7 @@ def edge_deletion_chain(
     for edge in [None, *missing]:
         if edge is not None:
             current = current.without_edge(*edge)
-        steps.append(ChainStep(edge, obs_upper_bound(current, placements, grid, seed)))
+        steps.append(ChainStep(edge, obs_upper_bound(current, placements, seed=seed)))
     seen = {}
     for i, s in enumerate(steps):
         seen.setdefault(s.result.upper_bound, i)
@@ -244,7 +236,7 @@ def random_graph_experiment(
     trials: int,
     seed: int,
     placements: int = 40,
-    grid: int | None = None,
+    *,
     exhaustive: bool = False,
 ) -> ExperimentReport:
     """Fraction of edge-probability-½ graphs certified to need at most one obstacle.
@@ -265,7 +257,7 @@ def random_graph_experiment(
     certified = 0
     for g in graphs:
         sub_seed = master.getrandbits(64)
-        result = obs_upper_bound(g, placements, grid, sub_seed)
+        result = obs_upper_bound(g, placements, seed=sub_seed)
         if result.certified_exact:
             certified += 1
     return ExperimentReport(

@@ -165,45 +165,34 @@ _PATTERN_BY_ORDER = {
 }
 
 
-def _event_index(seq: TangentSequence):
-    """``index[label] = [position of (label, -), position of (label, +)]``."""
-    index = [[0, 0] for _ in range(len(seq.events) // 2)]
+def _pair_patterns(seq: TangentSequence):
+    """``(p, q, pattern)`` for every pair of labels p < q, in order, read off one position index."""
+    length = len(seq.events)
+    index = [[0, 0] for _ in range(length // 2)]
     for position, (label, sign) in enumerate(seq.events):
         index[label][sign > 0] = position
-    return index
-
-
-def _indexed_pattern(index, length, p, q) -> str:
-    """Pattern of labels p < q, read off their four event positions."""
-    q_minus, q_plus = index[q]
-    p_minus, p_plus = index[p]
-    # Offsets of q+, p- and p+ in the word rotated to start at q-.
-    q_plus_at = (q_plus - q_minus) % length
-    p_minus_at = (p_minus - q_minus) % length
-    p_plus_at = (p_plus - q_minus) % length
-    return _PATTERN_BY_ORDER[q_plus_at < p_minus_at, q_plus_at < p_plus_at, p_minus_at < p_plus_at]
-
-
-def _pair_patterns(seq: TangentSequence):
-    """``(i, j, pair_pattern(seq, i, j))`` for every pair i < j, in order."""
-    index = _event_index(seq)
-    length = len(seq.events)
-    for i, j in combinations(range(len(index)), 2):
-        yield i, j, _indexed_pattern(index, length, i, j)
+    for p, q in combinations(range(len(index)), 2):
+        (p_minus, p_plus), (q_minus, q_plus) = index[p], index[q]
+        # Offsets of q+, p- and p+ in the word rotated to start at q-.
+        q_plus_at = (q_plus - q_minus) % length
+        p_minus_at = (p_minus - q_minus) % length
+        p_plus_at = (p_plus - q_minus) % length
+        order = q_plus_at < p_minus_at, q_plus_at < p_plus_at, p_minus_at < p_plus_at
+        yield p, q, _PATTERN_BY_ORDER[order]
 
 
 def pair_pattern(seq: TangentSequence, i: int, j: int) -> str:
     """Canonical 4-event pattern of the pair: rotate so (q,-) leads, p = min label.
 
-    Example: ``q-p+p-q+``.
+    Example: ``q-p+p-q+``.  This is the pair's entry of :func:`_pair_patterns`, the loop
+    that observing and decoding read, so a call costs O(n^2): it is for tests.
     """
     if i == j:
         raise ObsrepError("a pair needs two distinct labels")
     p, q = min(i, j), max(i, j)
-    length = len(seq.events)
-    if p < 0 or q >= length // 2:
+    if p < 0 or q >= len(seq.events) // 2:
         raise ObsrepError(f"labels {i} and {j} do not both appear twice in the sequence")
-    return _indexed_pattern(_event_index(seq), length, p, q)
+    return next(pattern for a, b, pattern in _pair_patterns(seq) if (a, b) == (p, q))
 
 
 VISIBLE = "visible"

@@ -160,20 +160,30 @@ def hull_contains_all(group_points, vertices) -> bool:
 def scene_diagnostics(points, obstacles):
     """The messages ``require_valid_scene`` reports, in its order, by brute force.
 
-    Each later copy of a point is paired with its first copy, every triple
-    with a zero cross product is collinear, each point is located in each
-    obstacle's vertex list by ray parity, and every vertex pair is tested
-    against every obstacle corner with ``on_open_segment``.
+    Each later copy of a point is paired with its first copy, the triples of
+    first copies with a zero cross product are grouped into lines (two points
+    name one line), each point is located in each obstacle's vertex list by
+    ray parity, and every vertex pair is tested against every obstacle corner
+    with ``on_open_segment``.
     """
     out = []
     for j, q in enumerate(points):
         first = next((i for i in range(j) if xy(points[i]) == xy(q)), None)
         if first is not None:
             out.append(f"duplicate points: points[{first}], points[{j}]")
-    for i, j, k in combinations(range(len(points)), 3):
+    firsts = [j for j, q in enumerate(points) if all(xy(p) != xy(q) for p in points[:j])]
+    lines = []
+    for i, j, k in combinations(firsts, 3):
         (ax, ay), (bx, by), (cx, cy) = xy(points[i]), xy(points[j]), xy(points[k])
         if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
-            out.append(f"collinear triple: points[{i}], points[{j}], points[{k}]")
+            line = next((line for line in lines if {i, j} <= line), None)
+            if line is None:
+                lines.append({i, j, k})
+            else:
+                line.add(k)
+    for line in sorted(tuple(sorted(line)) for line in lines):
+        kind = "collinear triple" if len(line) == 3 else "collinear points"
+        out.append(f"{kind}: " + ", ".join(f"points[{i}]" for i in line))
     for i, p in enumerate(points):
         for k, vertices in enumerate(obstacles):
             where = point_in_polygon(p, vertices)

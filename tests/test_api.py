@@ -48,8 +48,6 @@ THREE_POINTS = obsrep.Scene([obsrep.Point(0, 0), obsrep.Point(4, 1), obsrep.Poin
 COUNTS = {
     "obs_upper_bound placements": (
         lambda v: obsrep.obs_upper_bound(obsrep.Graph(1), v), 1, "placements"),
-    "obs_upper_bound grid": (
-        lambda v: obsrep.obs_upper_bound(obsrep.Graph(1), 1, grid=v), 1, "grid"),
     "random_graph_experiment trials": (
         lambda v: obsrep.random_graph_experiment(3, v, 0, placements=1), 1, "trials"),
     "random_graph_experiment n": (

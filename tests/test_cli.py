@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 import obsrep
 import obsrep.geom
 from obsrep.arrangement import build_arrangement
-from obsrep.cli import main
+from obsrep.cli import build_parser, main
 from obsrep.sceneio import load_scene
 from obsrep.tangent import builtin_pattern_table
 
@@ -80,6 +82,14 @@ def test_validate_invalid_scene(tmp_path, capsys):
     assert rc == 1 and out == ""
     assert err.startswith("error: invalid scene:")
     assert "points[1] is inside obstacles[0]" in err
+
+
+def test_validate_reports_a_long_line_once(tmp_path, capsys):
+    # 300 points on one line are one diagnostic, not C(300, 3) triples
+    doc = {"points": [[x, 2 * x + 1] for x in range(300)]}
+    rc, out, err = run(capsys, ["validate", write(tmp_path, "line.json", doc)])
+    names = ", ".join(f"points[{i}]" for i in range(300))
+    assert (rc, out, err) == (1, "", f"error: invalid scene: collinear points: {names}\n")
 
 
 def test_encode_hexagon(tmp_path, capsys):
@@ -466,11 +476,31 @@ def test_usage_errors_exit_one(capsys):
         ["derive-table", "--seed", "-1"],
         ["derive-table", "--seed", "18446744073709551616"],  # 2**64
         ["bounds", "--s", "3", "--c", "1/0"],
+        # placements are drawn on the 100 * n * n grid; no option sets it
+        ["obs-search", "g.json", "--seed", "1", "--grid", "400"],
+        ["chain", "g.json", "--seed", "1", "--grid", "400"],
+        ["random-exp", "--n", "3", "--seed", "1", "--grid", "400"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
         capsys.readouterr()
+
+
+def test_readme_table_names_every_option():
+    # one row per subcommand, naming exactly the options its parser takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {
+        cell.split()[0]: set(re.findall(r"--[a-z-]+", cell))
+        for cell in re.findall(r"^\| `([a-z-]+[^`]*)` \|", readme, re.MULTILINE)
+    }
+    parser = build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert rows == options
 
 
 def test_help_exits_zero(capsys):
@@ -503,7 +533,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build())
     monkeypatch.setattr(
-        cli, "obs_upper_bound", lambda g, p, *rest: placements.append(p) or search(g, p, *rest)
+        cli, "obs_upper_bound", lambda g, p, **kw: placements.append(p) or search(g, p, **kw)
     )
     assert run(capsys, ["bounds", "--h", "9"]) == (0, "340\n", "")
     out = "threshold 357 (for the supplied constant c = 35/2)\n"

@@ -8,9 +8,8 @@ and graphs whose ``n`` does not match the points.  Short words go to
 ``decode``, and fuzzed bytes and text go to ``decode --table`` as the
 pattern table.  The search subcommands ``obs-search``, ``chain``,
 ``random-exp`` and ``derive-table`` get small graphs (``n`` at most 6),
-1 or 2 placements, grids of side 1 to 60 (some below n², which is
-refused), and budgets of 1 to 3 scenes, since their cost grows with each of
-those.  ``bounds`` gets decimal numbers of up to 30 digits, zero, negative
+1 or 2 placements, and budgets of 1 to 3 scenes, since their cost grows
+with each of those.  ``bounds`` gets decimal numbers of up to 30 digits, zero, negative
 numbers and junk text for ``--h`` and ``--s``, and ``P/Q`` fractions with
 parts up to 10^12, decimals and junk for ``--c``, passed as ``--c=TEXT`` or
 as ``--c TEXT``.  Every run exits 0, 1 or 2;
@@ -157,7 +156,6 @@ GRAPH_N = st.one_of(
 )
 SEED = st.integers(0, 2**64 - 1)
 PLACEMENTS = st.integers(1, 2)
-GRID = st.none() | st.integers(1, 60)
 
 
 @st.composite
@@ -183,9 +181,8 @@ def graph_documents(draw):
     return json.dumps({"n": n, "edges": edges}).encode()
 
 
-def _search_options(seed, placements, grid):
-    argv = ["--seed", str(seed), "--placements", str(placements)]
-    return argv if grid is None else argv + ["--grid", str(grid)]
+def _search_options(seed, placements):
+    return ["--seed", str(seed), "--placements", str(placements)]
 
 
 @FUZZ
@@ -194,19 +191,17 @@ def _search_options(seed, placements, grid):
     raw=graph_documents(),
     seed=SEED,
     placements=PLACEMENTS,
-    grid=GRID,
     order=st.sampled_from(["lex", "random"]),
 )
-@example(sub="obs-search", raw=b'{"n": 6, "edges": [[1, 2]]}', seed=0, placements=1, grid=35,
+@example(sub="obs-search", raw=b'{"n": 6, "edges": [[1, 2]]}', seed=0, placements=1,
          order="lex")
-@example(sub="chain", raw=b'{"points": [[0, 0]]}', seed=0, placements=1, grid=None,
-         order="random")
+@example(sub="chain", raw=b'{"points": [[0, 0]]}', seed=0, placements=1, order="random")
 def test_graph_subcommands_keep_the_exit_code_contract(
-    sub, raw, seed, placements, grid, order, tmp_path
+    sub, raw, seed, placements, order, tmp_path
 ):
     path = tmp_path / "graph.json"
     path.write_bytes(raw)
-    argv = [sub, str(path)] + _search_options(seed, placements, grid)
+    argv = [sub, str(path)] + _search_options(seed, placements)
     if sub == "chain":
         argv += ["--order", order]
     _run(argv)
@@ -218,20 +213,17 @@ def test_graph_subcommands_keep_the_exit_code_contract(
     trials=st.integers(1, 2),
     seed=SEED,
     placements=PLACEMENTS,
-    grid=GRID,
     exhaustive=st.booleans(),
 )
-@example(n=6, trials=1, seed=0, placements=1, grid=None, exhaustive=True)
-def test_random_exp_keeps_the_exit_code_contract(n, trials, seed, placements, grid, exhaustive):
+@example(n=6, trials=1, seed=0, placements=1, exhaustive=True)
+def test_random_exp_keeps_the_exit_code_contract(n, trials, seed, placements, exhaustive):
     argv = ["random-exp", "--n", str(n), "--trials", str(trials)]
     # walking every graph costs 2^C(n,2) searches, so n = 5 is left out
     exhaustive = exhaustive and n != 5
     if exhaustive:
         argv.append("--exhaustive")
-    rc = _run(argv + _search_options(seed, placements, grid))
+    rc = _run(argv + _search_options(seed, placements))
     if exhaustive and n == 6:
-        assert rc == 1
-    if grid is not None and grid < n * n:
         assert rc == 1
 
 

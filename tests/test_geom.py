@@ -358,9 +358,13 @@ def test_is_general_position_reporting():
     assert not ok and violations == [(0, 1, 2)]
     ok, violations = is_general_position([(0, 0), (5, 5), (0, 0)])
     assert not ok and (0, 2) in violations
-    # every violating triple is reported, not just the first
+    # a line through four points is reported once, not as its four triples
     ok, violations = is_general_position([(0, 0), (1, 0), (2, 0), (3, 0)])
-    assert not ok and len(violations) == 4
+    assert not ok and violations == [(0, 1, 2, 3)]
+    # every line is reported, in order, and later copies of a point join none
+    points = [(0, 0), (1, 1), (0, 0), (2, 2), (5, 0), (0, 5), (3, 0), (1, 4)]
+    ok, violations = is_general_position(points)
+    assert violations == [(0, 2), (0, 1, 3), (0, 4, 6), (3, 6, 7), (4, 5, 7)]
 
 
 def test_convex_hull_small_cases():

@@ -3,6 +3,8 @@ import json
 import random
 
 import oracles
+import pytest
+from obsrep.errors import ObsrepError
 from obsrep.sampling import (
     _below,
     _collinear_with_any_pair,
@@ -128,3 +130,9 @@ def test_slope_key_agrees_with_the_gcd_oracle():
             coarse_misses += _collinear_with_any_pair(pts, q, 1) != want
     assert outcomes.count(True) > 500 and outcomes.count(False) > 500
     assert coarse_misses > 0
+
+
+def test_random_placement_gives_up_when_the_grid_has_no_room():
+    # five points with distinct x-coordinates do not fit on a 2x2 grid
+    with pytest.raises(ObsrepError, match="no general-position placement on a 2x2 grid"):
+        random_placement(random.Random(0), 5, 2)

@@ -123,8 +123,9 @@ def test_replay_rejects_tampered_results():
 def test_obs_upper_bound_validation():
     with pytest.raises(ObsrepError):
         obs_upper_bound(cycle_graph(4), placements=0, seed=1)
-    with pytest.raises(ObsrepError):
-        obs_upper_bound(cycle_graph(4), placements=1, grid=15, seed=1)  # < n*n
+    # seed is keyword-only, so a stale positional grid cannot become a seed
+    with pytest.raises(TypeError):
+        obs_upper_bound(cycle_graph(4), 1, 400, 1)
 
 
 # --- deletion chains ---
@@ -328,3 +329,6 @@ def test_exhaustive_experiment_covers_all_graphs():
 def test_experiment_validation():
     with pytest.raises(ObsrepError):
         random_graph_experiment(4, trials=0, seed=1)
+    # exhaustive is keyword-only, so a stale positional grid cannot turn it on
+    with pytest.raises(TypeError):
+        random_graph_experiment(3, 1, 0, 4, 400)
