@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm, prod
 
 from .errors import GeometryError, ObsrepError
@@ -46,6 +46,26 @@ def _crossing(p, q, r, s):
     if denom < 0:
         denom, tn, un = -denom, -tn, -un
     return (tn, un, denom) if 0 < tn < denom and 0 < un < denom else None
+
+
+def _boxes(points, segs):
+    """Each segment (a, b) with its closed box and index: (a, b, x0, x1, y0, y1, k)."""
+    return [
+        (a, b, *sorted((points[a][0], points[b][0])), *sorted((points[a][1], points[b][1])), k)
+        for k, (a, b) in enumerate(segs)
+    ]
+
+
+def _crossings(points, pairs):
+    """(k, l, hit) for each pair of ``_boxes`` records, in the order given, whose
+    open segments cross, hit as ``_crossing`` gives it.  Only pairs with four
+    distinct ends and meeting boxes reach it: open segments with a common end
+    are parallel or meet only there, and a crossing lies in both closed boxes."""
+    for (i, j, x0, x1, y0, y1, k), (a, b, u0, u1, v0, v1, l) in pairs:
+        if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1 and i != a != j != b != i:
+            hit = _crossing(points[i], points[j], points[a], points[b])
+            if hit is not None:
+                yield k, l, hit
 
 
 def _wedge(ring, keys, key):
@@ -230,63 +250,59 @@ def _area2(nodes, cycle):
 
 def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
     """Faces of ``graph`` drawn straight on the scene's points, with crossings
-    as exact subdivision vertices; the scene's obstacles play no part."""
+    as exact subdivision vertices; the scene's obstacles play no part.  Only
+    pairs of edges with four distinct ends and meeting bounding boxes reach
+    the exact crossing solve (``_crossings`` says why no other pair crosses)."""
     points = scene.points
     if len(points) != graph.n:
         raise ObsrepError(f"{len(points)} points for a {graph.n}-vertex graph")
     node_index = {(x, y, 1): i for i, (x, y) in enumerate(points)}
 
-    # Concurrent crossings reduce to one node, so each edge through it is cut there once.
-    edges = graph.sorted_edges()
-    cuts = {e: {} for e in edges}
-    for e, f in combinations(edges, 2):
-        if e[0] in f or e[1] in f:
-            continue
-        p, q = points[e[0]], points[e[1]]
-        hit = _crossing(p, q, points[f[0]], points[f[1]])
-        if hit is not None:
-            tn, un, w = hit
-            x, y = p[0] * w + (q[0] - p[0]) * tn, p[1] * w + (q[1] - p[1]) * tn
-            g = gcd(x, y, w)
-            i = node_index.setdefault((x // g, y // g, w // g), len(node_index))
-            cuts[e][i], cuts[f][i] = (tn, w), (un, w)
+    # Concurrent crossings reduce to one node, so each edge through it is cut
+    # there once; pairs are met in (k, l) order, which fixes the node ids.
+    edges, scale = graph.sorted_edges(), _scale(points)
+    cuts = [{} for _ in edges]
+    for k, l, (tn, un, w) in _crossings(points, combinations(_boxes(points, edges), 2)):
+        (px, py), (qx, qy) = points[edges[k][0]], points[edges[k][1]]
+        x, y = px * w + (qx - px) * tn, py * w + (qy - py) * tn
+        g = gcd(x, y, w)
+        i = node_index.setdefault((x // g, y // g, w // g), len(node_index))
+        cuts[k][i], cuts[l][i] = tn * scale // w, un * scale // w
     nodes = list(node_index)
 
-    scale = _scale(points)
-    pieces, edge_cuts, keys = [], [], []
-    for e in edges:
-        marks = sorted((n * scale // d, i) for i, (n, d) in cuts[e].items())
-        edge_cuts.append((len(pieces), tuple(t for t, _ in marks)))
-        chain = [e[0]] + [i for _, i in marks] + [e[1]]
-        pieces.extend(zip(chain, chain[1:]))
-        dx, dy = (b - a for a, b in zip(points[e[0]], points[e[1]]))
-        keys += [direction_key(dx, dy, scale), direction_key(-dx, -dy, scale)] * (len(chain) - 1)
-
     # Darts 2k and 2k+1 are the two directions of piece k; twin = dart ^ 1.
-    darts = [end for a, b in pieces for end in ((a, b), (b, a))]
-    outgoing = [[] for _ in nodes]
-    for d, (a, _) in enumerate(darts):
-        outgoing[a].append(d)
+    darts, edge_cuts, keys, outgoing = [], [], [], [[] for _ in nodes]
+    for (a, b), cut in zip(edges, cuts):
+        dx, dy = points[b][0] - points[a][0], points[b][1] - points[a][1]
+        key = direction_key(dx, dy, scale), direction_key(-dx, -dy, scale)
+        ts, ids = zip(*sorted(zip(cut.values(), cut))) if cut else ((), ())
+        edge_cuts.append((len(darts) // 2, ts))
+        for v in (*ids, b):
+            outgoing[a].append(len(darts))
+            outgoing[v].append(len(darts) + 1)
+            darts += (a, v), (v, a)
+            keys += key
+            a = v
+    pieces = darts[::2]
 
     position = [0] * len(darts)
     for ring in outgoing:
         ring.sort(key=keys.__getitem__)
-        for a, b in zip(ring, ring[1:]):
-            if keys[a] == keys[b]:
-                raise ObsrepError("two boundary pieces leave a node in the same direction")
+        if len({keys[d] for d in ring}) < len(ring):
+            raise ObsrepError("two boundary pieces leave a node in the same direction")
         for i, d in enumerate(ring):
             position[d] = i
 
     # A face's next dart leaves d's head just clockwise of d's twin.
     cycles, orbit_of = [], [None] * len(darts)
-    for d0 in range(len(darts)):
-        d, cycle = d0, []
-        while orbit_of[d] is None:
-            orbit_of[d] = len(cycles)
-            cycle.append(darts[d][0])
-            ring = outgoing[darts[d][1]]
-            d = ring[position[d ^ 1] - 1]
-        if cycle:
+    for d in range(len(darts)):
+        if orbit_of[d] is None:
+            cycle = []
+            while orbit_of[d] is None:
+                orbit_of[d] = len(cycles)
+                cycle.append(darts[d][0])
+                ring = outgoing[darts[d][1]]
+                d = ring[position[d ^ 1] - 1]
             cycles.append(tuple(cycle))
 
     # Walk each component from its leftmost (then lowest) node, leftmost first.
@@ -309,11 +325,11 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
     orbit_face = {o: fid for fid, o in enumerate(bounded)}
 
     # Place each component in the face just left of its leftmost vertex, leftmost
-    # first: all a ray meets lies further left, so its dart has a face by then.
-    # Its outer boundary, or an edgeless vertex's one-node cycle, is a hole there.
+    # first: all a ray meets lies further left, with a face by then (the first ray
+    # meets nothing).  Its outer boundary, or an edgeless vertex's one-node cycle, is a hole there.
     home = {}
     for v in leftmost:
-        d = _dart_left_of(nodes[v], nodes, pieces, outgoing)
+        d = None if v == leftmost[0] else _dart_left_of(nodes[v], nodes, pieces, outgoing)
         home[v] = len(bounded) if d is None else orbit_face[orbit_of[d]]
         if v in outer:
             orbit_face[outer[v]] = home[v]
@@ -363,35 +379,32 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
     node there.  The stretch before each crossing lies on p's side of it:
     left of the crossed piece's dart with p on its left, or in the node's
     wedge toward p.  The last one lies in q's wedge toward p or, if q has no
-    edge, in the face that lists q as a one-node cycle.
+    edge, in the face that lists q as a one-node cycle.  As in the build, only
+    edges with no end at p or q whose bounding box meets the non-edge's reach
+    the exact crossing solve.
     """
     points = [(x, y) for x, y, _ in fs.nodes[: fs.graph.n]]
     edges = fs.graph.sorted_edges()
     nonedges = tuple(fs.graph.non_edges())
     floating = {c[0]: fid for fid, f in enumerate(fs.faces) for c in f if len(c) == 1}
 
-    def wedge(v):
-        # The face just off node v toward p.
+    def wedge(v, i, j):
+        # The face just off node v of the non-edge i-j, toward i.
+        back = direction_key(points[i][0] - points[j][0], points[i][1] - points[j][1], fs.scale)
         return fs.dart_face[_wedge(fs.outgoing[v], fs.dart_keys, back)]
 
-    def beside(k, u):
-        # The face on p's side of where the non-edge crosses edge k, at parameter u on it.
+    def beside(k, i, j, un, w):
+        # The face on i's side of where the non-edge i-j crosses edge k, at parameter un/w on it.
         first, cuts = fs.edge_cuts[k]
-        t = u[0] * fs.scale // u[1]
-        i = bisect_left(cuts, t)
-        if i < len(cuts) and cuts[i] == t:
-            return wedge(fs.pieces[first + i][1])
+        t = un * fs.scale // w
+        c = bisect_left(cuts, t)
+        if c < len(cuts) and cuts[c] == t:
+            return wedge(fs.pieces[first + c][1], i, j)
         a, b = edges[k]
-        return fs.dart_face[2 * (first + i) + (orient(points[a], points[b], p) < 0)]
+        return fs.dart_face[2 * (first + c) + (orient(points[a], points[b], points[i]) < 0)]
 
-    through = []
-    for i, j in nonedges:
-        p, q = points[i], points[j]
-        back = direction_key(p[0] - q[0], p[1] - q[1], fs.scale)
-        hit = {wedge(j) if fs.outgoing[j] else floating[j]}
-        for k, (a, b) in enumerate(edges):
-            cut = _crossing(p, q, points[a], points[b])
-            if cut is not None:
-                hit.add(beside(k, cut[1:]))
-        through.append(tuple(sorted(hit)))
-    return CoverInstance(nonedges, tuple(through))
+    through = [{wedge(j, i, j) if fs.outgoing[j] else floating[j]} for i, j in nonedges]
+    pairs = product(_boxes(points, nonedges), _boxes(points, edges))
+    for k, l, (_, un, w) in _crossings(points, pairs):
+        through[k].add(beside(l, *nonedges[k], un, w))
+    return CoverInstance(nonedges, tuple(tuple(sorted(hit)) for hit in through))

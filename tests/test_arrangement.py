@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import floor, gcd
 
 import pytest
@@ -26,7 +26,7 @@ from oracles import (
     xy,
 )
 from support import FacePlacementReport, face_complexity, obstacle_face_check
-from test_golden import CONCURRENT, G12, NESTED
+from test_golden import CONCURRENT, G12, G16, NESTED
 
 
 def build(points, edges):
@@ -619,6 +619,31 @@ def test_incidence_walks_without_point_location(monkeypatch):
         drawings[0].locate(drawings[0].representative(0))
 
 
+def test_only_floating_components_shoot_a_ray(monkeypatch):
+    # Nothing lies left of the drawing's leftmost vertex, so its component is
+    # placed in the unbounded face without a ray: the connected G12 builds
+    # without one.  NESTED's inner triangle and edgeless vertex 7 each still
+    # shoot one, and land in the ring between the triangles.
+    import obsrep.arrangement as arrangement
+
+    locate, rays = arrangement._dart_left_of, []
+
+    def refuse(*args):
+        raise AssertionError("the build located a point")
+
+    monkeypatch.setattr(arrangement, "_dart_left_of", refuse)
+    assert build(*_document(G12)).components == 1
+
+    def recording(q, *rest):
+        rays.append(q)
+        return locate(q, *rest)
+
+    monkeypatch.setattr(arrangement, "_dart_left_of", recording)
+    fs, _, _ = _check_against_oracle(*_document(NESTED))
+    assert rays == [(6, 2, 1), (10, 6, 1)]
+    assert fs.faces == (((0, 1, 2), (4, 3, 5), (6,)), ((3, 4, 5),), ((1, 0, 2),))
+
+
 # Three diagonals of a hexagon through one crossing node at the origin, with
 # the hexagon's sides drawn too.
 THREE_THROUGH_ONE = (
@@ -723,6 +748,59 @@ def test_crossing_nodes_match_the_oracle():
         assert [list(ts) for _, ts in fs.edge_cuts] == [[floor(t * fs.scale) for t in ts] for ts in cuts]
         concurrent += sum(map(len, cuts)) > 2 * (len(nodes) - len(points))
     assert concurrent >= 100, concurrent
+
+
+def _may_cross(points, seg, other):
+    """Four distinct ends, and closed bounding boxes that meet."""
+    (a, b), (c, d) = seg, other
+    if len({a, b, c, d}) < 4:
+        return False
+    (p, q), (r, s) = (points[a], points[b]), (points[c], points[d])
+    return all(
+        min(p[i], q[i]) <= max(r[i], s[i]) and min(r[i], s[i]) <= max(p[i], q[i]) for i in (0, 1)
+    )
+
+
+def test_only_pairs_that_can_cross_reach_the_crossing_solve(monkeypatch):
+    # The build asks _crossing about edge pairs (k, l), k < l, and the walk
+    # about (non-edge, edge) pairs, each in order, and only about pairs with
+    # four distinct ends whose closed boxes meet; every other pair, checked
+    # by brute force, has no crossing.
+    import obsrep.arrangement as arrangement
+
+    solve, asked = arrangement._crossing, []
+
+    def recording(p, q, r, s):
+        asked.append((p, q, r, s))
+        return solve(p, q, r, s)
+
+    monkeypatch.setattr(arrangement, "_crossing", recording)
+    calls, skipped = [], 0
+    drawings = [_document(G12), _document(G16), _document(CONCURRENT), THREE_THROUGH_ONE]
+    for points, edges in [*drawings, *_walk_drawings()]:
+        graph = Graph(len(points), edges)
+        asked.clear()
+        fs = build_arrangement(Scene(points), graph)
+        built = list(asked)
+        asked.clear()
+        face_nonedge_incidence(fs)
+        phases = [
+            (built, combinations(graph.sorted_edges(), 2)),
+            (asked, product(graph.non_edges(), graph.sorted_edges())),
+        ]
+        for got, pairs in phases:
+            pairs = list(pairs)
+            can = {pair for pair in pairs if _may_cross(points, *pair)}
+            ends = [tuple(tuple(points[v]) for seg in pair for v in seg) for pair in pairs]
+            assert got == [q for pair, q in zip(pairs, ends) if pair in can], (points, edges)
+            rest = [q for pair, q in zip(pairs, ends) if pair not in can]
+            assert all(solve(*q) is None for q in rest), (points, edges)
+            skipped += len(rest)
+        calls.append((len(built), len(asked)))
+    # G16 has 2,415 edge pairs, 1,851 of them with four distinct ends, and 3,500
+    # (non-edge, edge) pairs
+    assert calls[1] == (873, 1240)
+    assert skipped > 10_000, skipped
 
 
 def test_build_and_incidence_compute_without_fractions(monkeypatch):
