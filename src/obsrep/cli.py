@@ -266,7 +266,7 @@ def cmd_obs_search(args):
 
 def cmd_chain(args):
     target = load_graph(args.graph)
-    record = edge_deletion_chain(target, args.seed, args.order, args.placements)
+    record = edge_deletion_chain(target, args.seed, order=args.order, placements=args.placements)
     print(f"n {target.n}")
     print(f"steps {len(record.steps)}")
     for t, step in enumerate(record.steps):
@@ -297,7 +297,7 @@ def cmd_partition_check(args):
 
 def cmd_random_exp(args):
     report = random_graph_experiment(
-        args.n, args.trials, args.seed, args.placements, exhaustive=args.exhaustive
+        args.n, args.trials, args.seed, placements=args.placements, exhaustive=args.exhaustive
     )
     print(f"n {report.n}")
     print(f"mode {report.mode}")

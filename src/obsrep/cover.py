@@ -4,7 +4,8 @@
 all minimum covers, so the witness it reports does not depend on search
 order.  Its elements are relabelled once, rarest first (fewest kept sets, then
 index), so the lowest uncovered bit has the fewest covering sets: it branches
-there (Knuth's rule for Algorithm X) and packs rarest first for its bound.
+there (Knuth's rule for Algorithm X) and packs rarest first for its bound,
+clearing each packed element's reach, one mask per element built once per solve.
 One pass finds the minimum size; a second fixes ids in increasing order.
 Both share one memo keyed by the uncovered elements alone: an id below the one
 the second pass tries lies in no minimum cover that extends the ids it fixed.
@@ -55,6 +56,11 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
     order = sorted(range(n_elements), key=lambda e: (len(holders[e]), e))
     holders = [holders[e] for e in order]
     masks = [sum((mask >> e & 1) << bit for bit, e in enumerate(order)) for mask in masks]
+    # reach[e]: e and every element that shares a kept set with it.
+    reach = [0] * n_elements
+    for e, sets_of_e in enumerate(holders):
+        for i in sets_of_e:
+            reach[e] |= masks[i]
     failed = {}
 
     def coverable(uncovered, k):
@@ -63,16 +69,12 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
             return True
         if failed.get(uncovered, -1) >= k:
             return False
-        rest, blocked, packed = uncovered, 0, 0
+        rest, packed = uncovered, 0
         while rest and packed <= k:
-            low = rest & -rest
-            rest ^= low
-            if low & blocked:
-                continue
-            # Each packed element needs a set of its own.
+            # Each packed element needs a set of its own; its reach holds the
+            # elements that share a set with it, which the packing skips.
             packed += 1
-            for i in holders[low.bit_length() - 1]:
-                blocked |= masks[i]
+            rest &= ~reach[(rest & -rest).bit_length() - 1]
         branch = holders[(uncovered & -uncovered).bit_length() - 1]
         if packed <= k and any(coverable(uncovered & ~masks[i], k - 1) for i in branch):
             return True

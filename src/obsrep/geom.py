@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GeometryError
@@ -122,13 +122,10 @@ class Polygon:
 
     The constructor enforces: each vertex a :class:`Point`, at least 3
     vertices, all distinct, edges meet only at shared endpoints
-    (simplicity), and signed area > 0.  It also keeps the bounding box
-    ``(min x, max x, min y, max y)`` for :func:`segment_intersects_polygon`;
-    the box stays out of equality, hashing and repr.
+    (simplicity), and signed area > 0.
     """
 
     vertices: tuple[Point, ...]
-    _box: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.vertices, Iterable):
@@ -156,7 +153,6 @@ class Polygon:
                     raise GeometryError(f"polygon is not simple: edges {i} and {j} intersect")
         if polygon_area2(v) <= 0:
             raise GeometryError("polygon vertices must be in counterclockwise order")
-        object.__setattr__(self, "_box", _bounding_box(v))
 
     def is_convex(self) -> bool:
         """Strict convexity: every consecutive turn is a left turn."""
@@ -208,11 +204,6 @@ def segment_intersects_polygon(a, b, polygon: Polygon) -> bool:
     a-b, finds both.
     """
     (ax, ay), (bx, by) = a, b
-    lox, hix = (ax, bx) if ax < bx else (bx, ax)
-    loy, hiy = (ay, by) if ay < by else (by, ay)
-    min_x, max_x, min_y, max_y = polygon._box
-    if hix < min_x or lox > max_x or hiy < min_y or loy > max_y:
-        return False
     vertices = polygon.vertices
     dx, dy = bx - ax, by - ay
     ux, uy = vertices[-1]
@@ -220,7 +211,7 @@ def segment_intersects_polygon(a, b, polygon: Polygon) -> bool:
     for vx, vy in vertices:
         sv = dx * (vy - ay) - dy * (vx - ax)  # its sign is orient(a, b, v)
         if sv == 0:
-            if lox <= vx <= hix and loy <= vy <= hiy:
+            if _in_box(a, b, (vx, vy)):
                 return True
         elif su * sv < 0:
             ex, ey = vx - ux, vy - uy

@@ -58,7 +58,7 @@ def random_convex_polygon(rng) -> Polygon:
             hull = tuple(Point(x, y) for x, y in hull)
             # convex_hull keeps distinct corners in counterclockwise order and drops every
             # non-left turn, so the hull is simple and strictly convex: Polygon's invariants.
-            return _assume_valid(Polygon, vertices=hull, _box=_bounding_box(hull))
+            return _assume_valid(Polygon, vertices=hull)
     raise ObsrepError("could not sample a convex polygon")
 
 
@@ -71,7 +71,7 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
     poly = random_convex_polygon(rng)
     bits = rng.getrandbits
     scale = 2000 * 2000 + 1  # every taken point lies in [-1000, 1000]^2
-    xlo, xhi, ylo, yhi = poly._box
+    xlo, xhi, ylo, yhi = _bounding_box(poly.vertices)
     taken = list(poly.vertices)
     pts = []
     tries = 0

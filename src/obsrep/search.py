@@ -73,7 +73,7 @@ def replay_witness(g: Graph, result: ObsResult) -> bool:
     return len(cover) == len(result.faces) and all(chosen & set(f) for f in instance.through)
 
 
-def obs_upper_bound(g: Graph, placements: int, *, seed: int = 0) -> ObsResult:
+def obs_upper_bound(g: Graph, placements: int, *, seed: int) -> ObsResult:
     """Best (smallest) placement cover over seeded random placements.
 
     Each placement is ``random_placement(rng, g.n, 100 * g.n * g.n)``, so the
@@ -112,12 +112,7 @@ class ChainRecord:
     first_reached: tuple  # (bound value, index of the first step reaching it)
 
 
-def edge_deletion_chain(
-    target: Graph,
-    seed: int,
-    order: str = "lex",
-    placements: int = 40,
-) -> ChainRecord:
+def edge_deletion_chain(target: Graph, seed: int, *, order: str, placements: int) -> ChainRecord:
     """Delete ``target``'s non-edges from its complete graph, bounding each stage.
 
     Every stage reuses the same placement seed, so consecutive stages examine
@@ -232,12 +227,7 @@ class ExperimentReport:
 
 
 def random_graph_experiment(
-    n: int,
-    trials: int,
-    seed: int,
-    placements: int = 40,
-    *,
-    exhaustive: bool = False,
+    n: int, trials: int, seed: int, *, placements: int, exhaustive: bool = False
 ) -> ExperimentReport:
     """Fraction of edge-probability-½ graphs certified to need at most one obstacle.
 

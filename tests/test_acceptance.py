@@ -208,7 +208,7 @@ def test_criterion_07_deletion_chains_climb_by_at_most_one(capsys):
     for n in (4, 5):
         for order in ("lex", "random"):
             for seed in (0, 1, 2):
-                record = edge_deletion_chain(Graph(n), seed, order, 40)
+                record = edge_deletion_chain(Graph(n), seed, order=order, placements=40)
                 bounds = [s.result.upper_bound for s in record.steps]
                 steps_ok = all(b - a <= 1 for a, b in zip(bounds, bounds[1:]))
                 hits_one = any(

@@ -47,7 +47,7 @@ THREE_POINTS = obsrep.Scene([obsrep.Point(0, 0), obsrep.Point(4, 1), obsrep.Poin
 # the name its message gives.
 COUNTS = {
     "obs_upper_bound placements": (
-        lambda v: obsrep.obs_upper_bound(obsrep.Graph(1), v), 1, "placements"),
+        lambda v: obsrep.obs_upper_bound(obsrep.Graph(1), v, seed=0), 1, "placements"),
     "random_graph_experiment trials": (
         lambda v: obsrep.random_graph_experiment(3, v, 0, placements=1), 1, "trials"),
     "random_graph_experiment n": (

@@ -165,19 +165,10 @@ def test_polygon_convexity_and_area():
     assert polygon_area2(square.vertices) == 32
     dent = Polygon((Point(0, 0), Point(6, 0), Point(6, 6), Point(3, 2), Point(0, 6)))
     assert not dent.is_convex()
-
-
-def test_polygon_box_stays_out_of_equality_hash_and_repr():
-    corners = (Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4))
-    a, b = Polygon(corners), Polygon(corners)
-    assert a._box == (0, 4, 0, 4)
-    object.__setattr__(b, "_box", (9, 9, 9, 9))  # a box that disagrees changes nothing
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert repr(a) == "Polygon(vertices=(Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)))"
-    assert [f.name for f in dataclasses.fields(a) if f.compare or f.hash or f.repr] == ["vertices"]
-    # same box, other corners: still a different polygon
-    assert Polygon(corners[1:] + corners[:1]) != a
-    assert dataclasses.replace(b)._box == (0, 4, 0, 4)
+    # a polygon is its vertex tuple: the same corners from another start differ
+    assert [f.name for f in dataclasses.fields(square)] == ["vertices"]
+    assert repr(square) == "Polygon(vertices=(Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)))"
+    assert Polygon(square.vertices[1:] + square.vertices[:1]) != square
 
 
 def test_segment_intersects_polygon_matches_oracle_around_sampled_obstacles():
@@ -190,7 +181,6 @@ def test_segment_intersects_polygon_matches_oracle_around_sampled_obstacles():
         obstacle = random_convex_polygon(rng)
         xs = [v.x for v in obstacle.vertices]
         ys = [v.y for v in obstacle.vertices]
-        assert obstacle._box == (min(xs), max(xs), min(ys), max(ys))
         lo_x, hi_x, lo_y, hi_y = min(xs) - 150, max(xs) + 150, min(ys) - 150, max(ys) + 150
         for _ in range(20):
             a, b = (Point(rng.randint(lo_x, hi_x), rng.randint(lo_y, hi_y)) for _ in range(2))

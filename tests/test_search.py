@@ -132,7 +132,7 @@ def test_obs_upper_bound_validation():
 
 
 def test_chain_from_complete_to_empty():
-    record = edge_deletion_chain(Graph(4), seed=11)
+    record = edge_deletion_chain(Graph(4), seed=11, order="lex", placements=40)
     assert len(record.steps) == 7  # K4 plus six deletions
     assert record.steps[0].deleted is None
     assert [s.deleted for s in record.steps[1:]] == Graph(4).non_edges()
@@ -146,17 +146,17 @@ def test_chain_from_complete_to_empty():
 
 
 def test_chain_deletion_orders():
-    lex = edge_deletion_chain(cycle_graph(4), seed=5, order="lex")
+    lex = edge_deletion_chain(cycle_graph(4), seed=5, order="lex", placements=40)
     assert [s.deleted for s in lex.steps] == [None, (0, 2), (1, 3)]
-    rnd1 = edge_deletion_chain(cycle_graph(4), seed=5, order="random")
-    rnd2 = edge_deletion_chain(cycle_graph(4), seed=5, order="random")
+    rnd1 = edge_deletion_chain(cycle_graph(4), seed=5, order="random", placements=40)
+    rnd2 = edge_deletion_chain(cycle_graph(4), seed=5, order="random", placements=40)
     assert rnd1 == rnd2
     assert {s.deleted for s in rnd1.steps} == {None, (0, 2), (1, 3)}
 
 
 def test_chain_validation():
     with pytest.raises(ObsrepError):
-        edge_deletion_chain(Graph(4), seed=1, order="sorted")
+        edge_deletion_chain(Graph(4), seed=1, order="sorted", placements=40)
 
 
 # --- x-sorted group partition ---
@@ -320,7 +320,7 @@ def test_experiment_is_deterministic():
 
 
 def test_exhaustive_experiment_covers_all_graphs():
-    report = random_graph_experiment(3, trials=1, seed=4, exhaustive=True)
+    report = random_graph_experiment(3, trials=1, seed=4, placements=40, exhaustive=True)
     assert report.mode == "exhaustive"
     assert report.examined == 8  # 2 ** C(3,2)
     assert report.fraction_certified == 1
@@ -328,7 +328,19 @@ def test_exhaustive_experiment_covers_all_graphs():
 
 def test_experiment_validation():
     with pytest.raises(ObsrepError):
-        random_graph_experiment(4, trials=0, seed=1)
-    # exhaustive is keyword-only, so a stale positional grid cannot turn it on
+        random_graph_experiment(4, trials=0, seed=1, placements=40)
+    # placements and exhaustive are keyword-only, so stale positional values cannot fill them
     with pytest.raises(TypeError):
         random_graph_experiment(3, 1, 0, 4, 400)
+
+
+def test_search_settings_have_no_library_defaults():
+    # The CLI holds the defaults, so a library caller names every setting.
+    for call in (
+        lambda: obs_upper_bound(cycle_graph(4), 1),
+        lambda: edge_deletion_chain(cycle_graph(4), 5, placements=1),
+        lambda: edge_deletion_chain(cycle_graph(4), 5, order="lex"),
+        lambda: random_graph_experiment(3, 1, 0),
+    ):
+        with pytest.raises(TypeError, match="required keyword-only argument"):
+            call()
