@@ -60,9 +60,11 @@ class _Parser(argparse.ArgumentParser):
 # Numbers on the command line are written in ASCII digits only: int() and
 # Fraction() would also take other scripts' digits, underscores and spaces.
 # A rational is p, p/q or a decimal with an exponent of at most four digits,
-# so that parsing it never builds a huge power of ten.  No number may be longer
-# than int()'s default limit of 4,300 digits; the error does not echo it.
+# so that parsing it never builds a huge power of ten.  No number, and no part
+# of a rational, may pass int()'s default limit of 4,300 digits, which str()
+# needs to print it back; the error does not echo it.
 _MAX_DIGITS = 4300
+_TOO_MANY_DIGITS = 10**_MAX_DIGITS  # the least int with more digits, built once, not per --c
 _INTEGER = re.compile(r"[0-9]+")
 _RATIONAL = re.compile(
     r"[-+]?(?:[0-9]+(?:/[0-9]+)?|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]{1,4})?)"
@@ -88,11 +90,14 @@ def _fraction(text):
     if len(text) > _MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} characters")
     try:
-        if _RATIONAL.fullmatch(text):
-            return Fraction(text)
+        value = Fraction(text) if _RATIONAL.fullmatch(text) else None
     except (ValueError, ZeroDivisionError):
-        pass
-    raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        value = None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    if max(abs(value.numerator), value.denominator) >= _TOO_MANY_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} digits")
+    return value
 
 
 def _positive(text):
@@ -212,18 +217,20 @@ def cmd_faces(args):
     scene, graph = _load_drawing(args.scene)
     fs = build_arrangement(scene, graph)
     v, e, f = len(fs.nodes), len(fs.pieces), len(fs.faces)
-    areas = [fs.area2(fid) for fid in range(f)]
-    reps = [fs.representative(fid) for fid in range(f)]
-    print(f"nodes {v}")
-    print(f"pieces {e}")
-    print(f"faces {f}")
-    print(f"components {fs.components}")
-    print(f"euler {v - e + f}")
-    for fid, (cycles, area2, (rx, ry)) in enumerate(zip(fs.faces, areas, reps)):
+    lines = [f"nodes {v}", f"pieces {e}", f"faces {f}", f"components {fs.components}",
+             f"euler {v - e + f}"]
+    # Every line is formatted before the first print, so a number that str()
+    # refuses to write leaves an error line and no partial output.
+    for fid, cycles in enumerate(fs.faces):
+        area2, (rx, ry) = fs.area2(fid), fs.representative(fid)
         kind = "bounded" if area2 is not None else "unbounded"
-        tail = f" area2 {area2}" if area2 is not None else ""
         sides = sum(len(c) for c in cycles if len(c) > 1)
-        print(f"face {fid + 1} {kind} sides {sides}{tail} representative {rx} {ry}")
+        try:
+            tail = f" area2 {area2}" if area2 is not None else ""
+            lines.append(f"face {fid + 1} {kind} sides {sides}{tail} representative {rx} {ry}")
+        except ValueError:
+            raise ObsrepError(f"face {fid + 1}: a number of over {_MAX_DIGITS} digits") from None
+    print("\n".join(lines))
     return 0
 
 

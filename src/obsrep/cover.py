@@ -2,10 +2,11 @@
 
 ``solve_cover`` returns the lexicographically smallest sorted id tuple among
 all minimum covers, so the witness it reports does not depend on search
-order.  Its elements are relabelled once, rarest first (fewest kept sets, then
-index), so the lowest uncovered bit has the fewest covering sets: it branches
-there (Knuth's rule for Algorithm X) and packs rarest first for its bound,
-clearing each packed element's reach, one mask per element built once per solve.
+order.  One sweep over per-element columns of the kept sets first drops each
+set inside an earlier one.  The elements are then relabelled, rarest first
+(fewest kept sets, then index), so the lowest uncovered bit has the fewest
+covering sets: it branches there (Knuth's rule for Algorithm X) and packs
+rarest first for its bound, clearing each packed element's reach, built once.
 One pass finds the minimum size; a second fixes ids in increasing order.
 Both share one memo keyed by the uncovered elements alone: an id below the one
 the second pass tries lies in no minimum cover that extends the ids it fixed.
@@ -37,25 +38,29 @@ def solve_cover(n_elements: int, sets: dict) -> tuple:
             raise ObsrepError(f"set ids must be plain ints, not {sid!r}")
         if not isinstance(sets[sid], Iterable):
             raise ObsrepError(f"set {sid} must be a collection of elements, not {sets[sid]!r}")
-    ids, masks = [], []
+    # cols[e] has bit j set when the j-th kept set holds e.  A set that is empty
+    # or whose columns share a bit lies inside an earlier one, which can replace it.
+    ids, cols, holders = [], [0] * n_elements, [[] for _ in range(n_elements)]
     for sid in sorted(sets):
-        mask = 0
+        members, inside = set(), -1
         for element in sets[sid]:
             if type(element) is not int or not 0 <= element < n_elements:
                 raise ObsrepError(f"set {sid} names unknown element {element!r}")
-            mask |= 1 << element
-        # A set inside an earlier one is never needed: swapping it for the
-        # earlier id keeps the cover and gives a smaller sorted tuple.
-        if mask and all(mask & ~kept for kept in masks):
+            members.add(element)
+            inside &= cols[element]
+        if not inside:
+            for element in members:
+                cols[element] |= 1 << len(ids)
+                holders[element].append(len(ids))
             ids.append(sid)
-            masks.append(mask)
-    holders = [[i for i, mask in enumerate(masks) if mask >> e & 1] for e in range(n_elements)]
     missing = [e for e in range(n_elements) if not holders[e]]
     if missing:
         raise ObsrepError(f"elements {missing} appear in no set")
     order = sorted(range(n_elements), key=lambda e: (len(holders[e]), e))
-    holders = [holders[e] for e in order]
-    masks = [sum((mask >> e & 1) << bit for bit, e in enumerate(order)) for mask in masks]
+    holders, masks = [holders[e] for e in order], [0] * len(ids)
+    for bit, sets_of_e in enumerate(holders):
+        for i in sets_of_e:
+            masks[i] |= 1 << bit
     # reach[e]: e and every element that shares a kept set with it.
     reach = [0] * n_elements
     for e, sets_of_e in enumerate(holders):

@@ -44,8 +44,7 @@ def _placement_cover(scene: Scene, g: Graph):
     for k, faces in enumerate(instance.through):
         for fid in faces:
             sets.setdefault(fid, []).append(k)
-    chosen = solve_cover(len(instance.nonedges), sets)
-    return tuple(chosen), instance
+    return solve_cover(len(instance.nonedges), sets), instance
 
 
 @dataclass(frozen=True)

@@ -65,17 +65,31 @@ def test_duplicate_and_empty_sets_are_harmless():
 
 
 def test_branch_and_bound_matches_first_hit_enumeration():
-    """500 random instances: same optimum size and the same witness tuple."""
+    """500 random instances: same optimum size and the same witness tuple.
+
+    Ids are sparse and inserted in shuffled order, and some sets copy or shrink
+    an earlier one or are empty, so a cover that kept the later of two equal
+    sets, or dropped a set no earlier id contains, would change the witness.
+    """
     rng = random.Random(20240917)
     for _ in range(500):
         n = rng.randint(1, 9)
-        n_sets = rng.randint(1, 9)
-        sets = {}
-        for sid in range(n_sets):
-            sets[sid] = [e for e in range(n) if rng.random() < 0.45]
+        drawn = []
+        for _ in range(rng.randint(1, 9)):
+            kind = rng.random()
+            if drawn and kind < 0.2:
+                drawn.append(list(rng.choice(drawn)))
+            elif drawn and kind < 0.4:
+                drawn.append([e for e in rng.choice(drawn) if rng.random() < 0.5])
+            elif kind < 0.5:
+                drawn.append([])
+            else:
+                drawn.append([e for e in range(n) if rng.random() < 0.45])
         # patch up coverage so the instance is always solvable
-        covered = {e for members in sets.values() for e in members}
-        sets[n_sets] = [e for e in range(n) if e not in covered]
+        covered = {e for members in drawn for e in members}
+        drawn.append([e for e in range(n) if e not in covered])
+        ids = rng.sample(range(100), len(drawn))
+        sets = {ids[k]: drawn[k] for k in rng.sample(range(len(drawn)), len(drawn))}
         got = solve_cover(n, sets)
         want = solve_cover_first_hit(n, sets)
         assert got == want, sets

@@ -39,6 +39,14 @@ JUNK = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
+# A triangle whose coordinates have 2,201 digits each: JSON takes them, but its
+# doubled area has about 4,400, more than str() writes.
+HUGE_TRIANGLE = json.dumps(
+    {
+        "points": [[0, 0], [10**2200, 1], [1, 10**2200]],
+        "graph": {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
+    }
+).encode()
 FUZZ = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -91,6 +99,7 @@ def _run(argv):
 @example(sub="faces", raw=b"[" * 100_000)
 @example(sub="cover", raw=b'{"points": [[' + b"9" * 5000 + b", 0]]}")
 @example(sub="incidence", raw=b'{"points": [[0, 0], [1, 1], [2, 2]], "graph": {"n": 3}}')
+@example(sub="faces", raw=HUGE_TRIANGLE)
 def test_drawing_subcommands_keep_the_exit_code_contract(sub, raw, tmp_path):
     path = tmp_path / "doc.json"
     path.write_bytes(raw)
@@ -256,6 +265,7 @@ CONSTANT = st.one_of(
 @example(mode="s", count="3", c="1e5", split=False)
 @example(mode="s", count="3", c="1000", split=False)
 @example(mode="s", count="3", c="-1/2", split=True)
+@example(mode="s", count="3", c="1e-4300", split=False)
 def test_bounds_keeps_the_exit_code_contract(mode, count, c, split):
     # "--h=TEXT" hands TEXT over as the value even when it starts with "-";
     # "--c TEXT" does so when TEXT starts with "-" and a digit
@@ -264,5 +274,5 @@ def test_bounds_keeps_the_exit_code_contract(mode, count, c, split):
         argv += ["--c", c] if split else [f"--c={c}"]
     rc = _run(argv)
     assert rc in (0, 1)
-    if mode == "h" and count in ("2687", "9" * 5000) or c == "-1/2":
+    if mode == "h" and count in ("2687", "9" * 5000) or c in ("-1/2", "1e-4300"):
         assert rc == 1
