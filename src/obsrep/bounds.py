@@ -14,10 +14,9 @@ integers, which holds exactly when base^exp has at most x bits.
 :func:`_power_below` decides that from bit-length brackets on base^exp,
 refined by binary powering on truncated mantissas only when the brackets
 straddle x, so it never builds a number larger than base^exp itself and
-almost never builds base^exp.  The threshold is then found by galloping
-over n = 2, 4, 8, ... and bisecting the last step, which is valid because
-the inequality is monotone in n (see :func:`bounds_threshold`).  The search
-stops at n = 200,000: a query whose threshold lies beyond that is refused.
+almost never builds base^exp.  As the inequality is monotone in n, one
+bisection finds the threshold (see :func:`bounds_threshold`); it stops at
+n = 200,000, and a query whose threshold lies beyond that is refused.
 """
 
 from __future__ import annotations
@@ -92,17 +91,15 @@ def _power_below(base: int, exp: int, x: int) -> bool:
     """Is base^exp < 2^x?  Exact, for base >= 2 and exp >= 1.
 
     base^exp < 2^x exactly when base^exp has at most x bits.  With
-    bl = base.bit_length(), the power of two 2^(bl-1) raised to exp has
-    exactly exp·(bl-1) + 1 bits.  Any other base lies strictly between
-    2^(bl-1) and 2^bl, so base^exp has between exp·(bl-1) + 1 and exp·bl
-    bits; that bracket decides every call far from the threshold.
-    Inside it, :func:`_power_bit_lengths` brackets the bit length more
-    tightly, doubling the mantissa width until the bracket lies on one side
-    of x; it is exact by the time the width reaches the size of base^exp.
+    bl = base.bit_length(), 2^(bl-1) <= base < 2^bl, so base^exp has
+    between exp·(bl-1) + 1 and exp·bl bits; that bracket decides every call
+    far from the threshold.  Inside it, :func:`_power_bit_lengths` brackets
+    the bit length more tightly, doubling the mantissa width until the
+    bracket lies on one side of x; it is exact by the time the width reaches
+    the size of base^exp.  A power of two needs no case of its own: its
+    mantissas are never rounded, so the first round is already exact.
     """
     bl = base.bit_length()
-    if base & (base - 1) == 0:
-        return exp * (bl - 1) < x
     if exp * bl <= x:
         return True
     if exp * (bl - 1) >= x:
@@ -137,10 +134,10 @@ def bounds_threshold(query: BoundsQuery) -> int:
     right), at least one n-vertex graph cannot be realized within the
     query's obstacle budget.
 
-    The inequality is monotone in n, so the threshold is found by a gallop
-    over n = 2, 4, 8, ... (capped at 200,000) and a bisection of its last
-    step, with about 2·log2(threshold) evaluations.  Proof of monotonicity,
-    for real n >= 2:
+    The inequality is monotone in n, so one evaluation at n = 200,000
+    refuses a query whose threshold lies beyond it, and one bisection of
+    [2, 200,000] finds the rest: at most 19 evaluations.  Proof of
+    monotonicity, for real n >= 2:
 
     - h-mode: taking logarithms and dividing by n/2, the inequality reads
       f(n) = (n - 1)/log2(2n) > 4h.  f'(n) has the sign of
@@ -153,13 +150,11 @@ def bounds_threshold(query: BoundsQuery) -> int:
 
     Once beaten at some n, the bound stays beaten at every larger n.
     """
-    below, n = 1, 2  # never beaten at ``below``; n = 1 lies outside the range
-    while not _beaten(query, n):
-        if n == _SCAN_LIMIT:
-            raise ObsrepError(
-                f"no threshold below n = {_SCAN_LIMIT}; the query constant is out of scale"
-            )
-        below, n = n, min(2 * n, _SCAN_LIMIT)
+    if not _beaten(query, _SCAN_LIMIT):
+        raise ObsrepError(
+            f"no threshold below n = {_SCAN_LIMIT}; the query constant is out of scale"
+        )
+    below, n = 1, _SCAN_LIMIT  # never beaten at ``below``; n = 1 lies outside the range
     while n - below > 1:
         mid = (below + n) // 2
         if _beaten(query, mid):

@@ -19,9 +19,9 @@ class Scene:
     but a sequence, or an obstacle that is not a :class:`Polygon`, raise
     :class:`SceneError`, and so does a scene that breaks an invariant (see
     :func:`require_valid_scene`).  So every ``Scene`` in hand is valid and
-    nothing downstream checks it again.  The seeded sampler's scenes are valid
-    by construction and skip this pass; ``tests/test_valid_by_construction.py``
-    rebuilds 2,000 of them in full to check that.
+    nothing downstream checks it again.  The seeded sampler's scenes and the
+    search's placements are valid by construction and skip this pass;
+    ``tests/test_valid_by_construction.py`` rebuilds them in full to check that.
     """
 
     points: tuple[Point, ...]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .arrangement import build_arrangement, face_nonedge_incidence
 from .cover import solve_cover
 from .errors import ObsrepError, _count
-from .geom import convex_hull, point_in_polygon
+from .geom import _assume_valid, convex_hull, point_in_polygon
 from .graphs import Graph, all_graphs, complete_graph, gnp_half
 from .sampling import _shuffle, random_placement
 from .scene import Scene
@@ -86,7 +86,9 @@ def obs_upper_bound(g: Graph, placements: int, *, seed: int) -> ObsResult:
     best: tuple | None = None
     for _ in range(placements):
         pts = random_placement(rng, g.n, 100 * g.n * g.n)
-        faces = min_obstacles_for_placement(Scene(pts), g)
+        # random_placement draws distinct Points with distinct x and rejects each point on a
+        # line through two others (exact at scale = grid² >= dx²): require_valid_scene's rules.
+        faces = min_obstacles_for_placement(_assume_valid(Scene, points=pts, obstacles=()), g)
         if best is None or len(faces) < len(best[1]):
             best = (pts, faces)
         if len(best[1]) <= floor:

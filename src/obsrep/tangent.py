@@ -38,7 +38,8 @@ class TangentSequence:
     """A circular sequence of (label, sign) events; equality is up to rotation.
 
     A word on n labels holds each label 0..n-1 exactly once with sign +1 and
-    once with -1; any other event list raises :class:`ObsrepError`.
+    once with -1; any other event list raises :class:`ObsrepError`.  Equality
+    and hash read the one rotation that starts at label 1's ``-`` event, O(n).
     """
 
     events: tuple
@@ -57,17 +58,17 @@ class TangentSequence:
                 "a tangent word must hold each of its labels 1..n once with + and once with -"
             )
 
-    def _rotations(self):
-        e = self.events
-        return {e[i:] + e[:i] for i in range(len(e))}
+    def _anchored(self):
+        i = self.events.index((0, -1)) if self.events else 0
+        return self.events[i:] + self.events[:i]
 
     def __eq__(self, other):
         if not isinstance(other, TangentSequence):
             return NotImplemented
-        return len(self.events) == len(other.events) and other.events in self._rotations()
+        return self._anchored() == other._anchored()
 
     def __hash__(self):
-        return hash(min(self._rotations()) if self.events else ())
+        return hash(self._anchored())
 
     def serialize(self) -> str:
         """ASCII form with 1-based labels, e.g. ``2+1-2-3+1+3-``."""

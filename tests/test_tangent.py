@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -48,6 +49,20 @@ def test_sequence_equality_is_circular():
     assert hash(a) == hash(b)
     assert a != c
     assert a != "2+1-2-3+1+3-"  # not equal to plain strings
+    empty = encode_tangent(Scene((), (poly((0, 0), (4, 0), (0, 4)),)))
+    assert empty == TangentSequence(()) == TangentSequence(())
+    assert hash(empty) == hash(TangentSequence(()))
+    # one compare and one hash of a 4,000-event word stay linear in its length
+    events = [(label, sign) for label in range(2000) for sign in (-1, 1)]
+    random.Random(7).shuffle(events)
+    word, turned = TangentSequence(events), TangentSequence(events[7:] + events[:7])
+    tracemalloc.start()
+    try:
+        assert word == turned and hash(word) == hash(turned)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_parse_round_trip():

@@ -90,3 +90,22 @@ def test_derive_table_builds_each_sampled_scene_once(capsys):
     for name in ("sampling", "tangent.encode", "visibility.details", "tangent.derive"):
         assert calls.get(name, 0) >= 1, name
     assert calls["sampling"] == calls["tangent.encode"] == calls["visibility.details"] == 20
+
+
+def test_obs_search_validates_only_the_replayed_scene(tmp_path, capsys):
+    """Placements are valid by construction, so a traced obs-search builds one
+    scene in full: the one its witness replay reads back.  On seed 1 the
+    6-cycle finds no single-obstacle placement, so all three are tried."""
+    spans = _spans_module()
+    path = tmp_path / "graph.json"
+    cycle = [[i, i % 6 + 1] for i in range(1, 7)]
+    path.write_text(json.dumps({"n": 6, "edges": cycle}))
+
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert obsrep.cli.main(["obs-search", str(path), "--seed", "1", "--placements", "3"]) == 0
+    assert capsys.readouterr().out.endswith("replay ok\n")
+
+    calls = tracer.calls()
+    assert tracer.counts["search.placements"] == 3
+    assert calls["scene.validate"] == calls["search.replay"] == 1

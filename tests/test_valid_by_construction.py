@@ -1,20 +1,20 @@
-"""The values derive-table builds without their constructors' checks are valid.
+"""The values the library builds without their constructors' checks are valid.
 
 ``geom._assume_valid`` fills a frozen dataclass without running its
-``__post_init__``.  Four places use it, each for a value its own code has just
-made valid: the sampler's hull polygon and scene, the encoder's word and the
-visibility graph.  These tests rebuild such values with the full constructors
-and require the same result, and read the source to check that nothing else
-calls the helper.
+``__post_init__``.  Five places use it, each for a value its own code has just
+made valid: the sampler's hull polygon and scene, the search's placement
+scene, the encoder's word and the visibility graph.  These tests rebuild such
+values with the full constructors and require the same result, and read the
+source to check that nothing else calls the helper.
 """
 
 import ast
 import random
 from pathlib import Path
 
-from obsrep.geom import Polygon
+from obsrep.geom import Polygon, _assume_valid
 from obsrep.graphs import Graph
-from obsrep.sampling import iter_single_obstacle_scenes
+from obsrep.sampling import iter_single_obstacle_scenes, random_placement
 from obsrep.scene import Scene
 from obsrep.tangent import TangentSequence, encode_tangent
 from obsrep.visibility import visibility_details
@@ -24,6 +24,7 @@ HELPER = "_assume_valid"
 SITES = {
     ("sampling.py", "random_convex_polygon"),
     ("sampling.py", "random_single_obstacle_scene"),
+    ("search.py", "obs_upper_bound"),
     ("tangent.py", "encode_tangent"),
     ("visibility.py", "visibility_details"),
 }
@@ -46,6 +47,19 @@ def test_sampled_values_equal_their_full_rebuilds():
     assert scenes == 2000
 
 
+def test_placements_equal_their_full_rebuilds():
+    """Seeded placements on the search's grid and on small ones pass Scene unchanged."""
+    rng = random.Random(2626)
+    placed = 0
+    for n in range(2, 13):
+        for grid in (100 * n * n, n * n, 4 * n * n, 30):
+            for _ in range(20):
+                pts = random_placement(rng, n, grid)
+                assert Scene(pts) == _assume_valid(Scene, points=pts, obstacles=())
+                placed += 1
+    assert placed == 11 * 4 * 20
+
+
 def helper_uses(tree):
     """(enclosing function, line) of each use of the helper's name in one module."""
     found = []
@@ -65,7 +79,7 @@ def helper_uses(tree):
     return found
 
 
-def test_the_helper_is_called_only_at_the_four_sites():
+def test_the_helper_is_called_only_at_the_listed_sites():
     assert len(SOURCES) > 10
     homes, sites = [], []
     for path in SOURCES:
