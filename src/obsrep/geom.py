@@ -110,6 +110,11 @@ def _assume_valid(cls, **fields):
     return obj
 
 
+def _assume_point(xy):
+    """``Point(*xy)`` without its int check, for a pair of plain ints the caller drew itself."""
+    return tuple.__new__(Point, xy)
+
+
 def _bounding_box(vertices):
     """``(min x, max x, min y, max y)`` of a nonempty vertex sequence."""
     xs, ys = zip(*vertices)
@@ -155,10 +160,15 @@ class Polygon:
             raise GeometryError("polygon vertices must be in counterclockwise order")
 
     def is_convex(self) -> bool:
-        """Strict convexity: every consecutive turn is a left turn."""
-        v = self.vertices
-        k = len(v)
-        return all(orient(v[i - 1], v[i], v[(i + 1) % k]) > 0 for i in range(k))
+        """Strict convexity: at every corner, edge in x edge out > 0 (a left turn)."""
+        (ux, uy), (wx, wy) = self.vertices[-2:]
+        ex, ey = wx - ux, wy - uy
+        for x, y in self.vertices:
+            fx, fy = x - wx, y - wy
+            if ex * fy - ey * fx <= 0:
+                return False
+            wx, wy, ex, ey = x, y, fx, fy
+        return True
 
 
 def point_in_polygon(q, vertices) -> int:
@@ -227,8 +237,8 @@ def is_general_position(points):
     Returns ``(ok, violations)`` where violations lists an index pair for each
     later copy of a point, then, over first copies only, the increasing index
     tuple of each line through three or more points, once, in sorted order.
-    From each point the later ones are bucketed by the exact slope key of
-    ``sampling._collinear_with_any_pair``, so the lines cost O(n^2).
+    From each point the later ones are bucketed by the exact slope key that
+    ``sampling._collinear_with_any_pair`` collects in one set, so the lines cost O(n^2).
     """
     violations = []
     seen = {}
@@ -262,7 +272,11 @@ def convex_hull(points):
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and orient_xy(*out[-2], *out[-1], *p) <= 0:
+            px, py = p
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:  # orient(a, b, p) > 0
+                    break
                 out.pop()
             out.append(p)
         return out

@@ -7,7 +7,7 @@ reproducible from its seed; every bounded draw goes through :func:`_below`.
 from __future__ import annotations
 
 from .errors import ObsrepError
-from .geom import Point, Polygon, _assume_valid, _bounding_box, convex_hull, point_in_polygon
+from .geom import Polygon, _assume_point, _assume_valid, _bounding_box, convex_hull, point_in_polygon
 from .scene import Scene
 
 
@@ -34,17 +34,11 @@ def _collinear_with_any_pair(pts, q, scale):
     ``(ay - qy) * scale // (ax - qx)``, or by ``None`` when it is vertical.
     The name is exact by ``geom.direction_key``'s argument: two distinct
     slopes with ``0 < |dx| <= D`` differ by at least ``1 / D**2``, so with
-    ``scale >= D**2`` their floors differ too.
+    ``scale >= D**2`` their floors differ too.  So q is on a line through two points
+    exactly when the set of the points' names is smaller than pts.
     """
     qx, qy = q
-    lines = set()
-    for ax, ay in pts:
-        dx = ax - qx
-        line = (ay - qy) * scale // dx if dx else None
-        if line in lines:
-            return True
-        lines.add(line)
-    return False
+    return len({(ay - qy) * scale // (ax - qx) if ax != qx else None for ax, ay in pts}) < len(pts)
 
 
 def random_convex_polygon(rng) -> Polygon:
@@ -55,10 +49,9 @@ def random_convex_polygon(rng) -> Polygon:
         raw = [(_below(bits, 667) - 333, _below(bits, 667) - 333) for _ in range(k)]
         hull = convex_hull(raw)
         if len(hull) >= 3:
-            hull = tuple(Point(x, y) for x, y in hull)
-            # convex_hull keeps distinct corners in counterclockwise order and drops every
-            # non-left turn, so the hull is simple and strictly convex: Polygon's invariants.
-            return _assume_valid(Polygon, vertices=hull)
+            # convex_hull keeps distinct corners, pairs of the ints drawn above, in counterclockwise
+            # order and drops every non-left turn: Points of a simple, strictly convex polygon.
+            return _assume_valid(Polygon, vertices=tuple(map(_assume_point, hull)))
     raise ObsrepError("could not sample a convex polygon")
 
 
@@ -86,7 +79,8 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
             continue
         if _collinear_with_any_pair(taken, q, scale):
             continue
-        q = Point(qx, qy)
+        # q is a pair of plain ints from _below
+        q = _assume_point(q)
         taken.append(q)
         pts.append(q)
     # The rejection tests above establish require_valid_scene's invariants: taken holds the
@@ -119,5 +113,6 @@ def random_placement(rng, n, grid):
         if qx in xs or _collinear_with_any_pair(pts, q, scale):
             continue
         xs.add(qx)
-        pts.append(Point(qx, qy))
+        # q is a pair of plain ints from _below
+        pts.append(_assume_point(q))
     return tuple(pts)

@@ -9,18 +9,17 @@ sequence of 2n signed labels determines the visibility graph; the mapping
 from per-pair event patterns to visible/blocked is derived empirically and
 kept in a :class:`PatternTable`.
 
-Encoding a scene takes one orientation per obstacle edge and point, then a
-sort of the 2n events by an exact integer key, one key per event
-(:func:`~obsrep.geom.direction_key`).  Observing or decoding a word indexes
-each label's two events once and reads every pair's pattern from that index
-in O(1), so one word costs O(n^2) for its C(n, 2) pairs.
+Encoding walks each point once around the obstacle, one cross product per
+edge, and logs an event at each corner where the sign changes; a sort by an
+exact integer key per event (:func:`~obsrep.geom.direction_key`) orders them.
+Observing or decoding a word indexes each label's two events once and reads
+every pair's pattern from that index in O(1): O(n^2) for its C(n, 2) pairs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ContradictionError, GeometryError, ObsrepError, _count
 from .geom import _assume_valid, direction_key
@@ -104,11 +103,11 @@ def encode_tangent(scene: Scene, index: int = 0) -> TangentSequence:
     tangent line with another or lie on a line through two obstacle
     vertices (violations raise).
 
-    For a point p, ``side[i]`` is the cross product (v[i+1] - v[i]) x (p - v[i])
-    of obstacle edge i.  Corner i touches p's ``+`` tangent when
-    ``side[i-1] < 0 < side[i]`` and its ``-`` tangent when
-    ``side[i] < 0 < side[i-1]``; a point on an edge's line gets a zero side
-    and misses a tangent.  So each point costs one cross product per edge.
+    For a point p, side i is the cross product (v[i+1] - v[i]) x (p - v[i])
+    of obstacle edge i, computed in the loop that reads it.  Corner i touches
+    p's ``+`` tangent when side i-1 < 0 < side i and its ``-`` tangent when
+    side i < 0 < side i-1; a point on an edge's line gets a zero side and
+    misses a tangent.  So each point costs one cross product per edge.
 
     The events are then sorted by :func:`~obsrep.geom.direction_key`, one
     exact integer key each, with ``scale`` one more than the largest squared
@@ -123,13 +122,14 @@ def encode_tangent(scene: Scene, index: int = 0) -> TangentSequence:
     pts = scene.points
     verts = obstacle.vertices
     edges = [(w.x, w.y, nxt.x - w.x, nxt.y - w.y) for w, nxt in zip(verts, verts[1:] + verts[:1])]
+    lx, ly, lex, ley = edges[-1]
     events = []
     for label, v in enumerate(pts):
         px, py = v
-        side = [ex * (py - wy) - ey * (px - wx) for wx, wy, ex, ey in edges]
         plus = minus = 0
-        before = side[-1]
-        for (wx, wy, _, _), after in zip(edges, side):
+        before = lex * (py - ly) - ley * (px - lx)
+        for wx, wy, ex, ey in edges:
+            after = ex * (py - wy) - ey * (px - wx)
             # Clockwise from +y is counterclockwise from +x once x and y swap.
             if before < 0 < after:
                 events.append((label, 1, py - wy, px - wx))
@@ -151,7 +151,7 @@ def encode_tangent(scene: Scene, index: int = 0) -> TangentSequence:
                 f"points {pts[events[a][0]]!r} and {pts[events[b][0]]!r} share a tangent direction"
             )
     # The loop above gave each label exactly one + and one - event, each an int pair.
-    return _assume_valid(TangentSequence, events=tuple(events[i][:2] for i in order))
+    return _assume_valid(TangentSequence, events=tuple([events[i][:2] for i in order]))
 
 
 # A pair's pattern from the order in which q+, p- and p+ follow q-, keyed by
@@ -169,17 +169,18 @@ _PATTERN_BY_ORDER = {
 def _pair_patterns(seq: TangentSequence):
     """``(p, q, pattern)`` for every pair of labels p < q, in order, read off one position index."""
     length = len(seq.events)
-    index = [[0, 0] for _ in range(length // 2)]
+    n = length // 2
+    minus, plus = [0] * n, [0] * n
     for position, (label, sign) in enumerate(seq.events):
-        index[label][sign > 0] = position
-    for p, q in combinations(range(len(index)), 2):
-        (p_minus, p_plus), (q_minus, q_plus) = index[p], index[q]
-        # Offsets of q+, p- and p+ in the word rotated to start at q-.
-        q_plus_at = (q_plus - q_minus) % length
-        p_minus_at = (p_minus - q_minus) % length
-        p_plus_at = (p_plus - q_minus) % length
-        order = q_plus_at < p_minus_at, q_plus_at < p_plus_at, p_minus_at < p_plus_at
-        yield p, q, _PATTERN_BY_ORDER[order]
+        (plus if sign > 0 else minus)[label] = position
+    # Each label's + offset in the word rotated to start at its own - event.
+    plus_at = [(b - a) % length for a, b in zip(minus, plus)]
+    for p, (p_minus, p_plus) in enumerate(zip(minus, plus)):
+        for q in range(p + 1, n):
+            # The offsets qp, pm and pp of q+, p- and p+ in the word rotated to start at q-.
+            q_minus, qp = minus[q], plus_at[q]
+            pm, pp = (p_minus - q_minus) % length, (p_plus - q_minus) % length
+            yield p, q, _PATTERN_BY_ORDER[qp < pm, qp < pp, pm < pp]
 
 
 def pair_pattern(seq: TangentSequence, i: int, j: int) -> str:

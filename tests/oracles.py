@@ -19,7 +19,10 @@ cross products each instead of reading one side per edge, a pair's
 pattern rescans the whole word, a scene's pairs go into a pattern table
 with one ``record`` each instead of one per distinct (pattern, outcome), and
 a sampler's line through a candidate is named by its offset reduced by the
-gcd instead of by a scaled slope.  Slower and dumber on purpose.
+gcd instead of by a scaled slope, a polygon's convexity takes one
+three-point orientation per corner instead of crossing its two edges, and a
+convex hull is gift-wrapped instead of built by monotone chains.  Slower and
+dumber on purpose.
 """
 
 from bisect import bisect_left
@@ -727,3 +730,39 @@ def gcd_collinear_with_any_pair(pts, q):
             return True
         lines.add(line)
     return False
+
+
+def _turn(a, b, c) -> int:
+    """Twice the signed area of the triangle a, b, c: > 0 for a left turn."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def orient_per_corner_is_convex(vertices) -> bool:
+    """Strict convexity: each corner turns left from its previous neighbour to its next."""
+    k = len(vertices)
+    return all(_turn(vertices[i - 1], vertices[i], vertices[(i + 1) % k]) > 0 for i in range(k))
+
+
+def gift_wrapping_hull(points):
+    """Strict convex hull, counterclockwise from the least point, by gift wrapping.
+
+    From each corner c the next corner is the point n with no point strictly
+    right of the line c -> n; of several points on that line, the farthest
+    from c.  Fewer than three distinct points come back sorted.
+    """
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    hull = [pts[0]]
+    for _ in pts:
+        c = hull[-1]
+        n = pts[1] if pts[0] == c else pts[0]
+        for s in pts:
+            turn = _turn(c, n, s)
+            far = (s[0] - c[0]) ** 2 + (s[1] - c[1]) ** 2 > (n[0] - c[0]) ** 2 + (n[1] - c[1]) ** 2
+            if turn < 0 or (turn == 0 and far):
+                n = s
+        if n == hull[0]:
+            return hull
+        hull.append(n)
+    raise AssertionError(f"gift wrapping did not close around {points!r}")

@@ -171,6 +171,28 @@ def test_polygon_convexity_and_area():
     assert Polygon(square.vertices[1:] + square.vertices[:1]) != square
 
 
+def test_is_convex_matches_the_orient_per_corner_oracle():
+    """Seeded convex and dented polygons, and straight-cornered ones made by
+    doubling a polygon and putting a corner at the midpoint of one of its
+    edges, agree with one orientation per corner from every starting corner."""
+    rng = random.Random(2681)
+    seen = {"convex": 0, "dented": 0, "straight": 0}
+    for _ in range(600):
+        v = random_polygon(rng).vertices
+        kind = "convex" if oracles.orient_per_corner_is_convex(v) else "dented"
+        if rng.random() < 0.4:
+            i = rng.randrange(len(v))
+            v = tuple(Point(2 * x, 2 * y) for x, y in v)
+            (ax, ay), (bx, by) = v[i], v[(i + 1) % len(v)]
+            v = v[:i + 1] + (Point((ax + bx) // 2, (ay + by) // 2),) + v[i + 1:]
+            kind = "straight"
+        expected = oracles.orient_per_corner_is_convex(v)
+        for r in range(len(v)):
+            assert Polygon(v[r:] + v[:r]).is_convex() is expected, v
+        seen[kind] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_segment_intersects_polygon_matches_oracle_around_sampled_obstacles():
     """Segments with ends in a margin around each sampled convex obstacle's
     box agree with the Cramer-rule oracle, whether the segment's own box
@@ -377,6 +399,35 @@ def test_convex_hull_is_convex_and_contains_input():
             for p in cloud:
                 assert all(orient(hull[i], hull[(i + 1) % k], p) >= 0 for i in range(k))
         assert convex_hull(hull) == hull
+
+
+def test_convex_hull_matches_the_gift_wrapping_oracle():
+    """Seeded clouds with repeated points, with collinear runs, and with 0, 1
+    or 2 distinct points, in shuffled order."""
+    rng = random.Random(2682)
+    seen = {"repeats": 0, "point on a hull edge": 0, "0-2 distinct": 0}
+    for trial in range(3000):
+        if trial % 3 == 0:
+            base = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 2))]
+            cloud = [rng.choice(base) for _ in range(rng.randint(0, 6))]
+        else:
+            cloud = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 12))]
+            if trial % 3 == 2:  # a collinear run through one of the points
+                (x, y), dx, dy = rng.choice(cloud), rng.randint(-3, 3), rng.randint(-3, 3)
+                cloud += [(x + t * dx, y + t * dy) for t in range(-rng.randint(0, 4), rng.randint(1, 5))]
+            cloud += rng.choices(cloud, k=rng.randint(0, 3))
+        rng.shuffle(cloud)
+        hull = convex_hull(cloud)
+        assert hull == oracles.gift_wrapping_hull(cloud), cloud
+        distinct = set(cloud)
+        seen["repeats"] += len(distinct) < len(cloud)
+        seen["0-2 distinct"] += len(distinct) <= 2
+        k = len(hull)
+        seen["point on a hull edge"] += k >= 3 and any(
+            p not in hull and any(oracles.on_open_segment(hull[i - 1], hull[i], p) for i in range(k))
+            for p in distinct
+        )
+    assert min(seen.values()) >= 300, seen
 
 
 def test_closed_segments_intersect_endpoint_contact():

@@ -116,8 +116,11 @@ def test_single_point_has_one_event_of_each_sign():
 
 def test_encode_requires_convex_obstacle():
     dent = poly((0, 0), (6, 0), (6, 6), (3, 2), (0, 6))
-    with pytest.raises(GeometryError):
-        encode_tangent(Scene(pts((10, 1)), (dent,)))
+    # (3, 0) is a straight corner: Polygon accepts it, but the obstacle is not strictly convex
+    straight = poly((0, 0), (3, 0), (6, 0), (6, 6), (0, 6))
+    for obstacle in (dent, straight):
+        with pytest.raises(GeometryError, match="^tangent encoding needs a strictly convex obstacle$"):
+            encode_tangent(Scene(pts((10, 1)), (obstacle,)))
 
 
 def test_encode_refuses_an_index_that_names_no_obstacle(hexagon_scene):
