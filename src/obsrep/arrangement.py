@@ -107,15 +107,15 @@ class FaceSet:
 
     ``nodes`` holds homogeneous integer points ``(X, Y, W)`` for (X/W, Y/W),
     with ``W > 0`` and the three coprime: vertex i of ``graph`` at index i, as
-    ``(x, y, 1)``, then the crossings.  ``pieces`` pairs node ids;
-    ``components`` counts the connected pieces, isolated points included.
-    A face is a tuple of node-id cycles in traversal order, and its id is its
-    index in ``faces``, the unbounded face last.  A bounded face's outer
-    boundary comes first; the other cycles float inside it, an edgeless vertex
-    as a one-node cycle.  Dart 2k runs along ``pieces[k]`` and 2k+1 against
-    it; ``dart_face[d]`` is the face on d's left, ``outgoing[v]`` the darts
-    leaving node v sorted counterclockwise from +x.  Orders are integer keys
-    at the drawing's ``scale`` (``_scale``): edge k of ``graph.sorted_edges()``
+    ``(x, y, 1)``, then the crossings.  ``pieces`` pairs node ids; ``components``
+    counts the connected pieces, isolated points included.  A face is a tuple of
+    node-id cycles in traversal order, and its id is its index in ``faces``, the
+    unbounded face last.  A bounded face's outer boundary comes first; the other
+    cycles float inside it, left to right by their leftmost (then lowest) node,
+    an edgeless vertex as a one-node cycle.  Dart 2k runs along ``pieces[k]``
+    and 2k+1 against it; ``dart_face[d]`` is the face on d's left, ``outgoing[v]``
+    the darts leaving node v sorted counterclockwise from +x.  Orders are integer
+    keys at the drawing's ``scale`` (``_scale``): edge k of ``graph.sorted_edges()``
     has the pieces from ``edge_cuts[k][0]`` on, cut at parameters n/d keyed
     ``n * scale // d`` in ``edge_cuts[k][1]``, increasing; ``dart_keys[d]``
     keys the vector q - p of the edge (p, q) under dart d, negated for odd d.
@@ -285,15 +285,15 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
             a = v
     pieces = darts[::2]
 
-    position = [0] * len(darts)
+    # A face's next dart after d leaves d's head just clockwise of d's twin.
+    after = [0] * len(darts)
     for ring in outgoing:
         ring.sort(key=keys.__getitem__)
         if len({keys[d] for d in ring}) < len(ring):
             raise ObsrepError("two boundary pieces leave a node in the same direction")
         for i, d in enumerate(ring):
-            position[d] = i
+            after[d ^ 1] = ring[i - 1]
 
-    # A face's next dart leaves d's head just clockwise of d's twin.
     cycles, orbit_of = [], [None] * len(darts)
     for d in range(len(darts)):
         if orbit_of[d] is None:
@@ -301,8 +301,7 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
             while orbit_of[d] is None:
                 orbit_of[d] = len(cycles)
                 cycle.append(darts[d][0])
-                ring = outgoing[darts[d][1]]
-                d = ring[position[d ^ 1] - 1]
+                d = after[d]
             cycles.append(tuple(cycle))
 
     # Walk each component from its leftmost (then lowest) node, leftmost first.
@@ -326,19 +325,14 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
 
     # Place each component in the face just left of its leftmost vertex, leftmost
     # first: all a ray meets lies further left, with a face by then (the first ray
-    # meets nothing).  Its outer boundary, or an edgeless vertex's one-node cycle, is a hole there.
-    home = {}
+    # meets nothing).  Its outer boundary, or an edgeless vertex's (v,), is that face's next hole.
+    holes = [[] for _ in range(len(bounded) + 1)]
     for v in leftmost:
         d = None if v == leftmost[0] else _dart_left_of(nodes[v], nodes, pieces, outgoing)
-        home[v] = len(bounded) if d is None else orbit_face[orbit_of[d]]
+        home = len(bounded) if d is None else orbit_face[orbit_of[d]]
         if v in outer:
-            orbit_face[outer[v]] = home[v]
-    holes = [[] for _ in range(len(bounded) + 1)]
-    for o in sorted(outer.values()):
-        holes[orbit_face[o]].append(cycles[o])
-    for v in range(graph.n):
-        if not outgoing[v]:
-            holes[home[v]].append((v,))
+            orbit_face[outer[v]] = home
+        holes[home].append(cycles[outer[v]] if v in outer else (v,))
     faces = [(cycles[o], *holes[i]) for i, o in enumerate(bounded)]
     faces.append(tuple(holes[-1]))
 

@@ -265,7 +265,7 @@ def cmd_obs_search(args):
         print(f"point {i + 1} {p.x} {p.y}")
     print(f"faces{_labels(result.faces)}")
     if not replay_witness(g, result):
-        print("witness failed to replay", file=sys.stderr)
+        print("contradiction: witness failed to replay", file=sys.stderr)
         return 2
     print("replay ok")
     return 0

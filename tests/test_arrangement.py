@@ -50,8 +50,9 @@ def test_edgeless_drawing_has_one_face():
     assert len(fs.faces) == 1
     assert fs.components == 3
     assert fs.area2(0) is None
-    # each edgeless vertex floats in it as a one-node cycle, which borders no piece
-    assert fs.faces[0] == ((0,), (1,), (2,))
+    # each edgeless vertex floats in it as a one-node cycle, which borders no
+    # piece, and the holes come left to right
+    assert fs.faces[0] == ((0,), (2,), (1,))
     assert face_complexity(fs) == ((0,), 0)
 
 
@@ -101,9 +102,10 @@ def test_nested_lists_its_edgeless_vertex_in_the_ring():
     points = [tuple(p) for p in NESTED["points"]]
     fs = build(points, [(i - 1, j - 1) for i, j in NESTED["graph"]["edges"]])
     ring, inner, outside = fs.faces
-    # the outer triangle's boundary, the inner triangle's, then vertex 7 alone
-    assert [len(c) for c in ring] == [3, 3, 1]
-    assert ring[-1] == (6,)
+    # the outer triangle's boundary, then its holes left to right: vertex 7
+    # alone (x = 6), then the inner triangle (leftmost x = 10)
+    assert [len(c) for c in ring] == [3, 1, 3]
+    assert ring[1] == (6,)
     assert all(len(c) > 1 for f in (inner, outside) for c in f)
 
 
@@ -641,7 +643,47 @@ def test_only_floating_components_shoot_a_ray(monkeypatch):
     monkeypatch.setattr(arrangement, "_dart_left_of", recording)
     fs, _, _ = _check_against_oracle(*_document(NESTED))
     assert rays == [(6, 2, 1), (10, 6, 1)]
-    assert fs.faces == (((0, 1, 2), (4, 3, 5), (6,)), ((3, 4, 5),), ((1, 0, 2),))
+    assert fs.faces == (((0, 1, 2), (6,), (4, 3, 5)), ((3, 4, 5),), ((1, 0, 2),))
+
+
+def _nested_drawings(rng, count):
+    """Seeded drawings of one to five small triangles and one to three edgeless
+    vertices, all inside a large triangle whose bounded face most of them
+    share; a triangle can hold a vertex or cross another triangle."""
+    while count:
+        points, edges = [(0, 0), (1200, 7), (590, 1000)], [(0, 1), (1, 2), (0, 2)]
+        for _ in range(rng.randint(1, 5)):
+            cx, cy = rng.randint(400, 800), rng.randint(100, 400)
+            n = len(points)
+            points += [(cx + rng.randint(-30, 30), cy + rng.randint(-30, 30)) for _ in range(3)]
+            edges += [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
+        points += [(rng.randint(400, 800), rng.randint(100, 400)) for _ in range(rng.randint(1, 3))]
+        try:
+            Scene(points)
+        except SceneError:
+            continue
+        count -= 1
+        yield points, edges
+
+
+def test_holes_come_left_to_right():
+    # Each face lists its holes, the cycles after a bounded face's outer
+    # boundary, by their leftmost (then lowest) node, strictly increasing.
+    drawings = [
+        _document(NESTED),
+        ([(0, 0), (10, 0), (4, 7)], []),
+        ([(3, 5), (3, 1), (0, 4), (7, 2)], []),
+        *_nested_drawings(random.Random(2718), 80),
+    ]
+    side_by_side = 0
+    for points, edges in drawings:
+        fs = build(points, edges)
+        for holes in [f[1:] for f in fs.faces[:-1]] + [fs.faces[-1]]:
+            lefts = [min(xy(fs.nodes[i]) for i in c) for c in holes]
+            assert all(a < b for a, b in zip(lefts, lefts[1:])), (points, edges, holes)
+            side_by_side += len(holes) > 1
+    assert build(*drawings[2]).faces == (((2,), (1,), (0,), (3,)),)
+    assert side_by_side >= 60, side_by_side
 
 
 # Three diagonals of a hexagon through one crossing node at the origin, with

@@ -323,6 +323,14 @@ def test_obs_search_output(tmp_path, capsys):
     assert lines[9] == "replay ok"
 
 
+def test_obs_search_reports_a_witness_that_fails_to_replay(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("obsrep.cli.replay_witness", lambda graph, result: False)
+    rc, out, err = run(capsys, ["obs-search", write(tmp_path, "c4.json", C4_GRAPH), "--seed", "7"])
+    assert rc == 2
+    assert err == "contradiction: witness failed to replay\n"
+    assert "replay ok" not in out.splitlines() and out.startswith("n 4\n")
+
+
 def test_obs_search_accepts_scene_documents(tmp_path, capsys):
     doc = dict(HEXAGON, graph={"n": 3, "edges": [[1, 2], [1, 3]]})
     rc, out, err = run(capsys, ["obs-search", write(tmp_path, "s.json", doc), "--seed", "3"])
@@ -578,6 +586,13 @@ def test_module_and_console_entry_points(tmp_path):
         [sys.executable, "-m", "obsrep", "bounds", "--h", "1"], **child
     )
     assert module.returncode == 0 and module.stdout == "24\n"
+    golden = Path(__file__).resolve().parent / "golden" / "bounds-h15.txt"
+    module = subprocess.run([sys.executable, "-m", "obsrep", "bounds", "--h", "15"], **child)
+    assert (module.returncode, module.stdout) == (0, golden.read_text())
+    module = subprocess.run([sys.executable, "-m", "obsrep", "bounds"], **child)
+    assert (module.returncode, module.stdout) == (1, "")
+    assert module.stderr.count("\n") == 1 and "Traceback" not in module.stderr
+    assert module.stderr.startswith("obsrep bounds: error: ") and "--h --s" in module.stderr
 
     # The console script that pip installs from [project.scripts] is this
     # wrapper; writing it here tests the declared target without an install.

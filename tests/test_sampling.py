@@ -1,17 +1,23 @@
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import oracles
 import pytest
+from obsrep import sampling
 from obsrep.errors import ObsrepError
 from obsrep.sampling import (
     _below,
     _collinear_with_any_pair,
     _shuffle,
     iter_single_obstacle_scenes,
+    random_convex_polygon,
     random_placement,
+    random_single_obstacle_scene,
 )
+
+from conftest import poly
 
 
 def _sha256(rows):
@@ -136,3 +142,20 @@ def test_random_placement_gives_up_when_the_grid_has_no_room():
     # five points with distinct x-coordinates do not fit on a 2x2 grid
     with pytest.raises(ObsrepError, match="no general-position placement on a 2x2 grid"):
         random_placement(random.Random(0), 5, 2)
+
+
+# A random source whose every draw is 0.
+_ZEROS = SimpleNamespace(getrandbits=lambda k: 0)
+
+
+def test_random_convex_polygon_gives_up_when_every_draw_repeats():
+    # every corner drawn is (-333, -333), so each hull has one point
+    with pytest.raises(ObsrepError, match="^could not sample a convex polygon$"):
+        random_convex_polygon(_ZEROS)
+
+
+def test_random_scene_gives_up_when_every_candidate_repeats(monkeypatch):
+    # the first candidate (-1000, -1000) is taken, and every later one repeats it
+    monkeypatch.setattr(sampling, "random_convex_polygon", lambda rng: poly((0, 0), (10, 0), (0, 10)))
+    with pytest.raises(ObsrepError, match="^could not place scene points in general position$"):
+        random_single_obstacle_scene(_ZEROS, 2)

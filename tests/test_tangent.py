@@ -288,6 +288,9 @@ def test_derive_rejects_empty_sample():
 def test_table_round_trip_and_parse_errors():
     table = builtin_pattern_table()
     assert PatternTable.parse(table.serialize()).serialize() == table.serialize()
+    # blank and whitespace-only lines are skipped
+    spaced = "\n \t\n" + table.serialize().replace("\n", "\n   \n", 2) + "\n\t"
+    assert PatternTable.parse(spaced).serialize() == table.serialize()
     with pytest.raises(ObsrepError):
         PatternTable.parse("pattern q-p+p-q+ maybe")
     with pytest.raises(ObsrepError):
