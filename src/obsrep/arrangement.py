@@ -17,11 +17,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from math import gcd, lcm, prod
 
 from .errors import GeometryError, ObsrepError
-from .geom import direction_key, orient
+from .geom import direction_key
 from .graphs import Graph
 from .scene import Scene
 
@@ -35,37 +34,41 @@ def _scale(points):
     return 4 * span**4 + 1
 
 
-def _crossing(p, q, r, s):
-    """Where the open segments (p, q) and (r, s) cross at a single point:
-    ``(tn, un, denom)`` with p + (tn/denom)(q - p) = r + (un/denom)(s - r) and
-    0 < tn, un < denom, or ``None`` when the segments are parallel or do not
-    meet at interior points of both."""
-    (px, py), (qx, qy), (rx, ry), (sx, sy) = p, q, r, s
-    dx, dy, ex, ey, wx, wy = qx - px, qy - py, sx - rx, sy - ry, rx - px, ry - py
+def _segments(points, segs):
+    """Each segment (a, b) as (a, b, x, y, dx, dy, x0, x1, y0, y1): ends, start, vector, box."""
+    records = []
+    for a, b in segs:
+        (x, y), (u, v) = points[a], points[b]
+        x0, x1 = (x, u) if x < u else (u, x)
+        y0, y1 = (y, v) if y < v else (v, y)
+        records.append((a, b, x, y, u - x, v - y, x0, x1, y0, y1))
+    return records
+
+
+def _crossing(px, py, dx, dy, rx, ry, ex, ey):
+    """Where open segments cross at one point p + t·(dx, dy) = r + u·(ex, ey), 0 < t, u < 1:
+    ``(tn, un, denom)`` for t = tn/denom and u = un/denom, or ``None`` if they do not."""
+    wx, wy = rx - px, ry - py
     denom, tn, un = dx * ey - dy * ex, wx * ey - wy * ex, wx * dy - wy * dx
     if denom < 0:
         denom, tn, un = -denom, -tn, -un
     return (tn, un, denom) if 0 < tn < denom and 0 < un < denom else None
 
 
-def _boxes(points, segs):
-    """Each segment (a, b) with its closed box and index: (a, b, x0, x1, y0, y1, k)."""
-    return [
-        (a, b, *sorted((points[a][0], points[b][0])), *sorted((points[a][1], points[b][1])), k)
-        for k, (a, b) in enumerate(segs)
-    ]
-
-
-def _crossings(points, pairs):
-    """(k, l, hit) for each pair of ``_boxes`` records, in the order given, whose
-    open segments cross, hit as ``_crossing`` gives it.  Only pairs with four
-    distinct ends and meeting boxes reach it: open segments with a common end
-    are parallel or meet only there, and a crossing lies in both closed boxes."""
-    for (i, j, x0, x1, y0, y1, k), (a, b, u0, u1, v0, v1, l) in pairs:
-        if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1 and i != a != j != b != i:
-            hit = _crossing(points[i], points[j], points[a], points[b])
-            if hit is not None:
-                yield k, l, hit
+def _crossings(rows, cols):
+    """(k, l, tn, un, denom) in (k, l) order for each record rows[k] of ``_segments``
+    whose open segment crosses that of cols[l] (k < l when ``rows is cols``).  Only
+    pairs with four distinct ends and meeting boxes reach ``_crossing``: segments
+    with a common end meet only there, and a crossing lies in both closed boxes."""
+    found = []
+    for k, (i, j, px, py, dx, dy, x0, x1, y0, y1) in enumerate(rows):
+        start = k + 1 if rows is cols else 0
+        for l, (a, b, rx, ry, ex, ey, u0, u1, v0, v1) in enumerate(cols[start:], start):
+            if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1 and i != a != j != b != i:
+                hit = _crossing(px, py, dx, dy, rx, ry, ex, ey)
+                if hit is not None:
+                    found.append((k, l, *hit))
+    return found
 
 
 def _wedge(ring, keys, key):
@@ -250,30 +253,39 @@ def _area2(nodes, cycle):
 
 def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
     """Faces of ``graph`` drawn straight on the scene's points, with crossings
-    as exact subdivision vertices; the scene's obstacles play no part.  Only
-    pairs of edges with four distinct ends and meeting bounding boxes reach
-    the exact crossing solve (``_crossings`` says why no other pair crosses)."""
+    as exact subdivision vertices; the scene's obstacles play no part.  One
+    pass over the edge pairs (``_crossings``) finds the crossings, and a
+    union-find over the edges and crossing pairs finds the components."""
     points = scene.points
     if len(points) != graph.n:
         raise ObsrepError(f"{len(points)} points for a {graph.n}-vertex graph")
     node_index = {(x, y, 1): i for i, (x, y) in enumerate(points)}
+    edges, scale = graph.sorted_edges(), _scale(points)
+    segments, parent = _segments(points, edges), list(range(graph.n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
 
     # Concurrent crossings reduce to one node, so each edge through it is cut
-    # there once; pairs are met in (k, l) order, which fixes the node ids.
-    edges, scale = graph.sorted_edges(), _scale(points)
+    # there once; pairs come in (k, l) order, which fixes the node ids.  As no
+    # scene point lies inside a segment, joining each crossing pair here and
+    # each edge's ends below joins exactly each component's vertices.
     cuts = [{} for _ in edges]
-    for k, l, (tn, un, w) in _crossings(points, combinations(_boxes(points, edges), 2)):
-        (px, py), (qx, qy) = points[edges[k][0]], points[edges[k][1]]
-        x, y = px * w + (qx - px) * tn, py * w + (qy - py) * tn
+    for k, l, tn, un, w in _crossings(segments, segments):
+        _, _, px, py, dx, dy = segments[k][:6]
+        x, y = px * w + dx * tn, py * w + dy * tn
         g = gcd(x, y, w)
         i = node_index.setdefault((x // g, y // g, w // g), len(node_index))
         cuts[k][i], cuts[l][i] = tn * scale // w, un * scale // w
+        parent[find(edges[k][0])] = find(edges[l][0])
     nodes = list(node_index)
 
     # Darts 2k and 2k+1 are the two directions of piece k; twin = dart ^ 1.
     darts, edge_cuts, keys, outgoing = [], [], [], [[] for _ in nodes]
-    for (a, b), cut in zip(edges, cuts):
-        dx, dy = points[b][0] - points[a][0], points[b][1] - points[a][1]
+    for (a, b, _, _, dx, dy, _, _, _, _), cut in zip(segments, cuts):
+        parent[find(a)] = find(b)
         key = direction_key(dx, dy, scale), direction_key(-dx, -dy, scale)
         ts, ids = zip(*sorted(zip(cut.values(), cut))) if cut else ((), ())
         edge_cuts.append((len(darts) // 2, ts))
@@ -304,20 +316,12 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
                 d = after[d]
             cycles.append(tuple(cycle))
 
-    # Walk each component from its leftmost (then lowest) node, leftmost first.
-    # That node is a vertex, as crossings lie inside two segments, and the
+    # Each component's leftmost (then lowest) node is a vertex, as crossings lie
+    # inside two segments: the last of its class written right to left.  The
     # stretch just left of it lies outside the component, left of the orbit of
     # its outer boundary; every other orbit goes round a bounded face.
-    leftmost, reached = [], set()
-    for root in sorted(range(graph.n), key=points.__getitem__):
-        if root not in reached:
-            leftmost.append(root)
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                if v not in reached:
-                    reached.add(v)
-                    stack.extend(darts[d][1] for d in outgoing[v])
+    lefts = {find(v): v for v in sorted(range(graph.n), key=points.__getitem__, reverse=True)}
+    leftmost = sorted(lefts.values(), key=points.__getitem__)
     west = direction_key(-1, 0, scale)
     outer = {v: orbit_of[_wedge(outgoing[v], keys, west)] for v in leftmost if outgoing[v]}
     bounded = [o for o in range(len(cycles)) if o not in outer.values()]
@@ -369,36 +373,32 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
     """Walk every non-edge p-q through the arrangement and collect the faces it passes.
 
     In general position a non-edge crosses an edge at most once, inside both,
-    and where it crosses one at a node it crosses every edge through that
-    node there.  The stretch before each crossing lies on p's side of it:
-    left of the crossed piece's dart with p on its left, or in the node's
-    wedge toward p.  The last one lies in q's wedge toward p or, if q has no
-    edge, in the face that lists q as a one-node cycle.  As in the build, only
-    edges with no end at p or q whose bounding box meets the non-edge's reach
-    the exact crossing solve.
+    and where it crosses one at a node it crosses every edge through that node
+    there.  The build's pair loop, ``_crossings``, over non-edges × edges finds
+    the crossings.  The stretch before each lies on p's side of it: left of the
+    crossed piece's dart with p on its left, by one cross product with the
+    edge's vector, or in the node's wedge toward p, keyed once per non-edge.
+    The last one lies in q's wedge toward p or, if q has no edge, in the face
+    that lists q as a one-node cycle.
     """
     points = [(x, y) for x, y, _ in fs.nodes[: fs.graph.n]]
-    edges = fs.graph.sorted_edges()
     nonedges = tuple(fs.graph.non_edges())
+    rows, cols = _segments(points, nonedges), _segments(points, fs.graph.sorted_edges())
     floating = {c[0]: fid for fid, f in enumerate(fs.faces) for c in f if len(c) == 1}
-
-    def wedge(v, i, j):
-        # The face just off node v of the non-edge i-j, toward i.
-        back = direction_key(points[i][0] - points[j][0], points[i][1] - points[j][1], fs.scale)
-        return fs.dart_face[_wedge(fs.outgoing[v], fs.dart_keys, back)]
-
-    def beside(k, i, j, un, w):
-        # The face on i's side of where the non-edge i-j crosses edge k, at parameter un/w on it.
-        first, cuts = fs.edge_cuts[k]
-        t = un * fs.scale // w
+    dart_face, outgoing, keys, scale = fs.dart_face, fs.outgoing, fs.dart_keys, fs.scale
+    backs = [direction_key(-row[4], -row[5], scale) for row in rows]
+    through = [
+        {dart_face[_wedge(outgoing[j], keys, back)] if outgoing[j] else floating[j]}
+        for (_, j), back in zip(nonedges, backs)
+    ]
+    for k, l, _, un, w in _crossings(rows, cols):
+        first, cuts = fs.edge_cuts[l]
+        t = un * scale // w
         c = bisect_left(cuts, t)
         if c < len(cuts) and cuts[c] == t:
-            return wedge(fs.pieces[first + c][1], i, j)
-        a, b = edges[k]
-        return fs.dart_face[2 * (first + c) + (orient(points[a], points[b], points[i]) < 0)]
-
-    through = [{wedge(j, i, j) if fs.outgoing[j] else floating[j]} for i, j in nonedges]
-    pairs = product(_boxes(points, nonedges), _boxes(points, edges))
-    for k, l, (_, un, w) in _crossings(points, pairs):
-        through[k].add(beside(l, *nonedges[k], un, w))
+            face = dart_face[_wedge(outgoing[fs.pieces[first + c][1]], keys, backs[k])]
+        else:
+            (_, _, px, py, *_), (_, _, rx, ry, ex, ey, *_) = rows[k], cols[l]
+            face = dart_face[2 * (first + c) + (ex * (py - ry) < ey * (px - rx))]
+        through[k].add(face)
     return CoverInstance(nonedges, tuple(tuple(sorted(hit)) for hit in through))

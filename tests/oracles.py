@@ -6,8 +6,10 @@ point-in-polygon is parity ray casting, a point is in a hull when it is in
 a triangle, on a segment or at a point of the group, scene diagnostics test
 every vertex pair against every obstacle corner, drawing faces come from a
 vertical-slab decomposition flooded across slab boundaries instead of
-half-edge tracing, face/non-edge incidence locates the midpoint of each
-stretch between crossings instead of walking the darts, face areas and dart
+half-edge tracing, a drawing's components join every two edges whose closed
+segments meet instead of reading the build's crossing pass, face/non-edge
+incidence locates the midpoint of each stretch between crossings instead of
+walking the darts, face areas and dart
 rings are read off node coordinates instead of edge vectors, two directions
 are compared by a cross product instead of integer keys, a face's
 representative halves a probe until it is clear (in Fractions, or in int
@@ -94,6 +96,25 @@ def closed_segments_meet(a, b, c, d) -> bool:
         return False
     td = _param_on_line(a, b, d)
     return max(tc, td) >= 0 and min(tc, td) <= 1
+
+
+def drawing_components(points, edges) -> int:
+    """How many connected pieces a straight-line drawing has, isolated points
+    included.  The ends of every edge share a label, and so do the ends of
+    every two edges whose closed segments meet; a join relabels every vertex
+    that carried the old label."""
+    label = list(range(len(points)))
+
+    def join(a, b):
+        old, new = label[a], label[b]
+        label[:] = [new if x == old else x for x in label]
+
+    for a, b in edges:
+        join(a, b)
+    for (a, b), (c, d) in combinations(edges, 2):
+        if closed_segments_meet(points[a], points[b], points[c], points[d]):
+            join(a, c)
+    return len(set(label))
 
 
 def on_open_segment(a, b, p) -> bool:

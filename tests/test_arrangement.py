@@ -1,11 +1,13 @@
+import hashlib
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor, gcd
 
 import pytest
 
-from obsrep.arrangement import _first_contact, build_arrangement, face_nonedge_incidence
+from obsrep.arrangement import FaceSet, _first_contact, build_arrangement, face_nonedge_incidence
 from obsrep.errors import GeometryError, ObsrepError, SceneError
 from obsrep.geom import direction_key
 from obsrep.graphs import Graph, complete_graph, gnp_half
@@ -18,6 +20,7 @@ from oracles import (
     ccw_ring,
     closed_segments_meet,
     cross_params,
+    drawing_components,
     halving_representative,
     integer_halving_representative,
     midpoint_incidence,
@@ -523,6 +526,33 @@ def test_euler_relation_on_random_drawings():
         assert v - e + f == 1 + fs.components
 
 
+def test_components_match_the_segment_meeting_oracle():
+    # The build joins components in its crossing pass; the oracle joins the
+    # ends of every two edges whose closed segments meet, by Fraction solves.
+    drawings = [
+        ISOLATED,
+        _document(NESTED),
+        _document(CONCURRENT),
+        THREE_THROUGH_ONE,
+        ([(0, 0), (10, 0), (4, 7)], []),
+        ([(3, 5), (3, 1), (0, 4), (7, 2)], []),
+        *_nested_drawings(random.Random(2718), 80),
+    ]
+    rng = random.Random(6174)
+    for k in range(100):
+        n = rng.randint(3, 12)
+        points = random_placement(rng, n, rng.choice((4, 100)) * n * n)
+        keep = k % 3 + 2  # a half, a third or a quarter of the edges
+        edges = [e for e in gnp_half(n, rng).sorted_edges() if rng.randrange(keep) == 0]
+        drawings.append((points, edges))
+    several = 0
+    for points, edges in drawings:
+        fs = build(points, edges)
+        assert fs.components == drawing_components(points, edges), (points, edges)
+        several += fs.components > 1
+    assert several >= 50, several
+
+
 def _framed(points, edges):
     """The drawing inside a triangle far around it, so that it floats in the
     triangle's face, or ``None`` if a frame corner is collinear with two points."""
@@ -810,11 +840,15 @@ def test_only_pairs_that_can_cross_reach_the_crossing_solve(monkeypatch):
     # by brute force, has no crossing.
     import obsrep.arrangement as arrangement
 
-    solve, asked = arrangement._crossing, []
+    flat, asked = arrangement._crossing, []
 
-    def recording(p, q, r, s):
-        asked.append((p, q, r, s))
-        return solve(p, q, r, s)
+    def recording(px, py, dx, dy, rx, ry, ex, ey):
+        # The solve takes each segment as its start and vector; record its ends.
+        asked.append(((px, py), (px + dx, py + dy), (rx, ry), (rx + ex, ry + ey)))
+        return flat(px, py, dx, dy, rx, ry, ex, ey)
+
+    def solve(p, q, r, s):
+        return flat(*p, q[0] - p[0], q[1] - p[1], *r, s[0] - r[0], s[1] - r[1])
 
     monkeypatch.setattr(arrangement, "_crossing", recording)
     calls, skipped = [], 0
@@ -960,3 +994,25 @@ def test_drawings_in_negative_coordinates():
     for points, edges in _scale_drawings():
         _check_at_the_scale([(-x - 50, -y - 1) for x, y in points], edges)
         _check_at_the_scale([(-x, y - 60) for x, y in points], edges)
+
+
+def test_seeded_drawings_are_pinned():
+    # One SHA-256 over every face set field but the graph, and the walk's
+    # faces per non-edge, of 450 seeded drawings: n = 2..16 by seeds 0..29 on
+    # three grids, every fifth keeping a quarter of its edges.
+    digest, several = hashlib.sha256(), 0
+    names = [f.name for f in fields(FaceSet) if f.name != "graph"]
+    for n in range(2, 17):
+        for s in range(30):
+            rng = random.Random(1000 * n + s)
+            edges = gnp_half(n, rng).sorted_edges()
+            if s % 5 == 0:
+                edges = [e for e in edges if rng.randrange(4) == 0]
+            points = random_placement(rng, n, (n * n + 4, 4 * n * n, 100 * n * n)[s % 3])
+            fs = build(points, edges)
+            for name in names:
+                digest.update(repr(getattr(fs, name)).encode())
+            digest.update(repr(face_nonedge_incidence(fs).through).encode())
+            several += fs.components > 1
+    assert several == 132
+    assert digest.hexdigest() == "c836d18fec2190f9b25ad2e4109c7838f5d4e6e72bf3bc13099697489cb2f761"
