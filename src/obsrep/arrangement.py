@@ -25,20 +25,20 @@ from .graphs import Graph
 from .scene import Scene
 
 
-def _scale(points):
-    """The drawing's one scale S = 4·span⁴ + 1, span its points' largest x- or
-    y-extent.  A cut parameter or node coordinate is n/d, 0 < d <= 2·span², so
+def _scale(vertices):
+    """The drawing's one scale S = 4·span⁴ + 1, span its vertex nodes' largest x-
+    or y-extent.  A cut parameter or node coordinate is n/d, 0 < d <= 2·span², so
     distinct ones differ by over 1/S and ``n * S // d`` orders them exactly; a
-    direction between points has y² < S, as ``direction_key`` needs."""
-    span = max((max(c) - min(c) for c in zip(*points)), default=0)
+    direction between vertices has y² < S, as ``direction_key`` needs."""
+    span = max((max(c) - min(c) for c in zip(*vertices)), default=0)
     return 4 * span**4 + 1
 
 
-def _segments(points, segs):
+def _segments(nodes, segs):
     """Each segment (a, b) as (a, b, x, y, dx, dy, x0, x1, y0, y1): ends, start, vector, box."""
     records = []
     for a, b in segs:
-        (x, y), (u, v) = points[a], points[b]
+        (x, y, _), (u, v, _) = nodes[a], nodes[b]
         x0, x1 = (x, u) if x < u else (u, x)
         y0, y1 = (y, v) if y < v else (v, y)
         records.append((a, b, x, y, u - x, v - y, x0, x1, y0, y1))
@@ -79,15 +79,11 @@ def _wedge(ring, keys, key):
 def _dart_left_of(q, nodes, pieces, outgoing):
     """The dart whose left side holds the stretch from q leftward to where the
     ray q - t·(1, 0), t > 0, first meets the drawing, or None if it meets none.
-    A node w is met in its wedge toward +x, left of ``outgoing[w][-1]``; a piece
-    crossed inside, left of its downward dart.  Edgeless vertices are passed.
-    ``q`` is homogeneous like the nodes; each hit's x is kept as a ratio."""
+    A piece crossed inside is met left of its downward dart; a piece end w on the
+    ray's line, in its wedge toward +x, left of ``outgoing[w][-1]``.  An edgeless
+    vertex ends no piece, so it is passed.  ``q`` is homogeneous like the nodes."""
     qx, qy, qw = q
-    hits = [
-        ((x, w), outgoing[v][-1])
-        for v, (x, y, w) in enumerate(nodes)
-        if y * qw == qy * w and outgoing[v]
-    ]
+    hits = []
     for k, (a, b) in enumerate(pieces):
         (ax, ay, aw), (bx, by, bw) = nodes[a], nodes[b]
         # Heights over the ray's line, scaled by aw·qw and bw·qw; a piece from
@@ -96,7 +92,10 @@ def _dart_left_of(q, nodes, pieces, outgoing):
         if ha * hb < 0:
             up = 1 if ha < hb else -1
             hits.append((((ax * hb - bx * ha) * up, (hb * aw - ha * bw) * up), 2 * k + (up > 0)))
-    # The nearest hit left of q, cross-multiplied: a denominator can exceed 2·span².
+        for v, x, w, h in (a, ax, aw, ha), (b, bx, bw, hb):
+            if not h:
+                hits.append(((x, w), outgoing[v][-1]))
+    # The nearest hit left of q by its x ratio, cross-multiplied: a denominator can exceed 2·span².
     x, w, dart = 0, 1, None
     for (hx, hw), d in hits:
         if hx * qw < qx * hw and (dart is None or hx * w > x * hw):
@@ -108,20 +107,20 @@ def _dart_left_of(q, nodes, pieces, outgoing):
 class FaceSet:
     """All faces of a drawing, plus the exact subdivision they came from.
 
-    ``nodes`` holds homogeneous integer points ``(X, Y, W)`` for (X/W, Y/W),
-    with ``W > 0`` and the three coprime: vertex i of ``graph`` at index i, as
-    ``(x, y, 1)``, then the crossings.  ``pieces`` pairs node ids; ``components``
-    counts the connected pieces, isolated points included.  A face is a tuple of
-    node-id cycles in traversal order, and its id is its index in ``faces``, the
-    unbounded face last.  A bounded face's outer boundary comes first; the other
-    cycles float inside it, left to right by their leftmost (then lowest) node,
-    an edgeless vertex as a one-node cycle.  Dart 2k runs along ``pieces[k]``
-    and 2k+1 against it; ``dart_face[d]`` is the face on d's left, ``outgoing[v]``
-    the darts leaving node v sorted counterclockwise from +x.  Orders are integer
-    keys at the drawing's ``scale`` (``_scale``): edge k of ``graph.sorted_edges()``
-    has the pieces from ``edge_cuts[k][0]`` on, cut at parameters n/d keyed
-    ``n * scale // d`` in ``edge_cuts[k][1]``, increasing; ``dart_keys[d]``
-    keys the vector q - p of the edge (p, q) under dart d, negated for odd d.
+    ``nodes`` holds homogeneous integer points ``(X, Y, W)`` for (X/W, Y/W), with
+    ``W > 0`` and the three coprime: vertex i of ``graph`` is ``nodes[i] = (x, y, 1)``,
+    the one form the build and the walk read, and the crossings follow.  ``pieces``
+    pairs node ids; ``components`` counts the connected pieces, isolated points
+    included.  A face is a tuple of node-id cycles in traversal order, and its id is
+    its index in ``faces``, the unbounded face last.  A bounded face's outer boundary
+    comes first; the other cycles float inside it, left to right by their leftmost
+    (then lowest) node, an edgeless vertex as a one-node cycle.  Dart 2k runs along
+    ``pieces[k]`` and 2k+1 against it; ``dart_face[d]`` is the face on d's left,
+    ``outgoing[v]`` the darts leaving node v sorted counterclockwise from +x.  Orders
+    are integer keys at the drawing's ``scale`` (``_scale``): edge k of
+    ``graph.sorted_edges()`` has the pieces from ``edge_cuts[k][0]`` on, cut at n/d
+    keyed ``n * scale // d`` in ``edge_cuts[k][1]``, increasing; ``dart_keys[2k]`` keys
+    q - p for piece k's edge (p, q), and ``dart_keys[2k + 1]`` is it with ``[0]`` negated.
     """
 
     graph: Graph
@@ -256,12 +255,12 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
     as exact subdivision vertices; the scene's obstacles play no part.  One
     pass over the edge pairs (``_crossings``) finds the crossings, and a
     union-find over the edges and crossing pairs finds the components."""
-    points = scene.points
-    if len(points) != graph.n:
-        raise ObsrepError(f"{len(points)} points for a {graph.n}-vertex graph")
-    node_index = {(x, y, 1): i for i, (x, y) in enumerate(points)}
-    edges, scale = graph.sorted_edges(), _scale(points)
-    segments, parent = _segments(points, edges), list(range(graph.n))
+    if scene.n != graph.n:
+        raise ObsrepError(f"{scene.n} points for a {graph.n}-vertex graph")
+    node_index = {(x, y, 1): i for i, (x, y) in enumerate(scene.points)}
+    vertices = list(node_index)
+    edges, scale = graph.sorted_edges(), _scale(vertices)
+    segments, parent = _segments(vertices, edges), list(range(graph.n))
 
     def find(v):
         while parent[v] != v:
@@ -286,14 +285,14 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
     darts, edge_cuts, keys, outgoing = [], [], [], [[] for _ in nodes]
     for (a, b, _, _, dx, dy, _, _, _, _), cut in zip(segments, cuts):
         parent[find(a)] = find(b)
-        key = direction_key(dx, dy, scale), direction_key(-dx, -dy, scale)
+        lower, *slope = direction_key(dx, dy, scale)  # the twin negates only lower
         ts, ids = zip(*sorted(zip(cut.values(), cut))) if cut else ((), ())
         edge_cuts.append((len(darts) // 2, ts))
         for v in (*ids, b):
             outgoing[a].append(len(darts))
             outgoing[v].append(len(darts) + 1)
             darts += (a, v), (v, a)
-            keys += key
+            keys += (lower, *slope), (not lower, *slope)
             a = v
     pieces = darts[::2]
 
@@ -320,8 +319,8 @@ def build_arrangement(scene: Scene, graph: Graph) -> FaceSet:
     # inside two segments: the last of its class written right to left.  The
     # stretch just left of it lies outside the component, left of the orbit of
     # its outer boundary; every other orbit goes round a bounded face.
-    lefts = {find(v): v for v in sorted(range(graph.n), key=points.__getitem__, reverse=True)}
-    leftmost = sorted(lefts.values(), key=points.__getitem__)
+    lefts = {find(v): v for v in sorted(range(graph.n), key=vertices.__getitem__, reverse=True)}
+    leftmost = sorted(lefts.values(), key=vertices.__getitem__)
     west = direction_key(-1, 0, scale)
     outer = {v: orbit_of[_wedge(outgoing[v], keys, west)] for v in leftmost if outgoing[v]}
     bounded = [o for o in range(len(cycles)) if o not in outer.values()]
@@ -381,9 +380,8 @@ def face_nonedge_incidence(fs: FaceSet) -> CoverInstance:
     The last one lies in q's wedge toward p or, if q has no edge, in the face
     that lists q as a one-node cycle.
     """
-    points = [(x, y) for x, y, _ in fs.nodes[: fs.graph.n]]
     nonedges = tuple(fs.graph.non_edges())
-    rows, cols = _segments(points, nonedges), _segments(points, fs.graph.sorted_edges())
+    rows, cols = _segments(fs.nodes, nonedges), _segments(fs.nodes, fs.graph.sorted_edges())
     floating = {c[0]: fid for fid, f in enumerate(fs.faces) for c in f if len(c) == 1}
     dart_face, outgoing, keys, scale = fs.dart_face, fs.outgoing, fs.dart_keys, fs.scale
     backs = [direction_key(-row[4], -row[5], scale) for row in rows]

@@ -9,7 +9,7 @@ import pytest
 
 from obsrep.arrangement import FaceSet, _first_contact, build_arrangement, face_nonedge_incidence
 from obsrep.errors import GeometryError, ObsrepError, SceneError
-from obsrep.geom import direction_key
+from obsrep.geom import Point, _assume_valid, direction_key
 from obsrep.graphs import Graph, complete_graph, gnp_half
 from obsrep.sampling import random_placement
 from obsrep.scene import Scene
@@ -140,6 +140,19 @@ def test_drawing_rejects_bad_edges():
         Graph(3, [(1, 1)])
     with pytest.raises(ObsrepError, match="3 points for a 4-vertex graph"):
         build_arrangement(Scene([(0, 0), (10, 0), (4, 7)]), Graph(4, [(0, 3)]))
+
+
+def _unchecked(points):
+    """A scene of these points that skips validation, so three may share a line."""
+    return _assume_valid(Scene, points=tuple(map(Point._make, points)), obstacles=())
+
+
+def test_drawing_refuses_two_pieces_leaving_a_node_in_one_direction():
+    # a valid scene has no three points on a line; past that check, edges 0-1
+    # and 0-2 overlap and leave vertex 0 both heading +x
+    scene = _unchecked([(0, 0), (5, 0), (10, 0)])
+    with pytest.raises(ObsrepError, match="two boundary pieces leave a node in the same direction"):
+        build_arrangement(scene, Graph(3, [(0, 1), (0, 2)]))
 
 
 # --- point location and representatives ---
@@ -674,6 +687,64 @@ def test_only_floating_components_shoot_a_ray(monkeypatch):
     fs, _, _ = _check_against_oracle(*_document(NESTED))
     assert rays == [(6, 2, 1), (10, 6, 1)]
     assert fs.faces == (((0, 1, 2), (6,), (4, 3, 5)), ((3, 4, 5),), ((1, 0, 2),))
+
+
+# A triangle floats right of a first component, both inside a far frame, and the
+# build's ray from its leftmost vertex (60, 31) meets that component at a node
+# first.  The node is vertex 0, which only ever starts its pieces; vertex 2,
+# which only ever ends them; a crossing node, met head-on; and the right end of
+# a piece lying on the ray's line.  Three points on one line make no valid
+# scene, so that last drawing is built unchecked: no point lies inside a
+# segment, which is all the build asks.  Each row holds the points, the edges,
+# the node met, whether the scene is valid, and the faces.
+_FLOAT, _FRAME = [(60, 31), (71, 24), (68, 40)], [(-10, -10), (120, -5), (50, 100)]
+
+
+def _triangles(*firsts):
+    return [e for n in firsts for e in ((n, n + 1), (n + 1, n + 2), (n, n + 2))]
+
+
+RAYS_AT_A_NODE = [
+    ([(40, 31), (20, 20), (22, 40)] + _FLOAT + _FRAME, _triangles(0, 3, 6), 0, True,
+     (((1, 0, 2),), ((3, 4, 5),), ((6, 7, 8), (0, 1, 2), (4, 3, 5)), ((7, 6, 8),))),
+    ([(20, 20), (22, 40), (40, 31)] + _FLOAT + _FRAME, _triangles(0, 3, 6), 2, True,
+     (((1, 0, 2),), ((3, 4, 5),), ((6, 7, 8), (0, 1, 2), (4, 3, 5)), ((7, 6, 8),))),
+    ([(20, 20), (40, 42), (20, 42), (40, 20)] + _FLOAT + _FRAME,
+     [(0, 1), (2, 3), (0, 2)] + _triangles(4, 7), 10, True,
+     (((0, 10, 2),), ((4, 5, 6),), ((7, 8, 9), (10, 0, 2, 10, 1, 10, 3), (5, 4, 6)),
+      ((8, 7, 9),))),
+    ([(40, 31), (20, 31), (30, 15)] + _FLOAT + _FRAME, _triangles(0, 3, 6), 0, False,
+     (((0, 1, 2),), ((3, 4, 5),), ((6, 7, 8), (1, 0, 2), (4, 3, 5)), ((7, 6, 8),))),
+]
+
+
+def test_build_rays_that_meet_a_node(monkeypatch):
+    # The ray reads its node off the pieces the node ends, so missing either end
+    # of a piece files the floating triangle in the wrong face; the oracle places
+    # every face independently.  ``met`` maps each ray to the node its dart leaves.
+    import obsrep.arrangement as arrangement
+
+    locate, met = arrangement._dart_left_of, {}
+
+    def recording(q, nodes, pieces, outgoing):
+        d = locate(q, nodes, pieces, outgoing)
+        met[q] = None if d is None else pieces[d >> 1][d & 1]
+        return d
+
+    monkeypatch.setattr(arrangement, "_dart_left_of", recording)
+    for points, edges, node, valid, faces in RAYS_AT_A_NODE:
+        met.clear()
+        graph = Graph(len(points), edges)
+        fs = build_arrangement(Scene(points) if valid else _unchecked(points), graph)
+        assert met[(60, 31, 1)] == node
+        assert fs.faces == faces
+        oracle, ids = SlabOracle(points, graph), range(len(fs.faces))
+        reps = [fs.representative(fid) for fid in ids]
+        assert [fs.locate(r) for r in reps] == list(ids)
+        roots = [oracle.locate(r) for r in reps]
+        assert sorted(roots) == oracle.face_roots
+        sides = oracle.complexities()
+        assert [sides[root] for root in roots] == list(face_complexity(fs)[0])
 
 
 def _nested_drawings(rng, count):

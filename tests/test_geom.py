@@ -108,6 +108,18 @@ def test_direction_key_orders_like_direction_cmp_near_two_to_the_seventy():
     assert _keys_order_like_direction_cmp(directions) >= 40
 
 
+wide = st.integers(min_value=-(2**34), max_value=2**34)
+
+
+@given(st.tuples(wide, wide).filter(lambda v: v != (0, 0)), st.integers(0, 2**20))
+def test_direction_key_of_the_reverse_flips_only_the_lower_half_flag(v, offset):
+    # build_arrangement keys each edge once and gives its twin dart this key
+    x, y = v
+    for scale in (y * y + 1, 2**70 - offset):
+        k = direction_key(x, y, scale)
+        assert direction_key(-x, -y, scale) == (not k[0], k[1], k[2])
+
+
 def test_point_constructor_rejects_non_ints():
     with pytest.raises(GeometryError):
         Point(1.5, 0)
