@@ -3,9 +3,9 @@
 A point is an ``(x, y)`` pair of ints; :class:`Point` is the validated form
 of one, and every function here accepts either, since a ``Point`` is a tuple.
 Predicates that also meet derived points (crossings, interior samples) take
-``fractions.Fraction`` coordinates too.  Every predicate is decided with
-arbitrary-precision integer or ``Fraction`` arithmetic; no floating point is
-used anywhere, so results are exact for any input size.
+``fractions.Fraction`` coordinates too; :func:`is_general_position` does not.
+Every predicate is decided with arbitrary-precision integer or ``Fraction``
+arithmetic, never floating point, so results are exact for any input size.
 """
 
 from __future__ import annotations
@@ -65,16 +65,24 @@ def direction_key(x, y, scale):
     their directions agree, provided ``scale > y * y`` for every direction
     compared; the reference comparator they are tested against lives in
     ``tests/oracles.py``.
-    A lower-half direction is flipped into the upper half, where its
-    place is the slope ``-x / y``, kept as ``(-x * scale) // y``: two
-    distinct slopes with ``0 < y1, y2 <= Y`` differ by at least
-    ``1 / (y1 * y2) >= 1 / Y**2``, so with ``scale > Y**2`` their floors
-    differ too.
+    A lower-half direction is flipped into the upper half, where its place is
+    the slope ``-x / y``, kept as ``(-x * scale) // y``: exact by :func:`_line_names`.
     """
     lower = y < 0 or (y == 0 and x < 0)
     if lower:
         x, y = -x, -y
     return (lower, y != 0, (-x * scale) // y if y else 0)
+
+
+def _line_names(q, points, scale):
+    """Name each point's line through q: ``(y - qy) * scale // (x - qx)``, or None if vertical.
+
+    On ints, two points share a name exactly when they share a line through q, provided
+    ``scale >= D**2`` for every ``|dx| <= D``: two distinct slopes then differ by at least
+    ``1 / |dx1 * dx2| >= 1 / D**2``, so their scaled floors differ too.
+    """
+    qx, qy = q
+    return [(y - qy) * scale // (x - qx) if x != qx else None for x, y in points]
 
 
 def closed_segments_intersect(a, b, c, d) -> bool:
@@ -237,30 +245,29 @@ def is_general_position(points):
     Returns ``(ok, violations)`` where violations lists an index pair for each
     later copy of a point, then, over first copies only, the increasing index
     tuple of each line through three or more points, once, in sorted order.
-    From each point the later ones are bucketed by the exact slope key that
-    ``sampling._collinear_with_any_pair`` collects in one set, so the lines cost O(n^2).
+    Each point is read as a :class:`Point`, so only ints are accepted.  Each first copy
+    names its later ones' lines by one :func:`_line_names` call, so the lines cost O(n^2).
     """
+    points = [p if type(p) is Point else Point._make(p) for p in points]
     violations = []
     seen = {}
     for i, p in enumerate(points):
-        if p in seen:
+        if seen.setdefault(p, i) != i:
             violations.append((seen[p], i))
-        else:
-            seen[p] = i
-    firsts = list(seen.values())
-    xs = [x for x, _ in seen] or [0]
+    firsts, distinct = list(seen.values()), list(seen)
+    xs = [x for x, _ in distinct] or [0]
     scale = (max(xs) - min(xs)) ** 2 + 1  # |dx| <= max(xs) - min(xs)
     done = set()
     for a, i in enumerate(firsts):
-        ax, ay = points[i]
-        lines = {}
-        for j in firsts[a + 1:]:
-            bx, by = points[j]
-            lines.setdefault((by - ay) * scale // (bx - ax) if bx != ax else None, []).append(j)
-        for key, line in lines.items():
-            if len(line) > 1 and (i, key) not in done:
-                violations.append((i, *line))
-                done.update((j, key) for j in line)
+        names = _line_names(distinct[a], distinct[a + 1:], scale)
+        if len(set(names)) < len(names):
+            lines = {}
+            for j, name in zip(firsts[a + 1:], names):
+                lines.setdefault(name, []).append(j)
+            for name, line in lines.items():
+                if len(line) > 1 and (i, name) not in done:
+                    violations.append((i, *line))
+                    done.update((j, name) for j in line)
     return (not violations), violations
 
 

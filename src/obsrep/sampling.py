@@ -7,7 +7,8 @@ reproducible from its seed; every bounded draw goes through :func:`_below`.
 from __future__ import annotations
 
 from .errors import ObsrepError
-from .geom import Polygon, _assume_point, _assume_valid, _bounding_box, convex_hull, point_in_polygon
+from .geom import (Polygon, _assume_point, _assume_valid, _bounding_box, _line_names, convex_hull,
+                   point_in_polygon)
 from .scene import Scene
 
 
@@ -25,20 +26,6 @@ def _shuffle(getrandbits, items):
     for i in range(len(items) - 1, 0, -1):
         j = _below(getrandbits, i + 1)
         items[i], items[j] = items[j], items[i]
-
-
-def _collinear_with_any_pair(pts, q, scale):
-    """Does q lie on a line through two of the points?  q must not be one of them.
-
-    Each point's line through q is named by its slope, kept as the integer
-    ``(ay - qy) * scale // (ax - qx)``, or by ``None`` when it is vertical.
-    The name is exact by ``geom.direction_key``'s argument: two distinct
-    slopes with ``0 < |dx| <= D`` differ by at least ``1 / D**2``, so with
-    ``scale >= D**2`` their floors differ too.  So q is on a line through two points
-    exactly when the set of the points' names is smaller than pts.
-    """
-    qx, qy = q
-    return len({(ay - qy) * scale // (ax - qx) if ax != qx else None for ax, ay in pts}) < len(pts)
 
 
 def random_convex_polygon(rng) -> Polygon:
@@ -59,7 +46,8 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
     """A valid scene: one strictly convex obstacle, n labeled points outside it.
 
     Coordinates stay within ``[-1000, 1000]``; the joint point set (vertices
-    plus obstacle corners) is kept in general position by rejection.
+    plus obstacle corners) is kept in general position by rejection, with the
+    lines through each candidate named by :func:`~obsrep.geom._line_names`.
     """
     poly = random_convex_polygon(rng)
     bits = rng.getrandbits
@@ -77,7 +65,7 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
         if q in taken or (xlo <= qx <= xhi and ylo <= qy <= yhi
                           and point_in_polygon(q, poly.vertices) >= 0):
             continue
-        if _collinear_with_any_pair(taken, q, scale):
+        if len(set(_line_names(q, taken, scale))) < len(taken):
             continue
         # q is a pair of plain ints from _below
         q = _assume_point(q)
@@ -98,7 +86,7 @@ def random_placement(rng, n, grid):
     """n labeled grid points in [0, grid)^2, in general position, distinct x.
 
     Distinct x-coordinates are required so that any placement can later feed
-    the x-sorted partition checker.
+    the x-sorted partition checker.  Lines are named by :func:`~obsrep.geom._line_names`.
     """
     bits = rng.getrandbits
     scale = grid * grid  # |dx| <= grid - 1
@@ -110,7 +98,7 @@ def random_placement(rng, n, grid):
         if tries > 20000:
             raise ObsrepError(f"no general-position placement on a {grid}x{grid} grid")
         q = qx, qy = _below(bits, grid), _below(bits, grid)
-        if qx in xs or _collinear_with_any_pair(pts, q, scale):
+        if qx in xs or len(set(_line_names(q, pts, scale))) < len(pts):
             continue
         xs.add(qx)
         # q is a pair of plain ints from _below

@@ -86,8 +86,8 @@ def obs_upper_bound(g: Graph, placements: int, *, seed: int) -> ObsResult:
     best: tuple | None = None
     for _ in range(placements):
         pts = random_placement(rng, g.n, 100 * g.n * g.n)
-        # random_placement draws distinct Points with distinct x and rejects each point on a
-        # line through two others (exact at scale = grid² >= dx²): require_valid_scene's rules.
+        # random_placement draws distinct Points with distinct x and rejects each point on a line
+        # through two others, named by geom._line_names (grid² >= dx²): require_valid_scene's rules.
         faces = min_obstacles_for_placement(_assume_valid(Scene, points=pts, obstacles=()), g)
         if best is None or len(faces) < len(best[1]):
             best = (pts, faces)

@@ -110,6 +110,15 @@ def _public_definitions(path):
     return found
 
 
+MODULES = [p for p in (ROOT / "src" / "obsrep").glob("*.py") if p.name != "__init__.py"]
+
+
+def _used_outside_tests():
+    """Every name used in the library's modules or the demos."""
+    files = MODULES + list((ROOT / "demos").glob("*.py"))
+    return set().union(*(_uses(ast.parse(p.read_text(), str(p))) for p in files))
+
+
 def test_public_names_have_a_caller_outside_tests():
     # A public function, class or method earns its place by a use in the
     # library or the demos; one only tests call belongs in tests/.  save_scene
@@ -117,8 +126,18 @@ def test_public_names_have_a_caller_outside_tests():
     # write; perfbench/spans.py still counts calls of pair_pattern and
     # FaceSet.locate by name.  Methods of private classes, such as the CLI's
     # argparse overrides, are not checked.
-    modules = [p for p in (ROOT / "src" / "obsrep").glob("*.py") if p.name != "__init__.py"]
-    files = modules + list((ROOT / "demos").glob("*.py"))
-    used = set().union(*(_uses(ast.parse(p.read_text(), str(p))) for p in files))
-    unused = [d for p in modules for d in _public_definitions(p) if d.split(".")[1] not in used]
+    used = _used_outside_tests()
+    unused = [d for p in MODULES for d in _public_definitions(p) if d.split(".")[1] not in used]
     assert sorted(unused) == ["FaceSet.locate", "sceneio.save_scene", "tangent.pair_pattern"]
+
+
+def test_private_helpers_have_a_caller_outside_tests():
+    # The same rule, with no exception, for each private top-level function
+    # and class: a helper that only tests call belongs in tests/.
+    used = _used_outside_tests()
+    unused = [
+        f"{p.stem}.{node.name}" for p in MODULES for node in ast.parse(p.read_text(), str(p)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert unused == []

@@ -391,6 +391,21 @@ def test_is_general_position_reporting():
     assert violations == [(0, 2), (0, 1, 3), (0, 4, 6), (3, 6, 7), (4, 5, 7)]
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        # the first two are not collinear, yet floored slope names put each on one
+        # line; a bool is not an int either
+        [(0, 0), (1, 0), (2, Fraction(1, 10**9))],
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-9)],
+        [(True, 0), (4, 0), (0, 3)],
+    ],
+)
+def test_is_general_position_refuses_coordinates_that_are_not_ints(points):
+    with pytest.raises(GeometryError):
+        is_general_position(points)
+
+
 def test_convex_hull_small_cases():
     assert convex_hull([(0, 0)]) == [(0, 0)]
     assert convex_hull([(0, 0), (3, 3)]) == [(0, 0), (3, 3)]

@@ -8,7 +8,9 @@ scene, the encoder's word and the visibility graph.  Likewise
 sampler's hull corners and accepted candidates, which its own draws made
 plain ints.  These tests rebuild such values with the full constructors and
 require the same result, and read the source to check that nothing else calls
-either helper or skips a constructor.
+either helper or skips a constructor.  The sampler and ``Scene`` both name
+lines by ``geom._line_names``, so a seeded subset is also checked against
+``oracles.scene_diagnostics``, which shares no code with it.
 """
 
 import ast
@@ -21,6 +23,8 @@ from obsrep.sampling import iter_single_obstacle_scenes, random_placement
 from obsrep.scene import Scene
 from obsrep.tangent import TangentSequence, encode_tangent
 from obsrep.visibility import visibility_details
+
+import oracles
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "obsrep").glob("*.py"))
 HELPER = "_assume_valid"
@@ -46,11 +50,15 @@ def assert_plain_points(points):
 
 
 def test_sampled_values_equal_their_full_rebuilds():
-    """2,000 seeded scenes: each polygon, scene, word and graph passes its full constructor."""
+    """2,000 seeded scenes: each polygon, scene, word and graph passes its full constructor.
+
+    Every tenth scene also has no diagnostic by the brute-force oracle."""
     scenes = 0
     for scene in iter_single_obstacle_scenes(random.Random(2626), 2000):
         (poly,) = scene.obstacles
         assert_plain_points(poly.vertices + scene.points)
+        if scenes % 10 == 0:
+            assert oracles.scene_diagnostics(scene.points, [poly.vertices]) == (), scene
         rebuilt = Polygon(poly.vertices)
         assert rebuilt == poly
         assert Scene(scene.points, (rebuilt,)) == scene
@@ -64,7 +72,9 @@ def test_sampled_values_equal_their_full_rebuilds():
 
 
 def test_placements_equal_their_full_rebuilds():
-    """Seeded placements on the search's grid and on small ones pass Scene unchanged."""
+    """Seeded placements on the search's grid and on small ones pass Scene unchanged.
+
+    Every fourth placement also has no diagnostic by the brute-force oracle."""
     rng = random.Random(2626)
     placed = 0
     for n in range(2, 13):
@@ -73,6 +83,8 @@ def test_placements_equal_their_full_rebuilds():
                 pts = random_placement(rng, n, grid)
                 assert_plain_points(pts)
                 assert Scene(pts) == _assume_valid(Scene, points=pts, obstacles=())
+                if placed % 4 == 0:
+                    assert oracles.scene_diagnostics(pts, []) == (), pts
                 placed += 1
     assert placed == 11 * 4 * 20
 
