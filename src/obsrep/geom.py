@@ -61,12 +61,11 @@ def _in_box(a, b, p) -> bool:
 def direction_key(x, y, scale):
     """An exact integer sort key for the nonzero integer direction (x, y).
 
-    Keys sort counterclockwise from +x, and two keys are equal exactly when
-    their directions agree, provided ``scale > y * y`` for every direction
-    compared; the reference comparator they are tested against lives in
-    ``tests/oracles.py``.
-    A lower-half direction is flipped into the upper half, where its place is
-    the slope ``-x / y``, kept as ``(-x * scale) // y``: exact by :func:`_line_names`.
+    Keys sort counterclockwise from +x, and two keys are equal exactly when their directions
+    agree, provided ``scale > y * y`` for every direction compared; the reference comparator
+    they are tested against lives in ``tests/oracles.py``.  A lower-half direction is flipped
+    into the upper half, where its place is the slope ``-x / y``, kept as ``(-x * scale) // y``:
+    exact by :func:`_line_names`.
     """
     lower = y < 0 or (y == 0 and x < 0)
     if lower:
@@ -77,12 +76,16 @@ def direction_key(x, y, scale):
 def _line_names(q, points, scale):
     """Name each point's line through q: ``(y - qy) * scale // (x - qx)``, or None if vertical.
 
-    On ints, two points share a name exactly when they share a line through q, provided
-    ``scale >= D**2`` for every ``|dx| <= D``: two distinct slopes then differ by at least
-    ``1 / |dx1 * dx2| >= 1 / D**2``, so their scaled floors differ too.
+    Two points share a name exactly when they share a line through q, on ints with ``scale >= D**2``
+    for every ``|dx| <= D``: distinct slopes then differ by ``>= 1 / |dx1 * dx2| >= 1 / D**2``.
     """
     qx, qy = q
     return [(y - qy) * scale // (x - qx) if x != qx else None for x, y in points]
+
+
+def _on_a_line_through_two(q, points, scale):
+    """Is q on a line through two of the points?  q must not be one of them."""
+    return len(set(_line_names(q, points, scale))) < len(points)
 
 
 def closed_segments_intersect(a, b, c, d) -> bool:
@@ -259,15 +262,13 @@ def is_general_position(points):
     scale = (max(xs) - min(xs)) ** 2 + 1  # |dx| <= max(xs) - min(xs)
     done = set()
     for a, i in enumerate(firsts):
-        names = _line_names(distinct[a], distinct[a + 1:], scale)
-        if len(set(names)) < len(names):
-            lines = {}
-            for j, name in zip(firsts[a + 1:], names):
-                lines.setdefault(name, []).append(j)
-            for name, line in lines.items():
-                if len(line) > 1 and (i, name) not in done:
-                    violations.append((i, *line))
-                    done.update((j, name) for j in line)
+        lines = {}
+        for j, name in zip(firsts[a + 1:], _line_names(distinct[a], distinct[a + 1:], scale)):
+            lines.setdefault(name, []).append(j)
+        for name, line in lines.items():
+            if len(line) > 1 and (i, name) not in done:
+                violations.append((i, *line))
+                done.update((j, name) for j in line)
     return (not violations), violations
 
 

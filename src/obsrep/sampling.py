@@ -7,8 +7,8 @@ reproducible from its seed; every bounded draw goes through :func:`_below`.
 from __future__ import annotations
 
 from .errors import ObsrepError
-from .geom import (Polygon, _assume_point, _assume_valid, _bounding_box, _line_names, convex_hull,
-                   point_in_polygon)
+from .geom import (Polygon, _assume_point, _assume_valid, _bounding_box, _on_a_line_through_two,
+                   convex_hull, point_in_polygon)
 from .scene import Scene
 
 
@@ -46,8 +46,7 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
     """A valid scene: one strictly convex obstacle, n labeled points outside it.
 
     Coordinates stay within ``[-1000, 1000]``; the joint point set (vertices
-    plus obstacle corners) is kept in general position by rejection, with the
-    lines through each candidate named by :func:`~obsrep.geom._line_names`.
+    plus obstacle corners) is kept in general position by rejection.
     """
     poly = random_convex_polygon(rng)
     bits = rng.getrandbits
@@ -65,7 +64,7 @@ def random_single_obstacle_scene(rng, n_points) -> Scene:
         if q in taken or (xlo <= qx <= xhi and ylo <= qy <= yhi
                           and point_in_polygon(q, poly.vertices) >= 0):
             continue
-        if len(set(_line_names(q, taken, scale))) < len(taken):
+        if _on_a_line_through_two(q, taken, scale):
             continue
         # q is a pair of plain ints from _below
         q = _assume_point(q)
@@ -86,7 +85,7 @@ def random_placement(rng, n, grid):
     """n labeled grid points in [0, grid)^2, in general position, distinct x.
 
     Distinct x-coordinates are required so that any placement can later feed
-    the x-sorted partition checker.  Lines are named by :func:`~obsrep.geom._line_names`.
+    the x-sorted partition checker.
     """
     bits = rng.getrandbits
     scale = grid * grid  # |dx| <= grid - 1
@@ -98,7 +97,7 @@ def random_placement(rng, n, grid):
         if tries > 20000:
             raise ObsrepError(f"no general-position placement on a {grid}x{grid} grid")
         q = qx, qy = _below(bits, grid), _below(bits, grid)
-        if qx in xs or len(set(_line_names(q, pts, scale))) < len(pts):
+        if qx in xs or _on_a_line_through_two(q, pts, scale):
             continue
         xs.add(qx)
         # q is a pair of plain ints from _below

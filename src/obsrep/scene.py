@@ -6,7 +6,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import SceneError
-from .geom import Point, Polygon, _line_names, is_general_position, point_in_polygon
+from .geom import Point, Polygon, is_general_position, point_in_polygon
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,19 @@ def require_valid_scene(scene: Scene) -> None:
                 side = "inside" if where > 0 else "on the boundary of"
                 out.append(f"points[{i}] is {side} obstacles[{k}]")
     between = []
-    if points and scene.obstacles:
-        # Corner w lies strictly inside segment i-j exactly when points i and j share a line
-        # through w on opposite sides of it in (x, y) order.  Unless that line is vertical, w
-        # is then strictly inside their x-range: |dx| < span, so scale span**2 + 1 is exact.
-        scale = (max(p.x for p in points) - min(p.x for p in points)) ** 2 + 1
-        for k, poly in enumerate(scene.obstacles):
-            for t, w in enumerate(poly.vertices):
-                sides = {}
-                for i, (p, name) in enumerate(zip(points, _line_names(w, points, scale))):
-                    if p != w:
-                        sides.setdefault(name, ([], []))[p > w].append(i)
-                for lo, hi in sides.values():
-                    between += [(min(i, j), max(i, j), k, t) for i in lo for j in hi]
+    n = len(points)
+    for k, poly in enumerate(scene.obstacles):
+        for t, (wx, wy) in enumerate(poly.vertices):
+            # Corner t lies strictly inside segment i-j exactly when the
+            # vectors from it to points i and j are parallel (cross product
+            # 0) and point opposite ways (dot product < 0).
+            vectors = [(px - wx, py - wy) for px, py in points]
+            for i in range(n):
+                ux, uy = vectors[i]
+                for j in range(i + 1, n):
+                    vx, vy = vectors[j]
+                    if ux * vy == uy * vx and ux * vx + uy * vy < 0:
+                        between.append((i, j, k, t))
     for i, j, k, t in sorted(between):
         out.append(f"obstacles[{k}] vertex {t} lies between points[{i}] and points[{j}]")
     if out:

@@ -7,7 +7,7 @@ import oracles
 import pytest
 from obsrep import sampling
 from obsrep.errors import ObsrepError
-from obsrep.geom import _line_names
+from obsrep.geom import _on_a_line_through_two
 from obsrep.sampling import (
     _below,
     _shuffle,
@@ -115,11 +115,6 @@ def _line_cases(rng, lo, hi):
     return cases
 
 
-def _repeats_a_name(pts, q, scale):
-    """The samplers' rejection test: q is on a line through two points when two names repeat."""
-    return len(set(_line_names(q, pts, scale))) < len(pts)
-
-
 def test_slope_key_agrees_with_the_gcd_oracle():
     """The scaled slope names the same lines as the reduced offset, at both scales in use.
 
@@ -136,9 +131,9 @@ def test_slope_key_agrees_with_the_gcd_oracle():
     for lo, hi, scale in boxes:
         for pts, q in _line_cases(rng, lo, hi):
             want = oracles.gcd_collinear_with_any_pair(pts, q)
-            assert _repeats_a_name(pts, q, scale) == want, (pts, q, scale)
+            assert _on_a_line_through_two(q, pts, scale) == want, (pts, q, scale)
             outcomes.append(want)
-            coarse_misses += _repeats_a_name(pts, q, 1) != want
+            coarse_misses += _on_a_line_through_two(q, pts, 1) != want
     assert outcomes.count(True) > 500 and outcomes.count(False) > 500
     assert coarse_misses > 0
 

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -162,68 +161,3 @@ def test_diagnostics_match_brute_force_oracle():
         ):
             seen[key] += sum(words in m for m in want)
     assert min(seen.values()) >= 40, seen
-
-
-def _corner_cases(rng, d, splits):
-    """Seeded ``(points, obstacle)`` pairs whose obstacle has a corner w.
-
-    Built as ``test_sampling._line_cases`` builds the sampler's cases.  For each
-    split a + b = d: points a left and b right of w on the closest two lines
-    through w, whose slopes differ by 1 / (a * b), mirrored into all four
-    quadrants and tilted by a random whole slope of up to 2**10; a left and
-    about b right of w on one line through it; vertical lines through w, split
-    by it or not, beside a point d away; and three points 10**6 right of w,
-    two on one line through it and one just off that line.
-    """
-    def around(w, *points):
-        return points, poly(w, (w[0] + 1, w[1] - 2), (w[0] + 1, w[1] + 2))
-
-    cases = []
-    for a in splits:
-        b = d - a
-        w = wx, wy = rng.randint(-2**20, 2**20), rng.randint(-2**20, 2**20)
-        for sign in (1, -1) if gcd(a, b) == 1 else ():
-            c = -sign * pow(b, -1, a) % a  # a * e - b * c = sign: slopes c / a and e / b
-            e, t = (sign + b * c) // a, rng.randint(-2**10, 2**10)
-            for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                left = (wx - sx * a, wy - sy * (c + t * a))
-                cases.append(around(w, left, (wx + sx * b, wy + sy * (e + t * b))))
-        c = rng.randint(-2**10, 2**10)
-        g = gcd(a, c)
-        k = max(1, b * g // a)
-        cases.append(around(w, (wx - a, wy - c), (wx + k * a // g, wy + k * c // g)))
-        r, s = rng.randint(1, 2**20), rng.randint(1, 2**20)
-        side = (wx + rng.choice((-d, d)), wy + rng.randint(-2**20, 2**20))
-        cases.append(around(w, (wx, wy - r), (wx, wy + s), side))
-        cases.append(around(w, (wx, wy + r), (wx, wy + r + s), side))
-        u, v = rng.randint(1, 50), rng.randint(-2**10, 2**10)
-        m = 10**6 // u  # 10**6 right of w: two points on one line through it, one just off it
-        p = (wx + (m + 1) * u, wy + (m + 1) * v)
-        cases.append(around(w, (wx + m * u, wy + m * v), p, (p[0], p[1] + 1)))
-    return cases
-
-
-def test_corner_rule_matches_the_oracle_at_its_scale_boundary():
-    """Corners on or next to lines through two vertices get the oracle's diagnostics.
-
-    Points a left and b right of a corner have slopes through it at least
-    1 / (a * b) apart, and a * b <= span**2 / 4, so the corner rule's scale,
-    span**2 + 1, keeps them apart with room to spare.  Every split of the spans
-    100 and 101 is tried, so a scale that merges the closest two slopes of any
-    split fails here, (span - 1)**2 // 4 among them; the span 2**20 + 1 tries
-    the splits near the middle, where a * b is largest.
-    """
-    rng = random.Random(4545)
-    cases = _corner_cases(rng, 100, range(2, 99)) + _corner_cases(rng, 101, range(2, 100))
-    big = 2**20 + 1
-    cases += _corner_cases(rng, big, range(big // 2 - 20, big // 2 + 20))
-    seen = {"valid": 0, "between": 0}
-    for points, obstacle in cases:
-        want = oracles.scene_diagnostics(points, [obstacle.vertices])
-        if want:
-            assert diagnostics(points, (obstacle,)) == want, (points, obstacle)
-        else:
-            Scene(points, (obstacle,))
-            seen["valid"] += 1
-        seen["between"] += sum("lies between" in m for m in want)
-    assert min(seen.values()) >= 200, seen
