@@ -26,7 +26,7 @@ from .errors import (
 )
 from .geom import Point, Polygon, convex_hull, is_general_position, orient
 from .graphs import Graph, GraphError, complete_graph, cycle_graph
-from .ordertype import SceneSignature, chirotope, scene_signature
+from .ordertype import SceneSignature, scene_signature
 from .scene import Scene
 from .sceneio import load_graph, load_scene, save_scene
 from .search import (
@@ -55,7 +55,6 @@ from .visibility import (
     RepresentationReport,
     validate_representation,
     visibility_details,
-    visibility_graph,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +85,6 @@ __all__ = [
     "bounds_threshold",
     "build_arrangement",
     "builtin_pattern_table",
-    "chirotope",
     "complete_graph",
     "convex_hull",
     "cycle_graph",
@@ -110,5 +108,4 @@ __all__ = [
     "suggested_group_size",
     "validate_representation",
     "visibility_details",
-    "visibility_graph",
 ]

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .bounds import BoundsQuery, bounds_threshold
 from .errors import ContradictionError, ObsrepError
-from .ordertype import chirotope, scene_signature
+from .ordertype import _triple_signs, scene_signature
 from .arrangement import build_arrangement, face_nonedge_incidence
 from .search import (
     edge_deletion_chain,
@@ -192,9 +192,8 @@ def cmd_derive_table(args):
 
 def cmd_ordertype(args):
     scene, _ = load_scene(args.scene)
-    ot = chirotope(scene)
-    print(f"points {ot.n}")
-    for (i, j, k), sign in zip(combinations(range(ot.n), 3), ot.entries):
+    print(f"points {scene.n}")
+    for (i, j, k), sign in zip(combinations(range(scene.n), 3), _triple_signs(scene.points)):
         print(f"triple{_labels((i, j, k))} {_SIGN[sign]}")
     return 0
 

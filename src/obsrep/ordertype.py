@@ -3,8 +3,8 @@
 The signature of a scene lists the orientation of every triple drawn from the
 graph vertices followed by the obstacle corners (in boundary order), together
 with which index range belongs to which obstacle.  Two scenes with equal
-signatures have the same visibility graph.  The order type of the vertices
-alone is the same record with no obstacles.
+signatures have the same visibility graph.  The order type of a point list
+is the signature of a scene with those points and no obstacles.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ class SceneSignature:
     total: int
     entries: tuple[int, ...]
     ranges: tuple[tuple[int, int], ...]
-
-
-def chirotope(scene: Scene) -> SceneSignature:
-    """The labeled order type of the scene's vertices, as a signature without obstacles.
-
-    A scene keeps its vertices in general position, so no entry is zero.
-    """
-    return SceneSignature(scene.n, scene.n, _triple_signs(scene.points), ())
 
 
 def scene_signature(scene: Scene) -> SceneSignature:

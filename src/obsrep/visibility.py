@@ -34,14 +34,9 @@ def visibility_details(scene: Scene):
             for j in range(i + 1, n):
                 if not sides[i] & sides[j] and segment_intersects_polygon(a, points[j], poly):
                     witnesses.setdefault((i, j), []).append(k)
-    edges = frozenset(pair for pair in combinations(range(n), 2) if pair not in witnesses)
+    edges = frozenset(combinations(range(n), 2)).difference(witnesses)
     # The line above makes each edge a pair i < j of range(n), as Graph's checks leave it.
     return _assume_valid(Graph, n=n, edges=edges), witnesses
-
-
-def visibility_graph(scene: Scene) -> Graph:
-    """Pairs of vertices whose open segment avoids every obstacle."""
-    return visibility_details(scene)[0]
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ def validate_representation(scene: Scene, g: Graph) -> RepresentationReport:
     """
     if g.n != scene.n:
         raise ObsrepError(f"graph has {g.n} vertices but the scene has {scene.n} points")
-    actual = visibility_graph(scene)
+    actual = visibility_details(scene)[0]
     missing = tuple(sorted(g.edges - actual.edges))
     extra = tuple(sorted(actual.edges - g.edges))
     return RepresentationReport(not missing and not extra, missing, extra)

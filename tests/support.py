@@ -22,10 +22,10 @@ from obsrep.geom import (
     orient,
     point_in_polygon,
 )
-from obsrep.ordertype import SceneSignature, chirotope
+from obsrep.ordertype import SceneSignature, scene_signature
 from obsrep.scene import Scene
 from obsrep.search import PartitionReport, _partition_report
-from obsrep.visibility import visibility_graph
+from obsrep.visibility import visibility_details
 
 from oracles import direction_cmp, xy
 
@@ -49,7 +49,7 @@ def same_labeled_order_type(p1, p2) -> bool:
     a, b = list(p1), list(p2)
     if len(a) != len(b):
         raise ObsrepError(f"configuration sizes differ: {len(a)} vs {len(b)}")
-    return chirotope(Scene(a)) == chirotope(Scene(b))
+    return scene_signature(Scene(a)) == scene_signature(Scene(b))
 
 
 def canonical_unlabeled(ot: SceneSignature) -> tuple:
@@ -216,7 +216,7 @@ def obstacle_face_check(scene: Scene, graph=None) -> FacePlacementReport:
     first corner locates that face.
     """
     if graph is None:
-        graph = visibility_graph(scene)
+        graph = visibility_details(scene)[0]
     fs = build_arrangement(scene, graph)
     nodes = [xy(node) for node in fs.nodes]
     assignments = []

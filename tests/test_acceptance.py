@@ -39,7 +39,7 @@ from obsrep.tangent import (
     derive_pattern_table,
     encode_tangent,
 )
-from obsrep.visibility import visibility_details, visibility_graph
+from obsrep.visibility import visibility_details
 
 from oracles import solve_cover_first_hit
 from support import partition_faces_check, perturb_scene
@@ -113,7 +113,7 @@ def test_criterion_02_codec_agrees_with_geometry_on_10k_scenes(capsys):
     examined = 0
     for scene in iter_single_obstacle_scenes(rng, 10000):
         word = encode_tangent(scene)
-        if decode_visibility(word, table) != visibility_graph(scene):
+        if decode_visibility(word, table) != visibility_details(scene)[0]:
             mismatches += 1
         examined += 1
     ok = single_valued and examined == 10000 and mismatches == 0
@@ -129,7 +129,7 @@ def test_criterion_03_equal_signatures_give_equal_visibility(capsys):
         base, moved = perturb_scene(scene, rng)
         if scene_signature(base) != scene_signature(moved):
             mismatches += 1
-        elif visibility_graph(base) != visibility_graph(moved):
+        elif visibility_details(base)[0] != visibility_details(moved)[0]:
             mismatches += 1
     _verdict(capsys, 3, f"1000 signature-equal pairs, {mismatches} visibility mismatches",
              mismatches == 0)

@@ -15,19 +15,19 @@ PUBLIC = [
     "ObsrepError", "PartitionReport", "PatternTable", "Point", "Polygon",
     "RepresentationReport", "Scene", "SceneError", "SceneFormatError", "SceneSignature",
     "TangentSequence", "bounds_threshold", "build_arrangement",
-    "builtin_pattern_table", "chirotope", "complete_graph", "convex_hull",
+    "builtin_pattern_table", "complete_graph", "convex_hull",
     "cycle_graph", "decode_visibility", "derive_pattern_table", "edge_deletion_chain",
     "encode_tangent", "face_nonedge_incidence", "is_general_position", "load_graph",
     "load_scene", "min_obstacles_for_placement", "obs_upper_bound", "orient",
     "partition_lemma_check", "random_graph_experiment",
     "replay_witness", "save_scene", "scene_signature",
     "solve_cover", "suggested_group_size", "validate_representation",
-    "visibility_details", "visibility_graph",
+    "visibility_details",
 ]
 
 
 def test_public_names_are_pinned():
-    assert sorted(obsrep.__all__) == PUBLIC  # 50 names
+    assert sorted(obsrep.__all__) == PUBLIC  # 48 names
 
 
 def test_error_classes_are_pinned():

@@ -5,10 +5,10 @@ import pytest
 
 from obsrep.errors import ObsrepError, SceneError
 from obsrep.geom import orient
-from obsrep.ordertype import SceneSignature, chirotope, scene_signature
+from obsrep.ordertype import SceneSignature, scene_signature
 from obsrep.sampling import random_placement, random_single_obstacle_scene
 from obsrep.scene import Scene
-from obsrep.visibility import visibility_graph
+from obsrep.visibility import visibility_details
 
 from conftest import poly, pts
 from support import (
@@ -22,26 +22,26 @@ from support import (
 
 
 def test_chirotope_of_a_triangle():
-    ot = chirotope(Scene(pts((0, 0), (4, 0), (0, 4))))
+    ot = scene_signature(Scene(pts((0, 0), (4, 0), (0, 4))))
     assert ot == SceneSignature(3, 3, (1,), ())  # a signature with no obstacles
     assert orientation(ot, 0, 1, 2) == 1
 
 
 def test_chirotope_of_hexagon_scene_points(hexagon_scene):
-    ot = chirotope(hexagon_scene)
+    ot = scene_signature(Scene(hexagon_scene.points))
     assert orientation(ot, 0, 1, 2) == -1
 
 
 def test_chirotope_matches_orient_on_random_config():
     rng = random.Random(61)
     points = random_placement(rng, 7, 60)
-    ot = chirotope(Scene(points))
+    ot = scene_signature(Scene(points))
     for i, j, k in combinations(range(7), 3):
         assert orientation(ot, i, j, k) == orient(points[i], points[j], points[k])
 
 
 def test_orientation_requires_increasing_triple():
-    ot = chirotope(Scene(pts((0, 0), (4, 0), (0, 4))))
+    ot = scene_signature(Scene(pts((0, 0), (4, 0), (0, 4))))
     with pytest.raises(ObsrepError):
         orientation(ot, 1, 0, 2)
     with pytest.raises(ObsrepError):
@@ -110,7 +110,7 @@ def test_perturbed_scenes_keep_signature_and_visibility():
         base, moved = perturb_scene(scene, rng)
         assert (base.points, base.obstacles) != (moved.points, moved.obstacles)  # something moved
         assert scene_signature(base) == scene_signature(moved)
-        assert visibility_graph(moved) == visibility_graph(scene)
+        assert visibility_details(moved)[0] == visibility_details(scene)[0]
 
 
 # --- unlabeled canonical form ---
@@ -120,13 +120,13 @@ def test_canonical_unlabeled_is_relabeling_invariant():
     rng = random.Random(17)
     for _ in range(10):
         points = list(random_placement(rng, 6, 50))
-        reference = canonical_unlabeled(chirotope(Scene(points)))
+        reference = canonical_unlabeled(scene_signature(Scene(points)))
         shuffled = points[:]
         rng.shuffle(shuffled)
-        assert canonical_unlabeled(chirotope(Scene(shuffled))) == reference
+        assert canonical_unlabeled(scene_signature(Scene(shuffled))) == reference
 
 
 def test_canonical_unlabeled_size_limit():
     rng = random.Random(18)
     with pytest.raises(ObsrepError):
-        canonical_unlabeled(chirotope(Scene(random_placement(rng, 9, 80))))
+        canonical_unlabeled(scene_signature(Scene(random_placement(rng, 9, 80))))

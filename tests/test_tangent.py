@@ -26,7 +26,7 @@ from obsrep.tangent import (
     observe_scene,
     pair_pattern,
 )
-from obsrep.visibility import visibility_graph
+from obsrep.visibility import visibility_details
 
 import oracles
 from conftest import poly, pts
@@ -213,7 +213,7 @@ def test_events_and_pair_patterns_match_the_oracles_on_sampled_scenes():
             assert pair_pattern(seq, i, j) == pair_pattern(seq, j, i) == pattern
         observed = _RecordingTable()
         observe_scene(observed, scene)
-        visible = visibility_graph(scene)
+        visible = visibility_details(scene)[0]
         first = {}
         for (i, j), pattern in want:
             first.setdefault((pattern, (i, j) in visible.edges), (i, j))
@@ -361,7 +361,7 @@ def _observe_both_ways(seeded, scene):
     for observe in (
         lambda table: observe_scene(table, scene),
         lambda table: oracles.record_every_pair(
-            table, scene, encode_tangent(scene).events, visibility_graph(scene).edges
+            table, scene, encode_tangent(scene).events, visibility_details(scene)[0].edges
         ),
     ):
         table = PatternTable()
@@ -402,4 +402,4 @@ def test_decode_matches_geometry_on_random_scenes():
     for _ in range(150):
         scene = random_single_obstacle_scene(rng, rng.randint(2, 8))
         seq = encode_tangent(scene)
-        assert decode_visibility(seq, table) == visibility_graph(scene)
+        assert decode_visibility(seq, table) == visibility_details(scene)[0]

@@ -8,7 +8,7 @@ from obsrep.geom import Point
 from obsrep.graphs import Graph
 from obsrep.sampling import random_single_obstacle_scene
 from obsrep.scene import Scene
-from obsrep.visibility import validate_representation, visibility_details, visibility_graph
+from obsrep.visibility import validate_representation, visibility_details
 
 import oracles
 from conftest import poly, pts
@@ -19,7 +19,7 @@ def test_hexagon_scene_visibility(hexagon_scene):
     g, witnesses = visibility_details(hexagon_scene)
     assert g.sorted_edges() == [(0, 1), (0, 2)]
     assert witnesses == {(1, 2): [0]}
-    assert visibility_graph(hexagon_scene) == g
+    assert visibility_details(hexagon_scene)[0] == g
 
 
 def test_square_scene_visibility(square_scene):
@@ -44,7 +44,7 @@ def test_every_blocking_obstacle_is_listed():
 
 def test_no_obstacles_means_complete():
     scene = Scene(pts((0, 0), (5, 1), (2, 7)))
-    assert visibility_graph(scene).is_complete
+    assert visibility_details(scene)[0].is_complete
 
 
 def test_invalid_scene_is_rejected():
@@ -88,7 +88,7 @@ def test_visibility_is_scale_invariant():
     rng = random.Random(1311)
     for _ in range(40):
         scene = random_single_obstacle_scene(rng, rng.randint(2, 7))
-        assert visibility_graph(scaled_scene(scene, 7)) == visibility_graph(scene)
+        assert visibility_details(scaled_scene(scene, 7))[0] == visibility_details(scene)[0]
 
 
 def test_sampled_scenes_have_some_blocked_pairs():
