@@ -6,7 +6,9 @@ Run:  python3 demos/hexagon_tour.py
 """
 
 import os
+from itertools import combinations
 
+from obsrep.graphs import Graph
 from obsrep.sceneio import load_scene
 from obsrep.tangent import builtin_pattern_table, decode_visibility, encode_tangent
 from obsrep.visibility import visibility_details
@@ -20,11 +22,14 @@ def main():
     for i, p in enumerate(scene.points):
         print(f"  point {i + 1} at ({p.x}, {p.y})")
 
-    graph, witnesses = visibility_details(scene)
+    # Two points see each other unless some obstacle blocks their segment.
+    blocked = visibility_details(scene)
+    pairs = combinations(range(scene.n), 2)
+    graph = Graph(scene.n, [p for p in pairs if p not in blocked])
     print("\nvisibility:")
     for i, j in graph.sorted_edges():
         print(f"  {i + 1} and {j + 1} see each other")
-    for (i, j), blockers in sorted(witnesses.items()):
+    for (i, j), blockers in sorted(blocked.items()):
         names = ", ".join(f"obstacle {k + 1}" for k in blockers)
         print(f"  {i + 1} and {j + 1} are blocked by {names}")
     assert graph == declared, "the document's graph should match the geometry"

@@ -130,12 +130,13 @@ def _labels(ids):
 
 def cmd_visibility(args):
     scene, _ = load_scene(args.scene)
-    graph, witnesses = visibility_details(scene)
+    blocked = visibility_details(scene)
     print(f"points {scene.n}")
     print(f"obstacles {len(scene.obstacles)}")
-    for i, j in graph.sorted_edges():
-        print(f"edge {_pair(i, j)}")
-    for (i, j), blockers in sorted(witnesses.items()):
+    for i, j in combinations(range(scene.n), 2):
+        if (i, j) not in blocked:
+            print(f"edge {_pair(i, j)}")
+    for (i, j), blockers in sorted(blocked.items()):
         print(f"blocked {_pair(i, j)} by{_labels(blockers)}")
     return 0
 

@@ -18,6 +18,7 @@ every pair's pattern from that index in O(1): O(n^2) for its C(n, 2) pairs.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 
@@ -46,9 +47,10 @@ class TangentSequence:
     def __post_init__(self):
         try:
             events = tuple(map(tuple, self.events))
+            plain = all(len(e) == 2 and type(e[0]) is type(e[1]) is int for e in events)
         except TypeError:  # not a sequence of sequences
-            events = None
-        if events is None or not all(len(e) == 2 and type(e[0]) is type(e[1]) is int for e in events):
+            plain = False
+        if not plain:
             raise ObsrepError("a tangent event must be a (label, sign) pair of plain ints")
         object.__setattr__(self, "events", events)
         n = len(events) // 2
@@ -247,7 +249,7 @@ def observe_scene(table: PatternTable, scene: Scene) -> TangentSequence:
     if every pair were recorded in turn.
     """
     seq = encode_tangent(scene)
-    blocked = visibility_details(scene)[1]
+    blocked = visibility_details(scene)
     first = {}
     for i, j, pattern in _pair_patterns(seq):
         key = (pattern, (i, j) in blocked)
@@ -265,8 +267,6 @@ def derive_pattern_table(sample_count: int, rng_seed: int) -> PatternTable:
     records every pair; a contradiction (same pattern, both outcomes) raises
     :class:`ContradictionError` carrying both witness scenes.
     """
-    import random
-
     _count(sample_count, 1, "sample_count")
     rng = random.Random(rng_seed)
     table = PatternTable()

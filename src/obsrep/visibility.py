@@ -3,26 +3,26 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ObsrepError
-from .geom import _assume_valid, _bounding_box, segment_intersects_polygon
+from .geom import _bounding_box, segment_intersects_polygon
 from .graphs import Graph
 from .scene import Scene
 
 
 def visibility_details(scene: Scene):
-    """The visibility graph plus, for each blocked pair, its blocking obstacles.
+    """Each blocked pair of the scene with the obstacles that block it.
 
-    Returns ``(graph, witnesses)`` where witnesses maps every non-edge to the
+    Returns a dict that maps every blocked pair ``(i, j)``, i < j, to the
     non-empty list of obstacle indices that intersect its open segment, in
     increasing order: each obstacle in turn is tested against every pair
     whose ends do not both lie beyond one side of the obstacle's bounding box.
+    The visibility graph is its complement: every other pair is an edge.
     The scene validated itself when it was built, so it is not checked again.
     """
     points = scene.points
     n = len(points)
-    witnesses = {}
+    blocked = {}
     for k, poly in enumerate(scene.obstacles):
         min_x, max_x, min_y, max_y = _bounding_box(poly.vertices)
         # One bit per side of the box that a point lies beyond: a segment whose
@@ -33,10 +33,8 @@ def visibility_details(scene: Scene):
             a = points[i]
             for j in range(i + 1, n):
                 if not sides[i] & sides[j] and segment_intersects_polygon(a, points[j], poly):
-                    witnesses.setdefault((i, j), []).append(k)
-    edges = frozenset(combinations(range(n), 2)).difference(witnesses)
-    # The line above makes each edge a pair i < j of range(n), as Graph's checks leave it.
-    return _assume_valid(Graph, n=n, edges=edges), witnesses
+                    blocked.setdefault((i, j), []).append(k)
+    return blocked
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ def validate_representation(scene: Scene, g: Graph) -> RepresentationReport:
     """
     if g.n != scene.n:
         raise ObsrepError(f"graph has {g.n} vertices but the scene has {scene.n} points")
-    actual = visibility_details(scene)[0]
-    missing = tuple(sorted(g.edges - actual.edges))
-    extra = tuple(sorted(actual.edges - g.edges))
+    blocked = visibility_details(scene)
+    missing = tuple(e for e in g.sorted_edges() if e in blocked)
+    extra = tuple(p for p in g.non_edges() if p not in blocked)
     return RepresentationReport(not missing and not extra, missing, extra)

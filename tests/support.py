@@ -1,11 +1,11 @@
 """Helpers that only the tests use, built on the package.
 
 Unlike ``oracles.py``, which re-derives answers without the package's own
-predicates, these functions call the package freely: they list a polygon's
-edges, draw random simple polygons, relabel order types, transform scenes
-into signature-equal copies, check where a scene's obstacles sit among the
-faces of its drawing, and run the partition check with a drawing's faces
-as the obstacles.
+predicates, these functions call the package freely: they build a scene's
+visibility graph, list a polygon's edges, draw random simple polygons,
+relabel order types, transform scenes into signature-equal copies, check
+where a scene's obstacles sit among the faces of its drawing, and run the
+partition check with a drawing's faces as the obstacles.
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ from obsrep.geom import (
     orient,
     point_in_polygon,
 )
+from obsrep.graphs import Graph
 from obsrep.ordertype import SceneSignature, scene_signature
 from obsrep.scene import Scene
 from obsrep.search import PartitionReport, _partition_report
@@ -75,6 +76,15 @@ def canonical_unlabeled(ot: SceneSignature) -> tuple:
         if best is None or tup < best:
             best = tup
     return best
+
+
+# --- visibility ---
+
+
+def visibility_graph(scene: Scene) -> Graph:
+    """The scene's visibility graph: every pair that no obstacle blocks."""
+    blocked = visibility_details(scene)
+    return Graph(scene.n, [p for p in combinations(range(scene.n), 2) if p not in blocked])
 
 
 # --- tangent patterns ---
@@ -216,7 +226,7 @@ def obstacle_face_check(scene: Scene, graph=None) -> FacePlacementReport:
     first corner locates that face.
     """
     if graph is None:
-        graph = visibility_details(scene)[0]
+        graph = visibility_graph(scene)
     fs = build_arrangement(scene, graph)
     nodes = [xy(node) for node in fs.nodes]
     assignments = []

@@ -42,7 +42,7 @@ from obsrep.tangent import (
 from obsrep.visibility import visibility_details
 
 from oracles import solve_cover_first_hit
-from support import partition_faces_check, perturb_scene
+from support import partition_faces_check, perturb_scene, visibility_graph
 
 
 def _verdict(capsys, num, label, ok):
@@ -91,7 +91,8 @@ def test_criterion_01_hexagon_scene_reproduction(capsys):
     scene = _hexagon_scene()
     started = time.perf_counter()
     word = encode_tangent(scene)
-    graph, witnesses = visibility_details(scene)
+    witnesses = visibility_details(scene)
+    graph = visibility_graph(scene)
     elapsed = time.perf_counter() - started
     ok = (
         word == TangentSequence.parse("2+1-2-3+1+3-")
@@ -113,7 +114,7 @@ def test_criterion_02_codec_agrees_with_geometry_on_10k_scenes(capsys):
     examined = 0
     for scene in iter_single_obstacle_scenes(rng, 10000):
         word = encode_tangent(scene)
-        if decode_visibility(word, table) != visibility_details(scene)[0]:
+        if decode_visibility(word, table) != visibility_graph(scene):
             mismatches += 1
         examined += 1
     ok = single_valued and examined == 10000 and mismatches == 0
@@ -129,7 +130,7 @@ def test_criterion_03_equal_signatures_give_equal_visibility(capsys):
         base, moved = perturb_scene(scene, rng)
         if scene_signature(base) != scene_signature(moved):
             mismatches += 1
-        elif visibility_details(base)[0] != visibility_details(moved)[0]:
+        elif visibility_details(base) != visibility_details(moved):
             mismatches += 1
     _verdict(capsys, 3, f"1000 signature-equal pairs, {mismatches} visibility mismatches",
              mismatches == 0)

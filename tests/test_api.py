@@ -141,3 +141,13 @@ def test_private_helpers_have_a_caller_outside_tests():
         and node.name not in used
     ]
     assert unused == []
+
+
+def test_library_lines_are_at_most_100_characters():
+    long = [
+        f"{p.name}:{number}"
+        for p in sorted((ROOT / "src" / "obsrep").glob("*.py"))
+        for number, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []

@@ -110,7 +110,7 @@ def test_perturbed_scenes_keep_signature_and_visibility():
         base, moved = perturb_scene(scene, rng)
         assert (base.points, base.obstacles) != (moved.points, moved.obstacles)  # something moved
         assert scene_signature(base) == scene_signature(moved)
-        assert visibility_details(moved)[0] == visibility_details(scene)[0]
+        assert visibility_details(moved) == visibility_details(scene)
 
 
 # --- unlabeled canonical form ---

@@ -30,7 +30,7 @@ from obsrep.visibility import visibility_details
 
 import oracles
 from conftest import poly, pts
-from support import outcomes, swap_roles
+from support import outcomes, swap_roles, visibility_graph
 
 
 # --- the circular sequence type ---
@@ -213,10 +213,10 @@ def test_events_and_pair_patterns_match_the_oracles_on_sampled_scenes():
             assert pair_pattern(seq, i, j) == pair_pattern(seq, j, i) == pattern
         observed = _RecordingTable()
         observe_scene(observed, scene)
-        visible = visibility_details(scene)[0]
+        blocked = visibility_details(scene)
         first = {}
         for (i, j), pattern in want:
-            first.setdefault((pattern, (i, j) in visible.edges), (i, j))
+            first.setdefault((pattern, (i, j) in blocked), (i, j))
         assert observed.log == [(pair, pattern) for (pattern, _), pair in first.items()]
         asked = _RecordingTable()
         decode_visibility(seq, asked)
@@ -361,7 +361,7 @@ def _observe_both_ways(seeded, scene):
     for observe in (
         lambda table: observe_scene(table, scene),
         lambda table: oracles.record_every_pair(
-            table, scene, encode_tangent(scene).events, visibility_details(scene)[0].edges
+            table, scene, encode_tangent(scene).events, visibility_graph(scene).edges
         ),
     ):
         table = PatternTable()
@@ -402,4 +402,4 @@ def test_decode_matches_geometry_on_random_scenes():
     for _ in range(150):
         scene = random_single_obstacle_scene(rng, rng.randint(2, 8))
         seq = encode_tangent(scene)
-        assert decode_visibility(seq, table) == visibility_details(scene)[0]
+        assert decode_visibility(seq, table) == visibility_graph(scene)

@@ -1,9 +1,9 @@
 """The values the library builds without their constructors' checks are valid.
 
 ``geom._assume_valid`` fills a frozen dataclass without running its
-``__post_init__``.  Five places use it, each for a value its own code has just
+``__post_init__``.  Four places use it, each for a value its own code has just
 made valid: the sampler's hull polygon and scene, the search's placement
-scene, the encoder's word and the visibility graph.  Likewise
+scene and the encoder's word.  Likewise
 ``geom._assume_point`` makes a ``Point`` without its int check, for the
 sampler's hull corners and accepted candidates, which its own draws made
 plain ints.  These tests rebuild such values with the full constructors and
@@ -18,11 +18,9 @@ import random
 from pathlib import Path
 
 from obsrep.geom import Point, Polygon, _assume_valid
-from obsrep.graphs import Graph
 from obsrep.sampling import iter_single_obstacle_scenes, random_placement
 from obsrep.scene import Scene
 from obsrep.tangent import TangentSequence, encode_tangent
-from obsrep.visibility import visibility_details
 
 import oracles
 
@@ -33,7 +31,6 @@ SITES = {
     ("sampling.py", "random_single_obstacle_scene"),
     ("search.py", "obs_upper_bound"),
     ("tangent.py", "encode_tangent"),
-    ("visibility.py", "visibility_details"),
 }
 POINT_HELPER = "_assume_point"
 POINT_SITES = {
@@ -50,7 +47,7 @@ def assert_plain_points(points):
 
 
 def test_sampled_values_equal_their_full_rebuilds():
-    """2,000 seeded scenes: each polygon, scene, word and graph passes its full constructor.
+    """2,000 seeded scenes: each polygon, scene and word passes its full constructor.
 
     Every tenth scene also has no diagnostic by the brute-force oracle."""
     scenes = 0
@@ -64,9 +61,6 @@ def test_sampled_values_equal_their_full_rebuilds():
         assert Scene(scene.points, (rebuilt,)) == scene
         seq = encode_tangent(scene)
         assert TangentSequence(seq.events).events == seq.events
-        graph = visibility_details(scene)[0]
-        assert type(graph.edges) is frozenset
-        assert Graph(graph.n, graph.edges) == graph
         scenes += 1
     assert scenes == 2000
 

@@ -12,19 +12,19 @@ from obsrep.visibility import validate_representation, visibility_details
 
 import oracles
 from conftest import poly, pts
-from support import random_polygon, scaled_scene
+from support import random_polygon, scaled_scene, visibility_graph
 
 
 def test_hexagon_scene_visibility(hexagon_scene):
-    g, witnesses = visibility_details(hexagon_scene)
-    assert g.sorted_edges() == [(0, 1), (0, 2)]
+    witnesses = visibility_details(hexagon_scene)
+    assert visibility_graph(hexagon_scene).sorted_edges() == [(0, 1), (0, 2)]
     assert witnesses == {(1, 2): [0]}
-    assert visibility_details(hexagon_scene)[0] == g
+    assert visibility_details(hexagon_scene) == witnesses
 
 
 def test_square_scene_visibility(square_scene):
-    g, witnesses = visibility_details(square_scene)
-    assert g.sorted_edges() == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
+    witnesses = visibility_details(square_scene)
+    assert visibility_graph(square_scene).sorted_edges() == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert witnesses == {(0, 2): [0]}
 
 
@@ -37,14 +37,14 @@ def test_every_blocking_obstacle_is_listed():
             poly((1, -1), (3, -1), (3, 1), (1, 1)),
         ),
     )
-    g, witnesses = visibility_details(scene)
-    assert g.sorted_edges() == []
+    witnesses = visibility_details(scene)
+    assert visibility_graph(scene).sorted_edges() == []
     assert witnesses == {(0, 1): [0, 1]}
 
 
 def test_no_obstacles_means_complete():
     scene = Scene(pts((0, 0), (5, 1), (2, 7)))
-    assert visibility_details(scene)[0].is_complete
+    assert visibility_graph(scene).is_complete
 
 
 def test_invalid_scene_is_rejected():
@@ -79,6 +79,39 @@ def test_validate_representation_mismatch(hexagon_scene):
     assert report.visible_but_excluded == ((0, 2),)
 
 
+def test_validate_representation_lists_every_flipped_pair_in_order():
+    """Seeded scenes with 2 or 3 obstacles against targets with at least two
+    pairs flipped each way: each report lists exactly the flipped pairs, in
+    increasing order, as the oracle sees them."""
+    rng = random.Random(4949)
+    checked = 0
+    while checked < 60:
+        obstacles = tuple(
+            random_polygon(rng, span=6, at=(rng.randint(-12, 12), rng.randint(-12, 12)))
+            for _ in range(rng.randint(2, 3))
+        )
+        points = tuple(Point(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(rng.randint(5, 8)))
+        try:
+            scene = Scene(points, obstacles)
+        except SceneError:
+            continue
+        visible, blocked = [], []
+        for i, j in combinations(range(scene.n), 2):
+            hit = any(oracles.segment_meets_polygon(points[i], points[j], o.vertices) for o in obstacles)
+            (blocked if hit else visible).append((i, j))
+        if len(visible) < 2 or len(blocked) < 2:
+            continue
+        assert validate_representation(scene, Graph(scene.n, visible)).matches
+        excluded = sorted(rng.sample(visible, rng.randint(2, len(visible))))
+        required = sorted(rng.sample(blocked, rng.randint(2, len(blocked))))
+        target = Graph(scene.n, set(visible).difference(excluded).union(required))
+        report = validate_representation(scene, target)
+        assert not report.matches
+        assert report.blocked_but_required == tuple(required)
+        assert report.visible_but_excluded == tuple(excluded)
+        checked += 1
+
+
 def test_validate_representation_size_mismatch(hexagon_scene):
     with pytest.raises(ObsrepError):
         validate_representation(hexagon_scene, Graph(4))
@@ -88,7 +121,7 @@ def test_visibility_is_scale_invariant():
     rng = random.Random(1311)
     for _ in range(40):
         scene = random_single_obstacle_scene(rng, rng.randint(2, 7))
-        assert visibility_details(scaled_scene(scene, 7))[0] == visibility_details(scene)[0]
+        assert visibility_details(scaled_scene(scene, 7)) == visibility_details(scene)
 
 
 def test_sampled_scenes_have_some_blocked_pairs():
@@ -97,8 +130,8 @@ def test_sampled_scenes_have_some_blocked_pairs():
     blocked = 0
     for _ in range(30):
         scene = random_single_obstacle_scene(rng, 5)
-        g, witnesses = visibility_details(scene)
-        assert len(g.edges) + len(witnesses) == 10
+        witnesses = visibility_details(scene)
+        assert len(visibility_graph(scene).edges) + len(witnesses) == 10
         blocked += len(witnesses)
     assert blocked > 0
 
@@ -118,7 +151,8 @@ def test_visibility_details_match_oracle_on_multi_obstacle_scenes():
             scene = Scene(points, obstacles)
         except SceneError:
             continue
-        g, witnesses = visibility_details(scene)
+        witnesses = visibility_details(scene)
+        g = visibility_graph(scene)
         for i, j in combinations(range(scene.n), 2):
             want = [
                 k
